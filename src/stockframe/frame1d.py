@@ -33,19 +33,33 @@ The canonical dual comes from the conjugate filter
     Omega_p = nu * conj(Phi_p) / H0,   sum_p Omega_p Phi_p = nu,
 
 whose elements use the same phases with Omega in place of Phi.
+
+Each band is held as a record: its nonzero extent [lo, hi) in grid bins,
+its values there, its width w and its period m = q*w.  Records of equal
+(w, m, hi - lo) form one batch of a `BandPlan`, and analysis, synthesis,
+the frame operator and reconstruction cost a fixed number of numpy calls
+per batch: gather f^ on the extents, multiply by the window or dual
+values, fold mod m with one bincount, one (inverse) FFT along the batch,
+gather the spread, and one bincount that adds every contribution into
+the grid.  The outputs equal the dense per-band evaluation bit for bit
+because every bin receives the same additions in the same order: folds
+in ascending frequency, synthesis in coefficient (ascending p) order and
+H0 in stack.bands order.  Bins outside an extent would only receive
++0.0, which changes no sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .partition import AlphaPartition
 from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
-from .window import Window, WindowStack, build_stack
+from .window import Window, WindowStack, build_stack, nonzero_extent
 
 __all__ = [
     "FrameSpec",
@@ -75,6 +89,87 @@ class FrameGapError(ValueError):
 
 
 @dataclass
+class BandBatch:
+    """Band records of equal width w, period m = q*w and extent length.
+
+    Row i describes band ps[i]: bins[i] are the grid bins lo .. hi-1 of
+    its nonzero extent and values[i] the band on them.  fold[i*L + t] =
+    i*m + (j mod m) for the frequency j of bins[i, t], the slot that bin
+    folds into and spreads from; slots[2u], slots[2u + 1] = 2 fold[u],
+    2 fold[u] + 1 are its real and imaginary parts in a float view.
+    """
+
+    ps: tuple[int, ...]
+    w: int
+    m: int
+    bins: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    fold: np.ndarray = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+
+
+@dataclass
+class BandPlan:
+    """Batches of one band family, and the order that adds them up.
+
+    ps is the order in which synthesis adds bands into the grid.  order
+    gathers the batch-major concatenation of per-bin contributions into
+    that order, and scatter[2u], scatter[2u + 1] are the real and
+    imaginary output slots of the u-th gathered contribution.
+    """
+
+    ps: tuple[int, ...]
+    batches: tuple[BandBatch, ...] = field(repr=False)
+    order: np.ndarray = field(repr=False)
+    scatter: np.ndarray = field(repr=False)
+
+
+def _band_plan(spec: FrameSpec, ps, family: dict[int, np.ndarray],
+               extents: dict[int, tuple[int, int]]) -> BandPlan:
+    """Group the bands ps of a family into batches of equal (w, m, hi - lo)."""
+    ps = tuple(ps)
+    lo = np.array([extents[p][0] for p in ps], dtype=np.int64)
+    length = np.array([extents[p][1] for p in ps], dtype=np.int64) - lo
+    w = np.array([spec.width(p) for p in ps], dtype=np.int64)
+    # batch-major band order: sorted by (w, length), m = q*w following w
+    key = w * (spec.grid.size + 1) + length
+    srt = np.argsort(key, kind="stable")
+    edges = np.flatnonzero(np.diff(key[srt], prepend=-1, append=-1))
+    lo, length, w = lo[srt], length[srt], w[srt]
+    m = spec.q * w
+    bins = _runs(lo, length)
+    row = np.arange(len(ps)) - np.repeat(edges[:-1], np.diff(edges))
+    fold = (np.repeat(row * m, length)
+            + (bins - spec.grid.half) % np.repeat(m, length))
+    slots = _interleave(fold)
+    members = [ps[i] for i in srt.tolist()]
+    values = np.concatenate([family[p][slice(*extents[p])] for p in members] + [np.zeros(0)])
+    first = np.cumsum(length) - length
+    batches = []
+    for e0, e1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        rows, size, c0 = e1 - e0, int(length[e0]), int(first[e0])
+        c1 = c0 + rows * size
+        batches.append(BandBatch(tuple(members[e0:e1]), int(w[e0]), int(m[e0]),
+                                 bins[c0:c1].reshape(rows, size),
+                                 values[c0:c1].reshape(rows, size),
+                                 fold[c0:c1], slots[2 * c0:2 * c1]))
+    back = np.empty_like(srt)
+    back[srt] = np.arange(len(ps))
+    order = _runs(first[back], length[back])
+    return BandPlan(ps, tuple(batches), order, _interleave(bins[order]))
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated integer ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
+def _interleave(index: np.ndarray) -> np.ndarray:
+    """Float-view slots 2u, 2u + 1 of the complex slots u."""
+    return (2 * index[:, None] + np.arange(2)).ravel()
+
+
+@dataclass
 class FrameSpec:
     """Frozen description of one frame instance on a grid."""
 
@@ -100,6 +195,12 @@ class FrameSpec:
 
     def k_count(self, p: int) -> int:
         return self.q * self.width(p)
+
+    @cached_property
+    def plan(self) -> BandPlan:
+        """The stack bands batched and added in p order; built on first use,
+        since the Walnut bounds and single elements never need it."""
+        return _band_plan(self, self.p_range, self.stack.bands, self.stack.extents)
 
 
 def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int,
@@ -155,61 +256,69 @@ def frame_element(spec: FrameSpec, p: int, k: int) -> SpectralSignal:
     return SpectralSignal(spec.grid, phase * spec.stack.bands[p] / np.sqrt(w))
 
 
-def _fold(values: np.ndarray, m: int, jmod: np.ndarray) -> np.ndarray:
-    out = np.zeros(m, dtype=np.complex128)
-    np.add.at(out, jmod, values)
+def _analyze_batches(plan: BandPlan, fhat: np.ndarray, values) -> list[np.ndarray]:
+    """<f, element_{p,k}> for every row of every batch, real g_p = values[batch][row].
+
+    Fold f^ g mod m in ascending frequency, then one inverse DFT per
+    batch; the real and imaginary parts fold through one bincount over
+    the interleaved float view.
+    """
+    out = []
+    for b, g in zip(plan.batches, values):
+        rows = len(b.ps)
+        x = (fhat[b.bins] * g).ravel()
+        folded = np.bincount(b.slots, x.view(np.float64), 2 * rows * b.m)
+        folded = folded.view(np.complex128).reshape(rows, b.m)
+        out.append(b.m * np.fft.ifft(folded, axis=1) / np.sqrt(b.w))
     return out
 
 
-def _band_analyze(fhat: np.ndarray, gband: np.ndarray, w: int, m: int,
-                  jmod: np.ndarray) -> np.ndarray:
-    # <f, element_k> for all k at once: fold f^ conj(g) mod m, inverse DFT.
-    folded = _fold(fhat * np.conj(gband), m, jmod)
-    return m * np.fft.ifft(folded) / np.sqrt(w)
+def _synthesize_batches(plan: BandPlan, coeffs, n: int) -> np.ndarray:
+    """sum_{p,k} c_{p,k} element_{p,k} over the plan's bands.
 
-
-def _band_synthesize(cvec: np.ndarray, gband: np.ndarray, w: int,
-                     jmod: np.ndarray) -> np.ndarray:
-    spread = np.fft.fft(cvec)[jmod]
-    return gband * spread / np.sqrt(w)
-
-
-def _jmod(spec: FrameSpec, m: int) -> np.ndarray:
-    return spec.grid.frequencies() % m
+    Each band's spread lands on its extent only, and every bin receives
+    its contributions in plan.ps order.
+    """
+    parts = [np.zeros(0, np.complex128)]
+    for b, c in zip(plan.batches, coeffs):
+        spread = np.fft.fft(c, axis=1).ravel()[b.fold]
+        parts.append(b.values.ravel() * spread / np.sqrt(b.w))
+    contrib = np.concatenate(parts)[plan.order]
+    return np.bincount(plan.scatter, contrib.view(np.float64), 2 * n).view(np.complex128)
 
 
 def analyze(spec: FrameSpec, f) -> FrameCoefficients:
     fhat = _as_spectrum(spec, f)
-    data = {}
-    for p in spec.p_range:
-        m = spec.k_count(p)
-        data[p] = _band_analyze(fhat, spec.stack.bands[p], spec.width(p), m, _jmod(spec, m))
-    return FrameCoefficients(spec, data)
+    plan = spec.plan
+    rows: dict[int, np.ndarray] = {}
+    for b, c in zip(plan.batches, _analyze_batches(plan, fhat, [b.values for b in plan.batches])):
+        rows.update(zip(b.ps, c))
+    return FrameCoefficients(spec, {p: rows[p] for p in plan.ps})
 
 
 def synthesize(spec: FrameSpec, coeffs: FrameCoefficients,
                bands: dict[int, np.ndarray] | None = None) -> SpectralSignal:
-    """sum_k c_k element_k, over the analysis bands or a replacement family."""
-    if bands is None:
-        bands = spec.stack.bands
-    acc = np.zeros(spec.grid.size, dtype=np.complex128)
-    for p, cvec in coeffs.data.items():
-        m = spec.k_count(p)
-        acc += _band_synthesize(cvec, bands[p], spec.width(p), _jmod(spec, m))
-    return SpectralSignal(spec.grid, acc)
+    """sum_k c_k element_k, over the analysis bands or a replacement family.
+
+    Bands are added in the order of coeffs.data; a replacement family is
+    batched over its own nonzero extents.
+    """
+    ps = tuple(coeffs.data)
+    if bands is None and ps == spec.plan.ps:
+        plan = spec.plan
+    else:
+        family = spec.stack.bands if bands is None else bands
+        extents = (spec.stack.extents if bands is None
+                   else {p: nonzero_extent(family[p]) for p in ps})
+        plan = _band_plan(spec, ps, family, extents)
+    mats = [np.array([coeffs.data[p] for p in b.ps]) for b in plan.batches]
+    return SpectralSignal(spec.grid, _synthesize_batches(plan, mats, spec.grid.size))
 
 
 def frame_operator_apply(spec: FrameSpec, f,
                          synthesis_bands: dict[int, np.ndarray] | None = None) -> SpectralSignal:
     """S f (or the mixed-window S_{phi,psi} f) through analysis + synthesis."""
     return synthesize(spec, analyze(spec, f), synthesis_bands)
-
-
-def _nonzero_extent(arr: np.ndarray) -> tuple[int, int] | None:
-    nz = np.flatnonzero(arr)
-    if nz.size == 0:
-        return None
-    return int(nz[0]), int(nz[-1])
 
 
 def _shift(values: np.ndarray, s: int) -> np.ndarray:
@@ -231,17 +340,16 @@ def _band_shift_limit(spec: FrameSpec, p: int, k_max: int | None,
     With a synthesis band psi of different support, the overlap window
     widens to the union of the two extents.
     """
-    extent = _nonzero_extent(spec.stack.bands[p])
-    if extent is None:
+    lo, hi = spec.stack.extents[p]
+    if lo == hi:
         return -1
-    lo, hi = extent
     if psi is not None and psi is not spec.stack.bands[p]:
-        pext = _nonzero_extent(psi)
-        if pext is None:
+        plo, phi = nonzero_extent(psi)
+        if plo == phi:
             return -1
-        lo, hi = min(lo, pext[0]), max(hi, pext[1])
+        lo, hi = min(lo, plo), max(hi, phi)
     step = spec.q * spec.width(p)
-    limit = (hi - lo) // step
+    limit = (hi - 1 - lo) // step
     if k_max is not None:
         limit = min(limit, k_max)
     return limit
@@ -361,11 +469,20 @@ def frame_bounds_eigen(spec: FrameSpec) -> FrameBounds:
 
 @dataclass
 class ConjugateFilter:
-    """Canonical dual bands Omega_p = nu Phi_p / H0 and the H0 it came from."""
+    """Canonical dual bands Omega_p = nu Phi_p / H0 and the H0 it came from.
+
+    Dense dual bands are built on demand; reconstruct reads only h0.
+    """
 
     spec: FrameSpec = field(repr=False)
     h0: np.ndarray = field(repr=False)
-    bands: dict[int, np.ndarray] = field(repr=False)
+
+    def band(self, p: int) -> np.ndarray:
+        return self.spec.nu * self.spec.stack.bands[p] / self.h0
+
+    @cached_property
+    def bands(self) -> dict[int, np.ndarray]:
+        return {p: self.band(p) for p in self.spec.stack.bands}
 
     def partition_residual(self) -> float:
         """max_j |sum_p Omega_p Phi_p - nu|; zero to round-off by construction."""
@@ -384,8 +501,7 @@ def conjugate_filter(spec: FrameSpec, floor: float = H0_FLOOR) -> ConjugateFilte
             f"stack sum of squares reaches {low:.3e} <= {floor:g} "
             f"(worst at frequency {hole}); the system is not a frame on this grid"
         )
-    bands = {p: spec.nu * arr / h0 for p, arr in spec.stack.bands.items()}
-    return ConjugateFilter(spec, h0, bands)
+    return ConjugateFilter(spec, h0)
 
 
 def reconstruct(spec: FrameSpec, f,
@@ -397,12 +513,10 @@ def reconstruct(spec: FrameSpec, f,
     fhat = _as_spectrum(spec, f)
     if conj is None:
         conj = conjugate_filter(spec)
-    data = {}
-    for p in spec.p_range:
-        m = spec.k_count(p)
-        data[p] = _band_analyze(fhat, conj.bands[p], spec.width(p), m,
-                                _jmod(spec, m))
-    rec = synthesize(spec, FrameCoefficients(spec, data))
+    plan = spec.plan
+    duals = [spec.nu * b.values / conj.h0[b.bins] for b in plan.batches]
+    coeffs = _analyze_batches(plan, fhat, duals)
+    rec = SpectralSignal(spec.grid, _synthesize_batches(plan, coeffs, spec.grid.size))
     scale = float(np.linalg.norm(fhat)) or 1.0
     rel_err = float(np.linalg.norm(rec.coeffs - fhat)) / scale
     return rec, rel_err

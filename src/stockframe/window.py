@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "table_window",
     "WindowStack",
     "build_stack",
+    "nonzero_extent",
     "AdmissibilityReport",
     "admissibility",
     "StackBounds",
@@ -42,7 +44,6 @@ __all__ = [
     "wiener_upper_bound",
     "DecayFit",
     "decay_fit",
-    "band_decay_profile",
     "band_mass_outside",
 ]
 
@@ -136,12 +137,27 @@ class WindowStack:
     def band(self, p: int) -> np.ndarray:
         return self.bands[p]
 
+    @cached_property
+    def extents(self) -> dict[int, tuple[int, int]]:
+        """Nonzero extent [lo, hi) of every band in grid bins, found band
+        by band on first use; (0, 0) for an all-zero band."""
+        return {p: nonzero_extent(arr) for p, arr in self.bands.items()}
+
+    @cached_property
+    def _square_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        spans = [self.extents[p] for p in self.bands]
+        bins = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+        values = np.concatenate([arr[lo:hi] for arr, (lo, hi) in zip(self.bands.values(), spans)])
+        return bins, values * values
+
     def sum_of_squares(self) -> np.ndarray:
-        """H0 = sum_p Phi_p^2 on the grid."""
-        out = np.zeros(self.grid.size)
-        for arr in self.bands.values():
-            out += arr * arr
-        return out
+        """H0 = sum_p Phi_p^2 on the grid.
+
+        One bincount over the band extents, which adds each bin's terms in
+        bands order, as a dense band-by-band sum would.
+        """
+        bins, terms = self._square_terms
+        return np.bincount(bins, terms, self.grid.size)
 
     def lattice(self, p: int) -> np.ndarray:
         """Scaled band lattice mu * band(p), ascending."""
@@ -154,11 +170,38 @@ class WindowStack:
 
 
 def band_sum(window: Window, lattice: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """sum over the lattice of phihat(omega - point), vectorized."""
+    """sum over the lattice of phihat(omega - point), vectorized.
+
+    A compact window is evaluated only at the omegas within its support
+    radius of the lattice hull.  Elsewhere every point contributes 0.0,
+    so the output is the same as summing over all omegas.
+    """
+    if not window.compact:
+        return _lattice_sum(window, lattice, omegas)
+    # Rounding is monotone, so outside this mask fl(omega - point) lies
+    # beyond fl(omega - nearest hull end) for every point, and each
+    # difference rounds to a magnitude above the radius.
+    radius = window.support_radius
+    reach = (omegas - lattice.min() >= -radius) & (omegas - lattice.max() <= radius)
+    out = np.zeros(omegas.shape, dtype=float)
+    out[reach] = _lattice_sum(window, lattice, omegas[reach])
+    return out
+
+
+def _lattice_sum(window: Window, lattice: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     out = np.zeros(omegas.shape, dtype=float)
     for point in lattice:
         out += window.freq_profile(omegas - point)
     return out
+
+
+def nonzero_extent(values: np.ndarray) -> tuple[int, int]:
+    """(first nonzero index, last + 1) of a 1-d array, or (0, 0) when all are zero."""
+    nz = values != 0
+    lo = int(nz.argmax())
+    if not nz[lo]:
+        return 0, 0
+    return lo, nz.size - int(nz[::-1].argmax())
 
 
 def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
@@ -178,10 +221,10 @@ def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
     for iv in partition.intervals:
         if mu * iv.start > grid.half:
             break
+        points = mu * iv.frequencies()
         for p in ({0} if iv.p == 0 else {iv.p, -iv.p}):
-            sign = 1 if p >= 0 else -1
-            lattice = mu * (sign * iv.frequencies())
-            bands[p] = band_sum(window, lattice, omegas)
+            # rounding is sign-symmetric: -(mu * eta) == mu * (-eta)
+            bands[p] = band_sum(window, points if p >= 0 else -points, omegas)
     return WindowStack(window, mu, grid, partition, bands)
 
 
@@ -283,27 +326,6 @@ def decay_fit(window: Window, radius: float, n_samples: int = 256) -> DecayFit:
         return DecayFit(math.inf, math.nan)
     slope, intercept = np.polyfit(np.log1p(omegas[keep]), np.log(vals[keep]), 1)
     return DecayFit(float(-slope), float(math.exp(intercept)))
-
-
-def _hull_distance(omegas: np.ndarray, hull: tuple[float, float]) -> np.ndarray:
-    lo, hi = hull
-    return np.maximum(0.0, np.maximum(lo - omegas, omegas - hi))
-
-
-def band_decay_profile(stack: WindowStack, p: int, n_decay: float, c_decay: float) -> float:
-    """Empirical envelope constant of a band against a reference power law.
-
-    Returns max over the grid of Phi_p(omega) (1 + dist(omega, hull))^(n_decay-1)
-    divided by c_decay; dist is distance to the closed hull of the scaled
-    band lattice (zero inside the band).  Across p the values stay
-    comparable when the window really decays at order n_decay.
-    """
-    if not math.isfinite(n_decay):
-        raise ValueError("need a finite decay order (fit one with decay_fit)")
-    omegas = stack.grid.frequencies().astype(float)
-    dist = _hull_distance(omegas, stack.band_hull(p))
-    env = stack.bands[p] * (1.0 + dist) ** (n_decay - 1.0)
-    return float(env.max() / c_decay)
 
 
 def band_mass_outside(stack: WindowStack, p: int, factor: float = 3.0) -> float:

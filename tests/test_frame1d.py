@@ -5,6 +5,7 @@ import pytest
 
 from stockframe.frame1d import (
     EIGEN_SIZE_CAP,
+    FrameCoefficients,
     FrameGapError,
     analyze,
     conjugate_filter,
@@ -32,6 +33,32 @@ def painless_spec(n=128, q=4):
 def random_spectrum(rng, n):
     grid = FrequencyGrid(n)
     return SpectralSignal(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+WINDOWS = {"gaussian": gaussian_window, "tgauss": lambda: truncated_gaussian(0.1)}
+
+
+# Dense per-band reference: every band folds, transforms and spreads over
+# the whole grid, one band at a time.
+
+def dense_analyze(spec, fhat, bands):
+    j = spec.grid.frequencies()
+    out = {}
+    for p in spec.p_range:
+        m, w = spec.k_count(p), spec.width(p)
+        folded = np.zeros(m, dtype=np.complex128)
+        np.add.at(folded, j % m, fhat * np.conj(bands[p]))
+        out[p] = m * np.fft.ifft(folded) / np.sqrt(w)
+    return out
+
+
+def dense_synthesize(spec, data, bands):
+    j = spec.grid.frequencies()
+    acc = np.zeros(spec.grid.size, dtype=np.complex128)
+    for p, cvec in data.items():
+        m, w = spec.k_count(p), spec.width(p)
+        acc += bands[p] * np.fft.fft(cvec)[j % m] / np.sqrt(w)
+    return acc
 
 
 # ---------------------------------------------------------------- elements
@@ -75,9 +102,11 @@ def test_alpha_zero_elements_are_gabor_atoms():
 # ---------------------------------------------------------------- analysis
 
 
-def test_analyze_matches_literal_inner_products():
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("alpha", [0, 0.5, 1])
+def test_analyze_matches_literal_inner_products(alpha, window):
     rng = np.random.default_rng(2)
-    spec = gauss_spec(n=32, q=2)
+    spec = make_frame_spec(WINDOWS[window](), 0.5, 2, alpha, 32)
     fs = random_spectrum(rng, 32)
     coeffs = analyze(spec, fs)
     for p in spec.p_range:
@@ -107,9 +136,11 @@ def test_analyze_rejects_grid_mismatch_and_type():
         analyze(spec, np.zeros(64))
 
 
-def test_synthesize_matches_literal_element_sum():
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("alpha", [0, 0.5, 1])
+def test_synthesize_matches_literal_element_sum(alpha, window):
     rng = np.random.default_rng(5)
-    spec = gauss_spec(n=32, q=2)
+    spec = make_frame_spec(WINDOWS[window](), 0.5, 2, alpha, 32)
     coeffs = analyze(spec, random_spectrum(rng, 32))
     want = np.zeros(32, dtype=complex)
     for p in spec.p_range:
@@ -117,6 +148,72 @@ def test_synthesize_matches_literal_element_sum():
             want += coeffs[(p, k)] * frame_element(spec, p, k).coeffs
     got = synthesize(spec, coeffs).coeffs
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_synthesize_replacement_family_uses_its_own_support():
+    # Gaussian bands reach far past the truncated-Gaussian stack's extents
+    rng = np.random.default_rng(14)
+    spec = make_frame_spec(truncated_gaussian(0.1), 0.5, 2, 1, 32)
+    wide = make_frame_spec(gaussian_window(), 0.5, 2, 1, 32).stack.bands
+    assert any(np.any(wide[p][:lo]) or np.any(wide[p][hi:])
+               for p, (lo, hi) in spec.stack.extents.items())
+    fs = random_spectrum(rng, 32)
+    coeffs = analyze(spec, fs)
+    j = spec.grid.frequencies()
+    want = np.zeros(32, dtype=complex)
+    for p in spec.p_range:
+        m = spec.k_count(p)
+        for k in range(m):
+            want += coeffs[(p, k)] * np.exp(-2j * np.pi * j * k / m) * wide[p] / np.sqrt(spec.width(p))
+    scale = float(np.max(np.abs(want)))
+    assert np.max(np.abs(synthesize(spec, coeffs, bands=wide).coeffs - want)) < 1e-12 * scale
+    mixed = frame_operator_apply(spec, fs, synthesis_bands=wide).coeffs
+    assert np.max(np.abs(mixed - want)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("alpha", [0, 0.3, 0.5, 1])
+def test_batched_engine_is_bit_identical_to_dense_reference(alpha, window):
+    rng = np.random.default_rng(15)
+    spec = make_frame_spec(WINDOWS[window](), 0.5, 3, alpha, 48)
+    stack = spec.stack.bands
+    fs = random_spectrum(rng, 48)
+    fhat = fs.coeffs
+
+    want = dense_analyze(spec, fhat, stack)
+    coeffs = analyze(spec, fs)
+    assert list(coeffs.data) == list(want)
+    assert all(np.array_equal(coeffs.band(p), want[p]) for p in want)
+
+    assert np.array_equal(synthesize(spec, coeffs).coeffs, dense_synthesize(spec, want, stack))
+    assert np.array_equal(frame_operator_apply(spec, fs).coeffs,
+                          dense_synthesize(spec, want, stack))
+    # bins add their bands in coefficient order, whatever that order is
+    backwards = dict(reversed(list(want.items())))
+    assert np.array_equal(synthesize(spec, FrameCoefficients(spec, backwards)).coeffs,
+                          dense_synthesize(spec, backwards, stack))
+
+    h0 = np.zeros(48)
+    for arr in stack.values():
+        h0 += arr * arr
+    dual = {p: spec.nu * arr / h0 for p, arr in stack.items()}
+    conj = conjugate_filter(spec)
+    assert np.array_equal(conj.h0, h0)
+    assert list(conj.bands) == list(dual)
+    assert all(np.array_equal(conj.bands[p], dual[p]) for p in dual)
+    rec_want = dense_synthesize(spec, dense_analyze(spec, fhat, dual), stack)
+    rec, rel = reconstruct(spec, fs)
+    assert np.array_equal(rec.coeffs, rec_want)
+    assert rel == float(np.linalg.norm(rec_want - fhat)) / float(np.linalg.norm(fhat))
+
+    mat = np.empty((48, 48), dtype=np.complex128)
+    for col in range(48):
+        e = np.zeros(48, dtype=np.complex128)
+        e[col] = 1.0
+        mat[:, col] = dense_synthesize(spec, dense_analyze(spec, e, stack), stack)
+    eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+    bounds = frame_bounds_eigen(spec)
+    assert (bounds.lower, bounds.upper) == (float(eigs[0]), float(eigs[-1]))
 
 
 # ---------------------------------------------------------------- shift-sum operator

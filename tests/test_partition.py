@@ -151,9 +151,10 @@ def test_covering_ratios_agree_with_float_evaluation(alpha):
     for p in (5, 12, 25):
         lo, hi = covering_ratios(part, p)
         iv = part.interval(p)
-        ratios = [iv.width / eta ** float(alpha) for eta in range(iv.start, iv.stop)]
-        assert math.isclose(lo, min(ratios), rel_tol=1e-12)
-        assert math.isclose(hi, max(ratios), rel_tol=1e-12)
+        # width / eta**alpha decreases in eta for alpha > 0: the extremes
+        # sit at the interval ends
+        assert math.isclose(lo, iv.width / (iv.stop - 1) ** float(alpha), rel_tol=1e-12)
+        assert math.isclose(hi, iv.width / iv.start ** float(alpha), rel_tol=1e-12)
         if covering_bounds_hold(part, p):
             assert hi <= 1.0 + 1e-12
             assert lo >= 2.0 ** -(float(alpha) + 1.0) - 1e-12

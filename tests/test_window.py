@@ -92,6 +92,31 @@ def test_band_sum_matches_direct_loop():
     assert np.max(np.abs(band_sum(win, lattice, omegas) - want)) < 1e-15
 
 
+@pytest.mark.parametrize("win", [truncated_gaussian(0.1),
+                                 # nonzero at its radius, where the support is closed
+                                 table_window([-1.0, 1.0], [0.5, 0.5])])
+def test_compact_band_sum_equals_full_evaluation(win):
+    omegas = np.arange(-32, 32, dtype=float)
+    for lattice in (0.5 * np.arange(4, 8), -0.5 * np.arange(4, 8), np.array([2.0]),
+                    0.5 * np.arange(-70, -62)):
+        want = np.zeros(omegas.shape)
+        for point in lattice:
+            want += win.freq_profile(omegas - point)
+        assert np.array_equal(band_sum(win, lattice, omegas), want)
+
+
+def test_stack_extents_bound_the_nonzero_bins():
+    for win in (gaussian_window(), truncated_gaussian(0.1)):
+        stack = stack_case(window=win, alpha=0.5, n=128)
+        assert list(stack.extents) == list(stack.bands)
+        for p, (lo, hi) in stack.extents.items():
+            nz = np.flatnonzero(stack.band(p))
+            assert (lo, hi) == (nz[0], nz[-1] + 1)
+    # a band that never reaches the grid has the empty extent
+    stack = build_stack(table_window([-0.2, 0.2], [1.0, 1.0]), 8.0, 1, 64)
+    assert stack.extents[3] == (0, 0) and not stack.band(3).any()
+
+
 def test_stack_band_mirror_symmetry():
     # negative bands are exact reflections; index 0 is the unpaired Nyquist row
     stack = stack_case(alpha=0.5, n=128)
