@@ -21,6 +21,8 @@ them in order.  CSV exports are plain ``index,re,im`` tables.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 from typing import BinaryIO, Union
 
@@ -60,6 +62,16 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
     return raw
 
 
+def _read_payload(fh: BinaryIO, count: int) -> np.ndarray:
+    """count complex values, refused before any read or allocation when the
+    header declares more bytes than the file has left."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if 16 * count > left:
+        raise ContainerError(f"truncated container: header declares {count} values "
+                             f"({16 * count} bytes), file has {left} bytes left")
+    return _deinterleave(_read_exact(fh, 16 * count, "payload"), count)
+
+
 def write_sfr1(path, signal: Signal, append: bool = False) -> None:
     if isinstance(signal, TimeSamples):
         domain, values = DOMAIN_TIME, signal.values
@@ -85,7 +97,7 @@ def _read_sfr1_record(fh: BinaryIO) -> Signal | None:
     (domain,) = struct.unpack("B", _read_exact(fh, 1, "domain flag"))
     if domain not in (DOMAIN_TIME, DOMAIN_FREQUENCY):
         raise ContainerError(f"unknown domain flag {domain}")
-    data = _deinterleave(_read_exact(fh, 16 * n, "payload"), n)
+    data = _read_payload(fh, n)
     grid = FrequencyGrid(int(n))
     if domain == DOMAIN_TIME:
         return TimeSamples(grid, data)
@@ -139,8 +151,8 @@ def read_sfr2(path) -> tuple[np.ndarray, int]:
         (domain,) = struct.unpack("B", _read_exact(fh, 1, "domain flag"))
         if domain not in (DOMAIN_TIME, DOMAIN_FREQUENCY):
             raise ContainerError(f"unknown domain flag {domain}")
-        count = int(np.prod(shape))
-        data = _deinterleave(_read_exact(fh, 16 * count, "payload"), count)
+        count = math.prod(shape)
+        data = _read_payload(fh, count)
     return data.reshape(shape), domain
 
 

@@ -32,7 +32,10 @@ The canonical dual comes from the conjugate filter
 
     Omega_p = nu * conj(Phi_p) / H0,   sum_p Omega_p Phi_p = nu,
 
-whose elements use the same phases with Omega in place of Phi.
+whose elements use the same phases with Omega in place of Phi.  Since
+m / w = q, analysis against Omega followed by synthesis with Phi is an
+FFT pair that cancels: reconstruction is q Phi_p(j) fold_m(f^ Omega_p)[j
+mod m] summed over p, with no coefficients.
 
 Each band is held as a record: its nonzero extent [lo, hi) in grid bins,
 its values there, its width w and its period m = q*w.  Records of equal
@@ -256,43 +259,32 @@ def frame_element(spec: FrameSpec, p: int, k: int) -> SpectralSignal:
     return SpectralSignal(spec.grid, phase * spec.stack.bands[p] / np.sqrt(w))
 
 
-def _analyze_batches(plan: BandPlan, fhat: np.ndarray, values) -> list[np.ndarray]:
-    """<f, element_{p,k}> for every row of every batch, real g_p = values[batch][row].
+def _fold(b: BandBatch, x: np.ndarray) -> np.ndarray:
+    """Fold the batch's extent values x mod m, rows one after another.
 
-    Fold f^ g mod m in ascending frequency, then one inverse DFT per
-    batch; the real and imaginary parts fold through one bincount over
-    the interleaved float view.
+    The real and imaginary parts fold through one bincount over the
+    interleaved float view, each slot in ascending frequency.
     """
-    out = []
-    for b, g in zip(plan.batches, values):
-        rows = len(b.ps)
-        x = (fhat[b.bins] * g).ravel()
-        folded = np.bincount(b.slots, x.view(np.float64), 2 * rows * b.m)
-        folded = folded.view(np.complex128).reshape(rows, b.m)
-        out.append(b.m * np.fft.ifft(folded, axis=1) / np.sqrt(b.w))
-    return out
+    return np.bincount(b.slots, x.ravel().view(np.float64),
+                       2 * len(b.ps) * b.m).view(np.complex128)
 
 
-def _synthesize_batches(plan: BandPlan, coeffs, n: int) -> np.ndarray:
-    """sum_{p,k} c_{p,k} element_{p,k} over the plan's bands.
-
-    Each band's spread lands on its extent only, and every bin receives
-    its contributions in plan.ps order.
-    """
-    parts = [np.zeros(0, np.complex128)]
-    for b, c in zip(plan.batches, coeffs):
-        spread = np.fft.fft(c, axis=1).ravel()[b.fold]
-        parts.append(b.values.ravel() * spread / np.sqrt(b.w))
-    contrib = np.concatenate(parts)[plan.order]
+def _scatter(plan: BandPlan, parts: list[np.ndarray], n: int) -> np.ndarray:
+    """Add the batches' flattened contributions into the grid, every bin
+    receiving its contributions in plan.ps order."""
+    contrib = np.concatenate([np.zeros(0, np.complex128), *parts])[plan.order]
     return np.bincount(plan.scatter, contrib.view(np.float64), 2 * n).view(np.complex128)
 
 
 def analyze(spec: FrameSpec, f) -> FrameCoefficients:
+    """<f, element_{p,k}> for every band: fold f^ Phi_p mod m, then one
+    inverse DFT per batch."""
     fhat = _as_spectrum(spec, f)
     plan = spec.plan
     rows: dict[int, np.ndarray] = {}
-    for b, c in zip(plan.batches, _analyze_batches(plan, fhat, [b.values for b in plan.batches])):
-        rows.update(zip(b.ps, c))
+    for b in plan.batches:
+        folded = _fold(b, fhat[b.bins] * b.values).reshape(len(b.ps), b.m)
+        rows.update(zip(b.ps, b.m * np.fft.ifft(folded, axis=1) / np.sqrt(b.w)))
     return FrameCoefficients(spec, {p: rows[p] for p in plan.ps})
 
 
@@ -300,8 +292,9 @@ def synthesize(spec: FrameSpec, coeffs: FrameCoefficients,
                bands: dict[int, np.ndarray] | None = None) -> SpectralSignal:
     """sum_k c_k element_k, over the analysis bands or a replacement family.
 
-    Bands are added in the order of coeffs.data; a replacement family is
-    batched over its own nonzero extents.
+    Each band's spread lands on its extent only, and bands are added in
+    the order of coeffs.data; a replacement family is batched over its own
+    nonzero extents.
     """
     ps = tuple(coeffs.data)
     if bands is None and ps == spec.plan.ps:
@@ -311,8 +304,11 @@ def synthesize(spec: FrameSpec, coeffs: FrameCoefficients,
         extents = (spec.stack.extents if bands is None
                    else {p: nonzero_extent(family[p]) for p in ps})
         plan = _band_plan(spec, ps, family, extents)
-    mats = [np.array([coeffs.data[p] for p in b.ps]) for b in plan.batches]
-    return SpectralSignal(spec.grid, _synthesize_batches(plan, mats, spec.grid.size))
+    parts = []
+    for b in plan.batches:
+        spread = np.fft.fft(np.array([coeffs.data[p] for p in b.ps]), axis=1).ravel()[b.fold]
+        parts.append(b.values.ravel() * spread / np.sqrt(b.w))
+    return SpectralSignal(spec.grid, _scatter(plan, parts, spec.grid.size))
 
 
 def frame_operator_apply(spec: FrameSpec, f,
@@ -508,15 +504,18 @@ def reconstruct(spec: FrameSpec, f,
                 conj: ConjugateFilter | None = None) -> tuple[SpectralSignal, float]:
     """Analyze against the conjugate family, synthesize with the analysis one.
 
+    The FFT pair cancels (module docstring), so no coefficients are formed.
     Returns (reconstruction, relative l2 error against the input).
     """
     fhat = _as_spectrum(spec, f)
     if conj is None:
         conj = conjugate_filter(spec)
     plan = spec.plan
-    duals = [spec.nu * b.values / conj.h0[b.bins] for b in plan.batches]
-    coeffs = _analyze_batches(plan, fhat, duals)
-    rec = SpectralSignal(spec.grid, _synthesize_batches(plan, coeffs, spec.grid.size))
+    parts = []
+    for b in plan.batches:
+        folded = _fold(b, fhat[b.bins] * (spec.nu * b.values / conj.h0[b.bins]))
+        parts.append(spec.q * b.values.ravel() * folded[b.fold])
+    rec = SpectralSignal(spec.grid, _scatter(plan, parts, spec.grid.size))
     scale = float(np.linalg.norm(fhat)) or 1.0
     rel_err = float(np.linalg.norm(rec.coeffs - fhat)) / scale
     return rec, rel_err

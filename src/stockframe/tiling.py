@@ -25,19 +25,35 @@ nu; per-axis separability makes the tail sups factor exactly:
 
 Only alpha = 1 admits this construction; the fractional partitions lack
 a self-similar corona.
+
+Each axis factor F_{p,e} (and the DC factor) is held once per spec as a
+record: its nonzero extent [lo, hi) in grid bins and its values there.
+A box's support is the product of its axes' extents and its stack there
+the outer product of those values; bins outside the support would only
+receive +0.0, so sums of squares, analysis folds and synthesis spreads
+taken on the support equal the dense ones bit for bit.  Reconstruction
+needs no coefficients at all: with the dual Omega = nu^d Phi / H0, period
+m and normalization b^d (m^d / b^d = q^d, the DC box included), analysis
+followed by synthesis is fftn(ifftn(x)) = x in exact arithmetic, so
+
+    rec_box(j) = q^d Phi_box(j) fold_m(f^ Omega_box)[j mod m],
+
+a Walnut fold evaluated on the support.  Along an axis whose extent is
+no longer than m the fold is the identity; along a longer one it is a
+reshape-sum over blocks of m bins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
 
-from .frame1d import FrameGapError
-from .window import Window, band_sum
+from .frame1d import FrameGapError, _interleave
+from .window import Window, band_sum, nonzero_extent
 
 __all__ = [
     "BoxIndex",
@@ -144,13 +160,31 @@ def build_tiling(d: int, p_max: int) -> NdTiling:
     return NdTiling(d, p_max, tuple(boxes))
 
 
+@dataclass(frozen=True)
+class AxisRecord:
+    """One axis factor on its nonzero extent: bins lo .. hi-1 hold values."""
+
+    lo: int
+    hi: int
+    values: np.ndarray = field(repr=False)
+
+
+FactorKey = tuple[int, int] | None
+
+
+def _axis_record(factor: np.ndarray) -> AxisRecord:
+    lo, hi = nonzero_extent(factor)
+    return AxisRecord(lo, hi, factor[lo:hi])
+
+
 @dataclass
 class NdFrameSpec:
     """Separable frame on an n^d grid; axis window factors stored once.
 
-    Axis factors are keyed by (p, ell_s); the full box stack is their
-    outer product, materialized on demand to respect the coefficient
-    memory budget at d = 3.
+    Axis factors are keyed by (p, ell_s), the DC factor by None.  A box's
+    stack is the outer product of its factors, materialized one box at a
+    time: dense on the grid by box_stack, or on the box support by
+    box_support, which reads the per-axis records.
     """
 
     window: Window
@@ -173,13 +207,32 @@ class NdFrameSpec:
     def axis_frequencies(self) -> np.ndarray:
         return np.arange(-self.half, self.half)
 
-    def box_factors(self, box: BoxIndex) -> list[np.ndarray]:
+    def factor_keys(self, box: BoxIndex) -> list[FactorKey]:
         if box.ell is None:
-            return [self.dc_factor] * self.d
-        return [self.axis_factors[(box.p, e)] for e in box.ell]
+            return [None] * self.d
+        return [(box.p, e) for e in box.ell]
+
+    def box_factors(self, box: BoxIndex) -> list[np.ndarray]:
+        return [self.dc_factor if key is None else self.axis_factors[key]
+                for key in self.factor_keys(box)]
 
     def box_stack(self, box: BoxIndex) -> np.ndarray:
         return reduce(np.multiply.outer, self.box_factors(box))
+
+    @cached_property
+    def records(self) -> dict[FactorKey, AxisRecord]:
+        """Every axis factor on its nonzero extent; built on first use."""
+        factors = {**self.axis_factors, None: self.dc_factor}
+        return {key: _axis_record(fac) for key, fac in factors.items()}
+
+    def box_records(self, box: BoxIndex) -> list[AxisRecord]:
+        return [self.records[key] for key in self.factor_keys(box)]
+
+    def box_support(self, box: BoxIndex) -> tuple[tuple[slice, ...], np.ndarray]:
+        """(grid slices of the box support, the box stack on them)."""
+        recs = self.box_records(box)
+        return (tuple(slice(r.lo, r.hi) for r in recs),
+                reduce(np.multiply.outer, [r.values for r in recs]))
 
     def box_period(self, box: BoxIndex) -> int:
         """Per-axis modulation period m: q per lattice node along the axis."""
@@ -195,8 +248,8 @@ class NdFrameSpec:
     def sum_of_squares(self) -> np.ndarray:
         h0 = np.zeros((self.n,) * self.d)
         for box in self.tiling.boxes:
-            stack = self.box_stack(box)
-            h0 += stack * stack
+            sup, stack = self.box_support(box)
+            h0[sup] += stack * stack
         return h0
 
 
@@ -255,33 +308,31 @@ def _coeff_budget(spec: NdFrameSpec) -> None:
         )
 
 
-def _jmods(spec: NdFrameSpec, m: int) -> list[np.ndarray]:
-    jm = spec.axis_frequencies() % m
-    return [jm] * spec.d
-
-
-def _scatter_index(jmods: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    d = len(jmods)
-    out = []
-    for s, jm in enumerate(jmods):
-        shape = [1] * d
-        shape[s] = -1
-        out.append(jm.reshape(shape))
-    return tuple(out)
+def _support_slots(spec: NdFrameSpec, sup: tuple[slice, ...], m: int) -> list[np.ndarray]:
+    """Per axis, the fold slot (j mod m) of every support bin."""
+    return [(np.arange(s.start, s.stop) - spec.half) % m for s in sup]
 
 
 def _box_analyze(spec: NdFrameSpec, fhat: np.ndarray, box: BoxIndex,
-                 stack: np.ndarray) -> np.ndarray:
+                 sup: tuple[slice, ...], stack: np.ndarray) -> np.ndarray:
+    """Fold f^ stack mod m over the support in C order, then one ifftn.
+
+    One bincount over the interleaved float view adds each slot's terms
+    in the order a dense add.at over the grid would.
+    """
     m = spec.box_period(box)
-    vals = fhat * stack
-    folded = np.zeros((m,) * spec.d, dtype=np.complex128)
-    np.add.at(folded, _scatter_index(_jmods(spec, m)), vals)
+    x = (fhat[sup] * stack).ravel()
+    slots = np.ravel_multi_index(np.ix_(*_support_slots(spec, sup, m)), (m,) * spec.d)
+    folded = np.bincount(_interleave(slots.ravel()), x.view(np.float64), 2 * m ** spec.d)
+    folded = folded.view(np.complex128).reshape((m,) * spec.d)
     return (m ** spec.d) * np.fft.ifftn(folded) / spec.box_norm(box)
 
 
 def _box_synthesize(spec: NdFrameSpec, cbox: np.ndarray, box: BoxIndex,
-                    stack: np.ndarray) -> np.ndarray:
-    spread = np.fft.fftn(cbox)[np.ix_(*_jmods(spec, spec.box_period(box)))]
+                    sup: tuple[slice, ...], stack: np.ndarray) -> np.ndarray:
+    """The box's elements summed with weights cbox, on the support only."""
+    slots = _support_slots(spec, sup, spec.box_period(box))
+    spread = np.fft.fftn(cbox)[np.ix_(*slots)]
     return stack * spread / spec.box_norm(box)
 
 
@@ -289,16 +340,21 @@ def analyze_nd(spec: NdFrameSpec, fhat: np.ndarray) -> dict[BoxIndex, np.ndarray
     """<f, element> over all boxes; input is the spectral field on the grid."""
     fhat = _check_field(spec, fhat)
     _coeff_budget(spec)
-    return {box: _box_analyze(spec, fhat, box, spec.box_stack(box))
+    return {box: _box_analyze(spec, fhat, box, *spec.box_support(box))
             for box in spec.tiling.boxes}
 
 
 def synthesize_nd(spec: NdFrameSpec, coeffs: dict[BoxIndex, np.ndarray],
                   stacks: dict[BoxIndex, np.ndarray] | None = None) -> np.ndarray:
+    """sum of coefficient-weighted elements, boxes added in coeffs order.
+
+    A replacement stack is dense, so it spreads over the whole grid.
+    """
     acc = np.zeros((spec.n,) * spec.d, dtype=np.complex128)
+    whole = (slice(0, spec.n),) * spec.d
     for box, cbox in coeffs.items():
-        stack = spec.box_stack(box) if stacks is None else stacks[box]
-        acc += _box_synthesize(spec, cbox, box, stack)
+        sup, stack = spec.box_support(box) if stacks is None else (whole, stacks[box])
+        acc[sup] += _box_synthesize(spec, cbox, box, sup, stack)
     return acc
 
 
@@ -306,21 +362,15 @@ def frame_operator_apply_nd(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:
     return synthesize_nd(spec, analyze_nd(spec, fhat))
 
 
-def _axis_extent(arr: np.ndarray) -> tuple[int, int] | None:
-    nz = np.flatnonzero(arr)
-    if nz.size == 0:
-        return None
-    return int(nz[0]), int(nz[-1])
-
-
 def _axis_limits(spec: NdFrameSpec, box: BoxIndex, k_max: int | None) -> list[int] | None:
-    step = spec.q * spec.tiling.scale(box) if box.ell is not None else spec.q
+    """Per axis, the largest shift count whose product can be nonzero;
+    None when the box stack vanishes."""
+    step = spec.box_period(box)
     limits = []
-    for fac in spec.box_factors(box):
-        ext = _axis_extent(fac)
-        if ext is None:
+    for rec in spec.box_records(box):
+        if rec.lo == rec.hi:
             return None
-        lim = (ext[1] - ext[0]) // step
+        lim = (rec.hi - 1 - rec.lo) // step
         if k_max is not None:
             lim = min(lim, k_max)
         limits.append(lim)
@@ -391,16 +441,20 @@ def walnut_bounds_nd(spec: NdFrameSpec, k_max: int | None = None) -> NdBoundRepo
         k_max = math.ceil(spec.n / (2 * spec.q))
     h0 = spec.sum_of_squares()
     h_tail = 0.0
+    sups: dict[FactorKey, tuple[float, float]] = {}  # diagonal and tail sup per factor
     for box in spec.tiling.boxes:
         step = spec.box_period(box)
         limits = _axis_limits(spec, box, k_max)
         if limits is None:
             continue
-        diag, tails = [], []
-        for fac, lim in zip(spec.box_factors(box), limits):
-            diag.append(float(np.max(fac * fac)))
-            tails.append(2.0 * sum(float(np.max(fac[k * step:] * fac[:-k * step]))
-                                   for k in range(1, lim + 1) if k * step < spec.n))
+        keys = spec.factor_keys(box)
+        for key, fac, lim in zip(keys, spec.box_factors(box), limits):
+            if key not in sups:
+                sups[key] = (float(np.max(fac * fac)),
+                             2.0 * sum(float(np.max(fac[k * step:] * fac[:-k * step]))
+                                       for k in range(1, lim + 1) if k * step < spec.n))
+        diag = [sups[key][0] for key in keys]
+        tails = [sups[key][1] for key in keys]
         # expand prod(a + t) - prod(a) term by term: the tails can sit far
         # below one ulp of the diagonal, where the factored form cancels
         for mask in range(1, 1 << spec.d):
@@ -423,11 +477,13 @@ class NdConjugate:
         return (self.spec.nu ** self.spec.d) * self.spec.box_stack(box) / self.h0
 
     def partition_residual(self) -> float:
-        """max |sum_box Omega Phi - nu^d|."""
+        """max |sum_box Omega Phi - nu^d|, each box added on its support."""
+        nu_d = self.spec.nu ** self.spec.d
         acc = np.zeros((self.spec.n,) * self.spec.d)
         for box in self.spec.tiling.boxes:
-            acc += self.band(box) * self.spec.box_stack(box)
-        return float(np.max(np.abs(acc - self.spec.nu ** self.spec.d)))
+            sup, stack = self.spec.box_support(box)
+            acc[sup] += nu_d * stack / self.h0[sup] * stack
+        return float(np.max(np.abs(acc - nu_d)))
 
 
 def conjugate_filter_nd(spec: NdFrameSpec, floor: float = 1e-14) -> NdConjugate:
@@ -444,15 +500,42 @@ def conjugate_filter_nd(spec: NdFrameSpec, floor: float = 1e-14) -> NdConjugate:
     return NdConjugate(spec, h0)
 
 
+def _alias(x: np.ndarray, m: int) -> np.ndarray:
+    """Sum x over each residue class of its index mod m along every axis,
+    and spread the sums back onto x's shape.
+
+    An axis no longer than m holds one bin per class and is left as it
+    is; a longer one is zero-padded to whole blocks of m and summed
+    across the blocks.
+    """
+    shape = x.shape
+    if all(size <= m for size in shape):
+        return x
+    for s, size in enumerate(shape):
+        if size > m:
+            blocks = -(-size // m)
+            padded = np.zeros(x.shape[:s] + (blocks * m,) + x.shape[s + 1:], dtype=x.dtype)
+            padded[(slice(None),) * s + (slice(0, size),)] = x
+            x = padded.reshape(x.shape[:s] + (blocks, m) + x.shape[s + 1:]).sum(axis=s)
+    return x[np.ix_(*(np.arange(size) % m for size in shape))]
+
+
 def reconstruct_nd(spec: NdFrameSpec, fhat: np.ndarray,
                    conj: NdConjugate | None = None) -> tuple[np.ndarray, float]:
-    """Analyze against the conjugate family, synthesize with the primal one."""
+    """Analyze against the conjugate family, synthesize with the primal one.
+
+    The composition is evaluated without coefficients, box by box on its
+    support: rec_box = q^d Phi fold_m(f^ Omega)[j mod m] (module docstring).
+    """
     fhat = _check_field(spec, fhat)
     _coeff_budget(spec)
     if conj is None:
         conj = conjugate_filter_nd(spec)
-    coeffs = {box: _box_analyze(spec, fhat, box, conj.band(box))
-              for box in spec.tiling.boxes}
-    rec = synthesize_nd(spec, coeffs)
+    nu_d, q_d = spec.nu ** spec.d, spec.q ** spec.d
+    rec = np.zeros((spec.n,) * spec.d, dtype=np.complex128)
+    for box in spec.tiling.boxes:
+        sup, stack = spec.box_support(box)
+        dual = nu_d * stack / conj.h0[sup]
+        rec[sup] += q_d * stack * _alias(fhat[sup] * dual, spec.box_period(box))
     scale = float(np.linalg.norm(fhat)) or 1.0
     return rec, float(np.linalg.norm(rec - fhat)) / scale

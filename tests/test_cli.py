@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 import subprocess
 import sys
 
@@ -242,6 +243,23 @@ def test_roundtrip_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+def run_cli_quickly(*argv):
+    """Run the CLI in a child process that must finish within 5 s."""
+    return subprocess.run([sys.executable, "-m", "stockframe.cli", *argv],
+                          capture_output=True, text=True, timeout=5)
+
+
+def test_roundtrip_oversized_sfr1_header_is_usage_error(tmp_path):
+    # n = 4e9 declares a 64 GB payload; it must be refused, not allocated
+    path = tmp_path / "huge.sfr1"
+    path.write_bytes(b"SFR1" + struct.pack("<I", 4_000_000_000) + b"\x01" + b"\x00" * 32)
+    proc = run_cli_quickly("roundtrip", "--alpha", "1", "--mu", "0.5", "--q", "8",
+                           "--window", "gaussian", "--n", "128", "--in", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: truncated container")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------- tile / 2d
 
 
@@ -286,6 +304,18 @@ def test_roundtrip2d_rejects_wrong_rank(tmp_path, capsys):
     code, _, _ = run(capsys, "roundtrip2d", "--mu", "0.5", "--q", "4",
                      "--window", "gaussian", "--n", "4", "--in", str(path))
     assert code == 2
+
+
+def test_roundtrip2d_oversized_sfr2_header_is_usage_error(tmp_path):
+    # three axes of 4e9 overflow any fixed-width element count
+    path = tmp_path / "huge.sfr2"
+    path.write_bytes(b"SFR2" + struct.pack("<I", 3) + struct.pack("<3I", *[4_000_000_000] * 3)
+                     + b"\x01" + b"\x00" * 32)
+    proc = run_cli_quickly("roundtrip2d", "--mu", "0.5", "--q", "4", "--window", "gaussian",
+                           "--n", "16", "--in", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: truncated container")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------- selftest

@@ -35,6 +35,49 @@ def random_field(rng, d, n):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+WINDOWS = {"gaussian": gaussian_window, "tgauss": lambda: truncated_gaussian(0.1)}
+GRID = {1: 32, 2: 16, 3: 8}
+
+
+# Dense references: every box folds, transforms and spreads over the whole
+# n^d grid, one box at a time.
+
+def jmod_index(spec, m):
+    return np.ix_(*[spec.axis_frequencies() % m] * spec.d)
+
+
+def dense_sum_of_squares(spec):
+    h0 = np.zeros((spec.n,) * spec.d)
+    for box in spec.tiling.boxes:
+        stack = spec.box_stack(box)
+        h0 += stack * stack
+    return h0
+
+
+def dense_analyze_box(spec, fhat, box, stack):
+    m = spec.box_period(box)
+    folded = np.zeros((m,) * spec.d, dtype=np.complex128)
+    np.add.at(folded, jmod_index(spec, m), fhat * stack)
+    return (m ** spec.d) * np.fft.ifftn(folded) / spec.box_norm(box)
+
+
+def dense_synthesize(spec, coeffs, stacks=None):
+    acc = np.zeros((spec.n,) * spec.d, dtype=np.complex128)
+    for box, cbox in coeffs.items():
+        stack = spec.box_stack(box) if stacks is None else stacks[box]
+        spread = np.fft.fftn(cbox)[jmod_index(spec, spec.box_period(box))]
+        acc += stack * spread / spec.box_norm(box)
+    return acc
+
+
+def coefficient_round_trip(spec, fhat):
+    # analysis against the conjugate dual, then synthesis with the stacks
+    h0 = dense_sum_of_squares(spec)
+    coeffs = {box: dense_analyze_box(spec, fhat, box, spec.nu ** spec.d * spec.box_stack(box) / h0)
+              for box in spec.tiling.boxes}
+    return dense_synthesize(spec, coeffs)
+
+
 # ---------------------------------------------------------------- combinatorics
 
 
@@ -264,6 +307,70 @@ def test_reconstruct_nd_painless_is_exact():
     fhat = random_field(rng, 2, 16)
     _, rel = reconstruct_nd(spec, fhat)
     assert rel < 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_reconstruct_nd_matches_coefficient_round_trip(d, window, q):
+    rng = np.random.default_rng(29)
+    n = GRID[d]
+    spec = make_nd_frame_spec(WINDOWS[window](), 0.5, q, d, n)
+    fhat = random_field(rng, d, n)
+    rec, rel = reconstruct_nd(spec, fhat)
+    want = coefficient_round_trip(spec, fhat)
+    assert np.max(np.abs(rec - want)) <= 1e-13 * np.max(np.abs(fhat))
+    assert rel == float(np.linalg.norm(rec - fhat)) / float(np.linalg.norm(fhat))
+    if window == "tgauss" and q == 4:  # painless: q > 2 * 1.1 + mu
+        assert rel < 1e-15
+
+
+def test_reconstruct_nd_with_boxes_beyond_the_grid():
+    # p_max past the default adds boxes whose compact factors vanish on the grid
+    rng = np.random.default_rng(30)
+    spec = make_nd_frame_spec(truncated_gaussian(0.1), 0.5, 2, 2, 16, p_max=6)
+    assert any(rec.lo == rec.hi for rec in spec.records.values())
+    fhat = random_field(rng, 2, 16)
+    rec, _ = reconstruct_nd(spec, fhat)
+    assert np.max(np.abs(rec - coefficient_round_trip(spec, fhat))) <= 1e-13 * np.max(np.abs(fhat))
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_engine_is_bit_identical_to_dense_reference(d, window):
+    rng = np.random.default_rng(31)
+    n = GRID[d]
+    spec = make_nd_frame_spec(WINDOWS[window](), 0.5, 2, d, n)
+    fhat = random_field(rng, d, n)
+
+    h0 = dense_sum_of_squares(spec)
+    assert np.array_equal(spec.sum_of_squares(), h0)
+    conj = conjugate_filter_nd(spec)
+    assert np.array_equal(conj.h0, h0)
+
+    coeffs = analyze_nd(spec, fhat)
+    assert list(coeffs) == list(spec.tiling.boxes)
+    for box, cbox in coeffs.items():
+        assert np.array_equal(cbox, dense_analyze_box(spec, fhat, box, spec.box_stack(box)))
+
+    assert np.array_equal(synthesize_nd(spec, coeffs), dense_synthesize(spec, coeffs))
+    # boxes add in coefficient order, whatever that order is
+    backwards = dict(reversed(list(coeffs.items())))
+    assert np.array_equal(synthesize_nd(spec, backwards), dense_synthesize(spec, backwards))
+    # a replacement family spreads over the whole grid
+    duals = {box: conj.band(box) for box in coeffs}
+    assert np.array_equal(synthesize_nd(spec, coeffs, duals), dense_synthesize(spec, coeffs, duals))
+
+
+def test_records_bound_the_nonzero_bins():
+    spec = small_spec(d=2, n=32, window=truncated_gaussian(0.1))
+    factors = {**spec.axis_factors, None: spec.dc_factor}
+    for key, rec in spec.records.items():
+        fac = factors[key]
+        assert np.array_equal(rec.values, fac[rec.lo:rec.hi])
+        assert not fac[:rec.lo].any() and not fac[rec.hi:].any()
+        if rec.hi > rec.lo:
+            assert fac[rec.lo] != 0 and fac[rec.hi - 1] != 0
 
 
 def test_conjugate_nd_partition_residual():
