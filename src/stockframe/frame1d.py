@@ -39,16 +39,34 @@ mod m] summed over p, with no coefficients.
 
 Each band is held as a record: its nonzero extent [lo, hi) in grid bins,
 its values there, its width w and its period m = q*w.  Records of equal
-(w, m, hi - lo) form one batch of a `BandPlan`, and analysis, synthesis,
-the frame operator and reconstruction cost a fixed number of numpy calls
-per batch: gather f^ on the extents, multiply by the window or dual
-values, fold mod m with one bincount, one (inverse) FFT along the batch,
-gather the spread, and one bincount that adds every contribution into
-the grid.  The outputs equal the dense per-band evaluation bit for bit
-because every bin receives the same additions in the same order: folds
-in ascending frequency, synthesis in coefficient (ascending p) order and
-H0 in stack.bands order.  Bins outside an extent would only receive
-+0.0, which changes no sum.
+(w, m, hi - lo) form one batch of a `BandPlan`, and analysis, synthesis
+and the frame operator cost a fixed number of numpy calls per batch:
+gather f^ on the extents, multiply by the window values, fold mod m with
+one bincount, one (inverse) FFT along the batch, gather the spread, and
+one bincount that adds every contribution into the grid.  The outputs
+equal the dense per-band evaluation bit for bit because every bin
+receives the same additions in the same order: folds in ascending
+frequency, synthesis in coefficient (ascending p) order and H0 in
+stack.bands order.  Bins outside an extent would only receive +0.0,
+which changes no sum.
+
+Reconstruction, the Walnut paths and the eigen operator need no FFT, so
+they read the records in p order (`FrameSpec.records`), a few thousand
+bins or terms at a time; their temporaries stay small whatever the grid.
+`reconstruct` folds each band's f^ Omega_p and adds q Phi_p times the
+fold into the grid band after band.  A band's shifted product
+Phi_p(u - s) Psi_p(u) is nonzero only where both extents meet, so
+`walnut_apply`, `walnut_bounds` and `frame_bounds_eigen` enumerate every
+(band, shift) pair and its overlap once, in (p, m) order.  `walnut_apply`
+adds the terms into each bin in that order and `walnut_bounds` takes
+every shift's maximum with one reduceat, so both equal a dense loop over
+bands and shifts bit for bit.  `frame_bounds_eigen` assembles the
+operator from its Walnut kernel
+
+    S[u, v] = q * sum_p Phi_p(u) Phi_p(v) [u = v mod q*width_p],
+
+which adds each band's products on its extent at every multiple of its
+period; it agrees with the analysis + synthesis operator to round-off.
 """
 
 from __future__ import annotations
@@ -85,6 +103,11 @@ __all__ = [
 
 EIGEN_SIZE_CAP = 1024
 H0_FLOOR = 1e-14
+# Reconstruction and the Walnut paths form this many bins or terms at a
+# time (rounded to whole bands or shifts): their temporaries stay small
+# and cache-resident on any grid, and never depend on how the allocator
+# serves large blocks.
+_TERM_CHUNK = 1 << 12
 
 
 class FrameGapError(ValueError):
@@ -172,6 +195,70 @@ def _interleave(index: np.ndarray) -> np.ndarray:
     return (2 * index[:, None] + np.arange(2)).ravel()
 
 
+def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """Runs [a, b) of consecutive items holding about _TERM_CHUNK
+    elements each; an item is never split."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(ends, np.arange(_TERM_CHUNK, total, _TERM_CHUNK), side="right").tolist()
+    return list(zip([0, *cuts], [*cuts, lengths.size]))
+
+
+@dataclass
+class BandRecords:
+    """Nonzero extents [lo, hi) of a band family, one per band in p order,
+    and their values concatenated: band b holds values[u + offset[b]] at
+    bin u of its extent."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    offset: np.ndarray
+    values: np.ndarray
+
+
+def _records(spec: FrameSpec, family: dict[int, np.ndarray],
+             extents: dict[int, tuple[int, int]] | None = None) -> BandRecords:
+    ps = spec.p_range
+    spans = [nonzero_extent(family[p]) if extents is None else extents[p] for p in ps]
+    lo, hi = np.array(spans, dtype=np.int64).T
+    values = np.concatenate([family[p][a:b] for p, (a, b) in zip(ps, spans)] + [np.zeros(0)])
+    return BandRecords(lo, hi, np.cumsum(hi - lo) - hi, values)
+
+
+@dataclass
+class FoldChunk:
+    """Bands consecutive in p order whose extents hold about _TERM_CHUNK
+    bins, as records.values[start:stop].
+
+    bins are the grid bins of those values, band after band; fold is the
+    slot each bin folds into and spreads from (its band's slot base plus
+    j mod m), and slots[2u], slots[2u + 1] = 2 fold[u], 2 fold[u] + 1 its
+    real and imaginary parts in a float view of size entries.
+    """
+
+    start: int
+    stop: int
+    bins: np.ndarray = field(repr=False)
+    fold: np.ndarray = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+    size: int
+
+
+def _fold_chunks(spec: FrameSpec) -> tuple[FoldChunk, ...]:
+    g = spec.records
+    length = g.hi - g.lo
+    edges = np.concatenate([[0], np.cumsum(length)])
+    chunks = []
+    for a, b in _chunks(length):
+        bins = _runs(g.lo[a:b], length[a:b])
+        m = spec.periods[a:b]
+        fold = (np.repeat(np.cumsum(m) - m, length[a:b])
+                + (bins - spec.grid.half) % np.repeat(m, length[a:b]))
+        chunks.append(FoldChunk(int(edges[a]), int(edges[b]), bins, fold,
+                                _interleave(fold), 2 * int(m.sum())))
+    return tuple(chunks)
+
+
 @dataclass
 class FrameSpec:
     """Frozen description of one frame instance on a grid."""
@@ -202,8 +289,25 @@ class FrameSpec:
     @cached_property
     def plan(self) -> BandPlan:
         """The stack bands batched and added in p order; built on first use,
-        since the Walnut bounds and single elements never need it."""
+        since only analysis and synthesis need it."""
         return _band_plan(self, self.p_range, self.stack.bands, self.stack.extents)
+
+    @cached_property
+    def records(self) -> BandRecords:
+        """The stack bands' extents and values in p order, read by
+        reconstruct and the Walnut paths; built on first use."""
+        return _records(self, self.stack.bands, self.stack.extents)
+
+    @cached_property
+    def fold_chunks(self) -> tuple[FoldChunk, ...]:
+        """The records cut into runs of whole bands for reconstruct; built
+        on first use."""
+        return _fold_chunks(self)
+
+    @cached_property
+    def periods(self) -> np.ndarray:
+        """Period m = q*w of every band, in p order."""
+        return self.q * np.array([self.width(p) for p in self.p_range], dtype=np.int64)
 
 
 def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int,
@@ -317,38 +421,43 @@ def frame_operator_apply(spec: FrameSpec, f,
     return synthesize(spec, analyze(spec, f), synthesis_bands)
 
 
-def _shift(values: np.ndarray, s: int) -> np.ndarray:
-    # T_s in bins with zero fill: out[u] = values[u - s]
-    out = np.zeros_like(values)
-    if s == 0:
-        out[:] = values
-    elif s > 0:
-        out[s:] = values[:-s]
-    else:
-        out[:s] = values[-s:]
-    return out
+def _shift_limit(spec: FrameSpec, g: BandRecords, psi: BandRecords) -> np.ndarray:
+    """Per band, the largest |m| for which Phi_p(u - m q w_p) Psi_p(u) can
+    be nonzero: shifts reach across the union of the two extents.  -1 for
+    a band with an empty extent."""
+    span = np.maximum(g.hi, psi.hi) - 1 - np.minimum(g.lo, psi.lo)
+    return np.where((g.lo == g.hi) | (psi.lo == psi.hi), -1, span // spec.periods)
 
 
-def _band_shift_limit(spec: FrameSpec, p: int, k_max: int | None,
-                      psi: np.ndarray | None = None) -> int:
-    """Largest |m| whose shifted product can be nonzero for band p.
+def _walnut_pairs(spec: FrameSpec, g: BandRecords, psi: BandRecords, first, last):
+    """The shifts s = m q w_p with first[b] <= m <= last[b] and |s| < n.
 
-    With a synthesis band psi of different support, the overlap window
-    widens to the union of the two extents.
+    Returns (band, shift, lo, length) per pair, band-major in p order and
+    m ascending within a band: Phi_p(u - s) Psi_p(u) can be nonzero only
+    for lo <= u < lo + length.
     """
-    lo, hi = spec.stack.extents[p]
-    if lo == hi:
-        return -1
-    if psi is not None and psi is not spec.stack.bands[p]:
-        plo, phi = nonzero_extent(psi)
-        if plo == phi:
-            return -1
-        lo, hi = min(lo, plo), max(hi, phi)
-    step = spec.q * spec.width(p)
-    limit = (hi - 1 - lo) // step
-    if k_max is not None:
-        limit = min(limit, k_max)
-    return limit
+    step = spec.periods
+    first = np.broadcast_to(first, step.shape)
+    count = np.maximum(last - first + 1, 0)
+    band = np.repeat(np.arange(step.size), count)
+    shift = step[band] * _runs(first, count)
+    keep = np.abs(shift) < spec.grid.size
+    band, shift = band[keep], shift[keep]
+    lo = np.maximum(psi.lo[band], g.lo[band] + shift)
+    length = np.maximum(np.minimum(psi.hi[band], g.hi[band] + shift) - lo, 0)
+    return band, shift, lo, length
+
+
+def _walnut_terms(g: BandRecords, psi: BandRecords, band, shift, lo, length):
+    """Yield the terms of the pairs, pair after pair, in chunks of whole
+    pairs of about _TERM_CHUNK terms: (u, v = u - s, Phi_p(v), Psi_p(u),
+    the chunk's pair lengths)."""
+    for a, b in _chunks(length):
+        sizes = length[a:b]
+        u = _runs(lo[a:b], sizes)
+        v = u - np.repeat(shift[a:b], sizes)
+        rows = np.repeat(band[a:b], sizes)
+        yield u, v, g.values[v + g.offset[rows]], psi.values[u + psi.offset[rows]], sizes
 
 
 def walnut_apply(spec: FrameSpec, f,
@@ -362,31 +471,33 @@ def walnut_apply(spec: FrameSpec, f,
     the aliasing sum for decay studies.  Shifted content leaving the grid
     is dropped; with_dropped_mass=True also returns the l2 mass of what
     was dropped.
+
+    Every term (f^ Phi_p)(u - s) Psi_p(u) is added into bin u in (p, m)
+    order, as a dense loop over bands and shifts would add it; terms off
+    either extent are zero and left out.
     """
     fhat = _as_spectrum(spec, f)
-    if synthesis_bands is None:
-        synthesis_bands = spec.stack.bands
-    acc = np.zeros(spec.grid.size, dtype=np.complex128)
-    dropped = 0.0
+    g = spec.records
+    psi = g if synthesis_bands is None else _records(spec, synthesis_bands)
+    limit = _shift_limit(spec, g, psi)
+    if k_max is not None:
+        limit = np.minimum(limit, k_max)
+    pairs = _walnut_pairs(spec, g, psi, -limit, limit)
     n = spec.grid.size
-    for p in spec.p_range:
-        gband = spec.stack.bands[p]
-        psi = synthesis_bands[p]
-        base = fhat * np.conj(gband)
-        step = spec.q * spec.width(p)
-        limit = _band_shift_limit(spec, p, k_max, psi)
-        for m in range(-limit, limit + 1):
-            s = m * step
-            if abs(s) >= n:
-                continue
-            acc += _shift(base, s) * psi
-            if with_dropped_mass and s != 0:
-                lost = base[n - s:] if s > 0 else base[:-s]
-                dropped += float(np.sum(np.abs(lost) ** 2))
+    acc = np.zeros(n, dtype=np.complex128)
+    for u, v, gv, pv, _ in _walnut_terms(g, psi, *pairs):
+        np.add.at(acc, u, fhat[v] * gv * pv)
     result = SpectralSignal(spec.grid, spec.q * acc)
-    if with_dropped_mass:
-        return result, math.sqrt(dropped)
-    return result
+    if not with_dropped_mass:
+        return result
+    dropped = 0.0
+    ps = spec.p_range
+    for b, s in zip(pairs[0].tolist(), pairs[1].tolist()):
+        if s != 0:
+            base = fhat * spec.stack.bands[ps[b]]
+            lost = base[n - s:] if s > 0 else base[:-s]
+            dropped += float(np.sum(np.abs(lost) ** 2))
+    return result, math.sqrt(dropped)
 
 
 @dataclass(frozen=True)
@@ -413,23 +524,25 @@ def walnut_bounds(spec: FrameSpec, k_max: int | None = None) -> WalnutBoundRepor
 
     The default k_max follows the spec's ceil(n / 2q); shifts whose
     products vanish identically are skipped either way, so enlarging
-    k_max past the grid edge changes nothing.
+    k_max past the grid edge changes nothing.  Each shift's maximum comes
+    from a reduceat over its products on the extents, a chunk of shifts
+    per call, and adds into h_tail in (p, m) order.
     """
     if k_max is None:
         k_max = spec.walnut_k_max
     h0 = spec.stack.sum_of_squares()
-    h_tail = 0.0
-    n = spec.grid.size
-    for p in spec.p_range:
-        gband = spec.stack.bands[p]
-        step = spec.q * spec.width(p)
-        limit = _band_shift_limit(spec, p, k_max)
-        for m in range(1, limit + 1):
-            s = m * step
-            if s >= n:
-                break
-            # sup_j |Phi(j-s) Phi(j)| is shift-sign symmetric; count both.
-            h_tail += 2.0 * float(np.max(gband[s:] * gband[:-s]))
+    g = spec.records
+    limit = _shift_limit(spec, g, g)
+    band, shift, lo, length = _walnut_pairs(spec, g, g, 1, np.minimum(limit, k_max))
+    # every pair has length >= 1: s <= hi - 1 - lo
+    maxima = np.concatenate([np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
+                             for _, _, gv, pv, sizes in _walnut_terms(g, g, band, shift, lo, length)])
+    # sup_j |Phi(j-s) Phi(j)| over the grid also sees the zeros off a
+    # partial extent
+    partial = (g.hi - g.lo)[band] < spec.grid.size
+    maxima = np.where(partial, np.maximum(maxima, 0.0), maxima)
+    # the sup is shift-sign symmetric; count both signs
+    h_tail = float(np.add.accumulate(np.concatenate([[0.0], 2.0 * maxima]))[-1])
     return WalnutBoundReport(float(h0.min()), float(h0.max()), h_tail,
                              spec.nu, int(k_max))
 
@@ -444,22 +557,25 @@ class FrameBounds:
 def frame_bounds_eigen(spec: FrameSpec) -> FrameBounds:
     """Exact bounds as extreme eigenvalues of the dense frame operator.
 
-    The operator matrix is built column by column by applying S to every
-    spectral basis vector; grids above EIGEN_SIZE_CAP are refused.
+    The operator is assembled from its Walnut kernel,
+    S[u, v] = q sum_p Phi_p(u) Phi_p(v) [u = v mod q w_p]: each band adds
+    the products of its values on its extent at every multiple of its
+    period.  Grids above EIGEN_SIZE_CAP are refused.
     """
     n = spec.grid.size
     if n > EIGEN_SIZE_CAP:
         raise ValueError(f"dense eigenbounds capped at n = {EIGEN_SIZE_CAP}, got {n}")
-    mat = np.empty((n, n), dtype=np.complex128)
-    for col in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[col] = 1.0
-        mat[:, col] = frame_operator_apply(spec, SpectralSignal(spec.grid, e)).coeffs
-    asym = float(np.max(np.abs(mat - mat.conj().T)))
+    g = spec.records
+    limit = _shift_limit(spec, g, g)
+    mat = np.zeros(n * n)
+    for u, v, gv, pv, _ in _walnut_terms(g, g, *_walnut_pairs(spec, g, g, -limit, limit)):
+        np.add.at(mat, u * n + v, pv * gv)
+    mat = spec.q * mat.reshape(n, n)
+    asym = float(np.max(np.abs(mat - mat.T)))
     scale = float(np.max(np.abs(mat))) or 1.0
     if asym > 1e-8 * scale:
         raise RuntimeError(f"frame operator failed the self-adjointness check: {asym:g}")
-    eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+    eigs = np.linalg.eigvalsh((mat + mat.T) / 2.0)
     return FrameBounds(float(eigs[0]), float(eigs[-1]), "eigen")
 
 
@@ -510,12 +626,13 @@ def reconstruct(spec: FrameSpec, f,
     fhat = _as_spectrum(spec, f)
     if conj is None:
         conj = conjugate_filter(spec)
-    plan = spec.plan
-    parts = []
-    for b in plan.batches:
-        folded = _fold(b, fhat[b.bins] * (spec.nu * b.values / conj.h0[b.bins]))
-        parts.append(spec.q * b.values.ravel() * folded[b.fold])
-    rec = SpectralSignal(spec.grid, _scatter(plan, parts, spec.grid.size))
+    acc = np.zeros(spec.grid.size, dtype=np.complex128)
+    for c in spec.fold_chunks:
+        values = spec.records.values[c.start:c.stop]
+        x = fhat[c.bins] * (spec.nu * values / conj.h0[c.bins])
+        folded = np.bincount(c.slots, x.view(np.float64), c.size).view(np.complex128)
+        np.add.at(acc, c.bins, spec.q * values * folded[c.fold])
+    rec = SpectralSignal(spec.grid, acc)
     scale = float(np.linalg.norm(fhat)) or 1.0
     rel_err = float(np.linalg.norm(rec.coeffs - fhat)) / scale
     return rec, rel_err

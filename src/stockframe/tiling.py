@@ -528,7 +528,6 @@ def reconstruct_nd(spec: NdFrameSpec, fhat: np.ndarray,
     support: rec_box = q^d Phi fold_m(f^ Omega)[j mod m] (module docstring).
     """
     fhat = _check_field(spec, fhat)
-    _coeff_budget(spec)
     if conj is None:
         conj = conjugate_filter_nd(spec)
     nu_d, q_d = spec.nu ** spec.d, spec.q ** spec.d

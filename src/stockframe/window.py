@@ -49,6 +49,8 @@ __all__ = [
 
 # Profile values below this are treated as zero when counting overlaps.
 OVERLAP_THRESHOLD = 1e-12
+# Band values stacked at a time when scanning a stack.
+SCAN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -137,18 +139,40 @@ class WindowStack:
     def band(self, p: int) -> np.ndarray:
         return self.bands[p]
 
-    @cached_property
-    def extents(self) -> dict[int, tuple[int, int]]:
-        """Nonzero extent [lo, hi) of every band in grid bins, found band
-        by band on first use; (0, 0) for an all-zero band."""
-        return {p: nonzero_extent(arr) for p, arr in self.bands.items()}
+    def _blocks(self):
+        """The bands in bands order, SCAN_BLOCK values at a time: yields
+        (ps, their values stacked rows x n), so a scan takes a few numpy
+        calls per block, not per band, and never holds the bands x n
+        stack."""
+        n = self.grid.size
+        ps, arrays = list(self.bands), list(self.bands.values())
+        rows = max(1, SCAN_BLOCK // n)
+        for i in range(0, len(ps), rows):
+            yield ps[i:i + rows], np.concatenate(arrays[i:i + rows]).reshape(-1, n)
 
     @cached_property
-    def _square_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        spans = [self.extents[p] for p in self.bands]
-        bins = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-        values = np.concatenate([arr[lo:hi] for arr, (lo, hi) in zip(self.bands.values(), spans)])
-        return bins, values * values
+    def _extent_scan(self) -> tuple[dict[int, tuple[int, int]], np.ndarray, np.ndarray]:
+        """Every band's nonzero extent, and the grid bins and squared values
+        of all extents concatenated in bands order."""
+        n = self.grid.size
+        extents, bins, values = {}, [np.zeros(0, np.int64)], [np.zeros(0)]
+        for ps, block in self._blocks():
+            nz = block != 0
+            lo = nz.argmax(axis=1)
+            hi = np.where(nz.any(axis=1), n - nz[:, ::-1].argmax(axis=1), lo)
+            extents.update(zip(ps, zip(lo.tolist(), hi.tolist())))
+            length = hi - lo
+            at = np.repeat(lo - (np.cumsum(length) - length), length) + np.arange(length.sum())
+            bins.append(at)
+            values.append(block.ravel()[at + np.repeat(np.arange(0, block.size, n), length)])
+        values = np.concatenate(values)
+        return extents, np.concatenate(bins), values * values
+
+    @property
+    def extents(self) -> dict[int, tuple[int, int]]:
+        """Nonzero extent [lo, hi) of every band in grid bins, found on
+        first use; (0, 0) for an all-zero band."""
+        return self._extent_scan[0]
 
     def sum_of_squares(self) -> np.ndarray:
         """H0 = sum_p Phi_p^2 on the grid.
@@ -156,8 +180,8 @@ class WindowStack:
         One bincount over the band extents, which adds each bin's terms in
         bands order, as a dense band-by-band sum would.
         """
-        bins, terms = self._square_terms
-        return np.bincount(bins, terms, self.grid.size)
+        _, bins, squares = self._extent_scan
+        return np.bincount(bins, squares, self.grid.size)
 
     def lattice(self, p: int) -> np.ndarray:
         """Scaled band lattice mu * band(p), ascending."""
@@ -249,11 +273,16 @@ class AdmissibilityReport:
 
 
 def admissibility(stack: WindowStack, threshold: float = OVERLAP_THRESHOLD) -> AdmissibilityReport:
-    mat = np.stack([stack.bands[p] for p in stack.p_list])
-    c1 = float(mat.max())
-    c2 = int((mat > threshold).sum(axis=0).max())
-    c3 = float(mat.max(axis=0).min())
-    return AdmissibilityReport(c1, c2, c3, c3 > 0.0, stack.window.compact)
+    """Scan the stack a block of bands at a time.  Maxima, minima and
+    counts are exact, so the report equals a scan of the whole stack."""
+    n = stack.grid.size
+    c1, above, best = -np.inf, np.zeros(n, dtype=np.int64), np.full(n, -np.inf)
+    for _, block in stack._blocks():
+        c1 = np.maximum(c1, block.max())
+        above += (block > threshold).sum(axis=0)
+        best = np.maximum(best, block.max(axis=0))  # max_p Phi_p at each bin
+    c3 = float(best.min())
+    return AdmissibilityReport(float(c1), int(above.max()), c3, c3 > 0.0, stack.window.compact)
 
 
 @dataclass(frozen=True)

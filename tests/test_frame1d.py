@@ -19,7 +19,7 @@ from stockframe.frame1d import (
     walnut_bounds,
 )
 from stockframe.spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
-from stockframe.window import gaussian_window, truncated_gaussian
+from stockframe.window import Window, gaussian_window, truncated_gaussian
 
 
 def gauss_spec(mu=0.5, q=4, alpha=1, n=128, **kw):
@@ -36,6 +36,15 @@ def random_spectrum(rng, n):
 
 
 WINDOWS = {"gaussian": gaussian_window, "tgauss": lambda: truncated_gaussian(0.1)}
+
+
+def step_window():
+    # +1 within 1.5 of the lattice point, -1 out to 4.5: at alpha = 0 and
+    # q = 3 every product at shift 3 is negative
+    def profile(x):
+        mag = np.abs(x)
+        return np.where(mag <= 1.5, 1.0, np.where(mag <= 4.5, -1.0, 0.0))
+    return Window("step", profile, None, 4.5)
 
 
 # Dense per-band reference: every band folds, transforms and spreads over
@@ -72,6 +81,67 @@ def dense_reconstruct(spec, fhat, duals, bands):
         np.add.at(folded, j % m, fhat * duals[p])
         acc += spec.q * bands[p] * folded[j % m]
     return acc
+
+
+def dense_operator(spec):
+    # S applied to every spectral basis vector at once: each column is one
+    # band-by-band analysis followed by synthesis
+    n = spec.grid.size
+    j = spec.grid.frequencies()
+    mat = np.zeros((n, n), dtype=np.complex128)
+    for p in spec.p_range:
+        band, m, w = spec.stack.bands[p], spec.k_count(p), spec.width(p)
+        folded = np.zeros((m, n), dtype=np.complex128)
+        np.add.at(folded, j % m, np.diag(np.conj(band)))
+        coeffs = m * np.fft.ifft(folded, axis=0) / np.sqrt(w)
+        mat += band[:, None] * np.fft.fft(coeffs, axis=0)[j % m] / np.sqrt(w)
+    return mat
+
+
+# Dense per-shift Walnut references: every (band, shift) pair shifts the
+# whole grid, one pair at a time.
+
+def _reach(spec, p, psi, k_max):
+    nz = np.flatnonzero(spec.stack.bands[p])
+    pz = np.flatnonzero(psi)
+    if nz.size == 0 or pz.size == 0:
+        return -1
+    span = max(nz[-1], pz[-1]) - min(nz[0], pz[0])
+    limit = int(span) // spec.k_count(p)
+    return limit if k_max is None else min(limit, k_max)
+
+
+def dense_walnut_apply(spec, fhat, synth, k_max=None):
+    n = spec.grid.size
+    acc = np.zeros(n, dtype=np.complex128)
+    dropped = 0.0
+    for p in spec.p_range:
+        base = fhat * np.conj(spec.stack.bands[p])
+        limit = _reach(spec, p, synth[p], k_max)
+        for m in range(-limit, limit + 1):
+            s = m * spec.k_count(p)
+            if abs(s) >= n:
+                continue
+            shifted = np.zeros_like(base)
+            if s >= 0:
+                shifted[s:] = base[:n - s]
+            else:
+                shifted[:s] = base[-s:]
+            acc += shifted * synth[p]
+            if s != 0:
+                lost = base[n - s:] if s > 0 else base[:-s]
+                dropped += float(np.sum(np.abs(lost) ** 2))
+    return spec.q * acc, float(np.sqrt(dropped))
+
+
+def dense_h_tail(spec, k_max):
+    h_tail = 0.0
+    for p in spec.p_range:
+        band = spec.stack.bands[p]
+        for m in range(1, _reach(spec, p, band, k_max) + 1):
+            s = m * spec.k_count(p)
+            h_tail += 2.0 * float(np.max(band[s:] * band[:-s]))
+    return h_tail
 
 
 # ---------------------------------------------------------------- elements
@@ -229,10 +299,46 @@ def test_batched_engine_is_bit_identical_to_dense_reference(alpha, window):
         mat[:, col] = dense_synthesize(spec, dense_analyze(spec, e, stack), stack)
     eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
     bounds = frame_bounds_eigen(spec)
-    assert (bounds.lower, bounds.upper) == (float(eigs[0]), float(eigs[-1]))
+    # the operator is assembled from the Walnut kernel, not this FFT pair
+    assert abs(bounds.lower - eigs[0]) <= 1e-13 * abs(eigs[0])
+    assert abs(bounds.upper - eigs[-1]) <= 1e-13 * abs(eigs[-1])
 
 
 # ---------------------------------------------------------------- shift-sum operator
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("alpha", [0, 0.3, 0.5, 1])
+def test_kernel_eigenbounds_match_column_applied_operator(alpha, window, q):
+    spec = make_frame_spec(WINDOWS[window](), 0.5, q, alpha, 48)
+    eigs = np.linalg.eigvalsh(dense_operator(spec))
+    bounds = frame_bounds_eigen(spec)
+    assert abs(bounds.lower - eigs[0]) <= 1e-13 * abs(eigs[0])
+    assert abs(bounds.upper - eigs[-1]) <= 1e-13 * abs(eigs[-1])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("window", sorted(WINDOWS) + ["step"])
+@pytest.mark.parametrize("alpha", [0, 0.3, 0.5, 1])
+def test_walnut_paths_are_bit_identical_to_per_shift_loops(alpha, window, q):
+    rng = np.random.default_rng(16)
+    spec = make_frame_spec({**WINDOWS, "step": step_window}[window](), 0.5, q, alpha, 48)
+    fs = random_spectrum(rng, 48)
+    conj = conjugate_filter(spec)
+    # Gaussian bands reach past a truncated-Gaussian stack's extents
+    wide = make_frame_spec(gaussian_window(), 0.5, q, alpha, 48).stack.bands
+    for synth in (None, conj.bands, wide):
+        family = spec.stack.bands if synth is None else synth
+        for k_max in (None, 1):
+            want, want_mass = dense_walnut_apply(spec, fs.coeffs, family, k_max)
+            got, mass = walnut_apply(spec, fs, synth, k_max=k_max, with_dropped_mass=True)
+            assert np.array_equal(got.coeffs, want)
+            assert mass == want_mass
+            assert np.array_equal(walnut_apply(spec, fs, synth, k_max=k_max).coeffs, want)
+    for k_max in (None, 1, 2, 1000):
+        rep = walnut_bounds(spec, k_max)
+        assert rep.h_tail == dense_h_tail(spec, rep.k_max)
 
 
 @pytest.mark.parametrize("alpha", [0, 0.5, 1])

@@ -178,6 +178,15 @@ def test_coefficient_budget_guard():
         analyze_nd(spec, np.zeros((32, 32, 32), dtype=complex))
 
 
+def test_reconstruct_nd_is_not_bound_by_the_coefficient_budget():
+    # reconstruction forms no coefficients, so the spec analysis refuses
+    # still reconstructs
+    rng = np.random.default_rng(32)
+    spec = make_nd_frame_spec(gaussian_window(), 0.5, 8, 3, 32)
+    _, rel = reconstruct_nd(spec, random_field(rng, 3, 32))
+    assert rel < 1e-13
+
+
 # ---------------------------------------------------------------- transform
 
 

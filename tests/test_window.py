@@ -7,6 +7,8 @@ import pytest
 
 from stockframe.spectral import poisson_residual
 from stockframe.window import (
+    OVERLAP_THRESHOLD,
+    Window,
     admissibility,
     band_mass_outside,
     band_sum,
@@ -189,6 +191,34 @@ def test_admissibility_painless_flag():
     gauss = stack_case(n=128)
     rep2 = admissibility(gauss)
     assert rep2.passed and not rep2.painless
+
+
+def signed_window():
+    # negative lobes, so bands hold values below the 0.0 off their extents
+    def profile(x):
+        mag = np.abs(x)
+        return np.where(mag <= 1.5, 1.0, np.where(mag <= 4.5, -1.0, 0.0))
+    return Window("step", profile, None, 4.5)
+
+
+@pytest.mark.parametrize("threshold", [OVERLAP_THRESHOLD, -0.5, 0.0, 0.3])
+@pytest.mark.parametrize("case", [
+    (gaussian_window, 0.5, 0, 48),
+    (gaussian_window, 0.5, 0, 256),  # 513 bands over several scan blocks
+    (gaussian_window, 0.5, 1, 16),  # extents span the whole grid
+    (lambda: truncated_gaussian(0.1), 0.5, 0.5, 64),
+    (lambda: truncated_gaussian(0.01), 8.0, 1, 256),  # gapped
+    (signed_window, 0.5, 0, 48),
+    (signed_window, 3.0, 1, 48),
+])
+def test_admissibility_equals_dense_scan(case, threshold):
+    window, mu, alpha, n = case
+    stack = build_stack(window(), mu, alpha, n)
+    mat = np.stack([stack.bands[p] for p in stack.p_list])
+    c3 = float(mat.max(axis=0).min())
+    want = (float(mat.max()), int((mat > threshold).sum(axis=0).max()), c3, c3 > 0.0)
+    rep = admissibility(stack, threshold)
+    assert (rep.c1, rep.c2, rep.c3, rep.passed) == want
 
 
 def test_admissibility_fails_on_gapped_stack():
