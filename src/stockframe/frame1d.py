@@ -37,36 +37,32 @@ m / w = q, analysis against Omega followed by synthesis with Phi is an
 FFT pair that cancels: reconstruction is q Phi_p(j) fold_m(f^ Omega_p)[j
 mod m] summed over p, with no coefficients.
 
-Each band is held as a record: its nonzero extent [lo, hi) in grid bins,
-its values there, its width w and its period m = q*w.  Records of equal
-(w, m, hi - lo) form one batch of a `BandPlan`, and analysis, synthesis
-and the frame operator cost a fixed number of numpy calls per batch:
-gather f^ on the extents, multiply by the window values, fold mod m with
-one bincount, one (inverse) FFT along the batch, gather the spread, and
-one bincount that adds every contribution into the grid.  The outputs
-equal the dense per-band evaluation bit for bit because every bin
-receives the same additions in the same order: folds in ascending
-frequency, synthesis in coefficient (ascending p) order and H0 in
-stack.bands order.  Bins outside an extent would only receive +0.0,
-which changes no sum.
-
-Reconstruction, the Walnut paths and the eigen operator need no FFT, so
-they read the records in p order (`FrameSpec.records`), a few thousand
-bins or terms at a time; their temporaries stay small whatever the grid.
-`reconstruct` folds each band's f^ Omega_p and adds q Phi_p times the
-fold into the grid band after band.  A band's shifted product
-Phi_p(u - s) Psi_p(u) is nonzero only where both extents meet, so
-`walnut_apply`, `walnut_bounds` and `frame_bounds_eigen` enumerate every
-(band, shift) pair and its overlap once, in (p, m) order.  `walnut_apply`
-adds the terms into each bin in that order and `walnut_bounds` takes
-every shift's maximum with one reduceat, so both equal a dense loop over
-bands and shifts bit for bit.  `frame_bounds_eigen` assembles the
-operator from its Walnut kernel
+Each band is held as a record, in p order (`FrameSpec.records`): its
+nonzero extent [lo, hi) in grid bins, its values there, its width w and
+its period m = q*w.  The records are cut into chunks of whole bands
+holding a few thousand bins, and every operator reads them a chunk at a
+time, so its temporaries stay small whatever the grid.  Analysis gathers
+f^ on a chunk's extents, multiplies by the window values, folds mod m
+with one bincount and runs one inverse FFT per run of bands of equal
+period (in p order these runs are long: width(p) = width(|p|) is
+monotone in |p|); synthesis runs the forward FFT per run, gathers the
+spread onto the extents and adds it into the grid; reconstruction folds
+f^ Omega_p and adds q Phi_p times the fold, with no FFT.  A band's
+shifted product Phi_p(u - s) Psi_p(u) is nonzero only where both extents
+meet, so `walnut_apply`, `walnut_bounds` and `frame_bounds_eigen`
+enumerate every (band, shift) pair and its overlap once, in (p, m)
+order, and `frame_bounds_eigen` assembles the operator from its Walnut
+kernel
 
     S[u, v] = q * sum_p Phi_p(u) Phi_p(v) [u = v mod q*width_p],
 
-which adds each band's products on its extent at every multiple of its
-period; it agrees with the analysis + synthesis operator to round-off.
+which agrees with the analysis + synthesis operator to round-off.  All
+other outputs equal the dense per-band (or per-shift) evaluation bit for
+bit, because every bin receives the same additions in the same order:
+folds in ascending frequency, synthesis and reconstruction in coefficient
+(ascending p) order, Walnut terms in (p, m) order and H0 in stack.bands
+order; each shift's maximum comes from one reduceat.  Bins outside an
+extent would only receive +0.0, which changes no sum.
 """
 
 from __future__ import annotations
@@ -103,86 +99,14 @@ __all__ = [
 
 EIGEN_SIZE_CAP = 1024
 H0_FLOOR = 1e-14
-# Reconstruction and the Walnut paths form this many bins or terms at a
-# time (rounded to whole bands or shifts): their temporaries stay small
-# and cache-resident on any grid, and never depend on how the allocator
-# serves large blocks.
+# Every operator forms this many bins or terms at a time (rounded to
+# whole bands or shifts): its temporaries stay small and cache-resident
+# on any grid, and never depend on how the allocator serves large blocks.
 _TERM_CHUNK = 1 << 12
 
 
 class FrameGapError(ValueError):
     """The stack leaves a spectral hole; no conjugate filter exists."""
-
-
-@dataclass
-class BandBatch:
-    """Band records of equal width w, period m = q*w and extent length.
-
-    Row i describes band ps[i]: bins[i] are the grid bins lo .. hi-1 of
-    its nonzero extent and values[i] the band on them.  fold[i*L + t] =
-    i*m + (j mod m) for the frequency j of bins[i, t], the slot that bin
-    folds into and spreads from; slots[2u], slots[2u + 1] = 2 fold[u],
-    2 fold[u] + 1 are its real and imaginary parts in a float view.
-    """
-
-    ps: tuple[int, ...]
-    w: int
-    m: int
-    bins: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    fold: np.ndarray = field(repr=False)
-    slots: np.ndarray = field(repr=False)
-
-
-@dataclass
-class BandPlan:
-    """Batches of one band family, and the order that adds them up.
-
-    ps is the order in which synthesis adds bands into the grid.  order
-    gathers the batch-major concatenation of per-bin contributions into
-    that order, and scatter[2u], scatter[2u + 1] are the real and
-    imaginary output slots of the u-th gathered contribution.
-    """
-
-    ps: tuple[int, ...]
-    batches: tuple[BandBatch, ...] = field(repr=False)
-    order: np.ndarray = field(repr=False)
-    scatter: np.ndarray = field(repr=False)
-
-
-def _band_plan(spec: FrameSpec, ps, family: dict[int, np.ndarray],
-               extents: dict[int, tuple[int, int]]) -> BandPlan:
-    """Group the bands ps of a family into batches of equal (w, m, hi - lo)."""
-    ps = tuple(ps)
-    lo = np.array([extents[p][0] for p in ps], dtype=np.int64)
-    length = np.array([extents[p][1] for p in ps], dtype=np.int64) - lo
-    w = np.array([spec.width(p) for p in ps], dtype=np.int64)
-    # batch-major band order: sorted by (w, length), m = q*w following w
-    key = w * (spec.grid.size + 1) + length
-    srt = np.argsort(key, kind="stable")
-    edges = np.flatnonzero(np.diff(key[srt], prepend=-1, append=-1))
-    lo, length, w = lo[srt], length[srt], w[srt]
-    m = spec.q * w
-    bins = _runs(lo, length)
-    row = np.arange(len(ps)) - np.repeat(edges[:-1], np.diff(edges))
-    fold = (np.repeat(row * m, length)
-            + (bins - spec.grid.half) % np.repeat(m, length))
-    slots = _interleave(fold)
-    members = [ps[i] for i in srt.tolist()]
-    values = np.concatenate([family[p][slice(*extents[p])] for p in members] + [np.zeros(0)])
-    first = np.cumsum(length) - length
-    batches = []
-    for e0, e1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        rows, size, c0 = e1 - e0, int(length[e0]), int(first[e0])
-        c1 = c0 + rows * size
-        batches.append(BandBatch(tuple(members[e0:e1]), int(w[e0]), int(m[e0]),
-                                 bins[c0:c1].reshape(rows, size),
-                                 values[c0:c1].reshape(rows, size),
-                                 fold[c0:c1], slots[2 * c0:2 * c1]))
-    back = np.empty_like(srt)
-    back[srt] = np.arange(len(ps))
-    order = _runs(first[back], length[back])
-    return BandPlan(ps, tuple(batches), order, _interleave(bins[order]))
 
 
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -196,67 +120,86 @@ def _interleave(index: np.ndarray) -> np.ndarray:
 
 
 def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
-    """Runs [a, b) of consecutive items holding about _TERM_CHUNK
-    elements each; an item is never split."""
+    """Nonempty runs [a, b) of consecutive items, covering them all, that
+    hold about _TERM_CHUNK elements each; an item is never split."""
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if ends.size else 0
-    cuts = np.searchsorted(ends, np.arange(_TERM_CHUNK, total, _TERM_CHUNK), side="right").tolist()
-    return list(zip([0, *cuts], [*cuts, lengths.size]))
-
-
-@dataclass
-class BandRecords:
-    """Nonzero extents [lo, hi) of a band family, one per band in p order,
-    and their values concatenated: band b holds values[u + offset[b]] at
-    bin u of its extent."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    offset: np.ndarray
-    values: np.ndarray
-
-
-def _records(spec: FrameSpec, family: dict[int, np.ndarray],
-             extents: dict[int, tuple[int, int]] | None = None) -> BandRecords:
-    ps = spec.p_range
-    spans = [nonzero_extent(family[p]) if extents is None else extents[p] for p in ps]
-    lo, hi = np.array(spans, dtype=np.int64).T
-    values = np.concatenate([family[p][a:b] for p, (a, b) in zip(ps, spans)] + [np.zeros(0)])
-    return BandRecords(lo, hi, np.cumsum(hi - lo) - hi, values)
+    cuts = np.searchsorted(ends, np.arange(_TERM_CHUNK, total, _TERM_CHUNK), side="right")
+    # an item longer than a chunk yields repeated cuts, and a first item
+    # longer than a chunk a cut at 0
+    cuts = sorted(set(cuts.tolist()) - {0, lengths.size})
+    return list(zip([0, *cuts], [*cuts, lengths.size])) if lengths.size else []
 
 
 @dataclass
 class FoldChunk:
-    """Bands consecutive in p order whose extents hold about _TERM_CHUNK
-    bins, as records.values[start:stop].
+    """Consecutive bands of the records, records.ps[bands], whose extents
+    hold about _TERM_CHUNK bins: their values are records.values[start:stop].
 
     bins are the grid bins of those values, band after band; fold is the
     slot each bin folds into and spreads from (its band's slot base plus
     j mod m), and slots[2u], slots[2u + 1] = 2 fold[u], 2 fold[u] + 1 its
-    real and imaginary parts in a float view of size entries.
+    real and imaginary parts in a float view of size entries.  runs are
+    the maximal runs (a, b, w, m) of bands of equal width and period,
+    whose slots follow one another, m per band.
     """
 
+    bands: slice
     start: int
     stop: int
+    runs: tuple[tuple[int, int, int, int], ...]
     bins: np.ndarray = field(repr=False)
     fold: np.ndarray = field(repr=False)
     slots: np.ndarray = field(repr=False)
     size: int
 
 
-def _fold_chunks(spec: FrameSpec) -> tuple[FoldChunk, ...]:
-    g = spec.records
-    length = g.hi - g.lo
-    edges = np.concatenate([[0], np.cumsum(length)])
-    chunks = []
-    for a, b in _chunks(length):
-        bins = _runs(g.lo[a:b], length[a:b])
-        m = spec.periods[a:b]
-        fold = (np.repeat(np.cumsum(m) - m, length[a:b])
-                + (bins - spec.grid.half) % np.repeat(m, length[a:b]))
-        chunks.append(FoldChunk(int(edges[a]), int(edges[b]), bins, fold,
-                                _interleave(fold), 2 * int(m.sum())))
-    return tuple(chunks)
+@dataclass
+class BandRecords:
+    """One record per band of a family, in the order ps: its nonzero
+    extent [lo, hi) in grid bins, its width w and period m = q*w, and its
+    values, concatenated: band b holds values[u + offset[b]] at bin u of
+    its extent.  half is the grid's half size (bin u is frequency u - half).
+    """
+
+    ps: tuple[int, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    offset: np.ndarray
+    values: np.ndarray
+    w: np.ndarray
+    m: np.ndarray
+    half: int
+
+    @cached_property
+    def chunks(self) -> tuple[FoldChunk, ...]:
+        """The records cut into chunks of whole bands; built on first use."""
+        length = self.hi - self.lo
+        edges = np.concatenate([[0], np.cumsum(length)])
+        chunks = []
+        for a, b in _chunks(length):
+            bins = _runs(self.lo[a:b], length[a:b])
+            m = self.m[a:b]
+            fold = (np.repeat(np.cumsum(m) - m, length[a:b])
+                    + (bins - self.half) % np.repeat(m, length[a:b]))
+            cuts = (a + np.flatnonzero(np.diff(m)) + 1).tolist()
+            runs = tuple((s, e, int(self.w[s]), int(self.m[s]))
+                         for s, e in zip([a, *cuts], [*cuts, b]))
+            chunks.append(FoldChunk(slice(a, b), int(edges[a]), int(edges[b]), runs, bins, fold,
+                                    _interleave(fold), 2 * int(m.sum())))
+        return tuple(chunks)
+
+
+def _records(spec: FrameSpec, family: dict[int, np.ndarray],
+             extents: dict[int, tuple[int, int]] | None, ps) -> BandRecords:
+    """Records of the bands ps of a family, in that order, on the given
+    extents or, for None, on the family's own nonzero extents."""
+    ps = tuple(ps)
+    spans = [nonzero_extent(family[p]) if extents is None else extents[p] for p in ps]
+    lo, hi = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    values = np.concatenate([family[p][a:b] for p, (a, b) in zip(ps, spans)] + [np.zeros(0)])
+    w = np.array([spec.width(p) for p in ps], dtype=np.int64)
+    return BandRecords(ps, lo, hi, np.cumsum(hi - lo) - hi, values, w, spec.q * w, spec.grid.half)
 
 
 @dataclass
@@ -287,27 +230,10 @@ class FrameSpec:
         return self.q * self.width(p)
 
     @cached_property
-    def plan(self) -> BandPlan:
-        """The stack bands batched and added in p order; built on first use,
-        since only analysis and synthesis need it."""
-        return _band_plan(self, self.p_range, self.stack.bands, self.stack.extents)
-
-    @cached_property
     def records(self) -> BandRecords:
-        """The stack bands' extents and values in p order, read by
-        reconstruct and the Walnut paths; built on first use."""
-        return _records(self, self.stack.bands, self.stack.extents)
-
-    @cached_property
-    def fold_chunks(self) -> tuple[FoldChunk, ...]:
-        """The records cut into runs of whole bands for reconstruct; built
-        on first use."""
-        return _fold_chunks(self)
-
-    @cached_property
-    def periods(self) -> np.ndarray:
-        """Period m = q*w of every band, in p order."""
-        return self.q * np.array([self.width(p) for p in self.p_range], dtype=np.int64)
+        """The stack bands as records in p order, read by every operator;
+        built on first use."""
+        return _records(self, self.stack.bands, self.stack.extents, self.p_range)
 
 
 def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int,
@@ -363,56 +289,48 @@ def frame_element(spec: FrameSpec, p: int, k: int) -> SpectralSignal:
     return SpectralSignal(spec.grid, phase * spec.stack.bands[p] / np.sqrt(w))
 
 
-def _fold(b: BandBatch, x: np.ndarray) -> np.ndarray:
-    """Fold the batch's extent values x mod m, rows one after another.
-
-    The real and imaginary parts fold through one bincount over the
-    interleaved float view, each slot in ascending frequency.
-    """
-    return np.bincount(b.slots, x.ravel().view(np.float64),
-                       2 * len(b.ps) * b.m).view(np.complex128)
-
-
-def _scatter(plan: BandPlan, parts: list[np.ndarray], n: int) -> np.ndarray:
-    """Add the batches' flattened contributions into the grid, every bin
-    receiving its contributions in plan.ps order."""
-    contrib = np.concatenate([np.zeros(0, np.complex128), *parts])[plan.order]
-    return np.bincount(plan.scatter, contrib.view(np.float64), 2 * n).view(np.complex128)
-
-
 def analyze(spec: FrameSpec, f) -> FrameCoefficients:
-    """<f, element_{p,k}> for every band: fold f^ Phi_p mod m, then one
-    inverse DFT per batch."""
+    """<f, element_{p,k}> for every band: fold f^ Phi_p mod m on the
+    records a chunk at a time, then one inverse DFT per run of equal
+    period."""
     fhat = _as_spectrum(spec, f)
-    plan = spec.plan
-    rows: dict[int, np.ndarray] = {}
-    for b in plan.batches:
-        folded = _fold(b, fhat[b.bins] * b.values).reshape(len(b.ps), b.m)
-        rows.update(zip(b.ps, b.m * np.fft.ifft(folded, axis=1) / np.sqrt(b.w)))
-    return FrameCoefficients(spec, {p: rows[p] for p in plan.ps})
+    g = spec.records
+    rows: list[np.ndarray] = []
+    for c in g.chunks:
+        x = fhat[c.bins] * g.values[c.start:c.stop]
+        folded = np.bincount(c.slots, x.view(np.float64), c.size).view(np.complex128)
+        base = 0
+        for a, b, w, m in c.runs:
+            block = folded[base:base + (b - a) * m].reshape(b - a, m)
+            rows.extend(m * np.fft.ifft(block, axis=1) / np.sqrt(w))
+            base += (b - a) * m
+    return FrameCoefficients(spec, dict(zip(g.ps, rows)))
 
 
 def synthesize(spec: FrameSpec, coeffs: FrameCoefficients,
                bands: dict[int, np.ndarray] | None = None) -> SpectralSignal:
     """sum_k c_k element_k, over the analysis bands or a replacement family.
 
-    Each band's spread lands on its extent only, and bands are added in
-    the order of coeffs.data; a replacement family is batched over its own
-    nonzero extents.
+    One DFT per run of equal period spreads the coefficients; each band's
+    spread lands on its extent only, and bands are added in the order of
+    coeffs.data.  Another order or a replacement family gets records of
+    its own, the latter on its own nonzero extents.
     """
     ps = tuple(coeffs.data)
-    if bands is None and ps == spec.plan.ps:
-        plan = spec.plan
-    else:
-        family = spec.stack.bands if bands is None else bands
-        extents = (spec.stack.extents if bands is None
-                   else {p: nonzero_extent(family[p]) for p in ps})
-        plan = _band_plan(spec, ps, family, extents)
-    parts = []
-    for b in plan.batches:
-        spread = np.fft.fft(np.array([coeffs.data[p] for p in b.ps]), axis=1).ravel()[b.fold]
-        parts.append(b.values.ravel() * spread / np.sqrt(b.w))
-    return SpectralSignal(spec.grid, _scatter(plan, parts, spec.grid.size))
+    g = spec.records
+    if bands is not None:
+        g = _records(spec, bands, None, ps)
+    elif ps != g.ps:
+        g = _records(spec, spec.stack.bands, spec.stack.extents, ps)
+    length = g.hi - g.lo
+    acc = np.zeros(spec.grid.size, dtype=np.complex128)
+    for c in g.chunks:
+        spread = np.concatenate([
+            np.fft.fft(np.array([coeffs.data[p] for p in g.ps[a:b]]), axis=1).ravel()
+            for a, b, _, _ in c.runs])
+        root = np.repeat(np.sqrt(g.w[c.bands]), length[c.bands])
+        np.add.at(acc, c.bins, g.values[c.start:c.stop] * spread[c.fold] / root)
+    return SpectralSignal(spec.grid, acc)
 
 
 def frame_operator_apply(spec: FrameSpec, f,
@@ -421,12 +339,12 @@ def frame_operator_apply(spec: FrameSpec, f,
     return synthesize(spec, analyze(spec, f), synthesis_bands)
 
 
-def _shift_limit(spec: FrameSpec, g: BandRecords, psi: BandRecords) -> np.ndarray:
+def _shift_limit(g: BandRecords, psi: BandRecords) -> np.ndarray:
     """Per band, the largest |m| for which Phi_p(u - m q w_p) Psi_p(u) can
     be nonzero: shifts reach across the union of the two extents.  -1 for
     a band with an empty extent."""
     span = np.maximum(g.hi, psi.hi) - 1 - np.minimum(g.lo, psi.lo)
-    return np.where((g.lo == g.hi) | (psi.lo == psi.hi), -1, span // spec.periods)
+    return np.where((g.lo == g.hi) | (psi.lo == psi.hi), -1, span // g.m)
 
 
 def _walnut_pairs(spec: FrameSpec, g: BandRecords, psi: BandRecords, first, last):
@@ -436,7 +354,7 @@ def _walnut_pairs(spec: FrameSpec, g: BandRecords, psi: BandRecords, first, last
     m ascending within a band: Phi_p(u - s) Psi_p(u) can be nonzero only
     for lo <= u < lo + length.
     """
-    step = spec.periods
+    step = g.m
     first = np.broadcast_to(first, step.shape)
     count = np.maximum(last - first + 1, 0)
     band = np.repeat(np.arange(step.size), count)
@@ -478,8 +396,8 @@ def walnut_apply(spec: FrameSpec, f,
     """
     fhat = _as_spectrum(spec, f)
     g = spec.records
-    psi = g if synthesis_bands is None else _records(spec, synthesis_bands)
-    limit = _shift_limit(spec, g, psi)
+    psi = g if synthesis_bands is None else _records(spec, synthesis_bands, None, spec.p_range)
+    limit = _shift_limit(g, psi)
     if k_max is not None:
         limit = np.minimum(limit, k_max)
     pairs = _walnut_pairs(spec, g, psi, -limit, limit)
@@ -532,11 +450,12 @@ def walnut_bounds(spec: FrameSpec, k_max: int | None = None) -> WalnutBoundRepor
         k_max = spec.walnut_k_max
     h0 = spec.stack.sum_of_squares()
     g = spec.records
-    limit = _shift_limit(spec, g, g)
+    limit = _shift_limit(g, g)
     band, shift, lo, length = _walnut_pairs(spec, g, g, 1, np.minimum(limit, k_max))
     # every pair has length >= 1: s <= hi - 1 - lo
-    maxima = np.concatenate([np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
-                             for _, _, gv, pv, sizes in _walnut_terms(g, g, band, shift, lo, length)])
+    maxima = np.concatenate([np.zeros(0)] + [
+        np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
+        for _, _, gv, pv, sizes in _walnut_terms(g, g, band, shift, lo, length)])
     # sup_j |Phi(j-s) Phi(j)| over the grid also sees the zeros off a
     # partial extent
     partial = (g.hi - g.lo)[band] < spec.grid.size
@@ -566,7 +485,7 @@ def frame_bounds_eigen(spec: FrameSpec) -> FrameBounds:
     if n > EIGEN_SIZE_CAP:
         raise ValueError(f"dense eigenbounds capped at n = {EIGEN_SIZE_CAP}, got {n}")
     g = spec.records
-    limit = _shift_limit(spec, g, g)
+    limit = _shift_limit(g, g)
     mat = np.zeros(n * n)
     for u, v, gv, pv, _ in _walnut_terms(g, g, *_walnut_pairs(spec, g, g, -limit, limit)):
         np.add.at(mat, u * n + v, pv * gv)
@@ -604,15 +523,23 @@ class ConjugateFilter:
         return float(np.max(np.abs(acc - self.spec.nu)))
 
 
-def conjugate_filter(spec: FrameSpec, floor: float = H0_FLOOR) -> ConjugateFilter:
-    h0 = spec.stack.sum_of_squares()
+def _check_gap(h0: np.ndarray, half: int, floor: float) -> None:
+    """Raise FrameGapError if H0 (on a grid of any dimension, bin u at
+    frequency u - half per axis) reaches floor; the message names the
+    worst frequency, an integer in 1D and a tuple in n-D."""
     low = float(h0.min())
     if low <= floor:
-        hole = spec.grid.frequencies()[int(np.argmin(h0))]
+        worst = tuple(int(u) - half for u in np.unravel_index(int(np.argmin(h0)), h0.shape))
         raise FrameGapError(
             f"stack sum of squares reaches {low:.3e} <= {floor:g} "
-            f"(worst at frequency {hole}); the system is not a frame on this grid"
+            f"(worst at frequency {worst[0] if h0.ndim == 1 else worst}); "
+            "the system is not a frame on this grid"
         )
+
+
+def conjugate_filter(spec: FrameSpec, floor: float = H0_FLOOR) -> ConjugateFilter:
+    h0 = spec.stack.sum_of_squares()
+    _check_gap(h0, spec.grid.half, floor)
     return ConjugateFilter(spec, h0)
 
 
@@ -627,7 +554,7 @@ def reconstruct(spec: FrameSpec, f,
     if conj is None:
         conj = conjugate_filter(spec)
     acc = np.zeros(spec.grid.size, dtype=np.complex128)
-    for c in spec.fold_chunks:
+    for c in spec.records.chunks:
         values = spec.records.values[c.start:c.stop]
         x = fhat[c.bins] * (spec.nu * values / conj.h0[c.bins])
         folded = np.bincount(c.slots, x.view(np.float64), c.size).view(np.complex128)

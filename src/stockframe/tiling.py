@@ -52,7 +52,7 @@ from itertools import product
 
 import numpy as np
 
-from .frame1d import FrameGapError, _interleave
+from .frame1d import H0_FLOOR, _check_gap, _interleave
 from .window import Window, band_sum, nonzero_extent
 
 __all__ = [
@@ -486,17 +486,9 @@ class NdConjugate:
         return float(np.max(np.abs(acc - nu_d)))
 
 
-def conjugate_filter_nd(spec: NdFrameSpec, floor: float = 1e-14) -> NdConjugate:
+def conjugate_filter_nd(spec: NdFrameSpec, floor: float = H0_FLOOR) -> NdConjugate:
     h0 = spec.sum_of_squares()
-    low = float(h0.min())
-    if low <= floor:
-        flat = int(np.argmin(h0))
-        where = np.unravel_index(flat, h0.shape)
-        freq = tuple(int(w) - spec.half for w in where)
-        raise FrameGapError(
-            f"stack sum of squares reaches {low:.3e} <= {floor:g} "
-            f"(worst at frequency {freq}); the system is not a frame on this grid"
-        )
+    _check_gap(h0, spec.half, floor)
     return NdConjugate(spec, h0)
 
 

@@ -1,8 +1,11 @@
 """Frame analysis/synthesis, shift-sum operator, bounds, conjugate dual."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
+from stockframe import frame1d
 from stockframe.frame1d import (
     EIGEN_SIZE_CAP,
     FrameCoefficients,
@@ -45,6 +48,15 @@ def step_window():
         mag = np.abs(x)
         return np.where(mag <= 1.5, 1.0, np.where(mag <= 4.5, -1.0, 0.0))
     return Window("step", profile, None, 4.5)
+
+
+def over_term_chunks(cases):
+    """Every case at the default chunk size and at chunks of 64 and 1 bins
+    or terms, which cut an n = 48 spec into 2 to 97 chunks; the default
+    keeps the case's plain test id."""
+    return [pytest.param(*case, chunk, id="-".join(map(str, case))
+                         + ("" if chunk == frame1d._TERM_CHUNK else f"-chunk{chunk}"))
+            for case in cases for chunk in (frame1d._TERM_CHUNK, 64, 1)]
 
 
 # Dense per-band reference: every band folds, transforms and spreads over
@@ -254,9 +266,11 @@ def test_synthesize_replacement_family_uses_its_own_support():
     assert np.max(np.abs(mixed - want)) < 1e-12 * scale
 
 
-@pytest.mark.parametrize("window", sorted(WINDOWS))
-@pytest.mark.parametrize("alpha", [0, 0.3, 0.5, 1])
-def test_batched_engine_is_bit_identical_to_dense_reference(alpha, window):
+@pytest.mark.parametrize("alpha, window, chunk",
+                         over_term_chunks(product([0, 0.3, 0.5, 1], sorted(WINDOWS))))
+def test_batched_engine_is_bit_identical_to_dense_reference(alpha, window, chunk, monkeypatch):
+    # the chunks are cached on the spec's records: set their size first
+    monkeypatch.setattr(frame1d, "_TERM_CHUNK", chunk)
     rng = np.random.default_rng(15)
     spec = make_frame_spec(WINDOWS[window](), 0.5, 3, alpha, 48)
     stack = spec.stack.bands
@@ -318,10 +332,10 @@ def test_kernel_eigenbounds_match_column_applied_operator(alpha, window, q):
     assert abs(bounds.upper - eigs[-1]) <= 1e-13 * abs(eigs[-1])
 
 
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("window", sorted(WINDOWS) + ["step"])
-@pytest.mark.parametrize("alpha", [0, 0.3, 0.5, 1])
-def test_walnut_paths_are_bit_identical_to_per_shift_loops(alpha, window, q):
+@pytest.mark.parametrize("alpha, window, q, chunk",
+                         over_term_chunks(product([0, 0.3, 0.5, 1], sorted(WINDOWS) + ["step"], [2, 3])))
+def test_walnut_paths_are_bit_identical_to_per_shift_loops(alpha, window, q, chunk, monkeypatch):
+    monkeypatch.setattr(frame1d, "_TERM_CHUNK", chunk)
     rng = np.random.default_rng(16)
     spec = make_frame_spec({**WINDOWS, "step": step_window}[window](), 0.5, q, alpha, 48)
     fs = random_spectrum(rng, 48)

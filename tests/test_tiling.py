@@ -390,8 +390,11 @@ def test_conjugate_nd_partition_residual():
 
 def test_conjugate_nd_gap_detection():
     spec = make_nd_frame_spec(truncated_gaussian(0.01), 8.0, 2, 2, 32)
-    with pytest.raises(FrameGapError):
+    with pytest.raises(FrameGapError) as err:
         conjugate_filter_nd(spec)
+    h0 = spec.sum_of_squares()
+    worst = tuple(int(u) - spec.half for u in np.unravel_index(int(np.argmin(h0)), h0.shape))
+    assert f"(worst at frequency {worst})" in str(err.value)
 
 
 def test_field_shape_check():
