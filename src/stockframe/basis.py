@@ -23,15 +23,29 @@ Spectral side of an element (used by the fast path):
 uniformly in the sign of p, so per band the analysis sweep over tau is a
 length-w inverse DFT of the band slice (cyclically rotated by the band
 start), and synthesis is the matching forward DFT.
+
+Storage.  The layout keeps the signed bands as runs of equal width in
+ascending p: the mirrored negative runs, the DC band, the positive runs
+and a clipped last band, with neighbours of one width merged (alpha = 0
+is a single run of n - 1 unit bands).  In p order the bands tile
+-(n/2-1) .. n/2-1 with no gap, so the coefficients are one flat array of
+length n - 1 in which band p starts at offset lo + n/2 - 1; data[p] is a
+read-only view into it.  Every band of a run shares the rotation lo % w,
+so analysis and synthesis run one batched length-w DFT over each run's
+stretch of the array, viewed as (count, w).  The per-band arithmetic is
+unchanged, so the results equal a band-by-band loop bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .partition import AlphaPartition, build_partition, partition_covering
+from .partition import AlphaPartition, Run, build_partition, partition_covering
 from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, from_spectrum, to_spectrum
 
 __all__ = [
@@ -59,20 +73,48 @@ class BasisIndex:
 
 @dataclass(frozen=True)
 class BandLayout:
-    """Signed bands covering a grid, [lo, hi) per signed p, Nyquist excluded."""
+    """Signed bands covering a grid, Nyquist excluded, stored as runs.
+
+    ``runs`` lists the bands in ascending p as runs of equal width: band
+    p + k of run (p, lo, width, count) is [lo + k*width, lo + (k+1)*width).
+    In p order the bands tile -(n/2-1) .. n/2-1 with no gap, so band p's
+    coefficients sit at offset lo(p) + n/2 - 1 of a flat length-(n-1) array.
+    """
 
     alpha: object  # Fraction
     grid: FrequencyGrid
     partition: AlphaPartition
-    bands: dict[int, tuple[int, int]] = field(repr=False)
+    runs: tuple[Run, ...]
     clipped: bool
 
-    @property
+    @cached_property
+    def bands(self) -> dict[int, tuple[int, int]]:
+        """[lo, hi) per signed p, in ascending p."""
+        return {
+            r.p + k: (r.lo + k * r.width, r.lo + (k + 1) * r.width)
+            for r in self.runs
+            for k in range(r.count)
+        }
+
+    @cached_property
     def p_list(self) -> list[int]:
-        return sorted(self.bands)
+        return list(range(self.runs[0].p, -self.runs[0].p + 1))
+
+    @cached_property
+    def _firsts(self) -> list[int]:
+        return [r.p for r in self.runs]
+
+    def band(self, p: int) -> tuple[int, int]:
+        """[lo, hi) of the band at signed p."""
+        i = bisect_right(self._firsts, p) - 1
+        if i < 0 or p > -self.runs[0].p:
+            raise KeyError(p)
+        r = self.runs[i]
+        lo = r.lo + (p - r.p) * r.width
+        return lo, lo + r.width
 
     def width(self, p: int) -> int:
-        lo, hi = self.bands[p]
+        lo, hi = self.band(p)
         return hi - lo
 
     def indices(self):
@@ -81,36 +123,79 @@ class BandLayout:
                 yield BasisIndex(p, tau)
 
 
+def _mirror(r: Run) -> Run:
+    """Run of the negated bands -p, in ascending p."""
+    return Run(-(r.p + r.count - 1), 1 - r.stop, r.width, r.count)
+
+
 def band_layout(alpha, n: int) -> BandLayout:
     """Signed band plan tiling {-(n/2-1), ..., n/2-1} for a grid of size n."""
     grid = FrequencyGrid(n)
     half = grid.half
     partition = partition_covering(alpha, half)
-    bands: dict[int, tuple[int, int]] = {0: (0, 1)}
-    clipped = False
-    for iv in partition.intervals[1:]:
-        if iv.start >= half:
-            break
-        hi = min(iv.stop, half)
-        clipped = clipped or hi < iv.stop
-        bands[iv.p] = (iv.start, hi)
-        bands[-iv.p] = (-hi + 1, -iv.start + 1)
-    return BandLayout(partition.alpha, grid, partition, bands, clipped)
+    pos = list(partition.runs)
+    last = pos[-1]
+    clipped = last.stop > half
+    if clipped:
+        # the ladder overshoots n/2: its last band ends there instead
+        top = last.stop - last.width
+        pos[-1:] = [last._replace(count=last.count - 1), Run(last.p + last.count - 1, top, half - top, 1)]
+    # the mirror of the first run, which starts at p = 0, ends on the DC
+    # band itself; the positive runs then start at p = 1
+    signed = [_mirror(r) for r in reversed(pos)] + [Run(1, 1, 1, pos[0].count - 1)] + pos[1:]
+    runs: list[Run] = []
+    for r in signed:
+        if r.count == 0:
+            continue
+        if runs and runs[-1].width == r.width:
+            runs[-1] = runs[-1]._replace(count=runs[-1].count + r.count)
+        else:
+            runs.append(r)
+    return BandLayout(partition.alpha, grid, partition, tuple(runs), clipped)
+
+
+class _BandViews(Mapping):
+    """Read-only p -> coefficient view of a flat p-ordered array."""
+
+    def __init__(self, layout: BandLayout, values: np.ndarray):
+        self._layout = layout
+        self._values = values
+
+    def __getitem__(self, p: int) -> np.ndarray:
+        lo, hi = self._layout.band(p)
+        off = lo + self._layout.grid.half - 1
+        view = self._values[off : off + hi - lo]
+        view.flags.writeable = False
+        return view
+
+    def __iter__(self):
+        return iter(self._layout.p_list)
+
+    def __len__(self) -> int:
+        return len(self._layout.p_list)
 
 
 @dataclass
 class DostCoefficients:
-    """Per-band coefficient arrays; data[p][tau] pairs with BasisIndex(p, tau)."""
+    """Coefficients in one flat array, band by band in ascending p.
+
+    data[p][tau] pairs with BasisIndex(p, tau); data[p] is a read-only
+    view into ``values``.
+    """
 
     layout: BandLayout
-    data: dict[int, np.ndarray] = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    @property
+    def data(self) -> Mapping[int, np.ndarray]:
+        return _BandViews(self.layout, self.values)
 
     def __getitem__(self, index: BasisIndex | tuple[int, int]) -> complex:
         p, tau = (index.p, index.tau) if isinstance(index, BasisIndex) else index
         return complex(self.data[p][tau])
 
     def energy(self) -> float:
-        return float(sum(np.sum(np.abs(c) ** 2) for c in self.data.values()))
+        return float(np.sum(np.abs(self.values) ** 2))
 
 
 def _element_spectrum(grid: FrequencyGrid, lo: int, hi: int, tau: int) -> np.ndarray:
@@ -151,49 +236,53 @@ def analyze_naive(alpha, x: TimeSamples) -> DostCoefficients:
     """
     layout = band_layout(alpha, x.grid.size)
     n = x.grid.size
+    half = x.grid.half
     t = x.grid.times()
-    data = {}
-    for p in layout.p_list:
-        lo, hi = layout.bands[p]
+    values = np.empty(n - 1, dtype=np.complex128)
+    for lo, hi in layout.bands.values():
         w = hi - lo
         etas = np.arange(lo, hi)
         z = np.exp(-2j * np.pi * np.outer(etas, t)) @ x.values / n
         phases = np.exp(2j * np.pi * np.outer(np.arange(w), etas) / w)
-        data[p] = phases @ z / np.sqrt(w)
-    return DostCoefficients(layout, data)
+        values[lo + half - 1 : hi + half - 1] = phases @ z / np.sqrt(w)
+    return DostCoefficients(layout, values)
+
+
+def _run_blocks(layout: BandLayout, array: np.ndarray):
+    """(run, block) per run of width > 1: block is the run's stretch of a
+    flat p-ordered array viewed as (count, width), one band per row."""
+    half = layout.grid.half
+    for r in layout.runs:
+        if r.width > 1:
+            off = r.lo + half - 1
+            yield r, array[off : off + r.count * r.width].reshape(r.count, r.width)
 
 
 def analyze_fast(alpha, x: TimeSamples) -> DostCoefficients:
-    """FFT path: one length-w inverse DFT per band."""
+    """FFT path: one batched length-w inverse DFT per run of equal width.
+
+    Band p's slice is rotated by lo % w, which every band of a run
+    shares, and transformed in place in the flat coefficient array.
+    """
     layout = band_layout(alpha, x.grid.size)
-    xhat = to_spectrum(x).coeffs
-    half = x.grid.half
-    data = {}
-    for p in layout.p_list:
-        lo, hi = layout.bands[p]
-        w = hi - lo
-        band = xhat[lo + half : hi + half]
-        if w == 1:
-            data[p] = band.copy()
-        else:
-            data[p] = np.sqrt(w) * np.fft.ifft(np.roll(band, lo % w))
-    return DostCoefficients(layout, data)
+    values = to_spectrum(x).coeffs[1:].copy()  # drop the Nyquist row -n/2
+    for r, block in _run_blocks(layout, values):
+        cut = r.width - r.lo % r.width  # np.roll(band, lo % w), two slices
+        rolled = np.concatenate((block[:, cut:], block[:, :cut]), axis=1)
+        np.multiply(np.fft.ifft(rolled, axis=1), np.sqrt(r.width), out=block)
+    return DostCoefficients(layout, values)
 
 
 def synthesize(coeffs: DostCoefficients) -> TimeSamples:
     """Rebuild the signal; exact inverse of analysis on the covered subspace."""
     layout = coeffs.layout
-    grid = layout.grid
-    half = grid.half
-    spectrum = np.zeros(grid.size, dtype=np.complex128)
-    for p, c in coeffs.data.items():
-        lo, hi = layout.bands[p]
-        w = hi - lo
-        if w == 1:
-            spectrum[lo + half] = c[0]
-        else:
-            spectrum[lo + half : hi + half] = np.roll(np.fft.fft(c), -lo % w)[:w] / np.sqrt(w)
-    return from_spectrum(SpectralSignal(grid, spectrum))
+    spectrum = np.zeros(layout.grid.size, dtype=np.complex128)
+    spectrum[1:] = coeffs.values
+    for r, block in _run_blocks(layout, spectrum[1:]):
+        cut = r.lo % r.width  # np.roll(fft, -lo % w), two slices
+        spread = np.fft.fft(block, axis=1)
+        np.divide(np.concatenate((spread[:, cut:], spread[:, :cut]), axis=1), np.sqrt(r.width), out=block)
+    return from_spectrum(SpectralSignal(layout.grid, spectrum))
 
 
 def gram_matrix(alpha, n: int) -> tuple[list[BasisIndex], np.ndarray]:

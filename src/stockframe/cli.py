@@ -58,6 +58,10 @@ def _alpha_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
     if not 0 <= value <= 1:
         raise argparse.ArgumentTypeError(f"alpha must lie in [0, 1], got {text}")
+    from .partition import MAX_DENOMINATOR
+    if value.denominator > MAX_DENOMINATOR:
+        raise argparse.ArgumentTypeError(
+            f"alpha denominator must be at most {MAX_DENOMINATOR}, got {text}")
     return value
 
 

@@ -224,10 +224,17 @@ class FrameSpec:
         return self.stack.p_list
 
     def width(self, p: int) -> int:
-        return self.partition.interval(p).width
+        return self.partition.width(p)
 
     def k_count(self, p: int) -> int:
         return self.q * self.width(p)
+
+    @cached_property
+    def h0(self) -> np.ndarray:
+        """H0 = sum_p Phi_p^2 on the grid, read-only; built on first use."""
+        h0 = self.stack.sum_of_squares()
+        h0.flags.writeable = False
+        return h0
 
     @cached_property
     def records(self) -> BandRecords:
@@ -448,7 +455,7 @@ def walnut_bounds(spec: FrameSpec, k_max: int | None = None) -> WalnutBoundRepor
     """
     if k_max is None:
         k_max = spec.walnut_k_max
-    h0 = spec.stack.sum_of_squares()
+    h0 = spec.h0
     g = spec.records
     limit = _shift_limit(g, g)
     band, shift, lo, length = _walnut_pairs(spec, g, g, 1, np.minimum(limit, k_max))
@@ -538,9 +545,8 @@ def _check_gap(h0: np.ndarray, half: int, floor: float) -> None:
 
 
 def conjugate_filter(spec: FrameSpec, floor: float = H0_FLOOR) -> ConjugateFilter:
-    h0 = spec.stack.sum_of_squares()
-    _check_gap(h0, spec.grid.half, floor)
-    return ConjugateFilter(spec, h0)
+    _check_gap(spec.h0, spec.grid.half, floor)
+    return ConjugateFilter(spec, spec.h0)
 
 
 def reconstruct(spec: FrameSpec, f,

@@ -15,9 +15,20 @@ covered implicitly by mirror symmetry: the interval for -p is the negation
 of the interval for p.
 
 The floor is evaluated exactly.  ``alpha`` is coerced to a Fraction (floats
-through their shortest decimal repr, so 0.3 means 3/10) and
-floor(i**(a/b)) is resolved by exact integer comparisons k**b <= i**a
-around a floating-point seed.
+through their shortest decimal repr, so 0.3 means 3/10, reduced
+denominator at most MAX_DENOMINATOR) and floor(i**(a/b)) is resolved by
+exact integer comparisons k**b <= i**a around a floating-point seed.
+
+Storage.  Widths change rarely: at alpha = 0 every interval has width 1,
+and at alpha = 1/2 the 369 intervals below 2**15 have 180 widths.  A
+partition therefore stores runs (p, lo, width, count) of consecutive
+intervals of one width, inside which start(p) is arithmetic.  A run of
+width w ends at the first start i with i**a >= (w+1)**b: one exact integer
+root of (w+1)**b per run, seeded from a float and corrected exactly like
+floor(i**alpha); floor_power then gives the width at the next start, which
+can exceed w + 1 while starts are small.  ``interval``, ``locate``,
+``p_max`` and ``stop`` answer from the runs by bisection, and the
+``intervals`` tuple is built on first use.
 """
 
 from __future__ import annotations
@@ -25,11 +36,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "MAX_DENOMINATOR",
     "PartitionInterval",
+    "Run",
     "AlphaPartition",
     "coerce_alpha",
     "floor_power",
@@ -40,12 +55,19 @@ __all__ = [
     "covering_bounds_hold",
 ]
 
+# Exact arithmetic raises integers to powers as large as alpha's numerator
+# and denominator, so its cost grows with them: at 10**7 (alpha = 0.1234567)
+# a 50-interval ladder ran for longer than 8 s.  10**4 keeps every power
+# used here to a few hundred thousand bits.
+MAX_DENOMINATOR = 10**4
+
 
 def coerce_alpha(alpha) -> Fraction:
     """Interpret ``alpha`` as an exact rational in [0, 1].
 
     Fractions pass through; ints and floats are read through str(), so a
     float carries its decimal intent (0.3 -> 3/10, not the binary double).
+    The reduced denominator may not exceed MAX_DENOMINATOR.
     """
     if isinstance(alpha, Fraction):
         frac = alpha
@@ -57,7 +79,38 @@ def coerce_alpha(alpha) -> Fraction:
         raise TypeError(f"alpha must be a number or Fraction, got {alpha!r}")
     if not 0 <= frac <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {frac}")
+    if frac.denominator > MAX_DENOMINATOR:
+        raise ValueError(
+            f"alpha denominator must be at most {MAX_DENOMINATOR}, got {frac}"
+        )
     return frac
+
+
+def _iroot(target: int, b: int, seed: float) -> int:
+    """Largest k >= 1 with k**b <= target (target >= 1), exact.
+
+    Starts from a floating-point estimate and corrects it in integers,
+    galloping away from the seed and then bisecting, so a far-off seed
+    costs O(log error) powers rather than one per unit of error.
+    """
+    k = max(int(seed), 1)
+    if k**b > target:
+        lo, hi, step = k - 1, k, 1
+        while lo**b > target:
+            step *= 2
+            lo, hi = max(k - step, 1), lo
+    else:
+        lo, hi, step = k, k + 1, 1
+        while hi**b <= target:
+            step *= 2
+            lo, hi = hi, k + step
+    while hi - lo > 1:  # invariant: lo**b <= target < hi**b
+        mid = (lo + hi) // 2
+        if mid**b <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def floor_power(i: int, alpha: Fraction) -> int:
@@ -67,15 +120,7 @@ def floor_power(i: int, alpha: Fraction) -> int:
     a, b = alpha.numerator, alpha.denominator
     if a == 0:
         return 1
-    target = i**a
-    k = int(float(i) ** (a / b))  # seed; corrected exactly below
-    if k < 1:
-        k = 1
-    while k**b > target:
-        k -= 1
-    while (k + 1) ** b <= target:
-        k += 1
-    return k
+    return _iroot(i**a, b, float(i) ** (a / b))
 
 
 @dataclass(frozen=True)
@@ -94,26 +139,69 @@ class PartitionInterval:
         return np.arange(self.start, self.stop)
 
 
+class Run(NamedTuple):
+    """``count`` consecutive intervals of one width starting at ladder index p:
+    interval p + k is [lo + k*width, lo + (k+1)*width) for 0 <= k < count."""
+
+    p: int
+    lo: int
+    width: int
+    count: int
+
+    @property
+    def stop(self) -> int:
+        return self.lo + self.count * self.width
+
+
 @dataclass(frozen=True)
 class AlphaPartition:
+    """Intervals 0..p_max of the ladder, stored as runs of equal width."""
+
     alpha: Fraction
-    intervals: tuple[PartitionInterval, ...]
+    runs: tuple[Run, ...]
+
+    @cached_property
+    def intervals(self) -> tuple[PartitionInterval, ...]:
+        return tuple(
+            PartitionInterval(r.p + k, r.lo + k * r.width, r.lo + (k + 1) * r.width)
+            for r in self.runs
+            for k in range(r.count)
+        )
+
+    @cached_property
+    def _firsts(self) -> list[int]:
+        return [r.p for r in self.runs]
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        return [r.lo for r in self.runs]
 
     @property
     def p_max(self) -> int:
-        return len(self.intervals) - 1
+        last = self.runs[-1]
+        return last.p + last.count - 1
 
     @property
     def stop(self) -> int:
         """One past the largest covered frequency."""
-        return self.intervals[-1].stop
+        return self.runs[-1].stop
 
-    def interval(self, p: int) -> PartitionInterval:
-        """Interval at |p|; the p < 0 interval is its negation (see band_frequencies)."""
+    def _run(self, p: int) -> Run:
+        """The run holding the interval at |p|."""
         k = abs(p)
         if k > self.p_max:
             raise ValueError(f"p = {p} outside partition (p_max = {self.p_max})")
-        return self.intervals[k]
+        return self.runs[bisect_right(self._firsts, k) - 1]
+
+    def width(self, p: int) -> int:
+        """Width of the interval at |p|."""
+        return self._run(p).width
+
+    def interval(self, p: int) -> PartitionInterval:
+        """Interval at |p|; the p < 0 interval is its negation (see band_frequencies)."""
+        run, k = self._run(p), abs(p)
+        start = run.lo + (k - run.p) * run.width
+        return PartitionInterval(k, start, start + run.width)
 
     def band_frequencies(self, p: int) -> np.ndarray:
         """Signed integer frequencies of the band at p, ascending."""
@@ -132,9 +220,41 @@ class AlphaPartition:
             raise ValueError(
                 f"frequency {eta} not covered (partition stops at {self.stop})"
             )
-        starts = [iv.start for iv in self.intervals]
-        p = bisect_right(starts, mag) - 1
+        run = self.runs[bisect_right(self._starts, mag) - 1]
+        p = run.p + (mag - run.lo) // run.width
         return p if eta >= 0 else -p
+
+
+def _run_end(width: int, alpha: Fraction, cap: int) -> int:
+    """min(cap, least i with floor(i**alpha) > width).
+
+    With alpha = a/b that least i is the least i with i**a >= (width+1)**b;
+    one exact comparison at cap settles whether it lies below cap at all.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    target = (width + 1) ** b
+    if a == 0 or cap**a < target:
+        return cap
+    return _iroot(target - 1, a, float(width + 1) ** (b / a)) + 1
+
+
+def _runs(alpha: Fraction, limit: int | None, count: int | None) -> tuple[Run, ...]:
+    """Runs of the recurrence over the starts below ``limit``, or over its
+    first ``count`` intervals.
+
+    Inside a run the starts step by the run's width; the run ends at the
+    first start whose width exceeds it, and floor_power gives the width
+    there (it can jump by more than 1 while starts are small).
+    """
+    runs: list[Run] = []
+    p = start = 0
+    while (limit is None or start < limit) and (count is None or p < count):
+        width = floor_power(start, alpha) if start else 1
+        cap = limit if count is None else start + (count - p) * width
+        k = -(-(_run_end(width, alpha, cap) - start) // width)
+        runs.append(Run(p, start, width, k))
+        p, start = p + k, start + k * width
+    return tuple(runs)
 
 
 def build_partition(alpha, p_max: int) -> AlphaPartition:
@@ -142,12 +262,7 @@ def build_partition(alpha, p_max: int) -> AlphaPartition:
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     frac = coerce_alpha(alpha)
-    intervals = [PartitionInterval(0, 0, 1)]
-    for p in range(1, p_max + 1):
-        start = intervals[-1].stop
-        width = floor_power(start, frac)
-        intervals.append(PartitionInterval(p, start, start + width))
-    return AlphaPartition(frac, tuple(intervals))
+    return AlphaPartition(frac, _runs(frac, None, p_max + 1))
 
 
 def partition_covering(alpha, limit: int) -> AlphaPartition:
@@ -155,12 +270,7 @@ def partition_covering(alpha, limit: int) -> AlphaPartition:
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     frac = coerce_alpha(alpha)
-    intervals = [PartitionInterval(0, 0, 1)]
-    while intervals[-1].stop < limit:
-        start = intervals[-1].stop
-        width = floor_power(start, frac)
-        intervals.append(PartitionInterval(len(intervals), start, start + width))
-    return AlphaPartition(frac, tuple(intervals))
+    return AlphaPartition(frac, _runs(frac, limit, None))
 
 
 def interval_of(alpha, eta: int) -> PartitionInterval:

@@ -252,6 +252,13 @@ class NdFrameSpec:
             h0[sup] += stack * stack
         return h0
 
+    @cached_property
+    def h0(self) -> np.ndarray:
+        """sum_of_squares(), read-only; built on first use."""
+        h0 = self.sum_of_squares()
+        h0.flags.writeable = False
+        return h0
+
 
 def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
                        p_max: int | None = None) -> NdFrameSpec:
@@ -439,7 +446,7 @@ def walnut_bounds_nd(spec: NdFrameSpec, k_max: int | None = None) -> NdBoundRepo
     """
     if k_max is None:
         k_max = math.ceil(spec.n / (2 * spec.q))
-    h0 = spec.sum_of_squares()
+    h0 = spec.h0
     h_tail = 0.0
     sups: dict[FactorKey, tuple[float, float]] = {}  # diagonal and tail sup per factor
     for box in spec.tiling.boxes:
@@ -487,9 +494,8 @@ class NdConjugate:
 
 
 def conjugate_filter_nd(spec: NdFrameSpec, floor: float = H0_FLOOR) -> NdConjugate:
-    h0 = spec.sum_of_squares()
-    _check_gap(h0, spec.half, floor)
-    return NdConjugate(spec, h0)
+    _check_gap(spec.h0, spec.half, floor)
+    return NdConjugate(spec, spec.h0)
 
 
 def _alias(x: np.ndarray, m: int) -> np.ndarray:

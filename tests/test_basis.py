@@ -1,5 +1,7 @@
 """Orthonormal basis: literal-sum oracle, Gram identity, round trip."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from stockframe.basis import (
     gram_matrix,
     synthesize,
 )
+from stockframe.partition import partition_covering
 from stockframe.spectral import FrequencyGrid, SpectralSignal, TimeSamples, from_spectrum, to_spectrum
 
 ALPHAS = [0, 0.25, 0.5, 0.75, 1]
@@ -116,6 +119,84 @@ def test_fast_naive_property(alpha, seed):
     naive = analyze_naive(alpha, x)
     diff = max(float(np.max(np.abs(fast.data[p] - naive.data[p]))) for p in fast.layout.p_list)
     assert diff < 1e-10
+
+
+# ---------------------------------------------------------------- run batching
+
+
+def reference_bands(alpha, n):
+    """Band plan of the ladder one interval at a time, the last band clipped to n/2."""
+    half = n // 2
+    bands = {0: (0, 1)}
+    for iv in partition_covering(alpha, half).intervals[1:]:
+        hi = min(iv.stop, half)
+        bands[iv.p] = (iv.start, hi)
+        bands[-iv.p] = (-hi + 1, -iv.start + 1)
+    return dict(sorted(bands.items()))
+
+
+def reference_analyze(bands, x):
+    """Per-band analysis: one length-w inverse DFT of each rotated band slice."""
+    xhat = to_spectrum(x).coeffs
+    half = x.grid.half
+    data = {}
+    for p, (lo, hi) in bands.items():
+        w = hi - lo
+        band = xhat[lo + half : hi + half]
+        if w == 1:
+            data[p] = band.copy()
+        else:
+            data[p] = np.sqrt(w) * np.fft.ifft(np.roll(band, lo % w))
+    return data
+
+
+def reference_synthesize(bands, data, grid):
+    """Per-band synthesis: one length-w forward DFT per band, rotated back."""
+    half = grid.half
+    spectrum = np.zeros(grid.size, dtype=np.complex128)
+    for p, c in data.items():
+        lo, hi = bands[p]
+        w = hi - lo
+        if w == 1:
+            spectrum[lo + half] = c[0]
+        else:
+            spectrum[lo + half : hi + half] = np.roll(np.fft.fft(c), -lo % w)[:w] / np.sqrt(w)
+    return from_spectrum(SpectralSignal(grid, spectrum)).values
+
+
+@pytest.mark.parametrize("n", [16, 64, 2048])
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 4), Fraction(3, 10), Fraction(1, 2),
+                                   Fraction(3, 4), Fraction(1)])
+def test_run_batched_basis_is_bit_identical_to_per_band_reference(alpha, n):
+    rng = np.random.default_rng(43)
+    x = TimeSamples(FrequencyGrid(n), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    bands = reference_bands(alpha, n)
+    layout = band_layout(alpha, n)
+    assert layout.bands == bands
+    assert layout.p_list == list(bands)
+    assert all(layout.width(p) == hi - lo for p, (lo, hi) in bands.items())
+    assert layout.clipped == (partition_covering(alpha, n // 2).stop > n // 2)
+
+    coeffs = analyze_fast(alpha, x)
+    want = reference_analyze(bands, x)
+    assert list(coeffs.data) == list(want)
+    assert len(coeffs.data) == len(want)
+    for p, c in want.items():
+        view = coeffs.data[p]
+        assert np.array_equal(view, c)
+        assert not view.flags.writeable
+        assert all(coeffs[(p, tau)] == view[tau] for tau in range(len(c)))
+    assert np.array_equal(synthesize(coeffs).values, reference_synthesize(bands, want, x.grid))
+
+
+def test_band_views_are_read_only_and_keyed_by_p():
+    coeffs = analyze_fast(0.5, TimeSamples(FrequencyGrid(64), np.arange(64.0)))
+    with pytest.raises(ValueError):
+        coeffs.data[3][0] = 0.0
+    assert 31 not in coeffs.data  # |p| beyond the layout
+    with pytest.raises(KeyError):
+        coeffs.data[-max(coeffs.layout.p_list) - 1]
+    assert coeffs[BasisIndex(4, 1)] == coeffs.data[4][1]  # band 4 is [4, 6)
 
 
 # ---------------------------------------------------------------- orthonormality

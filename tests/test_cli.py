@@ -77,6 +77,21 @@ def test_partition_rejects_alpha_outside_range(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--alpha", "0.1234567", "--pmax", "50"],
+        ["stack", "--alpha", "0.999999999", "--n", "4096", "--mu", "0.5", "--window", "gaussian"],
+    ],
+)
+def test_alpha_with_large_denominator_is_usage_error(argv):
+    # exact ladder arithmetic raises integers to alpha's denominator; 10**7
+    # and 10**9 used to run for many seconds instead of being refused
+    proc = run_cli_quickly(*argv)
+    assert proc.returncode == 2
+    assert "alpha denominator must be at most 10000" in proc.stderr
+
+
 # ---------------------------------------------------------------- determinism
 
 

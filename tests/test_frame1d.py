@@ -8,6 +8,7 @@ import pytest
 from stockframe import frame1d
 from stockframe.frame1d import (
     EIGEN_SIZE_CAP,
+    ConjugateFilter,
     FrameCoefficients,
     FrameGapError,
     analyze,
@@ -22,7 +23,7 @@ from stockframe.frame1d import (
     walnut_bounds,
 )
 from stockframe.spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
-from stockframe.window import Window, gaussian_window, truncated_gaussian
+from stockframe.window import Window, WindowStack, gaussian_window, truncated_gaussian
 
 
 def gauss_spec(mu=0.5, q=4, alpha=1, n=128, **kw):
@@ -472,6 +473,30 @@ def test_conjugate_detects_spectral_gap():
     with pytest.raises(FrameGapError) as err:
         conjugate_filter(spec)
     assert "frequency" in str(err.value)
+
+
+def test_reconstruct_builds_h0_once_per_spec(monkeypatch):
+    original = WindowStack.sum_of_squares
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(WindowStack, "sum_of_squares", counting)
+    rng = np.random.default_rng(14)
+    spec = gauss_spec(n=128, q=8)
+    fs = random_spectrum(rng, 128)
+    runs = [reconstruct(spec, fs), reconstruct(spec, fs)]
+    assert len(calls) == 1
+    assert not spec.h0.flags.writeable
+    rec_want, rel_want = reconstruct(spec, fs, ConjugateFilter(spec, original(spec.stack)))
+    for rec, rel in runs:
+        assert np.array_equal(rec.coeffs, rec_want.coeffs)
+        assert rel == rel_want
+    # the gap check still runs on every call, with the caller's floor
+    with pytest.raises(FrameGapError):
+        conjugate_filter(spec, floor=float(spec.h0.min()))
 
 
 def test_reconstruct_painless_is_exact():

@@ -1,6 +1,7 @@
 """Partition recurrence: exact arithmetic, covering bounds, locate."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockframe.partition import (
+    MAX_DENOMINATOR,
     AlphaPartition,
     build_partition,
     coerce_alpha,
@@ -133,6 +135,114 @@ def test_intervals_abut_and_widths_match_recurrence(alpha):
         assert iv.start == prev.stop
         assert iv.width == floor_power_oracle(iv.start, coerce_alpha(alpha))
         assert iv.width >= 1
+
+
+# ---------------------------------------------------------------- run storage
+
+
+def recurrence(alpha, *, limit=None, p_max=None):
+    """The ladder one interval at a time: (start, stop) of intervals
+    0..p_max, or of every interval up to the first that reaches limit."""
+    alpha = coerce_alpha(alpha)
+    ivs = [(0, 1)]
+    while (ivs[-1][1] < limit) if p_max is None else (len(ivs) <= p_max):
+        start = ivs[-1][1]
+        ivs.append((start, start + floor_power_oracle(start, alpha)))
+    return ivs
+
+
+def assert_matches_recurrence(part, ivs):
+    assert [(iv.p, iv.start, iv.stop) for iv in part.intervals] == [
+        (p, a, b) for p, (a, b) in enumerate(ivs)
+    ]
+    assert part.p_max == len(ivs) - 1
+    assert part.stop == ivs[-1][1]
+    for p, (a, b) in enumerate(ivs):
+        iv = part.interval(p)
+        assert (iv.p, iv.start, iv.stop) == (p, a, b)
+        assert part.interval(-p) == iv
+        assert part.width(p) == part.width(-p) == b - a
+        if b - a <= 1024:  # dyadic widths at p = 120 are 2**119
+            assert part.band_frequencies(p).tolist() == list(range(a, b))
+            assert part.band_frequencies(-p).tolist() == list(range(-b + 1, -a + 1))
+        for eta in {a, b - 1}:
+            assert part.locate(eta) == p
+            assert part.locate(-eta) == -p
+    # maximal runs: contiguous, nonempty, and no two neighbours share a width
+    runs = part.runs
+    assert runs[0].p == runs[0].lo == 0
+    for prev, run in zip(runs, runs[1:]):
+        assert (run.p, run.lo) == (prev.p + prev.count, prev.stop)
+        assert run.width != prev.width
+    assert all(run.count >= 1 for run in runs)
+
+
+def exact_power_limits(alpha: Fraction, top=5_000):
+    """Limits at, and one either side of, the exact powers k**(1/alpha)
+    <= top where floor(i**alpha) steps up (alpha = 1/b), so that runs
+    end right on them."""
+    b = alpha.denominator
+    return sorted({k**b + d for k in range(1, int(top ** (1 / b)) + 1) for d in (-1, 0, 1)} - {0})
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_runs_match_recurrence(alpha):
+    for limit in (1, 2, 3, 5, 16, 17, 100, 1000, 4096, 4097):
+        assert_matches_recurrence(partition_covering(alpha, limit), recurrence(alpha, limit=limit))
+    for p_max in (0, 1, 2, 3, 7, 40, 120):
+        assert_matches_recurrence(build_partition(alpha, p_max), recurrence(alpha, p_max=p_max))
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+def test_runs_end_exactly_on_powers(alpha):
+    # with alpha = 1/b the width steps from k-1 to k at the start >= k**b
+    for limit in exact_power_limits(alpha):
+        part = partition_covering(alpha, limit)
+        assert_matches_recurrence(part, recurrence(alpha, limit=limit))
+        for prev, run in zip(part.runs, part.runs[1:]):
+            # a run starts at the first ladder start at or past (w + 1)**b
+            assert run.lo - prev.width < (prev.width + 1) ** alpha.denominator <= run.lo
+    for p_max in range(0, 60):
+        assert_matches_recurrence(build_partition(alpha, p_max), recurrence(alpha, p_max=p_max))
+
+
+def test_alpha_zero_is_one_run():
+    part = partition_covering(0, 1 << 20)
+    assert len(part.runs) == 1
+    assert (part.p_max, part.stop, part.interval(-12345).start) == ((1 << 20) - 1, 1 << 20, 12345)
+
+
+@given(
+    num=st.integers(min_value=0, max_value=12),
+    den=st.integers(min_value=1, max_value=12),
+    limit=st.integers(min_value=1, max_value=10_000),
+    p_max=st.integers(min_value=0, max_value=200),
+)
+@settings(max_examples=100, deadline=None)
+def test_runs_match_recurrence_property(num, den, limit, p_max):
+    if num > den:
+        num, den = den, num
+    alpha = Fraction(num, den)
+    assert_matches_recurrence(partition_covering(alpha, limit), recurrence(alpha, limit=limit))
+    assert_matches_recurrence(build_partition(alpha, p_max), recurrence(alpha, p_max=p_max))
+
+
+def test_coerce_alpha_bounds_the_denominator():
+    assert coerce_alpha(Fraction(9999, MAX_DENOMINATOR)) == Fraction(9999, 10_000)
+    with pytest.raises(ValueError, match="denominator"):
+        coerce_alpha(0.1234567)
+    with pytest.raises(ValueError, match="denominator"):
+        partition_covering(Fraction(1, MAX_DENOMINATOR + 1), 10)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(9999, 10_000), Fraction(1, 10_000)])
+def test_extreme_denominators_stay_fast(alpha):
+    # one integer-root comparison per run, not one power per interval
+    start = time.perf_counter()
+    part = partition_covering(alpha, 1 << 15)
+    assert time.perf_counter() - start < 2.0
+    assert part.stop >= 1 << 15
+    assert part.intervals[-2].stop < 1 << 15  # minimal
 
 
 # ---------------------------------------------------------------- covering

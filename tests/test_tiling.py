@@ -9,6 +9,8 @@ from stockframe.frame1d import FrameGapError, make_frame_spec
 from stockframe.tiling import (
     AXIS_CAP,
     BoxIndex,
+    NdConjugate,
+    NdFrameSpec,
     admissible_ells,
     analyze_nd,
     build_tiling,
@@ -386,6 +388,30 @@ def test_conjugate_nd_partition_residual():
     spec = small_spec(d=2, n=16, q=4)
     conj = conjugate_filter_nd(spec)
     assert conj.partition_residual() < 1e-14
+
+
+def test_reconstruct_nd_builds_h0_once_per_spec(monkeypatch):
+    original = NdFrameSpec.sum_of_squares
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(NdFrameSpec, "sum_of_squares", counting)
+    rng = np.random.default_rng(33)
+    spec = small_spec(d=2, n=16, q=4)
+    fhat = random_field(rng, 2, 16)
+    runs = [reconstruct_nd(spec, fhat), reconstruct_nd(spec, fhat)]
+    assert len(calls) == 1
+    assert not spec.h0.flags.writeable
+    rec_want, rel_want = reconstruct_nd(spec, fhat, NdConjugate(spec, original(spec)))
+    for rec, rel in runs:
+        assert np.array_equal(rec, rec_want)
+        assert rel == rel_want
+    # the gap check still runs on every call, with the caller's floor
+    with pytest.raises(FrameGapError):
+        conjugate_filter_nd(spec, floor=float(spec.h0.min()))
 
 
 def test_conjugate_nd_gap_detection():
