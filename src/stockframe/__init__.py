@@ -30,7 +30,7 @@ _EXPORTS = {
     ],
     "window": [
         "Window", "gaussian_window", "truncated_gaussian", "table_window",
-        "WindowStack", "band_sum", "build_stack", "AdmissibilityReport",
+        "WindowStack", "build_stack", "AdmissibilityReport",
         "admissibility", "StackBounds", "stack_sum_bounds", "gaussian_floor",
         "wiener_upper_bound", "DecayFit", "decay_fit",
     ],

@@ -256,7 +256,7 @@ def cmd_stack(args) -> int:
     if args.dump:
         grid = stack.grid
         for i, p in enumerate(stack.p_list):
-            write_sfr1(args.dump, SpectralSignal(grid, stack.bands[p].astype(np.complex128)),
+            write_sfr1(args.dump, SpectralSignal(grid, stack.band(p).astype(np.complex128)),
                        append=i > 0)
         payload["dump"] = args.dump
     code = EXIT_OK if rep.passed else EXIT_CHECK

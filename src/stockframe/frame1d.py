@@ -37,22 +37,22 @@ m / w = q, analysis against Omega followed by synthesis with Phi is an
 FFT pair that cancels: reconstruction is q Phi_p(j) fold_m(f^ Omega_p)[j
 mod m] summed over p, with no coefficients.
 
-Each band is held as a record, in p order (`FrameSpec.records`): its
-nonzero extent [lo, hi) in grid bins, its values there, its width w and
-its period m = q*w.  The records are cut into chunks of whole bands
-holding a few thousand bins, and every operator reads them a chunk at a
-time, so its temporaries stay small whatever the grid.  Analysis gathers
-f^ on a chunk's extents, multiplies by the window values, folds mod m
-with one bincount and runs one inverse FFT per run of bands of equal
-period (in p order these runs are long: width(p) = width(|p|) is
-monotone in |p|); synthesis runs the forward FFT per run, gathers the
-spread onto the extents and adds it into the grid; reconstruction folds
-f^ Omega_p and adds q Phi_p times the fold, with no FFT.  A band's
-shifted product Phi_p(u - s) Psi_p(u) is nonzero only where both extents
-meet, so `walnut_apply`, `walnut_bounds` and `frame_bounds_eigen`
-enumerate every (band, shift) pair and its overlap once, in (p, m)
-order, and `frame_bounds_eigen` assembles the operator from its Walnut
-kernel
+Each band is held as a record, in p order (`FrameSpec.records`,
+gathered once from the stack's records): its nonzero extent [lo, hi) in
+grid bins, its values there, its width w and its period m = q*w.  The
+records are cut into chunks of whole bands holding a few thousand bins,
+and every operator reads them a chunk at a time, so its temporaries stay
+small whatever the grid.  Analysis gathers f^ on a chunk's extents,
+multiplies by the window values, folds mod m with one bincount and runs
+one inverse FFT per run of bands of equal period (in p order these runs
+are long: width(p) = width(|p|) is monotone in |p|); synthesis runs the
+forward FFT per run, gathers the spread onto the extents and adds it
+into the grid; reconstruction folds f^ Omega_p and adds q Phi_p times
+the fold, with no FFT.  A band's shifted product Phi_p(u - s) Psi_p(u)
+is nonzero only where both extents meet, so `walnut_apply`,
+`walnut_bounds` and `frame_bounds_eigen` enumerate every (band, shift)
+pair and its overlap once, in (p, m) order, and `frame_bounds_eigen`
+assembles the operator from its Walnut kernel
 
     S[u, v] = q * sum_p Phi_p(u) Phi_p(v) [u = v mod q*width_p],
 
@@ -60,8 +60,8 @@ which agrees with the analysis + synthesis operator to round-off.  All
 other outputs equal the dense per-band (or per-shift) evaluation bit for
 bit, because every bin receives the same additions in the same order:
 folds in ascending frequency, synthesis and reconstruction in coefficient
-(ascending p) order, Walnut terms in (p, m) order and H0 in stack.bands
-order; each shift's maximum comes from one reduceat.  Bins outside an
+(ascending p) order, Walnut terms in (p, m) order and H0 in the stack's
+band order; each shift's maximum comes from one reduceat.  Bins outside an
 extent would only receive +0.0, which changes no sum.
 """
 
@@ -76,7 +76,7 @@ import numpy as np
 
 from .partition import AlphaPartition
 from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
-from .window import Window, WindowStack, build_stack, nonzero_extent
+from .window import Window, WindowStack, _runs, build_stack
 
 __all__ = [
     "FrameSpec",
@@ -107,11 +107,6 @@ _TERM_CHUNK = 1 << 12
 
 class FrameGapError(ValueError):
     """The stack leaves a spectral hole; no conjugate filter exists."""
-
-
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated integer ranges starts[i] .. starts[i] + lengths[i] - 1."""
-    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
 def _interleave(index: np.ndarray) -> np.ndarray:
@@ -171,6 +166,15 @@ class BandRecords:
     m: np.ndarray
     half: int
 
+    def take(self, ps) -> BandRecords:
+        """The records of the bands ps, in that order: one gather."""
+        where = {p: b for b, p in enumerate(self.ps)}
+        index = np.array([where[p] for p in ps], dtype=np.int64)
+        lo, hi = self.lo[index], self.hi[index]
+        values = self.values[_runs(lo + self.offset[index], hi - lo)]
+        return BandRecords(tuple(ps), lo, hi, np.cumsum(hi - lo) - hi, values,
+                           self.w[index], self.m[index], self.half)
+
     @cached_property
     def chunks(self) -> tuple[FoldChunk, ...]:
         """The records cut into chunks of whole bands; built on first use."""
@@ -190,14 +194,14 @@ class BandRecords:
         return tuple(chunks)
 
 
-def _records(spec: FrameSpec, family: dict[int, np.ndarray],
-             extents: dict[int, tuple[int, int]] | None, ps) -> BandRecords:
-    """Records of the bands ps of a family, in that order, on the given
-    extents or, for None, on the family's own nonzero extents."""
+def _family_records(spec: FrameSpec, family: dict[int, np.ndarray], ps) -> BandRecords:
+    """Records of a replacement family's bands ps on their own nonzero extents."""
     ps = tuple(ps)
-    spans = [nonzero_extent(family[p]) if extents is None else extents[p] for p in ps]
-    lo, hi = np.array(spans, dtype=np.int64).reshape(-1, 2).T
-    values = np.concatenate([family[p][a:b] for p, (a, b) in zip(ps, spans)] + [np.zeros(0)])
+    mat = np.array([family[p] for p in ps])
+    nz, n = mat != 0, mat.shape[1]
+    lo = np.where(nz.any(axis=1), nz.argmax(axis=1), 0)
+    hi = np.where(nz.any(axis=1), n - nz[:, ::-1].argmax(axis=1), 0)
+    values = mat.ravel()[_runs(lo + n * np.arange(len(ps)), hi - lo)]
     w = np.array([spec.width(p) for p in ps], dtype=np.int64)
     return BandRecords(ps, lo, hi, np.cumsum(hi - lo) - hi, values, w, spec.q * w, spec.grid.half)
 
@@ -238,9 +242,11 @@ class FrameSpec:
 
     @cached_property
     def records(self) -> BandRecords:
-        """The stack bands as records in p order, read by every operator;
-        built on first use."""
-        return _records(self, self.stack.bands, self.stack.extents, self.p_range)
+        """The stack records in p order, read by every operator; built on first use."""
+        st = self.stack
+        w = np.array([self.width(p) for p in st.ps], dtype=np.int64)
+        return BandRecords(st.ps, st.lo, st.hi, st.offset, st.values, w, self.q * w,
+                           self.grid.half).take(self.p_range)
 
 
 def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int,
@@ -285,7 +291,7 @@ def _as_spectrum(spec: FrameSpec, f) -> np.ndarray:
 
 def frame_element(spec: FrameSpec, p: int, k: int) -> SpectralSignal:
     """Spectral coefficients of one frame element."""
-    if p not in spec.stack.bands:
+    if p not in spec.stack.ps:
         raise ValueError(f"band {p} not in frame range {spec.p_range[0]}..{spec.p_range[-1]}")
     m = spec.k_count(p)
     if not 0 <= k < m:
@@ -293,7 +299,7 @@ def frame_element(spec: FrameSpec, p: int, k: int) -> SpectralSignal:
     w = spec.width(p)
     j = spec.grid.frequencies()
     phase = np.exp(-2j * np.pi * j * k / m)
-    return SpectralSignal(spec.grid, phase * spec.stack.bands[p] / np.sqrt(w))
+    return SpectralSignal(spec.grid, phase * spec.stack.band(p) / np.sqrt(w))
 
 
 def analyze(spec: FrameSpec, f) -> FrameCoefficients:
@@ -320,15 +326,15 @@ def synthesize(spec: FrameSpec, coeffs: FrameCoefficients,
 
     One DFT per run of equal period spreads the coefficients; each band's
     spread lands on its extent only, and bands are added in the order of
-    coeffs.data.  Another order or a replacement family gets records of
-    its own, the latter on its own nonzero extents.
+    coeffs.data.  Another order gathers the stack records in that order;
+    a replacement family gets records on its own nonzero extents.
     """
     ps = tuple(coeffs.data)
     g = spec.records
     if bands is not None:
-        g = _records(spec, bands, None, ps)
+        g = _family_records(spec, bands, ps)
     elif ps != g.ps:
-        g = _records(spec, spec.stack.bands, spec.stack.extents, ps)
+        g = g.take(ps)
     length = g.hi - g.lo
     acc = np.zeros(spec.grid.size, dtype=np.complex128)
     for c in g.chunks:
@@ -403,7 +409,7 @@ def walnut_apply(spec: FrameSpec, f,
     """
     fhat = _as_spectrum(spec, f)
     g = spec.records
-    psi = g if synthesis_bands is None else _records(spec, synthesis_bands, None, spec.p_range)
+    psi = g if synthesis_bands is None else _family_records(spec, synthesis_bands, g.ps)
     limit = _shift_limit(g, psi)
     if k_max is not None:
         limit = np.minimum(limit, k_max)
@@ -415,13 +421,15 @@ def walnut_apply(spec: FrameSpec, f,
     result = SpectralSignal(spec.grid, spec.q * acc)
     if not with_dropped_mass:
         return result
-    dropped = 0.0
-    ps = spec.p_range
-    for b, s in zip(pairs[0].tolist(), pairs[1].tolist()):
-        if s != 0:
-            base = fhat * spec.stack.bands[ps[b]]
-            lost = base[n - s:] if s > 0 else base[:-s]
-            dropped += float(np.sum(np.abs(lost) ** 2))
+    # sum each lost slice whole, as pairwise summation depends on its
+    # length; a slice off the band's extent sums to exactly 0.0
+    band, shift = pairs[0], pairs[1]
+    lost = np.where(shift > 0, g.hi[band] > n - shift, g.lo[band] < -shift)
+    dropped, last = 0.0, -1
+    for b, s in zip(band[lost].tolist(), shift[lost].tolist()):
+        if b != last:
+            last, mass = b, np.abs(fhat * spec.stack.band(g.ps[b])) ** 2
+        dropped += float(np.sum(mass[n - s:] if s > 0 else mass[:-s]))
     return result, math.sqrt(dropped)
 
 
@@ -516,17 +524,17 @@ class ConjugateFilter:
     h0: np.ndarray = field(repr=False)
 
     def band(self, p: int) -> np.ndarray:
-        return self.spec.nu * self.spec.stack.bands[p] / self.h0
+        return self.spec.nu * self.spec.stack.band(p) / self.h0
 
     @cached_property
     def bands(self) -> dict[int, np.ndarray]:
-        return {p: self.band(p) for p in self.spec.stack.bands}
+        return {p: self.band(p) for p in self.spec.stack.ps}
 
     def partition_residual(self) -> float:
         """max_j |sum_p Omega_p Phi_p - nu|; zero to round-off by construction."""
         acc = np.zeros(self.spec.grid.size)
         for p, om in self.bands.items():
-            acc += om * self.spec.stack.bands[p]
+            acc += om * self.spec.stack.band(p)
         return float(np.max(np.abs(acc - self.spec.nu)))
 
 

@@ -86,14 +86,18 @@ def coerce_alpha(alpha) -> Fraction:
     return frac
 
 
-def _iroot(target: int, b: int, seed: float) -> int:
+def _iroot(target: int, b: int, base: int, e: float) -> int:
     """Largest k >= 1 with k**b <= target (target >= 1), exact.
 
-    Starts from a floating-point estimate and corrects it in integers,
-    galloping away from the seed and then bisecting, so a far-off seed
-    costs O(log error) powers rather than one per unit of error.
+    Starts from base ** e in floating point, or from the bit length of base
+    past the float range, and corrects it in integers, galloping away from
+    the seed and then bisecting, so a far-off seed costs O(log error)
+    powers rather than one per unit of error.
     """
-    k = max(int(seed), 1)
+    try:
+        k = max(int(float(base) ** e), 1)
+    except OverflowError:
+        k = 1 << int((base.bit_length() - 1) * e)
     if k**b > target:
         lo, hi, step = k - 1, k, 1
         while lo**b > target:
@@ -120,7 +124,7 @@ def floor_power(i: int, alpha: Fraction) -> int:
     a, b = alpha.numerator, alpha.denominator
     if a == 0:
         return 1
-    return _iroot(i**a, b, float(i) ** (a / b))
+    return _iroot(i**a, b, i, a / b)
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,7 @@ def _run_end(width: int, alpha: Fraction, cap: int) -> int:
     target = (width + 1) ** b
     if a == 0 or cap**a < target:
         return cap
-    return _iroot(target - 1, a, float(width + 1) ** (b / a)) + 1
+    return _iroot(target - 1, a, width + 1, b / a) + 1
 
 
 def _runs(alpha: Fraction, limit: int | None, count: int | None) -> tuple[Run, ...]:

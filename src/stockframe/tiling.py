@@ -53,7 +53,7 @@ from itertools import product
 import numpy as np
 
 from .frame1d import H0_FLOOR, _check_gap, _interleave
-from .window import Window, band_sum, nonzero_extent
+from .window import Window, _runs, lattice_records
 
 __all__ = [
     "BoxIndex",
@@ -172,11 +172,6 @@ class AxisRecord:
 FactorKey = tuple[int, int] | None
 
 
-def _axis_record(factor: np.ndarray) -> AxisRecord:
-    lo, hi = nonzero_extent(factor)
-    return AxisRecord(lo, hi, factor[lo:hi])
-
-
 @dataclass
 class NdFrameSpec:
     """Separable frame on an n^d grid; axis window factors stored once.
@@ -195,6 +190,7 @@ class NdFrameSpec:
     tiling: NdTiling
     axis_factors: dict[tuple[int, int], np.ndarray] = field(repr=False)
     dc_factor: np.ndarray = field(repr=False)
+    records: dict[FactorKey, AxisRecord] = field(repr=False)
 
     @property
     def half(self) -> int:
@@ -218,12 +214,6 @@ class NdFrameSpec:
 
     def box_stack(self, box: BoxIndex) -> np.ndarray:
         return reduce(np.multiply.outer, self.box_factors(box))
-
-    @cached_property
-    def records(self) -> dict[FactorKey, AxisRecord]:
-        """Every axis factor on its nonzero extent; built on first use."""
-        factors = {**self.axis_factors, None: self.dc_factor}
-        return {key: _axis_record(fac) for key, fac in factors.items()}
 
     def box_records(self, box: BoxIndex) -> list[AxisRecord]:
         return [self.records[key] for key in self.factor_keys(box)]
@@ -279,14 +269,15 @@ def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
         # frequency lands inside the tiled cube
         p_max = max(1, math.ceil(math.log2(half / mu)))
     tiling = build_tiling(d, p_max)
-    omegas = np.arange(-half, half, dtype=float)
-    factors: dict[tuple[int, int], np.ndarray] = {}
-    for p in range(1, p_max + 1):
-        b = 1 << (p - 1)
-        for e in (-2, -1, 0, 1):
-            factors[(p, e)] = band_sum(window, mu * np.arange(e * b, (e + 1) * b), omegas)
-    dc = band_sum(window, mu * np.arange(-1, 1), omegas)
-    return NdFrameSpec(window, mu, int(q), d, n, tiling, factors, dc)
+    # factor (p, e) sums over mu * [e b, (e+1) b), b = 2^(p-1); DC over mu * {-1, 0}
+    keys = [*((p, e) for p in range(1, p_max + 1) for e in (-2, -1, 0, 1)), None]
+    starts, stops = np.array([(e << (p - 1), (e + 1) << (p - 1)) for p, e in keys[:-1]] + [(-1, 1)]).T
+    lo, hi, values = lattice_records(window, mu * _runs(starts, stops - starts), stops - starts, n)
+    dense = np.zeros((len(keys), n))
+    dense.ravel()[_runs(lo + n * np.arange(len(keys)), hi - lo)] = values
+    records = {key: AxisRecord(a, b, row[a:b])
+               for key, a, b, row in zip(keys, lo.tolist(), hi.tolist(), dense)}
+    return NdFrameSpec(window, mu, int(q), d, n, tiling, dict(zip(keys, dense[:-1])), dense[-1], records)
 
 
 def _check_field(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:

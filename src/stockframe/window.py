@@ -8,12 +8,17 @@ sum
     Phi_p(omega) = sum_{eta in band(p)} phihat(omega - mu * eta)
 
 evaluated on the grid frequencies; mu scales the integer band lattice.
-The stack is what every frame computation consumes: admissibility
-scans, sums of squares (frame-bound estimates), decay envelopes and the
-conjugate filters all read these arrays.
 
-Profiles are even functions evaluated through x**2, so the mirror band
-arrays are bit-for-bit frequency reversals of each other.
+The stack holds each band as a record, its nonzero extent [lo, hi) in
+grid bins and its values there, all values concatenated, in the order
+the stack has always visited the bands, which is not p order (see
+build_stack); sums over bands, H0 among them, add in that order.
+`lattice_records` builds the records of a batch of lattices (the n-D
+axis factors too), evaluating each point only within the window's zero
+radius; it equals a point-by-point sum over the whole grid bit for bit.
+
+Profiles are even functions evaluated through x**2, so the mirror bands
+are bit-for-bit frequency reversals of each other.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ __all__ = [
     "table_window",
     "WindowStack",
     "build_stack",
-    "nonzero_extent",
+    "lattice_records",
     "AdmissibilityReport",
     "admissibility",
     "StackBounds",
@@ -49,8 +54,6 @@ __all__ = [
 
 # Profile values below this are treated as zero when counting overlaps.
 OVERLAP_THRESHOLD = 1e-12
-# Band values stacked at a time when scanning a stack.
-SCAN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,11 @@ class Window:
     @property
     def compact(self) -> bool:
         return math.isfinite(self.support_radius)
+
+    @property
+    def zero_radius(self) -> float:
+        """Radius beyond which freq_profile is exactly 0.0 (Gaussian: exp underflows past 15.4008)."""
+        return min(self.support_radius, 15.5) if self.freq_profile is _gauss else self.support_radius
 
 
 _GAUSS_AMP = 1.0 / math.sqrt(2.0)
@@ -124,64 +132,49 @@ def table_window(omegas, values, kind: str = "table") -> Window:
 
 @dataclass
 class WindowStack:
-    """Band sums of a window over a partition, sampled on a grid."""
+    """Band sums of a window over a partition, as records: band ps[b] is
+    nonzero only on its extent [lo[b], hi[b]) of grid bins, (0, 0) when
+    all zero, and holds values[u + offset[b]] at bin u."""
 
     window: Window
     mu: float
     grid: FrequencyGrid
     partition: AlphaPartition
-    bands: dict[int, np.ndarray] = field(repr=False)
+    ps: tuple[int, ...]
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    offset: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     @property
     def p_list(self) -> list[int]:
-        return sorted(self.bands)
-
-    def band(self, p: int) -> np.ndarray:
-        return self.bands[p]
-
-    def _blocks(self):
-        """The bands in bands order, SCAN_BLOCK values at a time: yields
-        (ps, their values stacked rows x n), so a scan takes a few numpy
-        calls per block, not per band, and never holds the bands x n
-        stack."""
-        n = self.grid.size
-        ps, arrays = list(self.bands), list(self.bands.values())
-        rows = max(1, SCAN_BLOCK // n)
-        for i in range(0, len(ps), rows):
-            yield ps[i:i + rows], np.concatenate(arrays[i:i + rows]).reshape(-1, n)
+        return sorted(self.ps)
 
     @cached_property
-    def _extent_scan(self) -> tuple[dict[int, tuple[int, int]], np.ndarray, np.ndarray]:
-        """Every band's nonzero extent, and the grid bins and squared values
-        of all extents concatenated in bands order."""
-        n = self.grid.size
-        extents, bins, values = {}, [np.zeros(0, np.int64)], [np.zeros(0)]
-        for ps, block in self._blocks():
-            nz = block != 0
-            lo = nz.argmax(axis=1)
-            hi = np.where(nz.any(axis=1), n - nz[:, ::-1].argmax(axis=1), lo)
-            extents.update(zip(ps, zip(lo.tolist(), hi.tolist())))
-            length = hi - lo
-            at = np.repeat(lo - (np.cumsum(length) - length), length) + np.arange(length.sum())
-            bins.append(at)
-            values.append(block.ravel()[at + np.repeat(np.arange(0, block.size, n), length)])
-        values = np.concatenate(values)
-        return extents, np.concatenate(bins), values * values
+    def _where(self) -> dict[int, int]:
+        return {p: b for b, p in enumerate(self.ps)}
+
+    def band(self, p: int) -> np.ndarray:
+        """Band p on the whole grid, built on demand."""
+        lo, hi, off = (int(x[self._where[p]]) for x in (self.lo, self.hi, self.offset))
+        out = np.zeros(self.grid.size)
+        out[lo:hi] = self.values[lo + off:hi + off]
+        return out
+
+    @property
+    def bands(self) -> dict[int, np.ndarray]:
+        """Dense copies of all bands, built on every access."""
+        return {p: self.band(p) for p in self.ps}
 
     @property
     def extents(self) -> dict[int, tuple[int, int]]:
-        """Nonzero extent [lo, hi) of every band in grid bins, found on
-        first use; (0, 0) for an all-zero band."""
-        return self._extent_scan[0]
+        """Nonzero extent [lo, hi) of every band in grid bins."""
+        return dict(zip(self.ps, zip(self.lo.tolist(), self.hi.tolist())))
 
     def sum_of_squares(self) -> np.ndarray:
-        """H0 = sum_p Phi_p^2 on the grid.
-
-        One bincount over the band extents, which adds each bin's terms in
-        bands order, as a dense band-by-band sum would.
-        """
-        _, bins, squares = self._extent_scan
-        return np.bincount(bins, squares, self.grid.size)
+        """H0 = sum_p Phi_p^2: one bincount over the records, which adds
+        each bin's squares in band order, as a dense band-by-band sum would."""
+        return np.bincount(_runs(self.lo, self.hi - self.lo), self.values * self.values, self.grid.size)
 
     def lattice(self, p: int) -> np.ndarray:
         """Scaled band lattice mu * band(p), ascending."""
@@ -193,39 +186,36 @@ class WindowStack:
         return float(lat[0]), float(lat[-1])
 
 
-def band_sum(window: Window, lattice: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """sum over the lattice of phihat(omega - point), vectorized.
-
-    A compact window is evaluated only at the omegas within its support
-    radius of the lattice hull.  Elsewhere every point contributes 0.0,
-    so the output is the same as summing over all omegas.
-    """
-    if not window.compact:
-        return _lattice_sum(window, lattice, omegas)
-    # Rounding is monotone, so outside this mask fl(omega - point) lies
-    # beyond fl(omega - nearest hull end) for every point, and each
-    # difference rounds to a magnitude above the radius.
-    radius = window.support_radius
-    reach = (omegas - lattice.min() >= -radius) & (omegas - lattice.max() <= radius)
-    out = np.zeros(omegas.shape, dtype=float)
-    out[reach] = _lattice_sum(window, lattice, omegas[reach])
-    return out
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated integer ranges starts[i] .. starts[i] + lengths[i] - 1."""
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
-def _lattice_sum(window: Window, lattice: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    out = np.zeros(omegas.shape, dtype=float)
-    for point in lattice:
-        out += window.freq_profile(omegas - point)
-    return out
-
-
-def nonzero_extent(values: np.ndarray) -> tuple[int, int]:
-    """(first nonzero index, last + 1) of a 1-d array, or (0, 0) when all are zero."""
-    nz = values != 0
-    lo = int(nz.argmax())
-    if not nz[lo]:
-        return 0, 0
-    return lo, nz.size - int(nz[::-1].argmax())
+def lattice_records(window: Window, points: np.ndarray, counts: np.ndarray,
+                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, values): band b sums phihat(omega - point) over the next
+    counts[b] points on the grid of size n, held on its nonzero extent.
+    Each point is evaluated on the k bins that can lie within the zero
+    radius, and one add.at adds each bin's terms in point order."""
+    half = n // 2
+    radius = window.zero_radius
+    k = int(min(n, np.ceil(2 * radius) + 4))  # a spare bin a side for rounding
+    start = np.clip(np.floor(points - radius) + (half - 1), 0, n - k).astype(np.int64)
+    bins = start[:, None] + np.arange(k)
+    values = window.freq_profile(((bins - half) - points[:, None]).ravel())
+    # band b sums into acc[u + cell[b]] for the bins u it reaches
+    heads = np.cumsum(counts) - counts
+    base = np.minimum.reduceat(start, heads)
+    ends = np.cumsum(np.maximum.reduceat(start, heads) + k - base)
+    cell = np.append(0, ends[:-1]) - base
+    acc = np.zeros(int(ends[-1]))
+    np.add.at(acc, (bins + np.repeat(cell, counts)[:, None]).ravel(), values)
+    nz = np.append(np.flatnonzero(acc), 0)
+    i, j = np.searchsorted(nz[:-1], cell + base), np.searchsorted(nz[:-1], ends)
+    full = j > i  # band b is nonzero at nz[i[b]:j[b]]
+    first, stop = np.where(full, nz[i], 0), np.where(full, nz[j - 1] + 1, 0)
+    lo = np.where(full, first - cell, 0)
+    return lo, lo + stop - first, acc[_runs(first, stop - first)]
 
 
 def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
@@ -234,22 +224,27 @@ def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
     The partition is extended until its scaled lattice passes the grid
     edge, and every signed p with mu * start(|p|) <= n/2 gets a band, so
     each grid row (Nyquist included) has a lattice point within mu.
+
+    The bands keep the order the stack has always visited them in, per
+    interval the set {p, -p} in iteration order (0, 1, -1, ..., 4, -4,
+    -5, 5, ...): H0 adds in it, and p order would move some bins an ulp.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     grid = FrequencyGrid(n)
     limit = int(math.floor(grid.half / mu)) + 1
     partition = partition_covering(alpha, limit + 1)
-    omegas = grid.frequencies().astype(float)
-    bands: dict[int, np.ndarray] = {}
-    for iv in partition.intervals:
-        if mu * iv.start > grid.half:
-            break
-        points = mu * iv.frequencies()
-        for p in ({0} if iv.p == 0 else {iv.p, -iv.p}):
-            # rounding is sign-symmetric: -(mu * eta) == mu * (-eta)
-            bands[p] = band_sum(window, points if p >= 0 else -points, omegas)
-    return WindowStack(window, mu, grid, partition, bands)
+    start = np.concatenate([r.lo + r.width * np.arange(r.count) for r in partition.runs])
+    width = np.repeat([r.width for r in partition.runs], [r.count for r in partition.runs])
+    p_max = int(np.count_nonzero(mu * start <= grid.half)) - 1
+    ps = np.array([s for p in range(p_max + 1) for s in ({0} if p == 0 else {p, -p})])
+    counts = width[np.abs(ps)]
+    points = mu * _runs(start[np.abs(ps)], counts)
+    # rounding is sign-symmetric: -(mu * eta) == mu * (-eta)
+    points = np.where(np.repeat(ps < 0, counts), -points, points)
+    lo, hi, values = lattice_records(window, points, counts, n)
+    return WindowStack(window, mu, grid, partition, tuple(ps.tolist()), lo, hi,
+                       np.cumsum(hi - lo) - hi, values)
 
 
 @dataclass(frozen=True)
@@ -273,16 +268,15 @@ class AdmissibilityReport:
 
 
 def admissibility(stack: WindowStack, threshold: float = OVERLAP_THRESHOLD) -> AdmissibilityReport:
-    """Scan the stack a block of bands at a time.  Maxima, minima and
-    counts are exact, so the report equals a scan of the whole stack."""
-    n = stack.grid.size
-    c1, above, best = -np.inf, np.zeros(n, dtype=np.int64), np.full(n, -np.inf)
-    for _, block in stack._blocks():
-        c1 = np.maximum(c1, block.max())
-        above += (block > threshold).sum(axis=0)
-        best = np.maximum(best, block.max(axis=0))  # max_p Phi_p at each bin
+    """Read the records, a bin off a band's extent counting as 0.0 there;
+    maxima, minima and counts are exact, so this equals a dense scan."""
+    bins, values, n = _runs(stack.lo, stack.hi - stack.lo), stack.values, stack.grid.size
+    zeros = len(stack.ps) - np.bincount(bins, minlength=n)  # bands off their extent
+    best = np.where(zeros > 0, 0.0, -np.inf)  # max_p Phi_p at each bin
+    np.maximum.at(best, bins, values)
+    above = np.bincount(bins[values > threshold], minlength=n) + (zeros if threshold < 0.0 else 0)
     c3 = float(best.min())
-    return AdmissibilityReport(float(c1), int(above.max()), c3, c3 > 0.0, stack.window.compact)
+    return AdmissibilityReport(float(best.max()), int(above.max()), c3, c3 > 0.0, stack.window.compact)
 
 
 @dataclass(frozen=True)
@@ -363,7 +357,8 @@ def band_mass_outside(stack: WindowStack, p: int, factor: float = 3.0) -> float:
     lo, hi = stack.band_hull(p)
     pad = factor * max(hi - lo, stack.mu)
     inside = (omegas >= lo - pad) & (omegas <= hi + pad)
-    total = float(stack.bands[p].sum())
+    band = stack.band(p)
+    total = float(band.sum())
     if total == 0.0:
         return 0.0
-    return float(stack.bands[p][~inside].sum() / total)
+    return float(band[~inside].sum() / total)

@@ -264,6 +264,15 @@ def run_cli_quickly(*argv):
                           capture_output=True, text=True, timeout=5)
 
 
+def test_partition_past_the_float_range():
+    # at alpha = 1 the starts pass 2**1024 from p = 1025 on, where a
+    # float seed of the exact power used to overflow
+    proc = run_cli_quickly("partition", "--alpha", "1", "--pmax", "1100", "--json")
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout)["intervals"][-1]
+    assert last == {"p": 1100, "start": 2**1099, "stop": 2**1100, "width": 2**1099}
+
+
 def test_roundtrip_oversized_sfr1_header_is_usage_error(tmp_path):
     # n = 4e9 declares a 64 GB payload; it must be refused, not allocated
     path = tmp_path / "huge.sfr1"

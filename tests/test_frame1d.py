@@ -103,7 +103,7 @@ def dense_operator(spec):
     j = spec.grid.frequencies()
     mat = np.zeros((n, n), dtype=np.complex128)
     for p in spec.p_range:
-        band, m, w = spec.stack.bands[p], spec.k_count(p), spec.width(p)
+        band, m, w = spec.stack.band(p), spec.k_count(p), spec.width(p)
         folded = np.zeros((m, n), dtype=np.complex128)
         np.add.at(folded, j % m, np.diag(np.conj(band)))
         coeffs = m * np.fft.ifft(folded, axis=0) / np.sqrt(w)
@@ -115,7 +115,7 @@ def dense_operator(spec):
 # whole grid, one pair at a time.
 
 def _reach(spec, p, psi, k_max):
-    nz = np.flatnonzero(spec.stack.bands[p])
+    nz = np.flatnonzero(spec.stack.band(p))
     pz = np.flatnonzero(psi)
     if nz.size == 0 or pz.size == 0:
         return -1
@@ -129,7 +129,7 @@ def dense_walnut_apply(spec, fhat, synth, k_max=None):
     acc = np.zeros(n, dtype=np.complex128)
     dropped = 0.0
     for p in spec.p_range:
-        base = fhat * np.conj(spec.stack.bands[p])
+        base = fhat * np.conj(spec.stack.band(p))
         limit = _reach(spec, p, synth[p], k_max)
         for m in range(-limit, limit + 1):
             s = m * spec.k_count(p)
@@ -150,7 +150,7 @@ def dense_walnut_apply(spec, fhat, synth, k_max=None):
 def dense_h_tail(spec, k_max):
     h_tail = 0.0
     for p in spec.p_range:
-        band = spec.stack.bands[p]
+        band = spec.stack.band(p)
         for m in range(1, _reach(spec, p, band, k_max) + 1):
             s = m * spec.k_count(p)
             h_tail += 2.0 * float(np.max(band[s:] * band[:-s]))
@@ -166,7 +166,7 @@ def test_frame_element_matches_definition():
     for p in (-3, 0, 2):
         w = spec.width(p)
         m = spec.k_count(p)
-        band = spec.stack.bands[p]
+        band = spec.stack.band(p)
         for k in (0, 1, m - 1):
             want = np.exp(-2j * np.pi * j * k / m) * band / np.sqrt(w)
             got = frame_element(spec, p, k).coeffs
@@ -463,7 +463,7 @@ def test_conjugate_partition_of_unity():
     conj = conjugate_filter(spec)
     assert conj.partition_residual() < 1e-14
     # explicit check of the same identity
-    acc = sum(conj.bands[p] * spec.stack.bands[p] for p in spec.p_range)
+    acc = sum(conj.bands[p] * spec.stack.band(p) for p in spec.p_range)
     assert np.max(np.abs(acc - spec.nu)) < 1e-14
 
 

@@ -74,6 +74,16 @@ def test_floor_power_float_seed_correction():
         assert floor_power(k**3, Fraction(1, 3)) == k
 
 
+def test_floor_power_past_the_float_range():
+    # float(i) overflows above about 1.8e308; the seed comes from the bit
+    # length there and is corrected exactly
+    for k in (2**600, 3**400 + 1):
+        assert floor_power(k**2, Fraction(1, 2)) == k
+        assert floor_power(k**2 - 1, Fraction(1, 2)) == k - 1
+    assert floor_power(2**1100 + 1, Fraction(1)) == 2**1100 + 1
+    assert floor_power(2**1100, Fraction(3, 4)) == 2**825
+
+
 def test_floor_power_rejects_zero():
     with pytest.raises(ValueError):
         floor_power(0, Fraction(1, 2))

@@ -151,7 +151,7 @@ def test_axis_factors_match_1d_stack():
         lo, hi = nd.tiling.axis_ranges(box)[0]
         iv = one.partition.interval(p)
         assert (lo, hi) == (iv.start, iv.stop)
-        assert np.array_equal(nd.box_stack(box), one.stack.bands[p])
+        assert np.array_equal(nd.box_stack(box), one.stack.band(p))
 
 
 def test_sum_of_squares_matches_box_enumeration():

@@ -1,21 +1,27 @@
 """Window profiles and band stacks: sums, symmetry, bounds, decay."""
 
 import math
+import re
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stockframe.spectral import poisson_residual
+from stockframe.partition import partition_covering
+from stockframe.spectral import FrequencyGrid, poisson_residual
 from stockframe.window import (
     OVERLAP_THRESHOLD,
     Window,
+    _gauss,
     admissibility,
     band_mass_outside,
-    band_sum,
     build_stack,
     decay_fit,
     gaussian_floor,
     gaussian_window,
+    lattice_records,
     stack_sum_bounds,
     table_window,
     truncated_gaussian,
@@ -37,6 +43,15 @@ def test_gaussian_profile_values():
     want = np.exp(-np.pi * xs**2) / math.sqrt(2)
     assert np.max(np.abs(win.freq_profile(xs) - want)) < 1e-16
     assert not win.compact
+
+
+def test_gaussian_vanishes_beyond_its_zero_radius():
+    # exp(-pi x^2) underflows to 0.0 once |x| > 15.4008
+    win = gaussian_window()
+    assert win.zero_radius == 15.5
+    xs = np.concatenate([15.5 + np.linspace(0.0, 100.0, 1001), [1e6, np.inf]])
+    assert np.all(_gauss(xs) == 0.0) and np.all(_gauss(-xs) == 0.0)
+    assert truncated_gaussian(0.1).zero_radius == 1.1
 
 
 def test_gaussian_is_self_dual():
@@ -86,25 +101,85 @@ def test_table_window_validation():
 # ---------------------------------------------------------------- stacks
 
 
+def dense_band_sum(win, lattice, n):
+    """The band sum point by point over the whole grid of size n."""
+    omegas = FrequencyGrid(n).frequencies().astype(float)
+    out = np.zeros(n)
+    for point in lattice:
+        out += win.freq_profile(omegas - point)
+    return out
+
+
+def assert_records_equal_dense(lo, hi, values, dense):
+    """Records (lo, hi, concatenated values) equal the dense bands: the
+    extents are the nonzero extents and the values the bins on them."""
+    ends = np.cumsum(hi - lo)
+    for a, b, stop, band in zip(lo, hi, ends, dense):
+        nz = np.flatnonzero(band)
+        assert (a, b) == ((nz[0], nz[-1] + 1) if nz.size else (0, 0))
+        assert np.array_equal(values[stop - (b - a):stop], band[a:b])
+    assert values.size == (ends[-1] if ends.size else 0)
+
+
 def test_band_sum_matches_direct_loop():
+    # the Gaussian's records, cut at its zero radius, equal the sum over
+    # every grid bin bit for bit
     win = gaussian_window()
-    omegas = np.linspace(-4, 4, 33)
-    lattice = 0.5 * np.arange(4, 8)
-    want = sum(win.freq_profile(omegas - c) for c in lattice)
-    assert np.max(np.abs(band_sum(win, lattice, omegas) - want)) < 1e-15
+    lattices = [0.5 * np.arange(4, 8), -0.5 * np.arange(4, 8), 0.3 * np.arange(-9, -3), np.array([40.0])]
+    points, counts = np.concatenate(lattices), np.array([lat.size for lat in lattices])
+    for n in (8, 64):
+        dense = [dense_band_sum(win, lat, n) for lat in lattices]
+        assert_records_equal_dense(*lattice_records(win, points, counts, n), dense)
 
 
 @pytest.mark.parametrize("win", [truncated_gaussian(0.1),
                                  # nonzero at its radius, where the support is closed
                                  table_window([-1.0, 1.0], [0.5, 0.5])])
 def test_compact_band_sum_equals_full_evaluation(win):
-    omegas = np.arange(-32, 32, dtype=float)
     for lattice in (0.5 * np.arange(4, 8), -0.5 * np.arange(4, 8), np.array([2.0]),
                     0.5 * np.arange(-70, -62)):
-        want = np.zeros(omegas.shape)
-        for point in lattice:
-            want += win.freq_profile(omegas - point)
-        assert np.array_equal(band_sum(win, lattice, omegas), want)
+        want = dense_band_sum(win, lattice, 64)
+        assert_records_equal_dense(*lattice_records(win, lattice, np.array([lattice.size]), 64), [want])
+
+
+def dense_stack(win, mu, alpha, n):
+    """The dense construction the records replace: every band summed
+    point by point over the whole grid, in build_stack's band order."""
+    half = n // 2
+    bands = {}
+    for iv in partition_covering(alpha, int(math.floor(half / mu)) + 2).intervals:
+        if mu * iv.start > half:
+            break
+        points = mu * iv.frequencies()
+        for p in ({0} if iv.p == 0 else {iv.p, -iv.p}):
+            bands[p] = dense_band_sum(win, points if p >= 0 else -points, n)
+    return bands
+
+
+def signed_window():
+    # negative lobes, so bands hold values below the 0.0 off their extents
+    def profile(x):
+        mag = np.abs(x)
+        return np.where(mag <= 1.5, 1.0, np.where(mag <= 4.5, -1.0, 0.0))
+    return Window("step", profile, None, 4.5)
+
+
+@pytest.mark.parametrize("n", [48, 256])
+@pytest.mark.parametrize("alpha", [0, Fraction(3, 10), Fraction(1, 2), 1])
+@pytest.mark.parametrize("mu", [0.25, 0.5, 3.0])
+@pytest.mark.parametrize("window", [
+    gaussian_window,
+    lambda: truncated_gaussian(0.1),
+    lambda: table_window([-1.0, 1.0], [0.5, 0.5]),  # nonzero at its radius
+    signed_window,
+])
+def test_stack_records_equal_dense_construction(window, mu, alpha, n):
+    win = window()
+    stack = build_stack(win, mu, alpha, n)
+    want = dense_stack(win, mu, alpha, n)
+    assert stack.ps == tuple(want)
+    assert_records_equal_dense(stack.lo, stack.hi, stack.values, want.values())
+    assert all(np.array_equal(stack.band(p), band) for p, band in want.items())
 
 
 def test_stack_extents_bound_the_nonzero_bins():
@@ -139,9 +214,17 @@ def test_stack_p_range_tracks_grid():
 
 
 def test_sum_of_squares_matches_bands():
-    stack = stack_case(n=64)
-    direct = sum(stack.band(p) ** 2 for p in stack.p_list)
-    assert np.max(np.abs(stack.sum_of_squares() - direct)) < 1e-15
+    # H0 adds the bands in the stack's order; at mu = 0.25 p order would
+    # move some bins by an ulp
+    for mu in (0.25, 0.5):
+        stack = stack_case(mu=mu, n=64)
+        direct = np.zeros(64)
+        for band in stack.bands.values():
+            direct += band ** 2
+        assert np.array_equal(stack.sum_of_squares(), direct)
+    stack = stack_case(mu=0.25, n=64)
+    in_p_order = sum(stack.band(p) ** 2 for p in stack.p_list)
+    assert not np.array_equal(stack.sum_of_squares(), in_p_order)
 
 
 def test_lattice_points_follow_partition():
@@ -193,18 +276,10 @@ def test_admissibility_painless_flag():
     assert rep2.passed and not rep2.painless
 
 
-def signed_window():
-    # negative lobes, so bands hold values below the 0.0 off their extents
-    def profile(x):
-        mag = np.abs(x)
-        return np.where(mag <= 1.5, 1.0, np.where(mag <= 4.5, -1.0, 0.0))
-    return Window("step", profile, None, 4.5)
-
-
 @pytest.mark.parametrize("threshold", [OVERLAP_THRESHOLD, -0.5, 0.0, 0.3])
 @pytest.mark.parametrize("case", [
     (gaussian_window, 0.5, 0, 48),
-    (gaussian_window, 0.5, 0, 256),  # 513 bands over several scan blocks
+    (gaussian_window, 0.5, 0, 256),  # 513 bands
     (gaussian_window, 0.5, 1, 16),  # extents span the whole grid
     (lambda: truncated_gaussian(0.1), 0.5, 0.5, 64),
     (lambda: truncated_gaussian(0.01), 8.0, 1, 256),  # gapped
@@ -214,11 +289,25 @@ def signed_window():
 def test_admissibility_equals_dense_scan(case, threshold):
     window, mu, alpha, n = case
     stack = build_stack(window(), mu, alpha, n)
-    mat = np.stack([stack.bands[p] for p in stack.p_list])
+    mat = np.stack([stack.band(p) for p in stack.p_list])
     c3 = float(mat.max(axis=0).min())
     want = (float(mat.max()), int((mat > threshold).sum(axis=0).max()), c3, c3 > 0.0)
     rep = admissibility(stack, threshold)
     assert (rep.c1, rep.c2, rep.c3, rep.passed) == want
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_large_stack_memory_stays_on_the_supports():
+    # dense bands here would hold 1.07 GB: 16385 bands of 8192 bins.  The
+    # child reads VmHWM, the peak RSS of its own image; its ru_maxrss
+    # would also count the test process it was spawned from.
+    code = ("from stockframe.window import admissibility, build_stack, gaussian_window\n"
+            "assert admissibility(build_stack(gaussian_window(), 0.5, 0, 8192)).passed\n"
+            "print(open('/proc/self/status').read())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    peak_kib = int(re.search(r"^VmHWM:\s*(\d+) kB", proc.stdout, re.M).group(1))
+    assert peak_kib < 256 * 1024
 
 
 def test_admissibility_fails_on_gapped_stack():
