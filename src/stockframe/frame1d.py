@@ -56,7 +56,8 @@ assembles the operator from its Walnut kernel
 
     S[u, v] = q * sum_p Phi_p(u) Phi_p(v) [u = v mod q*width_p],
 
-which agrees with the analysis + synthesis operator to round-off.  All
+which agrees with the analysis + synthesis operator to round-off; the
+n-D Walnut sum and tail bound run on the same pair kernels.  All
 other outputs equal the dense per-band (or per-shift) evaluation bit for
 bit, because every bin receives the same additions in the same order:
 folds in ascending frequency, synthesis and reconstruction in coefficient
@@ -99,6 +100,7 @@ __all__ = [
 
 EIGEN_SIZE_CAP = 1024
 H0_FLOOR = 1e-14
+COEFF_CAP = 1 << 24  # complex slots of one fold: a chunk of bands, an n-D box
 # Every operator forms this many bins or terms at a time (rounded to
 # whole bands or shifts): its temporaries stay small and cache-resident
 # on any grid, and never depend on how the allocator serves large blocks.
@@ -157,7 +159,7 @@ class BandRecords:
     its extent.  half is the grid's half size (bin u is frequency u - half).
     """
 
-    ps: tuple[int, ...]
+    ps: tuple
     lo: np.ndarray
     hi: np.ndarray
     offset: np.ndarray
@@ -184,6 +186,9 @@ class BandRecords:
         for a, b in _chunks(length):
             bins = _runs(self.lo[a:b], length[a:b])
             m = self.m[a:b]
+            slots = sum(m.tolist())
+            if slots > COEFF_CAP:
+                raise ValueError(f"a fold of {slots} slots exceeds the cap {COEFF_CAP}; reduce q")
             fold = (np.repeat(np.cumsum(m) - m, length[a:b])
                     + (bins - self.half) % np.repeat(m, length[a:b]))
             cuts = (a + np.flatnonzero(np.diff(m)) + 1).tolist()
@@ -255,6 +260,9 @@ def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int,
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ValueError(f"q must be a positive integer, got {q!r}")
     stack = build_stack(window, mu, alpha, n)
+    m_max = int(q) * stack.partition.width(stack.ps[-1])  # the band farthest out is widest
+    if m_max >= 1 << 63:
+        raise ValueError(f"q = {q} makes the period q*w = {m_max} overflow int64")
     if walnut_k_max is None:
         walnut_k_max = math.ceil(n / (2 * q))
     return FrameSpec(stack.partition.alpha, window, mu, int(q), stack.grid,
@@ -360,7 +368,7 @@ def _shift_limit(g: BandRecords, psi: BandRecords) -> np.ndarray:
     return np.where((g.lo == g.hi) | (psi.lo == psi.hi), -1, span // g.m)
 
 
-def _walnut_pairs(spec: FrameSpec, g: BandRecords, psi: BandRecords, first, last):
+def _walnut_pairs(n: int, g: BandRecords, psi: BandRecords, first, last):
     """The shifts s = m q w_p with first[b] <= m <= last[b] and |s| < n.
 
     Returns (band, shift, lo, length) per pair, band-major in p order and
@@ -372,7 +380,7 @@ def _walnut_pairs(spec: FrameSpec, g: BandRecords, psi: BandRecords, first, last
     count = np.maximum(last - first + 1, 0)
     band = np.repeat(np.arange(step.size), count)
     shift = step[band] * _runs(first, count)
-    keep = np.abs(shift) < spec.grid.size
+    keep = np.abs(shift) < n
     band, shift = band[keep], shift[keep]
     lo = np.maximum(psi.lo[band], g.lo[band] + shift)
     length = np.maximum(np.minimum(psi.hi[band], g.hi[band] + shift) - lo, 0)
@@ -389,6 +397,21 @@ def _walnut_terms(g: BandRecords, psi: BandRecords, band, shift, lo, length):
         v = u - np.repeat(shift[a:b], sizes)
         rows = np.repeat(band[a:b], sizes)
         yield u, v, g.values[v + g.offset[rows]], psi.values[u + psi.offset[rows]], sizes
+
+
+def _shift_maxima(g: BandRecords, n: int, k_max) -> tuple[np.ndarray, np.ndarray]:
+    """(band, maximum) per pair (b, s = m q w_b), 1 <= m <= k_max, |s| < n,
+    band-major: maximum = sup_u Phi_b(u - s) Phi_b(u) over the grid of
+    size n.  Each maximum comes from a reduceat over the products on the
+    extents, a chunk of shifts per call."""
+    band, shift, lo, length = _walnut_pairs(n, g, g, 1, np.minimum(_shift_limit(g, g), k_max))
+    # every pair has length >= 1: s <= hi - 1 - lo
+    maxima = np.concatenate([np.zeros(0)] + [
+        np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
+        for _, _, gv, pv, sizes in _walnut_terms(g, g, band, shift, lo, length)])
+    # the sup over the grid also sees the zeros off a partial extent
+    partial = (g.hi - g.lo)[band] < n
+    return band, np.where(partial, np.maximum(maxima, 0.0), maxima)
 
 
 def walnut_apply(spec: FrameSpec, f,
@@ -413,8 +436,8 @@ def walnut_apply(spec: FrameSpec, f,
     limit = _shift_limit(g, psi)
     if k_max is not None:
         limit = np.minimum(limit, k_max)
-    pairs = _walnut_pairs(spec, g, psi, -limit, limit)
     n = spec.grid.size
+    pairs = _walnut_pairs(n, g, psi, -limit, limit)
     acc = np.zeros(n, dtype=np.complex128)
     for u, v, gv, pv, _ in _walnut_terms(g, psi, *pairs):
         np.add.at(acc, u, fhat[v] * gv * pv)
@@ -457,24 +480,13 @@ def walnut_bounds(spec: FrameSpec, k_max: int | None = None) -> WalnutBoundRepor
 
     The default k_max follows the spec's ceil(n / 2q); shifts whose
     products vanish identically are skipped either way, so enlarging
-    k_max past the grid edge changes nothing.  Each shift's maximum comes
-    from a reduceat over its products on the extents, a chunk of shifts
-    per call, and adds into h_tail in (p, m) order.
+    k_max past the grid edge changes nothing.  The shift maxima
+    (_shift_maxima) add into h_tail in (p, m) order.
     """
     if k_max is None:
         k_max = spec.walnut_k_max
     h0 = spec.h0
-    g = spec.records
-    limit = _shift_limit(g, g)
-    band, shift, lo, length = _walnut_pairs(spec, g, g, 1, np.minimum(limit, k_max))
-    # every pair has length >= 1: s <= hi - 1 - lo
-    maxima = np.concatenate([np.zeros(0)] + [
-        np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
-        for _, _, gv, pv, sizes in _walnut_terms(g, g, band, shift, lo, length)])
-    # sup_j |Phi(j-s) Phi(j)| over the grid also sees the zeros off a
-    # partial extent
-    partial = (g.hi - g.lo)[band] < spec.grid.size
-    maxima = np.where(partial, np.maximum(maxima, 0.0), maxima)
+    _, maxima = _shift_maxima(spec.records, spec.grid.size, k_max)
     # the sup is shift-sign symmetric; count both signs
     h_tail = float(np.add.accumulate(np.concatenate([[0.0], 2.0 * maxima]))[-1])
     return WalnutBoundReport(float(h0.min()), float(h0.max()), h_tail,
@@ -502,7 +514,7 @@ def frame_bounds_eigen(spec: FrameSpec) -> FrameBounds:
     g = spec.records
     limit = _shift_limit(g, g)
     mat = np.zeros(n * n)
-    for u, v, gv, pv, _ in _walnut_terms(g, g, *_walnut_pairs(spec, g, g, -limit, limit)):
+    for u, v, gv, pv, _ in _walnut_terms(g, g, *_walnut_pairs(n, g, g, -limit, limit)):
         np.add.at(mat, u * n + v, pv * gv)
     mat = spec.q * mat.reshape(n, n)
     asym = float(np.max(np.abs(mat - mat.T)))
@@ -531,10 +543,12 @@ class ConjugateFilter:
         return {p: self.band(p) for p in self.spec.stack.ps}
 
     def partition_residual(self) -> float:
-        """max_j |sum_p Omega_p Phi_p - nu|; zero to round-off by construction."""
-        acc = np.zeros(self.spec.grid.size)
-        for p, om in self.bands.items():
-            acc += om * self.spec.stack.band(p)
+        """max_j |sum_p Omega_p Phi_p - nu|, zero to round-off by construction;
+        one bincount adds each bin's products in the stack's band order."""
+        st = self.spec.stack
+        bins = _runs(st.lo, st.hi - st.lo)
+        acc = np.bincount(bins, self.spec.nu * st.values / self.h0[bins] * st.values,
+                          self.spec.grid.size)
         return float(np.max(np.abs(acc - self.spec.nu)))
 
 

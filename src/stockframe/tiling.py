@@ -26,12 +26,17 @@ nu; per-axis separability makes the tail sups factor exactly:
 Only alpha = 1 admits this construction; the fractional partitions lack
 a self-similar corona.
 
-Each axis factor F_{p,e} (and the DC factor) is held once per spec as a
-record: its nonzero extent [lo, hi) in grid bins and its values there.
-A box's support is the product of its axes' extents and its stack there
-the outer product of those values; bins outside the support would only
+Each axis factor F_{p,e} is a 1D band of width w = b and period m = q b
+(DC: w = 1, m = q), held once per spec as a frame1d band record: its
+nonzero extent [lo, hi) in grid bins and its values there.  A box's
+support is the product of its axes' extents and its stack there the
+outer product of those values; bins outside the support would only
 receive +0.0, so sums of squares, analysis folds and synthesis spreads
-taken on the support equal the dense ones bit for bit.  Reconstruction
+taken on the support equal the dense ones bit for bit.  The Walnut
+shifts of a box are products of its factors' 1D shifts, so the Walnut
+sum and the tail sups run on the 1D pair kernels.  A period m >= n
+admits no shift on the grid: the records cap m at n, so q may be any
+size, and box_period keeps the true q b.  Reconstruction
 needs no coefficients at all: with the dual Omega = nu^d Phi / H0, period
 m and normalization b^d (m^d / b^d = q^d, the DC box included), analysis
 followed by synthesis is fftn(ifftn(x)) = x in exact arithmetic, so
@@ -40,7 +45,8 @@ followed by synthesis is fftn(ifftn(x)) = x in exact arithmetic, so
 
 a Walnut fold evaluated on the support.  Along an axis whose extent is
 no longer than m the fold is the identity; along a longer one it is a
-reshape-sum over blocks of m bins.
+reshape-sum over blocks of m bins (_alias), which numpy adds pairwise at
+m = 1: the 1D bincount fold would move some bins by an ulp.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ from itertools import product
 
 import numpy as np
 
-from .frame1d import H0_FLOOR, _check_gap, _interleave
+from .frame1d import (COEFF_CAP, H0_FLOOR, BandRecords, _check_gap, _interleave,
+                      _shift_limit, _shift_maxima, _walnut_pairs)
 from .window import Window, _runs, lattice_records
 
 __all__ = [
@@ -87,7 +94,8 @@ def from_spectrum_nd(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(np.fft.ifftshift(coeffs)) * coeffs.size
 
 AXIS_CAP = {1: 4096, 2: 256, 3: 32}
-COEFF_CAP = 1 << 24
+# deepest corona: the lattice starts +-2^p of every factor stay in int64
+P_MAX_CAP = 62
 
 
 @dataclass(frozen=True)
@@ -160,26 +168,20 @@ def build_tiling(d: int, p_max: int) -> NdTiling:
     return NdTiling(d, p_max, tuple(boxes))
 
 
-@dataclass(frozen=True)
-class AxisRecord:
-    """One axis factor on its nonzero extent: bins lo .. hi-1 hold values."""
-
-    lo: int
-    hi: int
-    values: np.ndarray = field(repr=False)
-
-
-FactorKey = tuple[int, int] | None
+def _on_grid(n: int, sup, values: np.ndarray) -> np.ndarray:
+    """values held on the support sup (grid slices), zero-filled to the grid."""
+    out = np.zeros((n,) * values.ndim)
+    out[sup] = values
+    return out
 
 
 @dataclass
 class NdFrameSpec:
     """Separable frame on an n^d grid; axis window factors stored once.
 
-    Axis factors are keyed by (p, ell_s), the DC factor by None.  A box's
-    stack is the outer product of its factors, materialized one box at a
-    time: dense on the grid by box_stack, or on the box support by
-    box_support, which reads the per-axis records.
+    records holds the factors (p, e), p = 1 .. p_max, e = -2 .. 1, then
+    DC (key None).  A box's stack is the outer product of its factors,
+    formed one box at a time on its support or, by box_stack, the grid.
     """
 
     window: Window
@@ -188,9 +190,7 @@ class NdFrameSpec:
     d: int
     n: int
     tiling: NdTiling
-    axis_factors: dict[tuple[int, int], np.ndarray] = field(repr=False)
-    dc_factor: np.ndarray = field(repr=False)
-    records: dict[FactorKey, AxisRecord] = field(repr=False)
+    records: BandRecords = field(repr=False)
 
     @property
     def half(self) -> int:
@@ -203,37 +203,39 @@ class NdFrameSpec:
     def axis_frequencies(self) -> np.ndarray:
         return np.arange(-self.half, self.half)
 
-    def factor_keys(self, box: BoxIndex) -> list[FactorKey]:
+    def factor_rows(self, box: BoxIndex) -> list[int]:
+        """The record of each axis factor of the box."""
         if box.ell is None:
-            return [None] * self.d
-        return [(box.p, e) for e in box.ell]
+            return [len(self.records.ps) - 1] * self.d
+        return [4 * (box.p - 1) + e + 2 for e in box.ell]
 
-    def box_factors(self, box: BoxIndex) -> list[np.ndarray]:
-        return [self.dc_factor if key is None else self.axis_factors[key]
-                for key in self.factor_keys(box)]
-
-    def box_stack(self, box: BoxIndex) -> np.ndarray:
-        return reduce(np.multiply.outer, self.box_factors(box))
-
-    def box_records(self, box: BoxIndex) -> list[AxisRecord]:
-        return [self.records[key] for key in self.factor_keys(box)]
+    @cached_property
+    def _factors(self) -> list[tuple[slice, np.ndarray]]:
+        """Per record, (its extent as a grid slice, its values there)."""
+        g = self.records
+        return [(slice(lo, hi), g.values[lo + off:hi + off])
+                for lo, hi, off in zip(g.lo.tolist(), g.hi.tolist(), g.offset.tolist())]
 
     def box_support(self, box: BoxIndex) -> tuple[tuple[slice, ...], np.ndarray]:
         """(grid slices of the box support, the box stack on them)."""
-        recs = self.box_records(box)
-        return (tuple(slice(r.lo, r.hi) for r in recs),
-                reduce(np.multiply.outer, [r.values for r in recs]))
+        sup, values = zip(*(self._factors[r] for r in self.factor_rows(box)))
+        return sup, reduce(np.multiply.outer, values)
+
+    def box_stack(self, box: BoxIndex) -> np.ndarray:
+        """The box stack on the whole grid, built on demand."""
+        return _on_grid(self.n, *self.box_support(box))
+
+    @property
+    def dc_factor(self) -> np.ndarray:
+        """The DC factor on the whole grid, built on demand."""
+        return _on_grid(self.n, *self._factors[-1])
 
     def box_period(self, box: BoxIndex) -> int:
-        """Per-axis modulation period m: q per lattice node along the axis."""
-        if box.ell is None:
-            return self.q
-        return self.q * self.tiling.scale(box)
+        """Per-axis modulation period m = q w: q per lattice node along the axis."""
+        return self.q * int(self.records.w[self.factor_rows(box)[0]])
 
     def box_norm(self, box: BoxIndex) -> float:
-        if box.ell is None:
-            return 1.0
-        return float(self.tiling.scale(box)) ** (self.d / 2.0)
+        return float(self.records.w[self.factor_rows(box)[0]]) ** (self.d / 2.0)
 
     def sum_of_squares(self) -> np.ndarray:
         h0 = np.zeros((self.n,) * self.d)
@@ -268,16 +270,25 @@ def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
         # smallest p with mu 2^p >= n/2, so the floor cell of any grid
         # frequency lands inside the tiled cube
         p_max = max(1, math.ceil(math.log2(half / mu)))
+    if p_max > P_MAX_CAP:
+        raise ValueError(f"p_max must be <= {P_MAX_CAP}, got {p_max}")
     tiling = build_tiling(d, p_max)
     # factor (p, e) sums over mu * [e b, (e+1) b), b = 2^(p-1); DC over mu * {-1, 0}
-    keys = [*((p, e) for p in range(1, p_max + 1) for e in (-2, -1, 0, 1)), None]
+    keys = (*((p, e) for p in range(1, p_max + 1) for e in (-2, -1, 0, 1)), None)
     starts, stops = np.array([(e << (p - 1), (e + 1) << (p - 1)) for p, e in keys[:-1]] + [(-1, 1)]).T
-    lo, hi, values = lattice_records(window, mu * _runs(starts, stops - starts), stops - starts, n)
-    dense = np.zeros((len(keys), n))
-    dense.ravel()[_runs(lo + n * np.arange(len(keys)), hi - lo)] = values
-    records = {key: AxisRecord(a, b, row[a:b])
-               for key, a, b, row in zip(keys, lo.tolist(), hi.tolist(), dense)}
-    return NdFrameSpec(window, mu, int(q), d, n, tiling, dict(zip(keys, dense[:-1])), dense[-1], records)
+    w = np.append((stops - starts)[:-1], 1)
+    # points farther than the zero radius (and a bin) off the grid only
+    # add +0.0: evaluate each lattice where it reaches the grid
+    reach = (half + window.zero_radius + 1.0) / mu
+    starts = np.maximum(starts, np.ceil(-reach)).astype(np.int64)
+    counts = np.maximum(np.minimum(stops, np.floor(reach) + 1).astype(np.int64) - starts, 0)
+    live = counts > 0
+    lo, hi = np.zeros((2, len(keys)), dtype=np.int64)
+    lo[live], hi[live], values = lattice_records(
+        window, mu * _runs(starts[live], counts[live]), counts[live], n)
+    m = np.array([min(int(q) * int(b), n) for b in w], dtype=np.int64)
+    records = BandRecords(keys, lo, hi, np.cumsum(hi - lo) - hi, values, w, m, half)
+    return NdFrameSpec(window, mu, int(q), d, n, tiling, records)
 
 
 def _check_field(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:
@@ -360,54 +371,33 @@ def frame_operator_apply_nd(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:
     return synthesize_nd(spec, analyze_nd(spec, fhat))
 
 
-def _axis_limits(spec: NdFrameSpec, box: BoxIndex, k_max: int | None) -> list[int] | None:
-    """Per axis, the largest shift count whose product can be nonzero;
-    None when the box stack vanishes."""
-    step = spec.box_period(box)
-    limits = []
-    for rec in spec.box_records(box):
-        if rec.lo == rec.hi:
-            return None
-        lim = (rec.hi - 1 - rec.lo) // step
-        if k_max is not None:
-            lim = min(lim, k_max)
-        limits.append(lim)
-    return limits
-
-
-def _shift_nd(values: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
-    out = np.zeros_like(values)
-    src, dst = [], []
-    for s, n in zip(shifts, values.shape):
-        if abs(s) >= n:
-            return out
-        if s >= 0:
-            dst.append(slice(s, n))
-            src.append(slice(0, n - s))
-        else:
-            dst.append(slice(0, n + s))
-            src.append(slice(-s, n))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
 def walnut_apply_nd(spec: NdFrameSpec, fhat: np.ndarray,
-                    synthesis_stacks: dict[BoxIndex, np.ndarray] | None = None,
                     k_max: int | None = None) -> np.ndarray:
-    """Direct shift-sum evaluation of S f; matches analyze/synthesize."""
+    """Direct shift-sum evaluation of S f; matches analyze/synthesize.
+
+    A box's shifts are the products of its factors' 1D pairs, in kvec
+    order; each adds (f^ Phi)(u - s) Phi(u) on its overlap only.
+    """
     fhat = _check_field(spec, fhat)
+    g = spec.records
+    limit = _shift_limit(g, g)
+    if k_max is not None:
+        limit = np.minimum(limit, k_max)
+    band, shift, lo, length = _walnut_pairs(spec.n, g, g, -limit, limit)
+    # per pair: its overlap u on the grid, and u - s and u as offsets
+    # into the factor's extent
+    cuts = np.searchsorted(band, np.arange(len(g.ps) + 1)).tolist()
+    start = (lo - g.lo[band]).tolist()
+    pairs = [(slice(a, a + size), slice(u - s, u - s + size), slice(u, u + size))
+             for a, size, s, u in zip(lo.tolist(), length.tolist(), shift.tolist(), start)]
     acc = np.zeros((spec.n,) * spec.d, dtype=np.complex128)
     for box in spec.tiling.boxes:
-        stack = spec.box_stack(box)
-        psi = stack if synthesis_stacks is None else synthesis_stacks[box]
-        base = fhat * stack
-        step = spec.box_period(box)
-        limits = _axis_limits(spec, box, k_max)
-        if limits is None:
-            continue
-        for kvec in product(*(range(-l, l + 1) for l in limits)):
-            shifts = tuple(k * step for k in kvec)
-            acc += _shift_nd(base, shifts) * psi
+        rows = spec.factor_rows(box)
+        sup, stack = spec.box_support(box)
+        base = fhat[sup] * stack
+        for kvec in product(*(pairs[cuts[r]:cuts[r + 1]] for r in rows)):
+            dst, src, own = zip(*kvec)
+            acc[dst] += base[src] * stack[own]
     return (spec.q ** spec.d) * acc
 
 
@@ -433,35 +423,30 @@ def walnut_bounds_nd(spec: NdFrameSpec, k_max: int | None = None) -> NdBoundRepo
 
     With per-axis sups a_s(k) = sup_x F_s(x - k step) F_s(x), the box tail
     sum_{k != 0} prod_s a_s(|k_s|) equals prod_s (a_s(0) + 2 sum_{k>=1})
-    minus prod_s a_s(0) exactly.
+    minus prod_s a_s(0) exactly.  The sups for k >= 1 come from the 1D
+    shift maxima (_shift_maxima) and add per factor in k order.
     """
     if k_max is None:
         k_max = math.ceil(spec.n / (2 * spec.q))
     h0 = spec.h0
+    g = spec.records
+    band, maxima = _shift_maxima(g, spec.n, k_max)
+    cuts = np.searchsorted(band, np.arange(len(g.ps) + 1)).tolist()
+    tail = [2.0 * sum(maxima[a:b].tolist()) for a, b in zip(cuts[:-1], cuts[1:])]
+    # max F^2 on the extent: F^2 = +0.0 off it, and an empty factor's 0.0
+    # diagonal and tail make its boxes add only +0.0
+    diag = [float(np.max(v * v, initial=0.0)) for _, v in spec._factors]
     h_tail = 0.0
-    sups: dict[FactorKey, tuple[float, float]] = {}  # diagonal and tail sup per factor
     for box in spec.tiling.boxes:
-        step = spec.box_period(box)
-        limits = _axis_limits(spec, box, k_max)
-        if limits is None:
-            continue
-        keys = spec.factor_keys(box)
-        for key, fac, lim in zip(keys, spec.box_factors(box), limits):
-            if key not in sups:
-                sups[key] = (float(np.max(fac * fac)),
-                             2.0 * sum(float(np.max(fac[k * step:] * fac[:-k * step]))
-                                       for k in range(1, lim + 1) if k * step < spec.n))
-        diag = [sups[key][0] for key in keys]
-        tails = [sups[key][1] for key in keys]
+        rows = spec.factor_rows(box)
         # expand prod(a + t) - prod(a) term by term: the tails can sit far
         # below one ulp of the diagonal, where the factored form cancels
         for mask in range(1, 1 << spec.d):
             term = 1.0
-            for s in range(spec.d):
-                term *= tails[s] if mask >> s & 1 else diag[s]
+            for s, r in enumerate(rows):
+                term *= tail[r] if mask >> s & 1 else diag[r]
             h_tail += term
-    return NdBoundReport(float(h0.min()), float(h0.max()), h_tail,
-                         spec.nu, spec.d)
+    return NdBoundReport(float(h0.min()), float(h0.max()), h_tail, spec.nu, spec.d)
 
 
 @dataclass

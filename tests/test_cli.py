@@ -273,6 +273,19 @@ def test_partition_past_the_float_range():
     assert last == {"p": 1100, "start": 2**1099, "stop": 2**1100, "width": 2**1099}
 
 
+@pytest.mark.parametrize("alpha, q", [("0", 1 << 40), ("1", 1 << 40), ("0", (1 << 63) + 4),
+                                      ("1", (1 << 63) + 4), ("0", 1 << 62), ("1", 1 << 62)])
+def test_roundtrip_huge_q_is_usage_error(tmp_path, alpha, q):
+    # 2^40 asks a fold of 2^40 slots per band; 2^63 + 4 and (at alpha = 1)
+    # 2^62 leave int64 in q*w; 2^62 at alpha = 0 folds 2^62 slots a band
+    path, _ = make_input(tmp_path, n=64)
+    proc = run_cli_quickly("roundtrip", "--alpha", alpha, "--mu", "0.5", "--q", str(q),
+                           "--window", "gaussian", "--n", "64", "--in", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_roundtrip_oversized_sfr1_header_is_usage_error(tmp_path):
     # n = 4e9 declares a 64 GB payload; it must be refused, not allocated
     path = tmp_path / "huge.sfr1"
@@ -320,6 +333,38 @@ def test_roundtrip2d_time_field(tmp_path, capsys):
     code, text, _ = run(capsys, "roundtrip2d", "--mu", "0.5", "--q", "4",
                         "--window", "gaussian", "--n", "16", "--in", str(path))
     assert code == 0
+
+
+def test_roundtrip2d_huge_q_still_reconstructs(tmp_path, capsys):
+    # q = 2^62: every period but the DC one, q 2^(p-1), leaves int64; none
+    # admits a shift on the grid, and the round trip is exact
+    path = tmp_path / "in.sfr2"
+    write_sfr2(path, np.random.default_rng(7).standard_normal((16, 16)), DOMAIN_TIME)
+    code, text, _ = run(capsys, "roundtrip2d", "--mu", "0.5", "--q", str(1 << 62),
+                        "--window", "gaussian", "--n", "16", "--in", str(path), "--json")
+    assert code == 0
+    assert text == ('{"mu": 0.5, "n": 16, "p_max": 4, "q": 4611686018427387904, '
+                    '"rel_err": 1.2977335653697783e-16, "tol": 1e-06, "window": "gaussian"}\n')
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("pmax", [30, 62, 63, 1000])
+def test_roundtrip2d_deep_pmax_ends_in_bounded_work(tmp_path, pmax):
+    # every factor used to evaluate all 2^(p-1) lattice points, far off the
+    # grid too; depths past the int64 lattice starts are refused
+    path = tmp_path / "in.sfr2"
+    write_sfr2(path, np.random.default_rng(8).standard_normal((16, 16)), DOMAIN_TIME)
+    code = ("import re, sys\nfrom stockframe.cli import main\nrc = main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(re.search(r'^VmHWM:\\s*(\\d+) kB', status, re.M).group(1))\nsys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "roundtrip2d", "--mu", "0.5", "--q", "4",
+                           "--window", "gaussian", "--n", "16", "--pmax", str(pmax),
+                           "--in", str(path)],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == (0 if pmax <= 62 else 2), proc.stderr
+    if proc.returncode == 2:
+        assert proc.stderr == f"error: p_max must be <= 62, got {pmax}\n"
+    assert int(proc.stdout.strip().splitlines()[-1]) < 256 * 1024
 
 
 def test_roundtrip2d_rejects_wrong_rank(tmp_path, capsys):

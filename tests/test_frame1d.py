@@ -299,6 +299,10 @@ def test_batched_engine_is_bit_identical_to_dense_reference(alpha, window, chunk
     assert np.array_equal(conj.h0, h0)
     assert list(conj.bands) == list(dual)
     assert all(np.array_equal(conj.bands[p], dual[p]) for p in dual)
+    residual = np.zeros(48)
+    for p, om in dual.items():
+        residual += om * stack[p]
+    assert conj.partition_residual() == float(np.max(np.abs(residual - spec.nu)))
     rec_want = dense_reconstruct(spec, fhat, dual, stack)
     rec, rel = reconstruct(spec, fs)
     assert np.array_equal(rec.coeffs, rec_want)
@@ -453,6 +457,8 @@ def test_make_frame_spec_validates_q():
         make_frame_spec(gaussian_window(), 0.5, 0, 1, 64)
     with pytest.raises(ValueError):
         make_frame_spec(gaussian_window(), 0.5, 2.5, 1, 64)
+    with pytest.raises(ValueError, match="overflow int64"):
+        make_frame_spec(gaussian_window(), 0.5, 1 << 62, 1, 64)
 
 
 # ---------------------------------------------------------------- conjugate dual

@@ -1,5 +1,7 @@
 """Separable tilings and frames in dimension d: combinatorics, oracles."""
 
+import math
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -9,6 +11,7 @@ from stockframe.frame1d import FrameGapError, make_frame_spec
 from stockframe.tiling import (
     AXIS_CAP,
     BoxIndex,
+    NdBoundReport,
     NdConjugate,
     NdFrameSpec,
     admissible_ells,
@@ -39,6 +42,8 @@ def random_field(rng, d, n):
 
 WINDOWS = {"gaussian": gaussian_window, "tgauss": lambda: truncated_gaussian(0.1)}
 GRID = {1: 32, 2: 16, 3: 8}
+FACTOR_WINDOWS = {"gaussian": gaussian_window, "tgauss0.1": lambda: truncated_gaussian(0.1),
+                  "tgauss1.0": lambda: truncated_gaussian(1.0)}
 
 
 # Dense references: every box folds, transforms and spreads over the whole
@@ -70,6 +75,101 @@ def dense_synthesize(spec, coeffs, stacks=None):
         spread = np.fft.fftn(cbox)[jmod_index(spec, spec.box_period(box))]
         acc += stack * spread / spec.box_norm(box)
     return acc
+
+
+def dense_factors(spec):
+    """Each axis factor summed point by point over the whole grid, by key:
+    (p, e) sums over mu * [e b, (e+1) b), b = 2^(p-1), and DC (None) over
+    mu * {-1, 0}."""
+    j = spec.axis_frequencies()
+    factors = {}
+    for key in [*((p, e) for p in range(1, spec.tiling.p_max + 1) for e in (-2, -1, 0, 1)), None]:
+        etas = range(-1, 1) if key is None else range(key[1] << (key[0] - 1), (key[1] + 1) << (key[0] - 1))
+        row = np.zeros(spec.n)
+        for eta in etas:
+            row += spec.window.freq_profile(j - spec.mu * eta)
+        factors[key] = row
+    return factors
+
+
+def box_keys(spec, box):
+    return [None] * spec.d if box.ell is None else [(box.p, e) for e in box.ell]
+
+
+def shift_nd(values, shifts):
+    out = np.zeros(values.shape, dtype=values.dtype)
+    src, dst = [], []
+    for s, n in zip(shifts, values.shape):
+        if abs(s) >= n:
+            return out
+        if s >= 0:
+            dst.append(slice(s, n))
+            src.append(slice(0, n - s))
+        else:
+            dst.append(slice(0, n + s))
+            src.append(slice(-s, n))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def axis_limits(facs, step, k_max):
+    """Per axis, the largest shift count whose product can be nonzero;
+    None when the box stack vanishes."""
+    limits = []
+    for fac in facs:
+        nz = np.flatnonzero(fac)
+        if nz.size == 0:
+            return None
+        lim = int(nz[-1] - nz[0]) // step
+        limits.append(lim if k_max is None else min(lim, k_max))
+    return limits
+
+
+def dense_walnut_apply_nd(spec, fhat, k_max=None):
+    # every shift of every box over the whole grid, kvec after kvec
+    factors = dense_factors(spec)
+    acc = np.zeros((spec.n,) * spec.d, dtype=np.complex128)
+    for box in spec.tiling.boxes:
+        facs = [factors[key] for key in box_keys(spec, box)]
+        stack = reduce(np.multiply.outer, facs)
+        base = fhat * stack
+        step = spec.box_period(box)
+        limits = axis_limits(facs, step, k_max)
+        if limits is None:
+            continue
+        for kvec in product(*(range(-lim, lim + 1) for lim in limits)):
+            acc += shift_nd(base, tuple(k * step for k in kvec)) * stack
+    return (spec.q ** spec.d) * acc
+
+
+def dense_walnut_bounds_nd(spec, k_max=None):
+    # per-factor sups over the whole grid, expanded box by box
+    if k_max is None:
+        k_max = math.ceil(spec.n / (2 * spec.q))
+    factors = dense_factors(spec)
+    h_tail = 0.0
+    sups = {}
+    for box in spec.tiling.boxes:
+        keys = box_keys(spec, box)
+        facs = [factors[key] for key in keys]
+        step = spec.box_period(box)
+        limits = axis_limits(facs, step, k_max)
+        if limits is None:
+            continue
+        for key, fac, lim in zip(keys, facs, limits):
+            if key not in sups:
+                sups[key] = (float(np.max(fac * fac)),
+                             2.0 * sum(float(np.max(fac[k * step:] * fac[:-k * step]))
+                                       for k in range(1, lim + 1) if k * step < spec.n))
+        diag = [sups[key][0] for key in keys]
+        tails = [sups[key][1] for key in keys]
+        for mask in range(1, 1 << spec.d):
+            term = 1.0
+            for s in range(spec.d):
+                term *= tails[s] if mask >> s & 1 else diag[s]
+            h_tail += term
+    h0 = dense_sum_of_squares(spec)
+    return NdBoundReport(float(h0.min()), float(h0.max()), h_tail, spec.nu, spec.d)
 
 
 def coefficient_round_trip(spec, fhat):
@@ -172,6 +272,8 @@ def test_spec_validation():
         make_nd_frame_spec(win, 0.0, 2, 2, 16)
     with pytest.raises(ValueError):
         make_nd_frame_spec(win, 0.5, 0, 2, 16)
+    with pytest.raises(ValueError, match="p_max must be <= 62"):
+        make_nd_frame_spec(win, 0.5, 2, 2, 16, p_max=63)
 
 
 def test_coefficient_budget_guard():
@@ -340,7 +442,7 @@ def test_reconstruct_nd_with_boxes_beyond_the_grid():
     # p_max past the default adds boxes whose compact factors vanish on the grid
     rng = np.random.default_rng(30)
     spec = make_nd_frame_spec(truncated_gaussian(0.1), 0.5, 2, 2, 16, p_max=6)
-    assert any(rec.lo == rec.hi for rec in spec.records.values())
+    assert np.any(spec.records.lo == spec.records.hi)
     fhat = random_field(rng, 2, 16)
     rec, _ = reconstruct_nd(spec, fhat)
     assert np.max(np.abs(rec - coefficient_round_trip(spec, fhat))) <= 1e-13 * np.max(np.abs(fhat))
@@ -374,14 +476,50 @@ def test_box_engine_is_bit_identical_to_dense_reference(d, window):
 
 
 def test_records_bound_the_nonzero_bins():
-    spec = small_spec(d=2, n=32, window=truncated_gaussian(0.1))
-    factors = {**spec.axis_factors, None: spec.dc_factor}
-    for key, rec in spec.records.items():
-        fac = factors[key]
-        assert np.array_equal(rec.values, fac[rec.lo:rec.hi])
-        assert not fac[:rec.lo].any() and not fac[rec.hi:].any()
-        if rec.hi > rec.lo:
-            assert fac[rec.lo] != 0 and fac[rec.hi - 1] != 0
+    for window, p_max in product(sorted(FACTOR_WINDOWS), (None, 9)):
+        spec = make_nd_frame_spec(FACTOR_WINDOWS[window](), 0.5, 2, 2, 32, p_max=p_max)
+        g = spec.records
+        factors = dense_factors(spec)
+        assert g.ps == tuple(factors)
+        for b, (key, fac) in enumerate(factors.items()):
+            lo, hi = int(g.lo[b]), int(g.hi[b])
+            values = g.values[lo + g.offset[b]:hi + g.offset[b]]
+            # equal with the sign bits
+            assert np.array_equal(values.view(np.int64), fac[lo:hi].view(np.int64))
+            assert not fac[:lo].any() and not fac[hi:].any()
+            if hi > lo:
+                assert fac[lo] != 0 and fac[hi - 1] != 0
+            w = 1 if key is None else 1 << (key[0] - 1)
+            assert g.w[b] == w and g.m[b] == min(spec.q * w, spec.n)
+        assert np.array_equal(spec.dc_factor, factors[None])
+        for box in spec.tiling.boxes:
+            assert np.array_equal(spec.box_stack(box),
+                                  reduce(np.multiply.outer, [factors[k] for k in box_keys(spec, box)]))
+
+
+def nd_operator_cases():
+    for window, d, q, deep in product(sorted(FACTOR_WINDOWS), (1, 2, 3), (1, 2, 4), (False, True)):
+        yield pytest.param(window, d, q, deep, 0.5, id=f"{window}-d{d}-q{q}" + ("-deep" if deep else ""))
+    # at mu = 8 a factor has up to 16 shift maxima of similar size, where a
+    # pairwise sum of them would differ from the sequential one
+    for window, d in product(sorted(FACTOR_WINDOWS), (1, 2)):
+        yield pytest.param(window, d, 1, False, 8.0, id=f"{window}-d{d}-q1-mu8")
+
+
+@pytest.mark.parametrize("window, d, q, deep, mu", nd_operator_cases())
+def test_walnut_nd_is_bit_identical_to_dense_shift_loops(window, d, q, deep, mu):
+    # the dense references shift each box stack over the whole grid, one
+    # kvec at a time, and take per-factor sups over the whole grid; deep
+    # adds two coronae, whose factors sit off the grid
+    n = GRID[d]
+    spec = make_nd_frame_spec(FACTOR_WINDOWS[window](), mu, q, d, n)
+    if deep:
+        spec = make_nd_frame_spec(FACTOR_WINDOWS[window](), mu, q, d, n, p_max=spec.tiling.p_max + 2)
+    fhat = random_field(np.random.default_rng(34), d, n)
+    for k_max in (None, 1):
+        assert np.array_equal(walnut_apply_nd(spec, fhat, k_max=k_max),
+                              dense_walnut_apply_nd(spec, fhat, k_max))
+        assert walnut_bounds_nd(spec, k_max) == dense_walnut_bounds_nd(spec, k_max)
 
 
 def test_conjugate_nd_partition_residual():
