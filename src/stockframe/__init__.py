@@ -20,8 +20,7 @@ _EXPORTS = {
     ],
     "partition": [
         "coerce_alpha", "floor_power", "PartitionInterval", "AlphaPartition",
-        "build_partition", "partition_covering", "interval_of",
-        "covering_ratios", "covering_bounds_hold",
+        "build_partition", "partition_covering", "covering_bounds_hold",
     ],
     "basis": [
         "BasisIndex", "BandLayout", "DostCoefficients", "band_layout",
@@ -32,7 +31,6 @@ _EXPORTS = {
         "Window", "gaussian_window", "truncated_gaussian", "table_window",
         "WindowStack", "build_stack", "AdmissibilityReport",
         "admissibility", "StackBounds", "stack_sum_bounds", "gaussian_floor",
-        "wiener_upper_bound", "DecayFit", "decay_fit",
     ],
     "frame1d": [
         "FrameSpec", "make_frame_spec", "FrameCoefficients", "frame_element",

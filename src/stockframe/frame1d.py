@@ -40,16 +40,19 @@ mod m] summed over p, with no coefficients.
 Each band is held as a record, in p order (`FrameSpec.records`,
 gathered once from the stack's records): its nonzero extent [lo, hi) in
 grid bins, its values there, its width w and its period m = q*w.  The
-records are cut into chunks of whole bands holding a few thousand bins,
-and every operator reads them a chunk at a time, so its temporaries stay
-small whatever the grid.  Analysis gathers f^ on a chunk's extents,
-multiplies by the window values, folds mod m with one bincount and runs
-one inverse FFT per run of bands of equal period (in p order these runs
-are long: width(p) = width(|p|) is monotone in |p|); synthesis runs the
-forward FFT per run, gathers the spread onto the extents and adds it
-into the grid; reconstruction folds f^ Omega_p and adds q Phi_p times
-the fold, with no FFT.  A band's shifted product Phi_p(u - s) Psi_p(u)
-is nonzero only where both extents meet, so `walnut_apply`,
+records are cut into chunks of whole bands holding a few thousand bins
+(FoldChunk), and every operator reads them a chunk at a time, so its
+temporaries stay small whatever the grid.  Analysis gathers f^ on a
+chunk's extents, multiplies by the window values, folds mod m with one
+bincount per real and imaginary part and runs one inverse FFT per run of
+bands of equal period (in p order these runs are long: width(p) =
+width(|p|) is monotone in |p|; a run of large periods is cut into groups
+of a few thousand coefficients); synthesis runs the forward FFT per
+group, gathers the spread onto the extents and adds it into the grid;
+reconstruction folds f^ Omega_p and adds q Phi_p times the fold, with no
+FFT.  The n-D frame (tiling.py) runs the same chunk bodies on its boxes.
+A band's shifted product Phi_p(u - s) Psi_p(u) is nonzero only where
+both extents meet, so `walnut_apply`,
 `walnut_bounds` and `frame_bounds_eigen` enumerate every (band, shift)
 pair and its overlap once, in (p, m) order, and `frame_bounds_eigen`
 assembles the operator from its Walnut kernel
@@ -77,7 +80,7 @@ import numpy as np
 
 from .partition import AlphaPartition
 from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
-from .window import Window, WindowStack, _runs, build_stack
+from .window import COEFF_CAP, Window, WindowStack, _runs, build_stack
 
 __all__ = [
     "FrameSpec",
@@ -100,7 +103,6 @@ __all__ = [
 
 EIGEN_SIZE_CAP = 1024
 H0_FLOOR = 1e-14
-COEFF_CAP = 1 << 24  # complex slots of one fold: a chunk of bands, an n-D box
 # Every operator forms this many bins or terms at a time (rounded to
 # whole bands or shifts): its temporaries stay small and cache-resident
 # on any grid, and never depend on how the allocator serves large blocks.
@@ -109,11 +111,6 @@ _TERM_CHUNK = 1 << 12
 
 class FrameGapError(ValueError):
     """The stack leaves a spectral hole; no conjugate filter exists."""
-
-
-def _interleave(index: np.ndarray) -> np.ndarray:
-    """Float-view slots 2u, 2u + 1 of the complex slots u."""
-    return (2 * index[:, None] + np.arange(2)).ravel()
 
 
 def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
@@ -128,26 +125,33 @@ def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
     return list(zip([0, *cuts], [*cuts, lengths.size])) if lengths.size else []
 
 
+def _fold(x: np.ndarray, fold: np.ndarray, size: int) -> np.ndarray:
+    """Complex x summed into size slots, x[i] into slot fold[i]: one
+    bincount per part adds each slot's terms in the order of x."""
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(fold, x.real, size)
+    out.imag = np.bincount(fold, x.imag, size)
+    return out
+
+
 @dataclass
 class FoldChunk:
-    """Consecutive bands of the records, records.ps[bands], whose extents
-    hold about _TERM_CHUNK bins: their values are records.values[start:stop].
+    """Consecutive bands (or n-D boxes) of a family, bands, whose supports
+    hold about _TERM_CHUNK bins, lengths[i] of them in the i-th band.
 
-    bins are the grid bins of those values, band after band; fold is the
-    slot each bin folds into and spreads from (its band's slot base plus
-    j mod m), and slots[2u], slots[2u + 1] = 2 fold[u], 2 fold[u] + 1 its
-    real and imaginary parts in a float view of size entries.  runs are
-    the maximal runs (a, b, w, m) of bands of equal width and period,
-    whose slots follow one another, m per band.
+    bins are the flat grid bins of the supports, band after band, and
+    values the band values there; fold is the slot each bin folds into
+    and spreads from (its band's slot base plus its residue mod m), in a
+    fold of size slots.  runs are the maximal runs (a, b, w, m) of bands
+    of equal width and period.
     """
 
     bands: slice
-    start: int
-    stop: int
     runs: tuple[tuple[int, int, int, int], ...]
+    lengths: np.ndarray = field(repr=False)
     bins: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     fold: np.ndarray = field(repr=False)
-    slots: np.ndarray = field(repr=False)
     size: int
 
 
@@ -181,22 +185,84 @@ class BandRecords:
     def chunks(self) -> tuple[FoldChunk, ...]:
         """The records cut into chunks of whole bands; built on first use."""
         length = self.hi - self.lo
-        edges = np.concatenate([[0], np.cumsum(length)])
-        chunks = []
-        for a, b in _chunks(length):
-            bins = _runs(self.lo[a:b], length[a:b])
-            m = self.m[a:b]
-            slots = sum(m.tolist())
-            if slots > COEFF_CAP:
-                raise ValueError(f"a fold of {slots} slots exceeds the cap {COEFF_CAP}; reduce q")
-            fold = (np.repeat(np.cumsum(m) - m, length[a:b])
-                    + (bins - self.half) % np.repeat(m, length[a:b]))
-            cuts = (a + np.flatnonzero(np.diff(m)) + 1).tolist()
-            runs = tuple((s, e, int(self.w[s]), int(self.m[s]))
-                         for s, e in zip([a, *cuts], [*cuts, b]))
-            chunks.append(FoldChunk(slice(a, b), int(edges[a]), int(edges[b]), runs, bins, fold,
-                                    _interleave(fold), 2 * int(m.sum())))
-        return tuple(chunks)
+
+        def expand(a, b):
+            bins, start = _runs(self.lo[a:b], length[a:b]), int(self.lo[a] + self.offset[a])
+            return (bins, (bins - self.half) % np.repeat(self.m[a:b], length[a:b]),
+                    self.values[start:start + bins.size])
+
+        return tuple(_cut(length, self.m, self.w, self.m.tolist(), expand))
+
+
+def _cut(length: np.ndarray, slots: np.ndarray, w: np.ndarray, period: list[int], expand):
+    """Yield the chunks of whole bands of a family: band b holds length[b]
+    bins, folds into slots[b] slots and has width w[b] and period
+    period[b].  expand(a, b) gives the bins of bands a .. b - 1, each
+    bin's slot in its band (to which the band's slot base in the chunk is
+    added) and the values there.  A chunk's fold may not pass COEFF_CAP
+    slots."""
+    for a, b in _chunks(length):
+        size = sum(slots[a:b].tolist())
+        if size > COEFF_CAP:
+            raise ValueError(f"a fold of {size} slots exceeds the cap {COEFF_CAP}; reduce q")
+        bins, fold, values = expand(a, b)
+        fold += np.repeat(np.cumsum(slots[a:b]) - slots[a:b], length[a:b])
+        cuts = (a + np.flatnonzero(np.diff(w[a:b])) + 1).tolist()
+        runs = tuple((s, e, int(w[s]), period[s]) for s, e in zip([a, *cuts], [*cuts, b]))
+        yield FoldChunk(slice(a, b), runs, length[a:b], bins, values, fold, size)
+
+
+def _groups(c: FoldChunk, d: int):
+    """Yield the chunk's runs of equal period cut into groups of whole
+    bands of at most _TERM_CHUNK coefficients (m^d per band), or one band,
+    as (a, b, w, m, base): bands a .. b - 1, whose coefficient slots in
+    the chunk start at base."""
+    base = 0
+    for a, b, w, m in c.runs:
+        step = max(1, _TERM_CHUNK // m ** d)
+        for s in range(a, b, step):
+            e = min(s + step, b)
+            yield s, e, w, m, base
+            base += (e - s) * m ** d
+
+
+def _dft(x: np.ndarray, d: int, transform) -> np.ndarray:
+    """transform (np.fft.fft or ifft) over axes d .. 1 of x, the last one
+    first, as numpy's n-D transforms apply it (bit for bit)."""
+    for axis in range(d, 0, -1):
+        x = transform(x, axis=axis)
+    return x
+
+
+def _fold_runs(x: np.ndarray, place: np.ndarray, c: FoldChunk, d: int, root) -> list[np.ndarray]:
+    """The coefficient blocks of a chunk's bands, in band order: x folded
+    at place into m^d slots per band, then m^d ifftn(block) / root(w), one
+    inverse DFT per group of bands of equal period."""
+    groups = list(_groups(c, d))
+    folded = _fold(x, place, sum((b - a) * m ** d for a, b, _, m, _ in groups))
+    blocks: list[np.ndarray] = []
+    for a, b, w, m, base in groups:
+        run = folded[base:base + (b - a) * m ** d].reshape((b - a,) + (m,) * d)
+        run = _dft(run, d, np.fft.ifft)
+        run *= m ** d  # in place: the same roundings as m^d * run / root(w)
+        run /= root(w)
+        blocks.extend(run)
+    return blocks
+
+
+def _spread_runs(acc: np.ndarray, coeffs: list[np.ndarray], c: FoldChunk, place: np.ndarray,
+                 d: int, root) -> None:
+    """Add a chunk's bands, weighted by coeffs (one block per band), into
+    acc: one DFT per group of bands of equal period, read at each bin's
+    slot place, times values / root(w)."""
+    groups, first = list(_groups(c, d)), c.bands.start
+    spread = np.empty(sum((b - a) * m ** d for a, b, _, m, _ in groups), dtype=np.complex128)
+    for a, b, _, m, base in groups:
+        run = _dft(np.array(coeffs[a - first:b - first]), d, np.fft.fft)
+        spread[base:base + run.size] = run.ravel()
+    roots = [root(w) for _, _, w, _ in c.runs]
+    roots = np.repeat(np.repeat(roots, [b - a for a, b, _, _ in c.runs]), c.lengths)
+    np.add.at(acc, c.bins, c.values * spread[place] / roots)
 
 
 def _family_records(spec: FrameSpec, family: dict[int, np.ndarray], ps) -> BandRecords:
@@ -316,15 +382,8 @@ def analyze(spec: FrameSpec, f) -> FrameCoefficients:
     period."""
     fhat = _as_spectrum(spec, f)
     g = spec.records
-    rows: list[np.ndarray] = []
-    for c in g.chunks:
-        x = fhat[c.bins] * g.values[c.start:c.stop]
-        folded = np.bincount(c.slots, x.view(np.float64), c.size).view(np.complex128)
-        base = 0
-        for a, b, w, m in c.runs:
-            block = folded[base:base + (b - a) * m].reshape(b - a, m)
-            rows.extend(m * np.fft.ifft(block, axis=1) / np.sqrt(w))
-            base += (b - a) * m
+    rows = [row for c in g.chunks
+            for row in _fold_runs(fhat[c.bins] * c.values, c.fold, c, 1, np.sqrt)]
     return FrameCoefficients(spec, dict(zip(g.ps, rows)))
 
 
@@ -343,14 +402,9 @@ def synthesize(spec: FrameSpec, coeffs: FrameCoefficients,
         g = _family_records(spec, bands, ps)
     elif ps != g.ps:
         g = g.take(ps)
-    length = g.hi - g.lo
     acc = np.zeros(spec.grid.size, dtype=np.complex128)
     for c in g.chunks:
-        spread = np.concatenate([
-            np.fft.fft(np.array([coeffs.data[p] for p in g.ps[a:b]]), axis=1).ravel()
-            for a, b, _, _ in c.runs])
-        root = np.repeat(np.sqrt(g.w[c.bands]), length[c.bands])
-        np.add.at(acc, c.bins, g.values[c.start:c.stop] * spread[c.fold] / root)
+        _spread_runs(acc, [coeffs.data[p] for p in g.ps[c.bands]], c, c.fold, 1, np.sqrt)
     return SpectralSignal(spec.grid, acc)
 
 
@@ -544,12 +598,18 @@ class ConjugateFilter:
 
     def partition_residual(self) -> float:
         """max_j |sum_p Omega_p Phi_p - nu|, zero to round-off by construction;
-        one bincount adds each bin's products in the stack's band order."""
+        each bin adds its products in the stack's band order."""
         st = self.spec.stack
-        bins = _runs(st.lo, st.hi - st.lo)
-        acc = np.bincount(bins, self.spec.nu * st.values / self.h0[bins] * st.values,
-                          self.spec.grid.size)
-        return float(np.max(np.abs(acc - self.spec.nu)))
+        return _dual_residual([(_runs(st.lo, st.hi - st.lo), st.values)], self.h0, self.spec.nu)
+
+
+def _dual_residual(records, h0: np.ndarray, nu: float) -> float:
+    """max |sum Omega Phi - nu| over the flat grid of h0, for a family held
+    as records (bins, values): each bin adds its products in record order."""
+    acc = np.zeros(h0.size)
+    for bins, values in records:
+        np.add.at(acc, bins, nu * values / h0[bins] * values)
+    return float(np.max(np.abs(acc - nu)))
 
 
 def _check_gap(h0: np.ndarray, half: int, floor: float) -> None:
@@ -571,6 +631,17 @@ def conjugate_filter(spec: FrameSpec, floor: float = H0_FLOOR) -> ConjugateFilte
     return ConjugateFilter(spec, spec.h0)
 
 
+def _reconstruct(fhat: np.ndarray, h0: np.ndarray, chunks, nu: float, q) -> np.ndarray:
+    """sum q Phi fold_m(f^ nu Phi / H0)[fold] over the chunks' bands, a
+    chunk at a time: the reconstruction of the 1D and n-D frames (flat
+    grids, nu and q raised to the dimension)."""
+    acc = np.zeros(fhat.size, dtype=np.complex128)
+    for c in chunks:
+        x = fhat[c.bins] * (nu * c.values / h0[c.bins])
+        np.add.at(acc, c.bins, q * c.values * _fold(x, c.fold, c.size)[c.fold])
+    return acc
+
+
 def reconstruct(spec: FrameSpec, f,
                 conj: ConjugateFilter | None = None) -> tuple[SpectralSignal, float]:
     """Analyze against the conjugate family, synthesize with the analysis one.
@@ -581,13 +652,9 @@ def reconstruct(spec: FrameSpec, f,
     fhat = _as_spectrum(spec, f)
     if conj is None:
         conj = conjugate_filter(spec)
-    acc = np.zeros(spec.grid.size, dtype=np.complex128)
-    for c in spec.records.chunks:
-        values = spec.records.values[c.start:c.stop]
-        x = fhat[c.bins] * (spec.nu * values / conj.h0[c.bins])
-        folded = np.bincount(c.slots, x.view(np.float64), c.size).view(np.complex128)
-        np.add.at(acc, c.bins, spec.q * values * folded[c.fold])
+    acc = _reconstruct(fhat, conj.h0, spec.records.chunks, spec.nu, spec.q)
     rec = SpectralSignal(spec.grid, acc)
     scale = float(np.linalg.norm(fhat)) or 1.0
     rel_err = float(np.linalg.norm(rec.coeffs - fhat)) / scale
     return rec, rel_err
+

@@ -17,7 +17,7 @@ of the interval for p.
 The floor is evaluated exactly.  ``alpha`` is coerced to a Fraction (floats
 through their shortest decimal repr, so 0.3 means 3/10, reduced
 denominator at most MAX_DENOMINATOR) and floor(i**(a/b)) is resolved by
-exact integer comparisons k**b <= i**a around a floating-point seed.
+exact integer Newton steps from a floating-point seed.
 
 Storage.  Widths change rarely: at alpha = 0 every interval has width 1,
 and at alpha = 1/2 the 369 intervals below 2**15 have 180 widths.  A
@@ -33,6 +33,7 @@ can exceed w + 1 while starts are small.  ``interval``, ``locate``,
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,8 +51,6 @@ __all__ = [
     "floor_power",
     "build_partition",
     "partition_covering",
-    "interval_of",
-    "covering_ratios",
     "covering_bounds_hold",
 ]
 
@@ -89,32 +88,26 @@ def coerce_alpha(alpha) -> Fraction:
 def _iroot(target: int, b: int, base: int, e: float) -> int:
     """Largest k >= 1 with k**b <= target (target >= 1), exact.
 
-    Starts from base ** e in floating point, or from the bit length of base
-    past the float range, and corrects it in integers, galloping away from
-    the seed and then bisecting, so a far-off seed costs O(log error)
-    powers rather than one per unit of error.
+    Seeds from base ** e in floating point, or from log2(base) past the
+    float range, raises the seed to a bound above the root, and runs
+    integer Newton steps down from it: each step lands on or above the
+    root and strictly below its start until it reaches the root, so a
+    seed good to many bits costs a few powers whatever the root's size.
     """
     try:
-        k = max(int(float(base) ** e), 1)
+        k = int(float(base) ** e)
     except OverflowError:
-        k = 1 << int((base.bit_length() - 1) * e)
-    if k**b > target:
-        lo, hi, step = k - 1, k, 1
-        while lo**b > target:
-            step *= 2
-            lo, hi = max(k - step, 1), lo
-    else:
-        lo, hi, step = k, k + 1, 1
-        while hi**b <= target:
-            step *= 2
-            lo, hi = hi, k + step
-    while hi - lo > 1:  # invariant: lo**b <= target < hi**b
-        mid = (lo + hi) // 2
-        if mid**b <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        t = math.log2(base) * e
+        shift = max(int(t) - 52, 0)
+        k = int(2.0 ** (t - shift)) << shift
+    x = k + (k >> 32) + 2
+    while x**b <= target:
+        x *= 2
+    while True:
+        y = ((b - 1) * x + target // x ** (b - 1)) // b
+        if y >= x:
+            return x
+        x = y
 
 
 def floor_power(i: int, alpha: Fraction) -> int:
@@ -275,31 +268,6 @@ def partition_covering(alpha, limit: int) -> AlphaPartition:
         raise ValueError(f"limit must be >= 1, got {limit}")
     frac = coerce_alpha(alpha)
     return AlphaPartition(frac, _runs(frac, limit, None))
-
-
-def interval_of(alpha, eta: int) -> PartitionInterval:
-    """Interval containing the frequency |eta| (builds the ladder on demand)."""
-    if eta == 0:
-        return PartitionInterval(0, 0, 1)
-    part = partition_covering(alpha, abs(int(eta)) + 1)
-    return part.interval(part.locate(eta))
-
-
-def covering_ratios(partition: AlphaPartition, p: int) -> tuple[float, float]:
-    """(min, max) over the band of width(p) / eta**alpha.
-
-    The recurrence keeps these ratios inside [2**-(alpha+1), 1] for p large
-    enough; at alpha = 0 both are exactly 1.
-    """
-    iv = partition.interval(p)
-    if iv.p == 0:
-        raise ValueError("ratios are defined for p >= 1")
-    alpha = float(partition.alpha)
-    if partition.alpha == 0:
-        return (1.0, 1.0)
-    etas = iv.frequencies().astype(float)
-    ratios = iv.width / etas**alpha
-    return (float(ratios.min()), float(ratios.max()))
 
 
 def covering_bounds_hold(partition: AlphaPartition, p: int) -> bool:

@@ -26,41 +26,45 @@ nu; per-axis separability makes the tail sups factor exactly:
 Only alpha = 1 admits this construction; the fractional partitions lack
 a self-similar corona.
 
-Each axis factor F_{p,e} is a 1D band of width w = b and period m = q b
-(DC: w = 1, m = q), held once per spec as a frame1d band record: its
-nonzero extent [lo, hi) in grid bins and its values there.  A box's
-support is the product of its axes' extents and its stack there the
-outer product of those values; bins outside the support would only
-receive +0.0, so sums of squares, analysis folds and synthesis spreads
-taken on the support equal the dense ones bit for bit.  The Walnut
-shifts of a box are products of its factors' 1D shifts, so the Walnut
-sum and the tail sups run on the 1D pair kernels.  A period m >= n
-admits no shift on the grid: the records cap m at n, so q may be any
-size, and box_period keeps the true q b.  Reconstruction
-needs no coefficients at all: with the dual Omega = nu^d Phi / H0, period
-m and normalization b^d (m^d / b^d = q^d, the DC box included), analysis
-followed by synthesis is fftn(ifftn(x)) = x in exact arithmetic, so
+Each axis factor F_{p,e} is a frame1d band record (extent and values) of
+width w = b and period m = q b, capped at n as a longer period admits no
+shift on the grid (box_period keeps q b; DC: w = 1, m = q).  Box shifts
+are products of factor shifts: the Walnut sum and tail sups run on the
+1D pair kernels.  A box is a record on the flattened n^d grid: the
+C-order bins of its support, the product of its factors' extents, with
+the outer product of their values (bins off it only add +0.0).  Cut into
+frame1d fold chunks, held up to RECORD_CAP bins and else rebuilt per
+call, the records run the frame1d bodies: analysis folds each bin into
+its coefficient slot (j_s - half) mod m, synthesis reads it, one DFT per
+run of equal period.  With the dual Omega = nu^d Phi / H0 and
+normalization b^d (m^d / b^d = q^d, DC too), analysis then synthesis is
+fftn(ifftn(x)) = x, so reconstruction is
 
     rec_box(j) = q^d Phi_box(j) fold_m(f^ Omega_box)[j mod m],
 
-a Walnut fold evaluated on the support.  Along an axis whose extent is
-no longer than m the fold is the identity; along a longer one it is a
-reshape-sum over blocks of m bins (_alias), which numpy adds pairwise at
-m = 1: the 1D bincount fold would move some bins by an ulp.
+folded into compact slots, the C-order ravel of (j_s - lo_s) mod m over
+radices min(extent_s, m): no more slots than bins, where all m^d at m =
+n would give a box far out n^d.  A slot sums in C order over the
+support, so reconstruction is round-off equal, not bit-equal, to a fold
+axis by axis; all else adds as a dense per-box loop would.  H0 adds per
+box on grid slices, at set-up, where records would cost more than they
+save.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
 
-from .frame1d import (COEFF_CAP, H0_FLOOR, BandRecords, _check_gap, _interleave,
-                      _shift_limit, _shift_maxima, _walnut_pairs)
-from .window import Window, _runs, lattice_records
+from .frame1d import (H0_FLOOR, BandRecords, FoldChunk, _check_gap, _cut, _dual_residual,
+                      _fold_runs, _reconstruct, _shift_limit, _shift_maxima, _spread_runs,
+                      _walnut_pairs)
+from .window import COEFF_CAP, Window, _lattice_budget, _runs, lattice_records
 
 __all__ = [
     "BoxIndex",
@@ -94,6 +98,8 @@ def from_spectrum_nd(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(np.fft.ifftshift(coeffs)) * coeffs.size
 
 AXIS_CAP = {1: 4096, 2: 256, 3: 32}
+# box record bins a spec holds (a Gaussian d = 3 family has ~215 n^3)
+RECORD_CAP = 1 << 20
 # deepest corona: the lattice starts +-2^p of every factor stay in int64
 P_MAX_CAP = 62
 
@@ -181,7 +187,7 @@ class NdFrameSpec:
 
     records holds the factors (p, e), p = 1 .. p_max, e = -2 .. 1, then
     DC (key None).  A box's stack is the outer product of its factors,
-    formed one box at a time on its support or, by box_stack, the grid.
+    held as records (box_chunks) or formed for one box (box_support).
     """
 
     window: Window
@@ -251,6 +257,48 @@ class NdFrameSpec:
         h0.flags.writeable = False
         return h0
 
+    @cached_property
+    def _held_chunks(self) -> tuple[FoldChunk, ...] | None:
+        size, chunks = _box_chunks(self, self.tiling.boxes)
+        return tuple(chunks) if size <= RECORD_CAP else None
+
+    @property
+    def box_chunks(self) -> Iterable[FoldChunk]:
+        """The box records in tiling order as fold chunks (module docstring)."""
+        return self._held_chunks or _box_chunks(self, self.tiling.boxes)[1]
+
+
+def _box_chunks(spec: NdFrameSpec, boxes, family=None) -> tuple[int, Iterator[FoldChunk]]:
+    """(bins, fold chunks) of the boxes' records, in that order: on their
+    factor extents' products, or on the whole grid with a dense family."""
+    g, d, n = spec.records, spec.d, spec.n
+    rows = np.array([spec.factor_rows(box) for box in boxes], dtype=np.int64).reshape(-1, d)
+    m, w = g.m[rows[:, 0]], g.w[rows[:, 0]]
+    lo = g.lo[rows] if family is None else np.zeros_like(rows)
+    length = g.hi[rows] - g.lo[rows] if family is None else np.full_like(rows, n)
+    radix = np.minimum(length, m[:, None])
+
+    def expand(a, b):
+        # axis by axis; the bins (n^d <= 2^16) and slots (<= bins) fit int32
+        owner = np.arange(a, b)
+        bins = slot = np.zeros(b - a, dtype=np.int64)
+        values = np.ones(b - a)
+        for s in range(d):
+            count = length[owner, s]
+            owner = np.repeat(owner, count)
+            step = _runs(np.zeros_like(count), count)
+            u = lo[owner, s] + step
+            bins = np.repeat(bins, count) * n + u
+            slot = np.repeat(slot, count) * radix[owner, s] + step % m[owner]
+            if family is None:  # (v0 v1) v2, as reduce(np.multiply.outer) associates
+                values = np.repeat(values, count) * g.values[u + g.offset[rows[owner, s]]]
+        return bins.astype(np.int32), slot.astype(np.int32), (values if family is None else
+                np.concatenate([np.ravel(family[box]) for box in boxes[a:b]]))
+
+    size = np.prod(length, axis=1)
+    return int(size.sum()), _cut(size, np.prod(radix, axis=1), w, [spec.q * b for b in w.tolist()],
+                                 expand)
+
 
 def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
                        p_max: int | None = None) -> NdFrameSpec:
@@ -283,6 +331,7 @@ def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
     starts = np.maximum(starts, np.ceil(-reach)).astype(np.int64)
     counts = np.maximum(np.minimum(stops, np.floor(reach) + 1).astype(np.int64) - starts, 0)
     live = counts > 0
+    _lattice_budget(window, int(counts.sum()), n)
     lo, hi = np.zeros((2, len(keys)), dtype=np.int64)
     lo[live], hi[live], values = lattice_records(
         window, mu * _runs(starts[live], counts[live]), counts[live], n)
@@ -311,60 +360,42 @@ def element_nd(spec: NdFrameSpec, box: BoxIndex, kvec: tuple[int, ...]) -> np.nd
 def _coeff_budget(spec: NdFrameSpec) -> None:
     total = sum(spec.box_period(box) ** spec.d for box in spec.tiling.boxes)
     if total > COEFF_CAP:
-        raise ValueError(
-            f"coefficient count {total} exceeds the cap {COEFF_CAP}; "
-            f"reduce q or p_max"
-        )
+        raise ValueError(f"coefficient count {total} exceeds the cap {COEFF_CAP}; reduce q or p_max")
 
 
-def _support_slots(spec: NdFrameSpec, sup: tuple[slice, ...], m: int) -> list[np.ndarray]:
-    """Per axis, the fold slot (j mod m) of every support bin."""
-    return [(np.arange(s.start, s.stop) - spec.half) % m for s in sup]
-
-
-def _box_analyze(spec: NdFrameSpec, fhat: np.ndarray, box: BoxIndex,
-                 sup: tuple[slice, ...], stack: np.ndarray) -> np.ndarray:
-    """Fold f^ stack mod m over the support in C order, then one ifftn.
-
-    One bincount over the interleaved float view adds each slot's terms
-    in the order a dense add.at over the grid would.
-    """
-    m = spec.box_period(box)
-    x = (fhat[sup] * stack).ravel()
-    slots = np.ravel_multi_index(np.ix_(*_support_slots(spec, sup, m)), (m,) * spec.d)
-    folded = np.bincount(_interleave(slots.ravel()), x.view(np.float64), 2 * m ** spec.d)
-    folded = folded.view(np.complex128).reshape((m,) * spec.d)
-    return (m ** spec.d) * np.fft.ifftn(folded) / spec.box_norm(box)
-
-
-def _box_synthesize(spec: NdFrameSpec, cbox: np.ndarray, box: BoxIndex,
-                    sup: tuple[slice, ...], stack: np.ndarray) -> np.ndarray:
-    """The box's elements summed with weights cbox, on the support only."""
-    slots = _support_slots(spec, sup, spec.box_period(box))
-    spread = np.fft.fftn(cbox)[np.ix_(*slots)]
-    return stack * spread / spec.box_norm(box)
+def _placement(spec: NdFrameSpec, c: FoldChunk) -> np.ndarray:
+    """Per bin j of the chunk, the flat index of its coefficient slot (j_s -
+    half) mod box_period in the chunk's blocks of box_period^d slots."""
+    period = np.repeat([m for _, _, _, m in c.runs], [b - a for a, b, _, _ in c.runs])
+    block = period ** spec.d
+    place, period = np.repeat(np.cumsum(block) - block, c.lengths), np.repeat(period, c.lengths)
+    for s, j in enumerate(np.unravel_index(c.bins, (spec.n,) * spec.d)):
+        place = place + (j - spec.half) % period * period ** (spec.d - 1 - s)
+    return place
 
 
 def analyze_nd(spec: NdFrameSpec, fhat: np.ndarray) -> dict[BoxIndex, np.ndarray]:
-    """<f, element> over all boxes; input is the spectral field on the grid."""
-    fhat = _check_field(spec, fhat)
+    """<f, element> over all boxes, f^ the spectral field on the grid."""
+    fhat = _check_field(spec, fhat).ravel()
     _coeff_budget(spec)
-    return {box: _box_analyze(spec, fhat, box, *spec.box_support(box))
-            for box in spec.tiling.boxes}
+    blocks = [block for c in spec.box_chunks for block in _fold_runs(
+        fhat[c.bins] * c.values, _placement(spec, c), c, spec.d,
+        lambda w: float(w) ** (spec.d / 2.0))]
+    return dict(zip(spec.tiling.boxes, blocks))
 
 
 def synthesize_nd(spec: NdFrameSpec, coeffs: dict[BoxIndex, np.ndarray],
                   stacks: dict[BoxIndex, np.ndarray] | None = None) -> np.ndarray:
-    """sum of coefficient-weighted elements, boxes added in coeffs order.
-
-    A replacement stack is dense, so it spreads over the whole grid.
-    """
-    acc = np.zeros((spec.n,) * spec.d, dtype=np.complex128)
-    whole = (slice(0, spec.n),) * spec.d
-    for box, cbox in coeffs.items():
-        sup, stack = spec.box_support(box) if stacks is None else (whole, stacks[box])
-        acc[sup] += _box_synthesize(spec, cbox, box, sup, stack)
-    return acc
+    """sum of coefficient-weighted elements, boxes added in coeffs order
+    (records in that order; a dense family's on the whole grid)."""
+    boxes = tuple(coeffs)
+    same = stacks is None and boxes == spec.tiling.boxes
+    chunks = spec.box_chunks if same else _box_chunks(spec, boxes, stacks)[1]
+    acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
+    for c in chunks:
+        _spread_runs(acc, [coeffs[box] for box in boxes[c.bands]], c, _placement(spec, c), spec.d,
+                     lambda w: float(w) ** (spec.d / 2.0))
+    return acc.reshape((spec.n,) * spec.d)
 
 
 def frame_operator_apply_nd(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:
@@ -460,13 +491,9 @@ class NdConjugate:
         return (self.spec.nu ** self.spec.d) * self.spec.box_stack(box) / self.h0
 
     def partition_residual(self) -> float:
-        """max |sum_box Omega Phi - nu^d|, each box added on its support."""
-        nu_d = self.spec.nu ** self.spec.d
-        acc = np.zeros((self.spec.n,) * self.spec.d)
-        for box in self.spec.tiling.boxes:
-            sup, stack = self.spec.box_support(box)
-            acc[sup] += nu_d * stack / self.h0[sup] * stack
-        return float(np.max(np.abs(acc - nu_d)))
+        """max |sum_box Omega Phi - nu^d| over the box records."""
+        return _dual_residual(((c.bins, c.values) for c in self.spec.box_chunks),
+                              self.h0.ravel(), self.spec.nu ** self.spec.d)
 
 
 def conjugate_filter_nd(spec: NdFrameSpec, floor: float = H0_FLOOR) -> NdConjugate:
@@ -474,41 +501,14 @@ def conjugate_filter_nd(spec: NdFrameSpec, floor: float = H0_FLOOR) -> NdConjuga
     return NdConjugate(spec, spec.h0)
 
 
-def _alias(x: np.ndarray, m: int) -> np.ndarray:
-    """Sum x over each residue class of its index mod m along every axis,
-    and spread the sums back onto x's shape.
-
-    An axis no longer than m holds one bin per class and is left as it
-    is; a longer one is zero-padded to whole blocks of m and summed
-    across the blocks.
-    """
-    shape = x.shape
-    if all(size <= m for size in shape):
-        return x
-    for s, size in enumerate(shape):
-        if size > m:
-            blocks = -(-size // m)
-            padded = np.zeros(x.shape[:s] + (blocks * m,) + x.shape[s + 1:], dtype=x.dtype)
-            padded[(slice(None),) * s + (slice(0, size),)] = x
-            x = padded.reshape(x.shape[:s] + (blocks, m) + x.shape[s + 1:]).sum(axis=s)
-    return x[np.ix_(*(np.arange(size) % m for size in shape))]
-
-
 def reconstruct_nd(spec: NdFrameSpec, fhat: np.ndarray,
                    conj: NdConjugate | None = None) -> tuple[np.ndarray, float]:
-    """Analyze against the conjugate family, synthesize with the primal one.
-
-    The composition is evaluated without coefficients, box by box on its
-    support: rec_box = q^d Phi fold_m(f^ Omega)[j mod m] (module docstring).
-    """
+    """Analyze against the conjugate family, synthesize with the primal one:
+    the frame1d reconstruction on the box records, with no coefficients."""
     fhat = _check_field(spec, fhat)
     if conj is None:
         conj = conjugate_filter_nd(spec)
-    nu_d, q_d = spec.nu ** spec.d, spec.q ** spec.d
-    rec = np.zeros((spec.n,) * spec.d, dtype=np.complex128)
-    for box in spec.tiling.boxes:
-        sup, stack = spec.box_support(box)
-        dual = nu_d * stack / conj.h0[sup]
-        rec[sup] += q_d * stack * _alias(fhat[sup] * dual, spec.box_period(box))
+    rec = _reconstruct(fhat.ravel(), conj.h0.ravel(), spec.box_chunks,
+                       spec.nu ** spec.d, spec.q ** spec.d).reshape(fhat.shape)
     scale = float(np.linalg.norm(fhat)) or 1.0
     return rec, float(np.linalg.norm(rec - fhat)) / scale

@@ -46,14 +46,14 @@ __all__ = [
     "StackBounds",
     "stack_sum_bounds",
     "gaussian_floor",
-    "wiener_upper_bound",
-    "DecayFit",
-    "decay_fit",
     "band_mass_outside",
 ]
 
 # Profile values below this are treated as zero when counting overlaps.
 OVERLAP_THRESHOLD = 1e-12
+# Entries of one fold (complex slots of a chunk of bands, or of an n-D
+# analysis) or of one lattice evaluation (points times bins per point).
+COEFF_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -191,15 +191,31 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
+def _point_bins(window: Window, n: int) -> int:
+    """Bins a lattice point is evaluated on: those that can lie within the
+    zero radius, and a spare bin a side for rounding."""
+    return int(min(n, np.ceil(2 * window.zero_radius) + 4))
+
+
+def _lattice_budget(window: Window, points: int, n: int) -> None:
+    """Refuse a lattice of this many points on the grid of size n before it
+    is evaluated, if points times bins per point pass COEFF_CAP."""
+    terms = points * _point_bins(window, n)
+    if terms > COEFF_CAP:
+        raise ValueError(f"a lattice of {points} points has {terms} window samples, "
+                         f"over the cap {COEFF_CAP}; raise mu")
+
+
 def lattice_records(window: Window, points: np.ndarray, counts: np.ndarray,
                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lo, hi, values): band b sums phihat(omega - point) over the next
     counts[b] points on the grid of size n, held on its nonzero extent.
     Each point is evaluated on the k bins that can lie within the zero
-    radius, and one add.at adds each bin's terms in point order."""
+    radius, and one add.at adds each bin's terms in point order.  Callers
+    check the size first (_lattice_budget)."""
     half = n // 2
     radius = window.zero_radius
-    k = int(min(n, np.ceil(2 * radius) + 4))  # a spare bin a side for rounding
+    k = _point_bins(window, n)
     start = np.clip(np.floor(points - radius) + (half - 1), 0, n - k).astype(np.int64)
     bins = start[:, None] + np.arange(k)
     values = window.freq_profile(((bins - half) - points[:, None]).ravel())
@@ -233,12 +249,14 @@ def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
         raise ValueError(f"mu must be positive, got {mu}")
     grid = FrequencyGrid(n)
     limit = int(math.floor(grid.half / mu)) + 1
+    _lattice_budget(window, 2 * limit - 3, n)  # every |eta| <= limit - 2 is in the lattice
     partition = partition_covering(alpha, limit + 1)
     start = np.concatenate([r.lo + r.width * np.arange(r.count) for r in partition.runs])
     width = np.repeat([r.width for r in partition.runs], [r.count for r in partition.runs])
     p_max = int(np.count_nonzero(mu * start <= grid.half)) - 1
     ps = np.array([s for p in range(p_max + 1) for s in ({0} if p == 0 else {p, -p})])
     counts = width[np.abs(ps)]
+    _lattice_budget(window, int(counts.sum()), n)
     points = mu * _runs(start[np.abs(ps)], counts)
     # rounding is sign-symmetric: -(mu * eta) == mu * (-eta)
     points = np.where(np.repeat(ps < 0, counts), -points, points)
@@ -295,60 +313,6 @@ def stack_sum_bounds(stack: WindowStack) -> StackBounds:
 def gaussian_floor(mu: float) -> float:
     """Proven lower bound (1/2) exp(-2 pi mu^2) for the Gaussian stack's H0."""
     return 0.5 * math.exp(-2.0 * math.pi * mu * mu)
-
-
-def wiener_upper_bound(window: Window, mu: float, samples_per_cell: int = 64) -> float:
-    """((1/mu + 1) * W)^2 with W the amalgam norm sum_k sup_{[k,k+1)} phihat.
-
-    The per-cell sup is sampled; cells are accumulated outward until the
-    profile leaves its support or falls below 1e-300.
-    """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    total = 0.0
-    k = 0
-    while True:
-        cells_alive = False
-        for sign in ((1,) if k == 0 else (1, -1)):
-            lo = sign * k if sign > 0 else -(k + 1)
-            pts = lo + np.arange(samples_per_cell) / samples_per_cell
-            sup = float(window.freq_profile(pts).max())
-            if sup > 1e-300:
-                cells_alive = True
-            total += sup
-        if not cells_alive and k > window.support_radius:
-            break
-        if math.isfinite(window.support_radius) and k > window.support_radius + 1:
-            break
-        if k > 64:  # profile effectively dead long before this
-            break
-        k += 1
-    return ((1.0 / mu + 1.0) * total) ** 2
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Power-law envelope fit phihat(omega) ~ c / (1 + |omega|)^n on [1, radius]."""
-
-    n_est: float
-    c_est: float
-
-
-def decay_fit(window: Window, radius: float, n_samples: int = 256) -> DecayFit:
-    """Least-squares fit of log phihat against log(1 + omega).
-
-    Zero samples are skipped; a profile that is zero over the whole fit
-    range (compact support inside the radius) reports n_est = inf.
-    """
-    if radius <= 1:
-        raise ValueError(f"fit radius must exceed 1, got {radius}")
-    omegas = np.linspace(1.0, radius, n_samples)
-    vals = np.asarray(window.freq_profile(omegas), dtype=float)
-    keep = vals > 0
-    if keep.sum() < 2:
-        return DecayFit(math.inf, math.nan)
-    slope, intercept = np.polyfit(np.log1p(omegas[keep]), np.log(vals[keep]), 1)
-    return DecayFit(float(-slope), float(math.exp(intercept)))
 
 
 def band_mass_outside(stack: WindowStack, p: int, factor: float = 3.0) -> float:

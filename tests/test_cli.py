@@ -264,6 +264,26 @@ def run_cli_quickly(*argv):
                           capture_output=True, text=True, timeout=5)
 
 
+def run_cli_measured(*argv):
+    """Run the CLI in a child process that must finish within 5 s; returns
+    the process and its peak RSS in KiB.  The child reads VmHWM, the peak
+    of its own image; its ru_maxrss would also count this process."""
+    code = ("import re, sys\nfrom stockframe.cli import main\nrc = main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(re.search(r'^VmHWM:\\s*(\\d+) kB', status, re.M).group(1))\nsys.exit(rc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=5)
+    return proc, int(proc.stdout.strip().splitlines()[-1])
+
+
+def test_partition_deep_fractional_ladder_ends_quickly():
+    # alpha = 99/100 takes exact roots of 100th powers of starts past
+    # 2**300; integer Newton from the float seed needs a few steps each
+    proc = run_cli_quickly("partition", "--alpha", "0.99", "--pmax", "1000", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["intervals"][-1]["p"] == 1000
+
+
 def test_partition_past_the_float_range():
     # at alpha = 1 the starts pass 2**1024 from p = 1025 on, where a
     # float seed of the exact power used to overflow
@@ -354,17 +374,39 @@ def test_roundtrip2d_deep_pmax_ends_in_bounded_work(tmp_path, pmax):
     # grid too; depths past the int64 lattice starts are refused
     path = tmp_path / "in.sfr2"
     write_sfr2(path, np.random.default_rng(8).standard_normal((16, 16)), DOMAIN_TIME)
-    code = ("import re, sys\nfrom stockframe.cli import main\nrc = main(sys.argv[1:])\n"
-            "status = open('/proc/self/status').read()\n"
-            "print(re.search(r'^VmHWM:\\s*(\\d+) kB', status, re.M).group(1))\nsys.exit(rc)\n")
-    proc = subprocess.run([sys.executable, "-c", code, "roundtrip2d", "--mu", "0.5", "--q", "4",
-                           "--window", "gaussian", "--n", "16", "--pmax", str(pmax),
-                           "--in", str(path)],
-                          capture_output=True, text=True, timeout=5)
+    proc, peak_kib = run_cli_measured("roundtrip2d", "--mu", "0.5", "--q", "4",
+                                      "--window", "gaussian", "--n", "16", "--pmax", str(pmax),
+                                      "--in", str(path))
     assert proc.returncode == (0 if pmax <= 62 else 2), proc.stderr
     if proc.returncode == 2:
         assert proc.stderr == f"error: p_max must be <= 62, got {pmax}\n"
-    assert int(proc.stdout.strip().splitlines()[-1]) < 256 * 1024
+    assert peak_kib < 256 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("command, mu", [("roundtrip", "0.00001"), ("roundtrip", "0.001"),
+                                         ("roundtrip2d", "0.00001"), ("roundtrip2d", "0.001")])
+def test_small_mu_lattice_is_refused_before_it_is_evaluated(tmp_path, command, mu):
+    # a lattice of about n / mu points, 35 bins each for the Gaussian,
+    # grew memory as 1/mu (325 MB at mu = 0.001); past 2^24 window
+    # samples it is refused before it is built
+    rng = np.random.default_rng(9)
+    if command == "roundtrip":
+        path, _ = make_input(tmp_path, n=256)
+        argv = ("--alpha", "1", "--q", "8", "--n", "256")
+    else:
+        path = tmp_path / "in.sfr2"
+        write_sfr2(path, rng.standard_normal((16, 16)), DOMAIN_TIME)
+        argv = ("--q", "4", "--n", "16")
+    proc, peak_kib = run_cli_measured(command, "--mu", mu, "--window", "gaussian", *argv,
+                                      "--in", str(path))
+    if mu == "0.001":
+        assert proc.returncode == 0, proc.stderr
+        return
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: a lattice of ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert peak_kib < 256 * 1024
 
 
 def test_roundtrip2d_rejects_wrong_rank(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Partition recurrence: exact arithmetic, covering bounds, locate."""
 
-import math
 import time
 from fractions import Fraction
 
@@ -14,9 +13,7 @@ from stockframe.partition import (
     build_partition,
     coerce_alpha,
     covering_bounds_hold,
-    covering_ratios,
     floor_power,
-    interval_of,
     partition_covering,
 )
 
@@ -265,25 +262,8 @@ def test_covering_bounds_exact_for_large_p(alpha):
         assert covering_bounds_hold(part, p)
 
 
-@pytest.mark.parametrize("alpha", ALPHAS[1:])
-def test_covering_ratios_agree_with_float_evaluation(alpha):
-    part = build_partition(alpha, 30)
-    for p in (5, 12, 25):
-        lo, hi = covering_ratios(part, p)
-        iv = part.interval(p)
-        # width / eta**alpha decreases in eta for alpha > 0: the extremes
-        # sit at the interval ends
-        assert math.isclose(lo, iv.width / (iv.stop - 1) ** float(alpha), rel_tol=1e-12)
-        assert math.isclose(hi, iv.width / iv.start ** float(alpha), rel_tol=1e-12)
-        if covering_bounds_hold(part, p):
-            assert hi <= 1.0 + 1e-12
-            assert lo >= 2.0 ** -(float(alpha) + 1.0) - 1e-12
-
-
 def test_covering_ratio_guard_at_p_zero():
     part = build_partition(0.5, 3)
-    with pytest.raises(ValueError):
-        covering_ratios(part, 0)
     with pytest.raises(ValueError):
         covering_bounds_hold(part, 0)
 
@@ -329,13 +309,6 @@ def test_locate_rejects_uncovered_frequency():
     with pytest.raises(ValueError):
         part.locate(-16)
     assert part.locate(15) == 4
-
-
-def test_interval_of_single_frequency():
-    assert interval_of(0.5, 0).start == 0
-    iv = interval_of(0.5, 11)
-    assert iv.start <= 11 < iv.stop
-    assert interval_of(0.5, -11) == iv
 
 
 def test_band_frequencies_mirror():

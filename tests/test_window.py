@@ -18,14 +18,12 @@ from stockframe.window import (
     admissibility,
     band_mass_outside,
     build_stack,
-    decay_fit,
     gaussian_floor,
     gaussian_window,
     lattice_records,
     stack_sum_bounds,
     table_window,
     truncated_gaussian,
-    wiener_upper_bound,
 )
 
 
@@ -258,12 +256,6 @@ def test_gaussian_stack_clears_floor(mu):
     assert stack_sum_bounds(stack).a_low >= gaussian_floor(mu) - 1e-9
 
 
-def test_wiener_bound_dominates_grid_sup():
-    for mu in (0.25, 0.5):
-        stack = stack_case(mu=mu, n=128)
-        assert wiener_upper_bound(stack.window, mu) >= stack_sum_bounds(stack).b_high - 1e-12
-
-
 # ---------------------------------------------------------------- admissibility
 
 
@@ -314,24 +306,6 @@ def test_admissibility_fails_on_gapped_stack():
     # spacing far beyond the support leaves holes in the band sum
     stack = build_stack(truncated_gaussian(0.01), 8.0, 1, 256)
     assert not admissibility(stack).passed
-
-
-# ---------------------------------------------------------------- decay
-
-
-def test_decay_fit_recovers_polynomial_rate():
-    # table follows the fit model exactly, so the slope is forced
-    xs = np.linspace(-64.0, 64.0, 8193)
-    vals = (1.0 + np.abs(xs)) ** -3.0
-    win = table_window(xs, vals)
-    fit = decay_fit(win, radius=32.0)
-    assert fit.n_est == pytest.approx(3.0, abs=0.05)
-    assert fit.c_est == pytest.approx(1.0, rel=0.1)
-
-
-def test_gaussian_decay_fit_is_steep():
-    fit = decay_fit(gaussian_window(), radius=4.0)
-    assert fit.n_est > 10.0
 
 
 def test_band_mass_outside_decreases_with_factor():
