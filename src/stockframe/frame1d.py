@@ -44,13 +44,16 @@ records are cut into chunks of whole bands holding a few thousand bins
 (FoldChunk), and every operator reads them a chunk at a time, so its
 temporaries stay small whatever the grid.  Analysis gathers f^ on a
 chunk's extents, multiplies by the window values, folds mod m with one
-bincount per real and imaginary part and runs one inverse FFT per run of
-bands of equal period (in p order these runs are long: width(p) =
+add.at of the complex terms and runs one inverse FFT per run of bands of
+equal period (in p order these runs are long: width(p) =
 width(|p|) is monotone in |p|; a run of large periods is cut into groups
 of a few thousand coefficients); synthesis runs the forward FFT per
 group, gathers the spread onto the extents and adds it into the grid;
 reconstruction folds f^ Omega_p and adds q Phi_p times the fold, with no
-FFT.  The n-D frame (tiling.py) runs the same chunk bodies on its boxes.
+FFT.  The dual is held on the records (FrameSpec.duals): Omega_p at every
+record bin, one read-only array per chunk, 8 B per record bin, built on
+the first reconstruction from the cached H0.  The n-D frame (tiling.py)
+runs the same chunk bodies on its boxes.
 A band's shifted product Phi_p(u - s) Psi_p(u) is nonzero only where
 both extents meet, so `walnut_apply`,
 `walnut_bounds` and `frame_bounds_eigen` enumerate every (band, shift)
@@ -127,10 +130,9 @@ def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
 
 def _fold(x: np.ndarray, fold: np.ndarray, size: int) -> np.ndarray:
     """Complex x summed into size slots, x[i] into slot fold[i]: one
-    bincount per part adds each slot's terms in the order of x."""
-    out = np.empty(size, dtype=np.complex128)
-    out.real = np.bincount(fold, x.real, size)
-    out.imag = np.bincount(fold, x.imag, size)
+    add.at adds each slot's terms in the order of x, from +0.0."""
+    out = np.zeros(size, dtype=np.complex128)
+    np.add.at(out, fold, x)
     return out
 
 
@@ -310,6 +312,12 @@ class FrameSpec:
         h0 = self.stack.sum_of_squares()
         h0.flags.writeable = False
         return h0
+
+    @cached_property
+    def duals(self) -> tuple[np.ndarray, ...]:
+        """The dual Omega = nu Phi / H0 at the bins of each record chunk,
+        read-only; built on first use."""
+        return tuple(dual for _, dual in _duals(self.records.chunks, self.h0, self.nu))
 
     @cached_property
     def records(self) -> BandRecords:
@@ -579,11 +587,21 @@ def frame_bounds_eigen(spec: FrameSpec) -> FrameBounds:
     return FrameBounds(float(eigs[0]), float(eigs[-1]), "eigen")
 
 
+def _duals(chunks, h0: np.ndarray, nu: float):
+    """Yield (chunk, Omega = nu Phi / H0 at its bins, read-only) per chunk
+    of a family, on the flat grid of h0."""
+    for c in chunks:
+        dual = nu * c.values / h0[c.bins]
+        dual.flags.writeable = False
+        yield c, dual
+
+
 @dataclass
 class ConjugateFilter:
     """Canonical dual bands Omega_p = nu Phi_p / H0 and the H0 it came from.
 
-    Dense dual bands are built on demand; reconstruct reads only h0.
+    Dense dual bands are built on demand; reconstruct reads the dual on
+    the record chunks (chunks).
     """
 
     spec: FrameSpec = field(repr=False)
@@ -596,19 +614,29 @@ class ConjugateFilter:
     def bands(self) -> dict[int, np.ndarray]:
         return {p: self.band(p) for p in self.spec.stack.ps}
 
+    def chunks(self):
+        """(chunk, dual) per record chunk: the spec's held duals for its
+        own H0, else the dual of this h0 formed a chunk at a time."""
+        spec = self.spec
+        if self.h0 is spec.h0:
+            return zip(spec.records.chunks, spec.duals)
+        return _duals(spec.records.chunks, self.h0, spec.nu)
+
     def partition_residual(self) -> float:
         """max_j |sum_p Omega_p Phi_p - nu|, zero to round-off by construction;
         each bin adds its products in the stack's band order."""
-        st = self.spec.stack
-        return _dual_residual([(_runs(st.lo, st.hi - st.lo), st.values)], self.h0, self.spec.nu)
+        st, nu = self.spec.stack, self.spec.nu
+        bins = _runs(st.lo, st.hi - st.lo)
+        return _dual_residual([(bins, st.values, nu * st.values / self.h0[bins])], self.h0.size, nu)
 
 
-def _dual_residual(records, h0: np.ndarray, nu: float) -> float:
-    """max |sum Omega Phi - nu| over the flat grid of h0, for a family held
-    as records (bins, values): each bin adds its products in record order."""
-    acc = np.zeros(h0.size)
-    for bins, values in records:
-        np.add.at(acc, bins, nu * values / h0[bins] * values)
+def _dual_residual(records, size: int, nu: float) -> float:
+    """max |sum Omega Phi - nu| over a flat grid of size bins, for a family
+    held as records (bins, Phi, Omega there): each bin adds its products
+    in record order."""
+    acc = np.zeros(size)
+    for bins, values, dual in records:
+        np.add.at(acc, bins, dual * values)
     return float(np.max(np.abs(acc - nu)))
 
 
@@ -631,14 +659,13 @@ def conjugate_filter(spec: FrameSpec, floor: float = H0_FLOOR) -> ConjugateFilte
     return ConjugateFilter(spec, spec.h0)
 
 
-def _reconstruct(fhat: np.ndarray, h0: np.ndarray, chunks, nu: float, q) -> np.ndarray:
-    """sum q Phi fold_m(f^ nu Phi / H0)[fold] over the chunks' bands, a
-    chunk at a time: the reconstruction of the 1D and n-D frames (flat
-    grids, nu and q raised to the dimension)."""
+def _reconstruct(fhat: np.ndarray, chunks, q) -> np.ndarray:
+    """sum q Phi fold_m(f^ Omega)[fold] over the bands of the (chunk,
+    dual Omega) pairs, a chunk at a time: the reconstruction of the 1D
+    and n-D frames (flat grids, q raised to the dimension)."""
     acc = np.zeros(fhat.size, dtype=np.complex128)
-    for c in chunks:
-        x = fhat[c.bins] * (nu * c.values / h0[c.bins])
-        np.add.at(acc, c.bins, q * c.values * _fold(x, c.fold, c.size)[c.fold])
+    for c, dual in chunks:
+        np.add.at(acc, c.bins, q * c.values * _fold(fhat[c.bins] * dual, c.fold, c.size)[c.fold])
     return acc
 
 
@@ -652,7 +679,7 @@ def reconstruct(spec: FrameSpec, f,
     fhat = _as_spectrum(spec, f)
     if conj is None:
         conj = conjugate_filter(spec)
-    acc = _reconstruct(fhat, conj.h0, spec.records.chunks, spec.nu, spec.q)
+    acc = _reconstruct(fhat, conj.chunks(), spec.q)
     rec = SpectralSignal(spec.grid, acc)
     scale = float(np.linalg.norm(fhat)) or 1.0
     rel_err = float(np.linalg.norm(rec.coeffs - fhat)) / scale

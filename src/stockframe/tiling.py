@@ -42,13 +42,16 @@ fftn(ifftn(x)) = x, so reconstruction is
 
     rec_box(j) = q^d Phi_box(j) fold_m(f^ Omega_box)[j mod m],
 
-folded into compact slots, the C-order ravel of (j_s - lo_s) mod m over
-radices min(extent_s, m): no more slots than bins, where all m^d at m =
-n would give a box far out n^d.  A slot sums in C order over the
-support, so reconstruction is round-off equal, not bit-equal, to a fold
-axis by axis; all else adds as a dense per-box loop would.  H0 adds per
-box on grid slices, at set-up, where records would cost more than they
-save.
+with the dual held on the box records like the records themselves
+(NdFrameSpec.duals: one read-only array per held chunk, 8 B per record
+bin, built on the first reconstruction; formed per chunk past
+RECORD_CAP), folded by one add.at into compact slots, the C-order ravel
+of (j_s - lo_s) mod m over radices min(extent_s, m): no more slots than
+bins, where all m^d at m = n would give a box far out n^d.  A slot sums
+in C order over the support, so reconstruction is round-off equal, not
+bit-equal, to a fold axis by axis; all else adds as a dense per-box loop
+would.  H0 adds per box on grid slices, at set-up, where records would
+cost more than they save.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ from itertools import product
 import numpy as np
 
 from .frame1d import (H0_FLOOR, BandRecords, FoldChunk, _check_gap, _cut, _dual_residual,
-                      _fold_runs, _reconstruct, _shift_limit, _shift_maxima, _spread_runs,
-                      _walnut_pairs)
+                      _duals, _fold_runs, _reconstruct, _shift_limit, _shift_maxima,
+                      _spread_runs, _walnut_pairs)
 from .window import COEFF_CAP, Window, _lattice_budget, _runs, lattice_records
 
 __all__ = [
@@ -266,6 +269,15 @@ class NdFrameSpec:
     def box_chunks(self) -> Iterable[FoldChunk]:
         """The box records in tiling order as fold chunks (module docstring)."""
         return self._held_chunks or _box_chunks(self, self.tiling.boxes)[1]
+
+    @cached_property
+    def duals(self) -> tuple[np.ndarray, ...] | None:
+        """The dual Omega = nu^d Phi / H0 at the bins of each held box
+        chunk, read-only (None when the records are not held); built on
+        first use."""
+        if self._held_chunks is None:
+            return None
+        return tuple(dual for _, dual in _duals(self._held_chunks, self.h0.ravel(), self.nu ** self.d))
 
 
 def _box_chunks(spec: NdFrameSpec, boxes, family=None) -> tuple[int, Iterator[FoldChunk]]:
@@ -490,10 +502,18 @@ class NdConjugate:
     def band(self, box: BoxIndex) -> np.ndarray:
         return (self.spec.nu ** self.spec.d) * self.spec.box_stack(box) / self.h0
 
+    def chunks(self):
+        """(chunk, dual) per box chunk: the spec's held duals for its own
+        H0, else the dual of this h0 formed a chunk at a time."""
+        spec = self.spec
+        if self.h0 is spec.h0 and spec.duals is not None:
+            return zip(spec.box_chunks, spec.duals)
+        return _duals(spec.box_chunks, self.h0.ravel(), spec.nu ** spec.d)
+
     def partition_residual(self) -> float:
         """max |sum_box Omega Phi - nu^d| over the box records."""
-        return _dual_residual(((c.bins, c.values) for c in self.spec.box_chunks),
-                              self.h0.ravel(), self.spec.nu ** self.spec.d)
+        return _dual_residual(((c.bins, c.values, dual) for c, dual in self.chunks()),
+                              self.h0.size, self.spec.nu ** self.spec.d)
 
 
 def conjugate_filter_nd(spec: NdFrameSpec, floor: float = H0_FLOOR) -> NdConjugate:
@@ -508,7 +528,6 @@ def reconstruct_nd(spec: NdFrameSpec, fhat: np.ndarray,
     fhat = _check_field(spec, fhat)
     if conj is None:
         conj = conjugate_filter_nd(spec)
-    rec = _reconstruct(fhat.ravel(), conj.h0.ravel(), spec.box_chunks,
-                       spec.nu ** spec.d, spec.q ** spec.d).reshape(fhat.shape)
+    rec = _reconstruct(fhat.ravel(), conj.chunks(), spec.q ** spec.d).reshape(fhat.shape)
     scale = float(np.linalg.norm(fhat)) or 1.0
     return rec, float(np.linalg.norm(rec - fhat)) / scale

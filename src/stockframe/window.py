@@ -54,6 +54,8 @@ OVERLAP_THRESHOLD = 1e-12
 # Entries of one fold (complex slots of a chunk of bands, or of an n-D
 # analysis) or of one lattice evaluation (points times bins per point).
 COEFF_CAP = 1 << 24
+# Window samples a lattice evaluation forms at once (whole points).
+LATTICE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -211,21 +213,25 @@ def lattice_records(window: Window, points: np.ndarray, counts: np.ndarray,
     """(lo, hi, values): band b sums phihat(omega - point) over the next
     counts[b] points on the grid of size n, held on its nonzero extent.
     Each point is evaluated on the k bins that can lie within the zero
-    radius, and one add.at adds each bin's terms in point order.  Callers
-    check the size first (_lattice_budget)."""
+    radius, a block of whole points of at most LATTICE_BLOCK samples at a
+    time, and one add.at per block adds each bin's terms in point order.
+    Callers check the size first (_lattice_budget)."""
     half = n // 2
     radius = window.zero_radius
     k = _point_bins(window, n)
     start = np.clip(np.floor(points - radius) + (half - 1), 0, n - k).astype(np.int64)
-    bins = start[:, None] + np.arange(k)
-    values = window.freq_profile(((bins - half) - points[:, None]).ravel())
     # band b sums into acc[u + cell[b]] for the bins u it reaches
     heads = np.cumsum(counts) - counts
     base = np.minimum.reduceat(start, heads)
     ends = np.cumsum(np.maximum.reduceat(start, heads) + k - base)
     cell = np.append(0, ends[:-1]) - base
+    slot = start + np.repeat(cell, counts)
     acc = np.zeros(int(ends[-1]))
-    np.add.at(acc, (bins + np.repeat(cell, counts)[:, None]).ravel(), values)
+    step = max(1, LATTICE_BLOCK // k)
+    for a in range(0, points.size, step):
+        bins = start[a:a + step, None] + np.arange(k)
+        values = window.freq_profile(((bins - half) - points[a:a + step, None]).ravel())
+        np.add.at(acc, (slot[a:a + step, None] + np.arange(k)).ravel(), values)
     nz = np.append(np.flatnonzero(acc), 0)
     i, j = np.searchsorted(nz[:-1], cell + base), np.searchsorted(nz[:-1], ends)
     full = j > i  # band b is nonzero at nz[i[b]:j[b]]

@@ -505,6 +505,69 @@ def test_reconstruct_builds_h0_once_per_spec(monkeypatch):
         conjugate_filter(spec, floor=float(spec.h0.min()))
 
 
+def per_call_reconstruct(fhat, h0, chunks, nu, q):
+    # the reconstruction before the dual was held: the dual formed on
+    # every call and each fold taken by one bincount per part
+    acc = np.zeros(fhat.size, dtype=np.complex128)
+    for c in chunks:
+        x = fhat[c.bins] * (nu * c.values / h0[c.bins])
+        folded = np.empty(c.size, dtype=np.complex128)
+        folded.real = np.bincount(c.fold, x.real, c.size)
+        folded.imag = np.bincount(c.fold, x.imag, c.size)
+        np.add.at(acc, c.bins, q * c.values * folded[c.fold])
+    return acc
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("alpha, window, q, chunk",
+                         over_term_chunks(product([0, 0.3, 0.5, 1], sorted(WINDOWS), [1, 2, 3, 8])))
+def test_held_dual_is_bit_identical_to_the_per_call_dual(alpha, window, q, chunk, monkeypatch):
+    monkeypatch.setattr(frame1d, "_TERM_CHUNK", chunk)
+    original, calls = frame1d._duals, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(frame1d, "_duals", counting)
+    rng = np.random.default_rng(17)
+    spec = make_frame_spec(WINDOWS[window](), 0.5, q, alpha, 48)
+    fs = random_spectrum(rng, 48)
+    fhat = fs.coeffs
+    want = per_call_reconstruct(fhat, spec.h0, spec.records.chunks, spec.nu, spec.q)
+    rel_want = float(np.linalg.norm(want - fhat)) / float(np.linalg.norm(fhat))
+    for _ in range(2):
+        rec, rel = reconstruct(spec, fs)
+        assert same_bits(rec.coeffs, want)
+        assert rel == rel_want
+    # built once per spec, one read-only array per chunk
+    assert len(calls) == 1
+    assert len(spec.duals) == len(spec.records.chunks)
+    assert all(not dual.flags.writeable for dual in spec.duals)
+    # a caller's H0 is the one its dual divides by, formed on each call
+    h0 = 2 * spec.h0
+    want = per_call_reconstruct(fhat, h0, spec.records.chunks, spec.nu, spec.q)
+    rec, rel = reconstruct(spec, fs, ConjugateFilter(spec, h0))
+    assert same_bits(rec.coeffs, want)
+    assert rel == float(np.linalg.norm(want - fhat)) / float(np.linalg.norm(fhat))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("size, count", [(1, 0), (7, 0), (1, 5), (7, 40), (300, 4096)])
+def test_fold_is_bit_identical_to_two_bincounts(size, count):
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    x[::3] *= -0.0  # signed zeros add as they did
+    fold = rng.integers(0, size, count)
+    want = np.empty(size, dtype=np.complex128)
+    want.real = np.bincount(fold, x.real, size)
+    want.imag = np.bincount(fold, x.imag, size)
+    assert same_bits(frame1d._fold(x, fold, size), want)
+
+
 def test_reconstruct_painless_is_exact():
     rng = np.random.default_rng(11)
     spec = painless_spec(n=128, q=4)

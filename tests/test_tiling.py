@@ -524,6 +524,77 @@ def test_box_records_past_the_cap_are_rebuilt_on_each_call(d, monkeypatch):
     assert residual == conjugate_filter_nd(held).partition_residual()
 
 
+def per_call_reconstruct_nd(spec, fhat, h0):
+    # reconstruct_nd before the dual was held: the dual formed on every
+    # call and each fold taken by one bincount per part
+    fhat, h0, nu_d = fhat.ravel(), h0.ravel(), spec.nu ** spec.d
+    acc = np.zeros(fhat.size, dtype=np.complex128)
+    for c in spec.box_chunks:
+        x = fhat[c.bins] * (nu_d * c.values / h0[c.bins])
+        folded = np.empty(c.size, dtype=np.complex128)
+        folded.real = np.bincount(c.fold, x.real, c.size)
+        folded.imag = np.bincount(c.fold, x.imag, c.size)
+        np.add.at(acc, c.bins, spec.q ** spec.d * c.values * folded[c.fold])
+    rec = acc.reshape((spec.n,) * spec.d)
+    return rec, float(np.linalg.norm(rec - fhat.reshape(rec.shape))) / float(np.linalg.norm(fhat))
+
+
+def per_call_residual_nd(spec, h0):
+    h0, nu_d = h0.ravel(), spec.nu ** spec.d
+    acc = np.zeros(h0.size)
+    for c in spec.box_chunks:
+        np.add.at(acc, c.bins, nu_d * c.values / h0[c.bins] * c.values)
+    return float(np.max(np.abs(acc - nu_d)))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("held", [True, False])
+@pytest.mark.parametrize("d, window, q, mu, chunk",
+                         [(d, w, q, mu, chunk) for d, w, q, mu, chunk in product(
+                             (1, 2, 3), sorted(WINDOWS), (1, 2, 8), (0.5, 3.0), (frame1d._TERM_CHUNK, 1))])
+def test_held_dual_nd_is_bit_identical_to_the_per_call_dual(d, window, q, mu, chunk, held,
+                                                              monkeypatch):
+    monkeypatch.setattr(frame1d, "_TERM_CHUNK", chunk)
+    if not held:
+        monkeypatch.setattr(tiling, "RECORD_CAP", 0)
+    original, calls = tiling._duals, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tiling, "_duals", counting)
+    rng = np.random.default_rng(36)
+    n = GRID[d]
+    spec = make_nd_frame_spec(WINDOWS[window](), mu, q, d, n)
+    fhat = random_field(rng, d, n)
+    rec_want, rel_want = per_call_reconstruct_nd(spec, fhat, spec.h0)
+    for _ in range(2):
+        rec, rel = reconstruct_nd(spec, fhat)
+        assert same_bits(rec, rec_want)
+        assert rel == rel_want
+    assert conjugate_filter_nd(spec).partition_residual() == per_call_residual_nd(spec, spec.h0)
+    if held:
+        # built once per spec, one read-only array per held chunk
+        assert len(calls) == 1
+        assert len(spec.duals) == len(spec._held_chunks)
+        assert all(not dual.flags.writeable for dual in spec.duals)
+    else:
+        # past RECORD_CAP every call forms the dual a chunk at a time
+        assert spec.duals is None
+        assert len(calls) == 3
+    # a caller's H0 is the one its dual divides by
+    h0 = 2 * spec.h0
+    rec_want, rel_want = per_call_reconstruct_nd(spec, fhat, h0)
+    rec, rel = reconstruct_nd(spec, fhat, NdConjugate(spec, h0))
+    assert same_bits(rec, rec_want)
+    assert rel == rel_want
+    assert NdConjugate(spec, h0).partition_residual() == per_call_residual_nd(spec, h0)
+
+
 def test_records_bound_the_nonzero_bins():
     for window, p_max in product(sorted(FACTOR_WINDOWS), (None, 9)):
         spec = make_nd_frame_spec(FACTOR_WINDOWS[window](), 0.5, 2, 2, 32, p_max=p_max)

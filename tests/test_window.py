@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stockframe import window
 from stockframe.partition import partition_covering
 from stockframe.spectral import FrequencyGrid, poisson_residual
 from stockframe.window import (
@@ -152,6 +153,19 @@ def dense_stack(win, mu, alpha, n):
         for p in ({0} if iv.p == 0 else {iv.p, -iv.p}):
             bands[p] = dense_band_sum(win, points if p >= 0 else -points, n)
     return bands
+
+
+@pytest.mark.parametrize("block", [1, 35, 36 * 7 + 5])
+@pytest.mark.parametrize("win", [gaussian_window(), truncated_gaussian(0.1)])
+def test_lattice_blocks_are_bit_identical(win, block, monkeypatch):
+    # blocks of whole points, one point to a few, add into the one
+    # accumulator in point order: the records do not depend on the block
+    points, counts = 0.1 * np.arange(-900, 901), np.array([300, 1, 900, 500, 100])
+    want = lattice_records(win, points, counts, 256)
+    monkeypatch.setattr(window, "LATTICE_BLOCK", block)
+    got = lattice_records(win, points, counts, 256)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def signed_window():
