@@ -62,6 +62,10 @@ __all__ = [
     "concentration",
 ]
 
+# gram_matrix forms an (n - 1) x n element matrix and its (n - 1)^2 Gram
+# matrix: 16 MB each at the cap, 4.3 GB each at n = 16384.
+GRAM_SIZE_CAP = 1024
+
 
 @dataclass(frozen=True)
 class BasisIndex:
@@ -289,8 +293,11 @@ def gram_matrix(alpha, n: int) -> tuple[list[BasisIndex], np.ndarray]:
     """All pairwise inner products over the grid's band plan.
 
     Returns (index list, complex Gram matrix); orthonormality means the
-    matrix is the identity to round-off.
+    matrix is the identity to round-off.  Grids above GRAM_SIZE_CAP are
+    refused before anything is built: the check forms two n x n matrices.
     """
+    if n > GRAM_SIZE_CAP:
+        raise ValueError(f"exhaustive Gram check capped at n = {GRAM_SIZE_CAP}, got {n}")
     layout = band_layout(alpha, n)
     grid = layout.grid
     indices = list(layout.indices())

@@ -191,8 +191,8 @@ def cmd_basis(args) -> int:
 
 def cmd_basis_check(args) -> int:
     from . import basis
+    dev = basis.gram_deviation(args.alpha, args.n)  # refuses grids past its cap first
     layout = basis.band_layout(args.alpha, args.n)
-    dev = basis.gram_deviation(args.alpha, args.n)
     clipped = [p for p in layout.p_list
                if p and layout.width(p) < layout.partition.interval(p).width]
     best, where = None, None

@@ -50,10 +50,26 @@ width(|p|) is monotone in |p|; a run of large periods is cut into groups
 of a few thousand coefficients); synthesis runs the forward FFT per
 group, gathers the spread onto the extents and adds it into the grid;
 reconstruction folds f^ Omega_p and adds q Phi_p times the fold, with no
-FFT.  The dual is held on the records (FrameSpec.duals): Omega_p at every
-record bin, one read-only array per chunk, 8 B per record bin, built on
-the first reconstruction from the cached H0.  The n-D frame (tiling.py)
-runs the same chunk bodies on its boxes.
+FFT.  The n-D frame (tiling.py) runs the same chunk bodies on its boxes.
+
+A Gaussian never vanishes, so its records run out to the window's zero
+radius, 15.5 bins from each lattice point, though past about 4.2 bins a
+sample is below TAU = 2^-80 of the peak and moves no O(1) sum by a
+rounding.  So analysis, synthesis, reconstruction and the held dual read
+the core records (FrameSpec.core, built on first use by one vectorized
+pass over the values): each extent cut to the span of its samples of
+magnitude >= TAU times the family's largest.  Compact windows keep their
+extents.  What certifies or checks reads the full records, tails
+included: H0, the Walnut sum, the bounds, the eigenbounds, admissibility
+and the dual residual.  On dense input the folds give the same bits on
+the core records as on the full ones (measured over the test matrices);
+that is not given by construction: an input that lives only on dropped
+bins shows a difference, made of dropped terms, each at most
+TAU * peak * |f(u)| times its other factors.  The dual is held on the
+core records (FrameSpec.duals): Omega_p at every core bin, one read-only
+array per chunk, 8 B per core bin, built on the first reconstruction
+from the cached H0.
+
 A band's shifted product Phi_p(u - s) Psi_p(u) is nonzero only where
 both extents meet, so `walnut_apply`,
 `walnut_bounds` and `frame_bounds_eigen` enumerate every (band, shift)
@@ -65,7 +81,8 @@ assembles the operator from its Walnut kernel
 which agrees with the analysis + synthesis operator to round-off; the
 n-D Walnut sum and tail bound run on the same pair kernels.  All
 other outputs equal the dense per-band (or per-shift) evaluation bit for
-bit, because every bin receives the same additions in the same order:
+bit (the folds on the core records as measured, above), because every
+bin receives the same additions in the same order:
 folds in ascending frequency, synthesis and reconstruction in coefficient
 (ascending p) order, Walnut terms in (p, m) order and H0 in the stack's
 band order; each shift's maximum comes from one reduceat.  Bins outside an
@@ -110,6 +127,9 @@ H0_FLOOR = 1e-14
 # whole bands or shifts): its temporaries stay small and cache-resident
 # on any grid, and never depend on how the allocator serves large blocks.
 _TERM_CHUNK = 1 << 12
+# A record sample below TAU times its family's largest value moves no O(1)
+# sum by a rounding: the folds read the records trimmed to the rest.
+TAU = 2.0 ** -80
 
 
 class FrameGapError(ValueError):
@@ -194,6 +214,22 @@ class BandRecords:
                     self.values[start:start + bins.size])
 
         return tuple(_cut(length, self.m, self.w, self.m.tolist(), expand))
+
+
+def _core(g: BandRecords) -> BandRecords:
+    """The records with each extent cut to the span of its samples of
+    magnitude >= TAU times the family's largest (empty if it has none):
+    one scan of the values, whatever the number of bands."""
+    mag = np.abs(g.values)
+    start, length = g.lo + g.offset, g.hi - g.lo  # band b's values start at start[b]
+    keep = np.append(np.flatnonzero(mag >= TAU * np.max(mag, initial=0.0)), 0)
+    i, j = np.searchsorted(keep[:-1], start), np.searchsorted(keep[:-1], start + length)
+    full = j > i  # band b keeps values keep[i[b]] .. keep[j[b] - 1]
+    first, stop = np.where(full, keep[i], 0), np.where(full, keep[j - 1] + 1, 0)
+    lo = np.where(full, g.lo + first - start, 0)
+    hi = lo + stop - first
+    return BandRecords(g.ps, lo, hi, np.cumsum(hi - lo) - hi, g.values[_runs(first, stop - first)],
+                       g.w, g.m, g.half)
 
 
 def _cut(length: np.ndarray, slots: np.ndarray, w: np.ndarray, period: list[int], expand):
@@ -315,17 +351,24 @@ class FrameSpec:
 
     @cached_property
     def duals(self) -> tuple[np.ndarray, ...]:
-        """The dual Omega = nu Phi / H0 at the bins of each record chunk,
+        """The dual Omega = nu Phi / H0 at the bins of each core chunk,
         read-only; built on first use."""
-        return tuple(dual for _, dual in _duals(self.records.chunks, self.h0, self.nu))
+        return _held_duals(self.core.chunks, self.h0, self.nu)
 
     @cached_property
     def records(self) -> BandRecords:
-        """The stack records in p order, read by every operator; built on first use."""
+        """The stack records in p order, read by the Walnut sum and the
+        bounds; built on first use."""
         st = self.stack
         w = np.array([self.width(p) for p in st.ps], dtype=np.int64)
         return BandRecords(st.ps, st.lo, st.hi, st.offset, st.values, w, self.q * w,
                            self.grid.half).take(self.p_range)
+
+    @cached_property
+    def core(self) -> BandRecords:
+        """The records cut to their numerical core (_core), read by
+        analysis, synthesis and reconstruction; built on first use."""
+        return _core(self.records)
 
 
 def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int,
@@ -389,7 +432,7 @@ def analyze(spec: FrameSpec, f) -> FrameCoefficients:
     records a chunk at a time, then one inverse DFT per run of equal
     period."""
     fhat = _as_spectrum(spec, f)
-    g = spec.records
+    g = spec.core
     rows = [row for c in g.chunks
             for row in _fold_runs(fhat[c.bins] * c.values, c.fold, c, 1, np.sqrt)]
     return FrameCoefficients(spec, dict(zip(g.ps, rows)))
@@ -405,7 +448,7 @@ def synthesize(spec: FrameSpec, coeffs: FrameCoefficients,
     a replacement family gets records on its own nonzero extents.
     """
     ps = tuple(coeffs.data)
-    g = spec.records
+    g = spec.core
     if bands is not None:
         g = _family_records(spec, bands, ps)
     elif ps != g.ps:
@@ -596,12 +639,17 @@ def _duals(chunks, h0: np.ndarray, nu: float):
         yield c, dual
 
 
+def _held_duals(chunks, h0: np.ndarray, nu: float) -> tuple[np.ndarray, ...]:
+    """The dual at the bins of each chunk (_duals), for a spec to hold."""
+    return tuple(dual for _, dual in _duals(chunks, h0, nu))
+
+
 @dataclass
 class ConjugateFilter:
     """Canonical dual bands Omega_p = nu Phi_p / H0 and the H0 it came from.
 
     Dense dual bands are built on demand; reconstruct reads the dual on
-    the record chunks (chunks).
+    the core chunks (chunks).
     """
 
     spec: FrameSpec = field(repr=False)
@@ -615,12 +663,12 @@ class ConjugateFilter:
         return {p: self.band(p) for p in self.spec.stack.ps}
 
     def chunks(self):
-        """(chunk, dual) per record chunk: the spec's held duals for its
+        """(chunk, dual) per core chunk: the spec's held duals for its
         own H0, else the dual of this h0 formed a chunk at a time."""
         spec = self.spec
         if self.h0 is spec.h0:
-            return zip(spec.records.chunks, spec.duals)
-        return _duals(spec.records.chunks, self.h0, spec.nu)
+            return zip(spec.core.chunks, spec.duals)
+        return _duals(spec.core.chunks, self.h0, spec.nu)
 
     def partition_residual(self) -> float:
         """max_j |sum_p Omega_p Phi_p - nu|, zero to round-off by construction;

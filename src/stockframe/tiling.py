@@ -32,9 +32,18 @@ shift on the grid (box_period keeps q b; DC: w = 1, m = q).  Box shifts
 are products of factor shifts: the Walnut sum and tail sups run on the
 1D pair kernels.  A box is a record on the flattened n^d grid: the
 C-order bins of its support, the product of its factors' extents, with
-the outer product of their values (bins off it only add +0.0).  Cut into
-frame1d fold chunks, held up to RECORD_CAP bins and else rebuilt per
-call, the records run the frame1d bodies: analysis folds each bin into
+the outer product of their values (bins off it only add +0.0).
+
+The folds form their boxes from the core factors (NdFrameSpec.core, as
+frame1d's core records: each factor extent cut to its samples >= TAU =
+2^-80 times the largest factor value, before any box is formed); a box
+sample off its core has a dropped factor, so is below TAU peak^d.  A
+Gaussian family at d = 3, n = 32 then holds 0.22M to 0.55M box bins for
+mu from 3 down to 0.1, against 3.0M to 11.7M on the full factors.  H0,
+the Walnut sum, the tail bound and the dual residual read the full
+factors.  Cut into frame1d fold chunks, held up to RECORD_CAP bins and
+else rebuilt per call, the core boxes run the frame1d bodies: analysis
+folds each bin into
 its coefficient slot (j_s - half) mod m, synthesis reads it, one DFT per
 run of equal period.  With the dual Omega = nu^d Phi / H0 and
 normalization b^d (m^d / b^d = q^d, DC too), analysis then synthesis is
@@ -42,8 +51,8 @@ fftn(ifftn(x)) = x, so reconstruction is
 
     rec_box(j) = q^d Phi_box(j) fold_m(f^ Omega_box)[j mod m],
 
-with the dual held on the box records like the records themselves
-(NdFrameSpec.duals: one read-only array per held chunk, 8 B per record
+with the dual held on the core box records like the records themselves
+(NdFrameSpec.duals: one read-only array per held chunk, 8 B per core
 bin, built on the first reconstruction; formed per chunk past
 RECORD_CAP), folded by one add.at into compact slots, the C-order ravel
 of (j_s - lo_s) mod m over radices min(extent_s, m): no more slots than
@@ -64,9 +73,9 @@ from itertools import product
 
 import numpy as np
 
-from .frame1d import (H0_FLOOR, BandRecords, FoldChunk, _check_gap, _cut, _dual_residual,
-                      _duals, _fold_runs, _reconstruct, _shift_limit, _shift_maxima,
-                      _spread_runs, _walnut_pairs)
+from .frame1d import (H0_FLOOR, BandRecords, FoldChunk, _check_gap, _core, _cut, _dual_residual,
+                      _duals, _fold_runs, _held_duals, _reconstruct, _shift_limit,
+                      _shift_maxima, _spread_runs, _walnut_pairs)
 from .window import COEFF_CAP, Window, _lattice_budget, _runs, lattice_records
 
 __all__ = [
@@ -190,7 +199,8 @@ class NdFrameSpec:
 
     records holds the factors (p, e), p = 1 .. p_max, e = -2 .. 1, then
     DC (key None).  A box's stack is the outer product of its factors,
-    held as records (box_chunks) or formed for one box (box_support).
+    held as records of its core (box_chunks) or formed whole for one box
+    (box_support).
     """
 
     window: Window
@@ -261,14 +271,20 @@ class NdFrameSpec:
         return h0
 
     @cached_property
+    def core(self) -> BandRecords:
+        """The factor records cut to their numerical core (frame1d._core),
+        from which the folded boxes are formed; built on first use."""
+        return _core(self.records)
+
+    @cached_property
     def _held_chunks(self) -> tuple[FoldChunk, ...] | None:
-        size, chunks = _box_chunks(self, self.tiling.boxes)
+        size, chunks = _box_chunks(self, self.core, self.tiling.boxes)
         return tuple(chunks) if size <= RECORD_CAP else None
 
     @property
     def box_chunks(self) -> Iterable[FoldChunk]:
-        """The box records in tiling order as fold chunks (module docstring)."""
-        return self._held_chunks or _box_chunks(self, self.tiling.boxes)[1]
+        """The core box records in tiling order as fold chunks (module docstring)."""
+        return self._held_chunks or _box_chunks(self, self.core, self.tiling.boxes)[1]
 
     @cached_property
     def duals(self) -> tuple[np.ndarray, ...] | None:
@@ -277,13 +293,15 @@ class NdFrameSpec:
         first use."""
         if self._held_chunks is None:
             return None
-        return tuple(dual for _, dual in _duals(self._held_chunks, self.h0.ravel(), self.nu ** self.d))
+        return _held_duals(self._held_chunks, self.h0.ravel(), self.nu ** self.d)
 
 
-def _box_chunks(spec: NdFrameSpec, boxes, family=None) -> tuple[int, Iterator[FoldChunk]]:
-    """(bins, fold chunks) of the boxes' records, in that order: on their
-    factor extents' products, or on the whole grid with a dense family."""
-    g, d, n = spec.records, spec.d, spec.n
+def _box_chunks(spec: NdFrameSpec, g: BandRecords, boxes,
+                family=None) -> tuple[int, Iterator[FoldChunk]]:
+    """(bins, fold chunks) of the boxes' records, in that order: on the
+    products of their factor extents in g (the spec's records or core), or
+    on the whole grid with a dense family."""
+    d, n = spec.d, spec.n
     rows = np.array([spec.factor_rows(box) for box in boxes], dtype=np.int64).reshape(-1, d)
     m, w = g.m[rows[:, 0]], g.w[rows[:, 0]]
     lo = g.lo[rows] if family is None else np.zeros_like(rows)
@@ -402,7 +420,7 @@ def synthesize_nd(spec: NdFrameSpec, coeffs: dict[BoxIndex, np.ndarray],
     (records in that order; a dense family's on the whole grid)."""
     boxes = tuple(coeffs)
     same = stacks is None and boxes == spec.tiling.boxes
-    chunks = spec.box_chunks if same else _box_chunks(spec, boxes, stacks)[1]
+    chunks = spec.box_chunks if same else _box_chunks(spec, spec.core, boxes, stacks)[1]
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
     for c in chunks:
         _spread_runs(acc, [coeffs[box] for box in boxes[c.bands]], c, _placement(spec, c), spec.d,
@@ -503,7 +521,7 @@ class NdConjugate:
         return (self.spec.nu ** self.spec.d) * self.spec.box_stack(box) / self.h0
 
     def chunks(self):
-        """(chunk, dual) per box chunk: the spec's held duals for its own
+        """(chunk, dual) per core box chunk: the spec's held duals for its own
         H0, else the dual of this h0 formed a chunk at a time."""
         spec = self.spec
         if self.h0 is spec.h0 and spec.duals is not None:
@@ -511,9 +529,12 @@ class NdConjugate:
         return _duals(spec.box_chunks, self.h0.ravel(), spec.nu ** spec.d)
 
     def partition_residual(self) -> float:
-        """max |sum_box Omega Phi - nu^d| over the box records."""
-        return _dual_residual(((c.bins, c.values, dual) for c, dual in self.chunks()),
-                              self.h0.size, self.spec.nu ** self.spec.d)
+        """max |sum_box Omega Phi - nu^d| over the full box records, the
+        tails the folds leave out included, the dual formed a chunk at a
+        time."""
+        spec, nu_d = self.spec, self.spec.nu ** self.spec.d
+        chunks = _duals(_box_chunks(spec, spec.records, spec.tiling.boxes)[1], self.h0.ravel(), nu_d)
+        return _dual_residual(((c.bins, c.values, dual) for c, dual in chunks), self.h0.size, nu_d)
 
 
 def conjugate_filter_nd(spec: NdFrameSpec, floor: float = H0_FLOOR) -> NdConjugate:
@@ -524,7 +545,7 @@ def conjugate_filter_nd(spec: NdFrameSpec, floor: float = H0_FLOOR) -> NdConjuga
 def reconstruct_nd(spec: NdFrameSpec, fhat: np.ndarray,
                    conj: NdConjugate | None = None) -> tuple[np.ndarray, float]:
     """Analyze against the conjugate family, synthesize with the primal one:
-    the frame1d reconstruction on the box records, with no coefficients."""
+    the frame1d reconstruction on the core box records, with no coefficients."""
     fhat = _check_field(spec, fhat)
     if conj is None:
         conj = conjugate_filter_nd(spec)

@@ -411,6 +411,14 @@ def test_small_mu_lattice_is_refused_before_it_is_evaluated(tmp_path, command, m
     assert peak_kib < 256 * 1024
 
 
+@pytest.mark.parametrize("n", [1026, 16384, 1 << 30])
+def test_basis_check_past_the_gram_cap_is_usage_error(n):
+    # the Gram check forms two n x n matrices: 4.3 GB each at n = 16384
+    proc = run_cli_quickly("basis-check", "--alpha", "0.5", "--n", str(n))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: exhaustive Gram check capped at n = 1024, got {n}\n"
+
+
 def test_roundtrip2d_rejects_wrong_rank(tmp_path, capsys):
     path = tmp_path / "in.sfr2"
     write_sfr2(path, np.zeros((4, 4, 4), dtype=complex), DOMAIN_FREQUENCY)

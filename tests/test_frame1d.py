@@ -24,6 +24,7 @@ from stockframe.frame1d import (
 )
 from stockframe.spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
 from stockframe.window import Window, WindowStack, gaussian_window, truncated_gaussian
+from tailbound import analysis_bound, check_trim, dense_records, reconstruct_bound, synthesis_bound
 
 
 def gauss_spec(mu=0.5, q=4, alpha=1, n=128, **kw):
@@ -545,7 +546,7 @@ def test_held_dual_is_bit_identical_to_the_per_call_dual(alpha, window, q, chunk
         assert rel == rel_want
     # built once per spec, one read-only array per chunk
     assert len(calls) == 1
-    assert len(spec.duals) == len(spec.records.chunks)
+    assert len(spec.duals) == len(spec.core.chunks)
     assert all(not dual.flags.writeable for dual in spec.duals)
     # a caller's H0 is the one its dual divides by, formed on each call
     h0 = 2 * spec.h0
@@ -593,3 +594,51 @@ def test_dual_synthesis_order_also_reconstructs():
     fs = random_spectrum(rng, 128)
     rec = synthesize(spec, analyze(spec, fs), bands=conj.bands)
     assert np.max(np.abs(rec.coeffs - fs.coeffs)) < 1e-12 * float(np.max(np.abs(fs.coeffs)))
+
+
+@pytest.mark.parametrize("alpha, q", product([0, 0.5, 1], [1, 8]))
+def test_core_records_drop_only_terms_below_tau(alpha, q, monkeypatch):
+    """f lives on the trimmed tails of one band and is zero elsewhere, its
+    core included: there the core and full records give different bits,
+    within the bounds of tailbound.py, built from dropped terms of at most
+    TAU * peak * |f(u)| (peak the largest record value) times their other
+    factors, plus the rounding of either path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(frame1d, "_core", lambda g: g)  # the engine on the full records
+        full = gauss_spec(q=q, alpha=alpha, n=256)
+        assert full.core is full.records
+    spec = gauss_spec(q=q, alpha=alpha, n=256)
+    g, c, n = spec.records, spec.core, 256
+    bands, kept = dense_records(g, n), dense_records(c, n)
+    top = frame1d.TAU * np.max(np.abs(g.values))
+    check_trim(bands, kept, top)
+    assert c.values.size < g.values.size
+
+    b0 = g.ps.index(0)
+    tail = (bands[b0] != 0) & (kept[b0] == 0)
+    rng = np.random.default_rng(19)
+    fhat = np.where(tail, rng.standard_normal(n) + 1j * rng.standard_normal(n), 0.0)
+    fs = SpectralSignal(spec.grid, fhat)
+    root = np.sqrt(g.w)
+
+    got, coeffs = analyze(spec, fs), analyze(full, fs)
+    bound = analysis_bound(bands, kept, root, fhat, top)
+    assert not np.array_equal(got.band(0), coeffs.band(0))
+    for b, p in enumerate(g.ps):
+        assert np.all(np.abs(got.band(p) - coeffs.band(p)) <= bound[b])
+
+    got, want = synthesize(spec, coeffs).coeffs, synthesize(full, coeffs).coeffs
+    bound = synthesis_bound(bands, kept, root, [coeffs.band(p) for p in g.ps], top)
+    assert np.all(np.abs(got - want) <= bound)
+
+    slot = (np.arange(n) - n // 2) % g.m[:, None]
+    (got, _), (want, _) = reconstruct(spec, fs), reconstruct(full, fs)
+    assert not np.array_equal(got.coeffs, want.coeffs)
+    bound = reconstruct_bound(bands, kept, slot, g.m, fhat, spec.h0, top)
+    assert np.all(np.abs(got.coeffs - want.coeffs) <= bound)
+
+
+def test_compact_windows_keep_their_extents():
+    spec = make_frame_spec(truncated_gaussian(0.1), 0.5, 8, 0, 2048)
+    assert spec.records.values.size == spec.core.values.size == 10238
+    assert np.array_equal(spec.core.lo, spec.records.lo) and np.array_equal(spec.core.hi, spec.records.hi)

@@ -30,6 +30,7 @@ from stockframe.tiling import (
     walnut_bounds_nd,
 )
 from stockframe.window import gaussian_window, truncated_gaussian
+from tailbound import analysis_bound, check_trim, dense_records, reconstruct_bound, synthesis_bound
 
 
 def small_spec(d=2, n=16, q=2, mu=0.5, window=None):
@@ -685,3 +686,74 @@ def test_field_shape_check():
     spec = small_spec(d=2, n=16)
     with pytest.raises(ValueError):
         analyze_nd(spec, np.zeros((16, 8), dtype=complex))
+
+
+@pytest.mark.parametrize("d, n, q", [(1, 64, 8), (2, 32, 1), (2, 32, 8), (3, 16, 2)])
+def test_core_boxes_drop_only_terms_below_tau(d, n, q, monkeypatch):
+    """f lives on the trimmed tails of the DC box and is zero elsewhere,
+    its core included: there the core and full box records give different
+    bits, within the bounds of tailbound.py, built from dropped terms of
+    at most TAU * peak^d * |f(u)| (peak the largest factor value) times
+    their other factors, plus the rounding of either path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tiling, "_core", lambda g: g)  # the engine on the full records
+        full = make_nd_frame_spec(gaussian_window(), 0.5, q, d, n)
+        assert full.core is full.records
+    spec = make_nd_frame_spec(gaussian_window(), 0.5, q, d, n)
+    factors = dense_records(spec.core, n)
+    boxes = spec.tiling.boxes
+    stacks = np.array([spec.box_stack(box).ravel() for box in boxes])
+    kept = np.array([reduce(np.multiply.outer, factors[spec.factor_rows(box)]).ravel() for box in boxes])
+    top = frame1d.TAU * np.max(np.abs(spec.records.values)) ** d
+    check_trim(stacks, kept, top)
+
+    tail = (stacks[0] != 0) & (kept[0] == 0)
+    rng = np.random.default_rng(37)
+    fhat = np.where(tail, rng.standard_normal(n ** d) + 1j * rng.standard_normal(n ** d), 0.0)
+    grid = fhat.reshape((n,) * d)
+    root = np.array([spec.box_norm(box) for box in boxes])
+
+    got, coeffs = analyze_nd(spec, grid), analyze_nd(full, grid)
+    bound = analysis_bound(stacks, kept, root, fhat, top)
+    assert not np.array_equal(got[boxes[0]], coeffs[boxes[0]])
+    for b, box in enumerate(boxes):
+        assert np.all(np.abs(got[box] - coeffs[box]) <= bound[b])
+
+    got, want = synthesize_nd(spec, coeffs).ravel(), synthesize_nd(full, coeffs).ravel()
+    assert np.all(np.abs(got - want) <= synthesis_bound(stacks, kept, root, list(coeffs.values()), top))
+
+    period = [spec.box_period(box) for box in boxes]
+    slot = np.array([np.ravel_multi_index(np.meshgrid(*[spec.axis_frequencies() % m] * d, indexing="ij"),
+                                          (m,) * d).ravel() for m in period])
+    (got, _), (want, _) = reconstruct_nd(spec, grid), reconstruct_nd(full, grid)
+    assert not np.array_equal(got, want)
+    bound = reconstruct_bound(stacks, kept, slot, np.power(period, d), fhat, spec.h0.ravel(), top)
+    assert np.all(np.abs(got - want).ravel() <= bound)
+
+
+def test_held_dual_nd_is_built_once_per_spec(monkeypatch):
+    # formed on the first reconstruction from the held core chunks; the
+    # residual forms its own dual on the full box records
+    original, calls = tiling._held_duals, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tiling, "_held_duals", counting)
+    spec = make_nd_frame_spec(gaussian_window(), 0.5, 8, 2, 32)
+    fhat = random_field(np.random.default_rng(38), 2, 32)
+    first, again = reconstruct_nd(spec, fhat), reconstruct_nd(spec, fhat)
+    conjugate_filter_nd(spec).partition_residual()
+    assert len(calls) == 1
+    assert len(spec.duals) == len(spec._held_chunks)
+    assert same_bits(first[0], again[0]) and first[1] == again[1]
+
+
+def test_gaussian_core_boxes_fit_the_record_cap_at_every_axis_cap():
+    # so a Gaussian family's box records are held, not rebuilt per call
+    for (d, n), mu, q in product(AXIS_CAP.items(), (0.1, 0.25, 0.5, 1.0, 2.0, 3.0), (1, 8)):
+        spec = make_nd_frame_spec(gaussian_window(), mu, q, d, n)
+        length = spec.core.hi - spec.core.lo
+        bins = sum(int(np.prod(length[spec.factor_rows(box)])) for box in spec.tiling.boxes)
+        assert bins <= tiling.RECORD_CAP, (d, n, mu, q, bins)
