@@ -30,10 +30,22 @@ and a clipped last band, with neighbours of one width merged (alpha = 0
 is a single run of n - 1 unit bands).  In p order the bands tile
 -(n/2-1) .. n/2-1 with no gap, so the coefficients are one flat array of
 length n - 1 in which band p starts at offset lo + n/2 - 1; data[p] is a
-read-only view into it.  Every band of a run shares the rotation lo % w,
-so analysis and synthesis run one batched length-w DFT over each run's
-stretch of the array, viewed as (count, w).  The per-band arithmetic is
-unchanged, so the results equal a band-by-band loop bit for bit.
+read-only view into it.
+
+Transforms.  A mirrored negative run and its positive run share a width,
+so analysis and synthesis run one batched length-w DFT per distinct
+width w > 1, not one per run.  A plan per (alpha, n) holds two index
+arrays over one "grouped" order, in which the bands sit in ascending
+width (runs in ascending p within a width), one band per row: ``src``
+maps each slot to its bin of the unshifted length-n FFT, the band
+rotated by lo % w, and ``dst`` to its coefficient in the flat p-ordered
+array.  Analysis is one FFT of the signal, one gather through ``src``,
+the 1/n factor, one inverse DFT and one sqrt(w) scale per width and one
+scatter through ``dst``; synthesis runs the same steps mirrored and ends
+in one inverse FFT of the signal.  Every value sees the arithmetic of a
+band-by-band loop, so the results equal it bit for bit.  Plans are kept
+in a module cache of PLAN_CACHE_SIZE entries, least recently used first
+out; an entry holds about 8 bytes per grid point (int32 indices).
 """
 
 from __future__ import annotations
@@ -41,12 +53,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .partition import AlphaPartition, Run, build_partition, partition_covering
-from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, from_spectrum, to_spectrum
+from .partition import AlphaPartition, Run, build_partition, coerce_alpha, partition_covering
+from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, from_spectrum
 
 __all__ = [
     "BasisIndex",
@@ -65,6 +79,11 @@ __all__ = [
 # gram_matrix forms an (n - 1) x n element matrix and its (n - 1)^2 Gram
 # matrix: 16 MB each at the cap, 4.3 GB each at n = 16384.
 GRAM_SIZE_CAP = 1024
+# basis_element and concentration hold a few complex length-n arrays at
+# once: 64 MB each at the cap, 16 GiB each at n = 2^30.
+ELEMENT_SIZE_CAP = 1 << 22
+# Transform plans kept, one per (alpha, n); see _plan.
+PLAN_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -214,8 +233,11 @@ def _element_spectrum(grid: FrequencyGrid, lo: int, hi: int, tau: int) -> np.nda
 
 
 def basis_element(alpha, index: BasisIndex, n: int) -> TimeSamples:
-    """Time samples of one element; the band must fit the grid."""
+    """Time samples of one element; the band must fit the grid.  Grids
+    above ELEMENT_SIZE_CAP are refused before anything is built."""
     grid = FrequencyGrid(n)
+    if n > ELEMENT_SIZE_CAP:
+        raise ValueError(f"basis element grid capped at n = {ELEMENT_SIZE_CAP}, got {n}")
     part = build_partition(alpha, max(abs(index.p), 1))
     iv = part.interval(index.p)
     if iv.stop > grid.half:
@@ -252,41 +274,81 @@ def analyze_naive(alpha, x: TimeSamples) -> DostCoefficients:
     return DostCoefficients(layout, values)
 
 
-def _run_blocks(layout: BandLayout, array: np.ndarray):
-    """(run, block) per run of width > 1: block is the run's stretch of a
-    flat p-ordered array viewed as (count, width), one band per row."""
-    half = layout.grid.half
+class _Plan(NamedTuple):
+    """Band layout plus the index arrays of the width-grouped order."""
+
+    layout: BandLayout
+    src: np.ndarray  # grouped position -> unshifted FFT bin
+    dst: np.ndarray  # grouped position -> offset in the flat p-ordered array
+    blocks: tuple[tuple[int, slice], ...]  # (w, stretch of the grouped order) per w > 1
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(alpha: Fraction, n: int) -> _Plan:
+    """The transform plan of a coerced alpha on a grid of size n.
+
+    Bands are grouped by ascending width, runs in ascending p within a
+    width, one band [lo, lo + w) per row.  Slot tau of a row is
+    coefficient tau of its band (``dst``) and frequency
+    lo + (tau - lo % w) % w of the spectrum (``src``): the band rotated by
+    lo % w, as np.roll does.  Cached: PLAN_CACHE_SIZE entries, each about
+    8 bytes per grid point (two int32 index arrays of length n - 1) plus
+    the layout.
+    """
+    layout = band_layout(alpha, n)
+    by_width: dict[int, list[Run]] = {}
     for r in layout.runs:
-        if r.width > 1:
-            off = r.lo + half - 1
-            yield r, array[off : off + r.count * r.width].reshape(r.count, r.width)
+        by_width.setdefault(r.width, []).append(r)
+    srcs, dsts, blocks, stop = [], [], [], 0
+    for w in sorted(by_width):
+        for r in by_width[w]:
+            lo = r.lo + w * np.arange(r.count)[:, None]
+            srcs.append((lo + (np.arange(w) - r.lo % w) % w).ravel())
+            dsts.append(np.arange(r.lo, r.lo + r.count * w))
+        start, stop = stop, stop + w * sum(r.count for r in by_width[w])
+        if w > 1:
+            blocks.append((w, slice(start, stop)))
+    dtype = np.int32 if n < 2**31 else np.int64
+    src = (np.concatenate(srcs) % n).astype(dtype)
+    dst = (np.concatenate(dsts) + (layout.grid.half - 1)).astype(dtype)
+    src.flags.writeable = dst.flags.writeable = False
+    return _Plan(layout, src, dst, tuple(blocks))
 
 
 def analyze_fast(alpha, x: TimeSamples) -> DostCoefficients:
-    """FFT path: one batched length-w inverse DFT per run of equal width.
+    """FFT path: one batched length-w inverse DFT per distinct band width.
 
-    Band p's slice is rotated by lo % w, which every band of a run
-    shares, and transformed in place in the flat coefficient array.
+    One FFT of the signal, gathered into the width-grouped order with
+    every band rotated by lo % w, then scattered to the flat p-ordered
+    coefficient array.
     """
-    layout = band_layout(alpha, x.grid.size)
-    values = to_spectrum(x).coeffs[1:].copy()  # drop the Nyquist row -n/2
-    for r, block in _run_blocks(layout, values):
-        cut = r.width - r.lo % r.width  # np.roll(band, lo % w), two slices
-        rolled = np.concatenate((block[:, cut:], block[:, :cut]), axis=1)
-        np.multiply(np.fft.ifft(rolled, axis=1), np.sqrt(r.width), out=block)
-    return DostCoefficients(layout, values)
+    n = x.grid.size
+    plan = _plan(coerce_alpha(alpha), n)
+    grouped = np.take(np.fft.fft(x.values), plan.src)
+    grouped /= n
+    for w, stretch in plan.blocks:
+        rows = grouped[stretch].reshape(-1, w)
+        np.multiply(np.fft.ifft(rows, axis=1), np.sqrt(w), out=rows)
+    values = np.empty(n - 1, dtype=np.complex128)
+    values[plan.dst] = grouped
+    return DostCoefficients(plan.layout, values)
 
 
 def synthesize(coeffs: DostCoefficients) -> TimeSamples:
     """Rebuild the signal; exact inverse of analysis on the covered subspace."""
     layout = coeffs.layout
-    spectrum = np.zeros(layout.grid.size, dtype=np.complex128)
-    spectrum[1:] = coeffs.values
-    for r, block in _run_blocks(layout, spectrum[1:]):
-        cut = r.lo % r.width  # np.roll(fft, -lo % w), two slices
-        spread = np.fft.fft(block, axis=1)
-        np.divide(np.concatenate((spread[:, cut:], spread[:, :cut]), axis=1), np.sqrt(r.width), out=block)
-    return from_spectrum(SpectralSignal(layout.grid, spectrum))
+    n = layout.grid.size
+    values = np.asarray(coeffs.values, dtype=np.complex128)
+    if values.shape != (n - 1,):
+        raise ValueError(f"expected {n - 1} coefficients, got shape {values.shape}")
+    plan = _plan(layout.alpha, n)
+    grouped = np.take(values, plan.dst)
+    for w, stretch in plan.blocks:
+        rows = grouped[stretch].reshape(-1, w)
+        np.divide(np.fft.fft(rows, axis=1), np.sqrt(w), out=rows)
+    spectrum = np.zeros(n, dtype=np.complex128)  # the Nyquist bin n/2 stays 0
+    spectrum[plan.src] = grouped
+    return TimeSamples(layout.grid, np.fft.ifft(spectrum) * n)
 
 
 def gram_matrix(alpha, n: int) -> tuple[list[BasisIndex], np.ndarray]:
@@ -323,7 +385,8 @@ def concentration(alpha, index: BasisIndex, n: int, cells: float = 1.0) -> float
     half-width covers the element's full main lobe; the claimed bound for
     that choice is a fraction >= 0.85 at every (p, tau), the actual
     infimum being about 0.9028.  cells = 0.5 measures the half-lobe
-    variant instead.
+    variant instead.  Grids above ELEMENT_SIZE_CAP are refused, as in
+    basis_element.
     """
     if cells <= 0:
         raise ValueError(f"cells must be positive, got {cells}")

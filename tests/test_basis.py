@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stockframe import basis
 from stockframe.basis import (
+    ELEMENT_SIZE_CAP,
     BasisIndex,
+    DostCoefficients,
     analyze_fast,
     analyze_naive,
     band_layout,
@@ -189,6 +192,75 @@ def test_run_batched_basis_is_bit_identical_to_per_band_reference(alpha, n):
     assert np.array_equal(synthesize(coeffs).values, reference_synthesize(bands, want, x.grid))
 
 
+def bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [6, 66, 2048, 1 << 16])
+@pytest.mark.parametrize("alpha", [Fraction(1, 7), Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)])
+def test_width_grouped_basis_is_bit_identical_to_per_band_loop(alpha, n):
+    # covers clipped last bands and widths shared by a mirrored and a positive run
+    rng = np.random.default_rng(47)
+    x = TimeSamples(FrequencyGrid(n), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    bands = reference_bands(alpha, n)
+    want = reference_analyze(bands, x)
+    coeffs = analyze_fast(alpha, x)
+    assert np.array_equal(bits(coeffs.values), bits(np.concatenate(list(want.values()))))
+    assert np.array_equal(bits(synthesize(coeffs).values),
+                          bits(reference_synthesize(bands, want, x.grid)))
+
+
+def test_repeated_analyze_fast_builds_the_layout_once(monkeypatch):
+    original = basis.band_layout
+    calls = []
+
+    def counting(alpha, n):
+        calls.append((alpha, n))
+        return original(alpha, n)
+
+    monkeypatch.setattr(basis, "band_layout", counting)
+    basis._plan.cache_clear()
+    rng = np.random.default_rng(48)
+    x = TimeSamples(FrequencyGrid(2048), rng.standard_normal(2048) + 1j * rng.standard_normal(2048))
+    runs = [analyze_fast(0.5, x) for _ in range(3)]
+    ys = [synthesize(c) for c in runs]
+    assert calls == [(Fraction(1, 2), 2048)]
+    for c, y in zip(runs[1:], ys[1:]):
+        assert np.array_equal(bits(c.values), bits(runs[0].values))
+        assert np.array_equal(bits(y.values), bits(ys[0].values))
+
+
+def test_synthesize_reads_a_separately_built_layout():
+    basis._plan.cache_clear()
+    rng = np.random.default_rng(49)
+    n = 66
+    layout = band_layout(Fraction(1, 2), n)
+    values = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    y = synthesize(DostCoefficients(layout, values))
+    data = {p: values[lo + n // 2 - 1 : hi + n // 2 - 1] for p, (lo, hi) in layout.bands.items()}
+    assert np.array_equal(bits(y.values), bits(reference_synthesize(layout.bands, data, layout.grid)))
+    x = TimeSamples(layout.grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    coeffs = analyze_fast(0.5, x)
+    again = synthesize(DostCoefficients(band_layout(0.5, n), coeffs.values.copy()))
+    assert np.array_equal(bits(again.values), bits(synthesize(coeffs).values))
+
+
+def test_plan_cache_keys_on_the_coerced_alpha():
+    x = TimeSamples(FrequencyGrid(64), np.arange(64.0))
+    analyze_fast(0.1, x)  # 1/10
+    # equal to the float 0.1 and hashed alike, but its denominator is 2^55
+    with pytest.raises(ValueError, match="denominator"):
+        analyze_fast(Fraction(0.1), x)
+    assert np.array_equal(bits(analyze_fast(0.3, x).values),
+                          bits(analyze_fast(Fraction(3, 10), x).values))
+
+
+def test_synthesize_rejects_coefficients_of_the_wrong_length():
+    layout = band_layout(0.5, 64)
+    with pytest.raises(ValueError, match="expected 63 coefficients"):
+        synthesize(DostCoefficients(layout, np.zeros(64, dtype=complex)))
+
+
 def test_band_views_are_read_only_and_keyed_by_p():
     coeffs = analyze_fast(0.5, TimeSamples(FrequencyGrid(64), np.arange(64.0)))
     with pytest.raises(ValueError):
@@ -284,6 +356,15 @@ def test_element_rejects_out_of_range_tau():
 
 
 # ---------------------------------------------------------------- concentration
+
+
+@pytest.mark.parametrize("n", [ELEMENT_SIZE_CAP + 2, 1 << 30])
+def test_element_and_concentration_refuse_grids_past_the_cap(n):
+    message = f"basis element grid capped at n = {ELEMENT_SIZE_CAP}, got {n}"
+    with pytest.raises(ValueError, match=message):
+        basis_element(0.5, BasisIndex(4, 1), n)
+    with pytest.raises(ValueError, match=message):
+        concentration(0.5, BasisIndex(4, 1), n)
 
 
 def test_concentration_is_monotone_in_cells():

@@ -419,6 +419,14 @@ def test_basis_check_past_the_gram_cap_is_usage_error(n):
     assert proc.stderr == f"error: exhaustive Gram check capped at n = 1024, got {n}\n"
 
 
+@pytest.mark.parametrize("n", [(1 << 22) + 2, 1 << 30])
+def test_basis_past_the_element_cap_is_usage_error(n):
+    # one element and its concentration hold complex length-n arrays: 16 GiB each at 2^30
+    proc = run_cli_quickly("basis", "--alpha", "0.5", "--p", "4", "--tau", "1", "--n", str(n))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: basis element grid capped at n = {1 << 22}, got {n}\n"
+
+
 def test_roundtrip2d_rejects_wrong_rank(tmp_path, capsys):
     path = tmp_path / "in.sfr2"
     write_sfr2(path, np.zeros((4, 4, 4), dtype=complex), DOMAIN_FREQUENCY)
