@@ -37,63 +37,72 @@ m / w = q, analysis against Omega followed by synthesis with Phi is an
 FFT pair that cancels: reconstruction is q Phi_p(j) fold_m(f^ Omega_p)[j
 mod m] summed over p, with no coefficients.
 
-Each band is held as a record, in p order (`FrameSpec.records`,
-gathered once from the stack's records): its nonzero extent [lo, hi) in
-grid bins, its values there, its width w and its period m = q*w.  The
-records are cut into chunks of whole bands holding a few thousand bins
-(FoldChunk), and every operator reads them a chunk at a time, so its
-temporaries stay small whatever the grid.  Analysis gathers f^ on a
-chunk's extents, multiplies by the window values, folds mod m with one
-add.at of the complex terms and runs one inverse FFT per run of bands of
-equal period (in p order these runs are long: width(p) =
-width(|p|) is monotone in |p|; a run of large periods is cut into groups
-of a few thousand coefficients); synthesis runs the forward FFT per
-group, gathers the spread onto the extents and adds it into the grid;
-reconstruction folds f^ Omega_p and adds q Phi_p times the fold, with no
-FFT.  The n-D frame (tiling.py) runs the same chunk bodies on its boxes.
+Each band is held as a record, in p order (`FrameSpec.records`): its
+nonzero extent [lo, hi) in grid bins, its values there, its width w and
+its period m = q*w.  The 1D frame runs on the n-D frame's engine
+(tiling.py), a band being a box of d = 1 axis factor.  One builder,
+`_box_chunks`, cuts a family of boxes, each given as its d rows of factor
+records in the order wanted, into chunks of whole boxes of a few
+thousand bins (FoldChunk): the flat grid bins of their supports, the
+values there and, formed in one loop over the axes, two slots per bin:
+
+- the compact fold, read by reconstruction: the C-order ravel of
+  (j_s - lo_s) mod m over radices min(extent_s, m), never more slots
+  than bins, whatever q;
+- the placement, read by analysis and synthesis: the C-order ravel of
+  (j_s - half) mod P, P = q*w, in the box's block of P^d coefficients;
+  formed only where the chunk's blocks fit COEFF_CAP, else analysis and
+  synthesis refuse ("reduce q").
+
+Analysis folds f^ Phi at the placement with one add.at and runs one
+inverse FFT per group of bands of equal period (in p order the runs are
+long, as width(|p|) is monotone); synthesis runs the forward FFT and
+adds it, read at the placement, into the grid; reconstruction folds
+f^ Omega at the compact fold and adds q Phi times the fold, with no FFT.
+Both specs (FrameSpec, tiling.NdFrameSpec: _BoxFrame) hold their
+records, the core records (below), the core chunks in band order and the
+dual at their bins (`duals`, 8 B per core bin), each built on first use;
+the 1D spec holds its chunks at any size, the n-D spec up to RECORD_CAP
+bins, else rebuilding them per call.  A coefficient dict in another
+order, or a replacement family (on each array's nonzero bounding box),
+gets its own chunks per call.  One ConjugateFilter serves both frames.
 
 A Gaussian never vanishes, so its records run out to the window's zero
 radius, 15.5 bins from each lattice point, though past about 4.2 bins a
 sample is below TAU = 2^-80 of the peak and moves no O(1) sum by a
 rounding.  So analysis, synthesis, reconstruction and the held dual read
-the core records (FrameSpec.core, built on first use by one vectorized
-pass over the values): each extent cut to the span of its samples of
+the core records (`core`): each extent cut to the span of its samples of
 magnitude >= TAU times the family's largest.  Compact windows keep their
-extents.  What certifies or checks reads the full records, tails
-included: H0, the Walnut sum, the bounds, the eigenbounds, admissibility
-and the dual residual.  On dense input the folds give the same bits on
-the core records as on the full ones (measured over the test matrices);
-that is not given by construction: an input that lives only on dropped
-bins shows a difference, made of dropped terms, each at most
-TAU * peak * |f(u)| times its other factors.  The dual is held on the
-core records (FrameSpec.duals): Omega_p at every core bin, one read-only
-array per chunk, 8 B per core bin, built on the first reconstruction
-from the cached H0.
+extents.  H0, the Walnut sum, the bounds, the eigenbounds, admissibility
+and the dual residual read the full records.  On dense input the folds
+give the same bits on either (measured over the test matrices), not by
+construction: an input living only on dropped bins differs by dropped
+terms, each at most TAU * peak * |f(u)| times its other factors.
 
 A band's shifted product Phi_p(u - s) Psi_p(u) is nonzero only where
-both extents meet, so `walnut_apply`,
-`walnut_bounds` and `frame_bounds_eigen` enumerate every (band, shift)
-pair and its overlap once, in (p, m) order, and `frame_bounds_eigen`
-assembles the operator from its Walnut kernel
+both extents meet, so `walnut_apply`, `walnut_bounds` and
+`frame_bounds_eigen` enumerate every (band, shift) pair and its overlap
+once, in (p, m) order, and `frame_bounds_eigen` assembles the operator
+from its Walnut kernel
 
     S[u, v] = q * sum_p Phi_p(u) Phi_p(v) [u = v mod q*width_p],
 
 which agrees with the analysis + synthesis operator to round-off; the
-n-D Walnut sum and tail bound run on the same pair kernels.  All
-other outputs equal the dense per-band (or per-shift) evaluation bit for
-bit (the folds on the core records as measured, above), because every
-bin receives the same additions in the same order:
-folds in ascending frequency, synthesis and reconstruction in coefficient
-(ascending p) order, Walnut terms in (p, m) order and H0 in the stack's
-band order; each shift's maximum comes from one reduceat.  Bins outside an
-extent would only receive +0.0, which changes no sum.
+n-D Walnut sum and tail bound run on the same pair kernels.  All other
+outputs equal the dense per-band (or per-shift) evaluation bit for bit,
+because every bin receives the same additions in the same order: folds
+in ascending frequency, synthesis and reconstruction in coefficient
+order, Walnut terms in (p, m) order and H0 in the stack's band order;
+each shift's maximum comes from one reduceat.  Bins outside an extent
+would only receive +0.0, which changes no sum.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 
 import numpy as np
@@ -158,14 +167,12 @@ def _fold(x: np.ndarray, fold: np.ndarray, size: int) -> np.ndarray:
 
 @dataclass
 class FoldChunk:
-    """Consecutive bands (or n-D boxes) of a family, bands, whose supports
-    hold about _TERM_CHUNK bins, lengths[i] of them in the i-th band.
-
-    bins are the flat grid bins of the supports, band after band, and
-    values the band values there; fold is the slot each bin folds into
-    and spreads from (its band's slot base plus its residue mod m), in a
-    fold of size slots.  runs are the maximal runs (a, b, w, m) of bands
-    of equal width and period.
+    """Consecutive bands (boxes) of a family, bands, whose supports hold
+    about _TERM_CHUNK bins, lengths[i] of them in the i-th band: their
+    flat grid bins, band after band, the values there, each bin's slot in
+    the compact fold of size slots (fold) and in the blocks of P^d
+    coefficient slots a band (place, None past COEFF_CAP); runs are the
+    maximal runs (a, b, w, P) of bands of equal width w, P = q*w.
     """
 
     bands: slice
@@ -175,6 +182,7 @@ class FoldChunk:
     values: np.ndarray = field(repr=False)
     fold: np.ndarray = field(repr=False)
     size: int
+    place: np.ndarray | None = field(repr=False)
 
 
 @dataclass
@@ -194,27 +202,6 @@ class BandRecords:
     m: np.ndarray
     half: int
 
-    def take(self, ps) -> BandRecords:
-        """The records of the bands ps, in that order: one gather."""
-        where = {p: b for b, p in enumerate(self.ps)}
-        index = np.array([where[p] for p in ps], dtype=np.int64)
-        lo, hi = self.lo[index], self.hi[index]
-        values = self.values[_runs(lo + self.offset[index], hi - lo)]
-        return BandRecords(tuple(ps), lo, hi, np.cumsum(hi - lo) - hi, values,
-                           self.w[index], self.m[index], self.half)
-
-    @cached_property
-    def chunks(self) -> tuple[FoldChunk, ...]:
-        """The records cut into chunks of whole bands; built on first use."""
-        length = self.hi - self.lo
-
-        def expand(a, b):
-            bins, start = _runs(self.lo[a:b], length[a:b]), int(self.lo[a] + self.offset[a])
-            return (bins, (bins - self.half) % np.repeat(self.m[a:b], length[a:b]),
-                    self.values[start:start + bins.size])
-
-        return tuple(_cut(length, self.m, self.w, self.m.tolist(), expand))
-
 
 def _core(g: BandRecords) -> BandRecords:
     """The records with each extent cut to the span of its samples of
@@ -232,28 +219,87 @@ def _core(g: BandRecords) -> BandRecords:
                        g.w, g.m, g.half)
 
 
-def _cut(length: np.ndarray, slots: np.ndarray, w: np.ndarray, period: list[int], expand):
-    """Yield the chunks of whole bands of a family: band b holds length[b]
-    bins, folds into slots[b] slots and has width w[b] and period
-    period[b].  expand(a, b) gives the bins of bands a .. b - 1, each
-    bin's slot in its band (to which the band's slot base in the chunk is
-    added) and the values there.  A chunk's fold may not pass COEFF_CAP
-    slots."""
-    for a, b in _chunks(length):
-        size = sum(slots[a:b].tolist())
-        if size > COEFF_CAP:
-            raise ValueError(f"a fold of {size} slots exceeds the cap {COEFF_CAP}; reduce q")
-        bins, fold, values = expand(a, b)
-        fold += np.repeat(np.cumsum(slots[a:b]) - slots[a:b], length[a:b])
-        cuts = (a + np.flatnonzero(np.diff(w[a:b])) + 1).tolist()
-        runs = tuple((s, e, int(w[s]), period[s]) for s, e in zip([a, *cuts], [*cuts, b]))
-        yield FoldChunk(slice(a, b), runs, length[a:b], bins, values, fold, size)
+def _extents(arrays, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, length), each (k, d): per array and axis, the extent of its
+    nonzero bounding box, (0, 0) for zeros; arrays are stacked about 2^20
+    values at a time, never the whole family at once."""
+    lo, hi = np.zeros((2, len(arrays), d), dtype=np.int64)
+    step = max(1, (1 << 20) // np.size(arrays[0])) if len(arrays) else 1
+    for i in range(0, len(arrays), step):
+        nz = np.array(arrays[i:i + step]) != 0
+        for s in range(d):
+            hit = nz.any(axis=tuple(a for a in range(1, d + 1) if a != s + 1))
+            some = hit.any(axis=1)
+            lo[i:i + step, s] = np.where(some, hit.argmax(axis=1), 0)
+            hi[i:i + step, s] = np.where(some, hit.shape[1] - hit[:, ::-1].argmax(axis=1), 0)
+    return lo, hi - lo
+
+
+def _box_chunks(g: BandRecords, rows: np.ndarray, n: int, q: int,
+                family: list | None = None) -> tuple[int, Iterator[FoldChunk]]:
+    """(bins, fold chunks) of a family of boxes on the grid of n^d bins, in
+    order: box i is the product of the factor records rows[i] of g, one per
+    axis (d = rows.shape[1]; a 1D band is one row), or with a dense family
+    (one array per box) that array, held on its nonzero bounding box.  A
+    box has the width w of its first factor, period P = q*w, and compact
+    radix min(extent, m) along an axis of factor period m."""
+    d, half = rows.shape[1], n // 2
+    first = rows[:, 0]
+    w, m = g.w[first], g.m[first]
+    if family is None:
+        lo = g.lo[rows]
+        length, offset = g.hi[rows] - lo, g.offset[rows].T
+    else:
+        lo, length = _extents(family, d)
+    radix = np.minimum(length, m[:, None])
+    size, slots = length.prod(axis=1), radix.prod(axis=1)
+    # P^d per box, as floats: exact up to 2^53, so wherever COEFF_CAP is met
+    blocks = (float(q) * w) ** d
+    lo, length, radix = lo.T, length.T, radix.T  # one row per axis
+
+    def cut():
+        for a, b in _chunks(size):
+            period = q * w[a:b] if blocks[a:b].sum() <= COEFF_CAP else None
+            owner = np.arange(a, b)
+            for s in range(d):  # C order: the last axis varies fastest
+                count = length[s][owner]
+                owner = np.repeat(owner, count)
+                # each bin's offset into its extent
+                r = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+                u = lo[s][owner] + r
+                if s == 0:
+                    bins, fold = u, r % m[owner]
+                    place = None if period is None else (u - half) % period[owner - a]
+                else:
+                    bins = np.repeat(bins, count) * n + u
+                    fold = np.repeat(fold, count) * radix[s][owner] + r % m[owner]
+                    if period is not None:
+                        p = period[owner - a]
+                        place = np.repeat(place, count) * p + (u - half) % p
+                if family is None:  # (v0 v1) v2, as reduce(np.multiply.outer) associates
+                    v = g.values[u + offset[s][owner]]
+                    values = v if s == 0 else np.repeat(values, count) * v
+            if family is not None:  # each array on its bounding box, in C order
+                values = np.concatenate([np.asarray(family[i])[tuple(
+                    slice(lo[s][i], lo[s][i] + length[s][i]) for s in range(d))].ravel()
+                    for i in range(a, b)])
+            lengths = size[a:b]
+            fold += np.repeat(np.cumsum(slots[a:b]) - slots[a:b], lengths)
+            if period is not None:
+                block = period ** d
+                place += np.repeat(np.cumsum(block) - block, lengths)
+            cuts = (a + np.flatnonzero(np.diff(w[a:b])) + 1).tolist()
+            runs = tuple((s, e, int(w[s]), q * int(w[s])) for s, e in zip([a, *cuts], [*cuts, b]))
+            yield FoldChunk(slice(a, b), runs, lengths, bins, values, fold,
+                            int(slots[a:b].sum()), place)
+
+    return int(size.sum()), cut()
 
 
 def _groups(c: FoldChunk, d: int):
     """Yield the chunk's runs of equal period cut into groups of whole
-    bands of at most _TERM_CHUNK coefficients (m^d per band), or one band,
-    as (a, b, w, m, base): bands a .. b - 1, whose coefficient slots in
+    bands of at most _TERM_CHUNK coefficients (P^d per band), or one band,
+    as (a, b, w, P, base): bands a .. b - 1, whose coefficient slots in
     the chunk start at base."""
     base = 0
     for a, b, w, m in c.runs:
@@ -264,6 +310,15 @@ def _groups(c: FoldChunk, d: int):
             base += (e - s) * m ** d
 
 
+def _placed(c: FoldChunk, d: int) -> np.ndarray:
+    """The chunk's placement, or the refusal of a chunk whose coefficient
+    blocks pass COEFF_CAP."""
+    if c.place is None:
+        size = sum((b - a) * m ** d for a, b, _, m in c.runs)
+        raise ValueError(f"a fold of {size} slots exceeds the cap {COEFF_CAP}; reduce q")
+    return c.place
+
+
 def _dft(x: np.ndarray, d: int, transform) -> np.ndarray:
     """transform (np.fft.fft or ifft) over axes d .. 1 of x, the last one
     first, as numpy's n-D transforms apply it (bit for bit)."""
@@ -272,10 +327,11 @@ def _dft(x: np.ndarray, d: int, transform) -> np.ndarray:
     return x
 
 
-def _fold_runs(x: np.ndarray, place: np.ndarray, c: FoldChunk, d: int, root) -> list[np.ndarray]:
+def _fold_runs(x: np.ndarray, c: FoldChunk, d: int, root) -> list[np.ndarray]:
     """The coefficient blocks of a chunk's bands, in band order: x folded
-    at place into m^d slots per band, then m^d ifftn(block) / root(w), one
-    inverse DFT per group of bands of equal period."""
+    at the placement into P^d slots per band, then P^d ifftn(block) /
+    root(w), one inverse DFT per group of bands of equal period."""
+    place = _placed(c, d)
     groups = list(_groups(c, d))
     folded = _fold(x, place, sum((b - a) * m ** d for a, b, _, m, _ in groups))
     blocks: list[np.ndarray] = []
@@ -288,11 +344,11 @@ def _fold_runs(x: np.ndarray, place: np.ndarray, c: FoldChunk, d: int, root) -> 
     return blocks
 
 
-def _spread_runs(acc: np.ndarray, coeffs: list[np.ndarray], c: FoldChunk, place: np.ndarray,
-                 d: int, root) -> None:
+def _spread_runs(acc: np.ndarray, coeffs: list[np.ndarray], c: FoldChunk, d: int, root) -> None:
     """Add a chunk's bands, weighted by coeffs (one block per band), into
     acc: one DFT per group of bands of equal period, read at each bin's
-    slot place, times values / root(w)."""
+    placement, times values / root(w)."""
+    place = _placed(c, d)
     groups, first = list(_groups(c, d)), c.bands.start
     spread = np.empty(sum((b - a) * m ** d for a, b, _, m, _ in groups), dtype=np.complex128)
     for a, b, _, m, base in groups:
@@ -303,21 +359,113 @@ def _spread_runs(acc: np.ndarray, coeffs: list[np.ndarray], c: FoldChunk, place:
     np.add.at(acc, c.bins, c.values * spread[place] / roots)
 
 
-def _family_records(spec: FrameSpec, family: dict[int, np.ndarray], ps) -> BandRecords:
-    """Records of a replacement family's bands ps on their own nonzero extents."""
-    ps = tuple(ps)
-    mat = np.array([family[p] for p in ps])
-    nz, n = mat != 0, mat.shape[1]
-    lo = np.where(nz.any(axis=1), nz.argmax(axis=1), 0)
-    hi = np.where(nz.any(axis=1), n - nz[:, ::-1].argmax(axis=1), 0)
-    values = mat.ravel()[_runs(lo + n * np.arange(len(ps)), hi - lo)]
-    w = np.array([spec.width(p) for p in ps], dtype=np.int64)
-    return BandRecords(ps, lo, hi, np.cumsum(hi - lo) - hi, values, w, spec.q * w, spec.grid.half)
+def _on_grid(n: int, sup, values: np.ndarray) -> np.ndarray:
+    """values held on the support sup (grid slices), zero-filled to the grid."""
+    out = np.zeros((n,) * values.ndim)
+    out[sup] = values
+    return out
+
+
+class _BoxFrame:
+    """What FrameSpec and tiling.NdFrameSpec share: a band (box) is the
+    product of d factor records on a grid of n bins per axis.  A spec
+    gives records, q, d, n, factor_rows(key), its bands in fold order
+    (_fold_keys) and in H0 order (_sum_keys), sum_of_squares(), its
+    coefficient root _root(w) and its hold rule _holds(core bins).
+    """
+
+    @property
+    def nu(self) -> float:
+        return 1.0 / self.q
+
+    @cached_property
+    def h0(self) -> np.ndarray:
+        """sum_of_squares(), read-only; built on first use."""
+        h0 = self.sum_of_squares()
+        h0.flags.writeable = False
+        return h0
+
+    @cached_property
+    def core(self) -> BandRecords:
+        """The records cut to their numerical core (_core), read by
+        analysis, synthesis and reconstruction; built on first use."""
+        return _core(self.records)
+
+    @cached_property
+    def _factors(self) -> list[tuple[slice, np.ndarray]]:
+        """Per record, (its extent as a grid slice, its values there)."""
+        g = self.records
+        return [(slice(lo, hi), g.values[lo + off:hi + off])
+                for lo, hi, off in zip(g.lo.tolist(), g.hi.tolist(), g.offset.tolist())]
+
+    def box_support(self, key) -> tuple[tuple[slice, ...], np.ndarray]:
+        """(grid slices of the band's support, its stack on them)."""
+        sup, values = zip(*(self._factors[r] for r in self.factor_rows(key)))
+        return sup, reduce(np.multiply.outer, values)
+
+    def box_stack(self, key) -> np.ndarray:
+        """The band's stack on the whole grid, built on demand."""
+        return _on_grid(self.n, *self.box_support(key))
+
+    def _box_rows(self, keys) -> np.ndarray:
+        """The factor rows of the bands keys, one row of d per band."""
+        return np.array([self.factor_rows(key) for key in keys], dtype=np.int64).reshape(-1, self.d)
+
+    def _fold_chunks(self, keys, g: BandRecords | None = None,
+                     family=None) -> tuple[int, Iterator[FoldChunk]]:
+        """_box_chunks of the bands keys, on the core records by default."""
+        return _box_chunks(self.core if g is None else g, self._box_rows(keys), self.n, self.q, family)
+
+    @cached_property
+    def _held_chunks(self) -> tuple[FoldChunk, ...] | None:
+        size, chunks = self._fold_chunks(self._fold_keys)
+        return tuple(chunks) if self._holds(size) else None
+
+    @property
+    def chunks(self):
+        """The core records of the bands in fold order as fold chunks:
+        held, or rebuilt on each call past the spec's hold rule."""
+        held = self._held_chunks
+        return self._fold_chunks(self._fold_keys)[1] if held is None else held
+
+    @cached_property
+    def duals(self) -> tuple[np.ndarray, ...] | None:
+        """The dual Omega = nu^d Phi / H0 at the bins of each held chunk,
+        read-only (None when the chunks are not held); built on first use."""
+        if self._held_chunks is None:
+            return None
+        return _held_duals(self._held_chunks, self.h0.ravel(), self.nu ** self.d)
+
+
+def _analyze(spec: _BoxFrame, fhat: np.ndarray) -> dict:
+    """<f, element> for every band of the spec, in fold order, f^ flat on
+    the grid: fold f^ Phi at the placement a chunk at a time, then one
+    inverse DFT per run of equal period."""
+    blocks = (block for c in spec.chunks
+              for block in _fold_runs(fhat[c.bins] * c.values, c, spec.d, spec._root))
+    return dict(zip(spec._fold_keys, blocks))
+
+
+def _synthesize(spec: _BoxFrame, coeffs: dict, family: dict | None) -> np.ndarray:
+    """sum of coefficient-weighted elements on the flat grid, over the
+    spec's bands or a replacement family; bands add in the order of
+    coeffs (module docstring)."""
+    keys = tuple(coeffs)
+    if family is None and keys == spec._fold_keys:
+        chunks = spec.chunks
+    else:
+        arrays = None if family is None else [family[key] for key in keys]
+        chunks = spec._fold_chunks(keys, family=arrays)[1]
+    acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
+    for c in chunks:
+        _spread_runs(acc, [coeffs[key] for key in keys[c.bands]], c, spec.d, spec._root)
+    return acc
 
 
 @dataclass
-class FrameSpec:
-    """Frozen description of one frame instance on a grid."""
+class FrameSpec(_BoxFrame):
+    """Frozen description of one frame instance on a grid; its bands are
+    the boxes of the shared engine at d = 1 (_BoxFrame)."""
 
     alpha: Fraction
     window: Window
@@ -328,9 +476,11 @@ class FrameSpec:
     stack: WindowStack
     walnut_k_max: int
 
+    d = 1
+
     @property
-    def nu(self) -> float:
-        return 1.0 / self.q
+    def n(self) -> int:
+        return self.grid.size
 
     @property
     def p_range(self) -> list[int]:
@@ -342,33 +492,46 @@ class FrameSpec:
     def k_count(self, p: int) -> int:
         return self.q * self.width(p)
 
-    @cached_property
-    def h0(self) -> np.ndarray:
-        """H0 = sum_p Phi_p^2 on the grid, read-only; built on first use."""
-        h0 = self.stack.sum_of_squares()
-        h0.flags.writeable = False
-        return h0
-
-    @cached_property
-    def duals(self) -> tuple[np.ndarray, ...]:
-        """The dual Omega = nu Phi / H0 at the bins of each core chunk,
-        read-only; built on first use."""
-        return _held_duals(self.core.chunks, self.h0, self.nu)
+    def sum_of_squares(self) -> np.ndarray:
+        return self.stack.sum_of_squares()
 
     @cached_property
     def records(self) -> BandRecords:
-        """The stack records in p order, read by the Walnut sum and the
-        bounds; built on first use."""
+        """The stack records in p order (one gather), read by the Walnut
+        sum and the bounds; built on first use."""
         st = self.stack
-        w = np.array([self.width(p) for p in st.ps], dtype=np.int64)
-        return BandRecords(st.ps, st.lo, st.hi, st.offset, st.values, w, self.q * w,
-                           self.grid.half).take(self.p_range)
+        index = np.argsort(st.ps)
+        lo, hi = st.lo[index], st.hi[index]
+        w = np.array([self.width(p) for p in self.p_range], dtype=np.int64)
+        return BandRecords(tuple(self.p_range), lo, hi, np.cumsum(hi - lo) - hi,
+                           st.values[_runs(lo + st.offset[index], hi - lo)], w, self.q * w,
+                           self.grid.half)
 
     @cached_property
-    def core(self) -> BandRecords:
-        """The records cut to their numerical core (_core), read by
-        analysis, synthesis and reconstruction; built on first use."""
-        return _core(self.records)
+    def _rows(self) -> dict[int, int]:
+        return {p: b for b, p in enumerate(self.records.ps)}
+
+    def factor_rows(self, p: int) -> list[int]:
+        return [self._rows[p]]
+
+    def _box_rows(self, ps) -> np.ndarray:
+        # one pass, no list per band: a spec built per request pays this
+        return np.fromiter(map(self._rows.__getitem__, ps), np.int64, len(ps))[:, None]
+
+    @property
+    def _fold_keys(self) -> tuple[int, ...]:
+        return self.records.ps
+
+    @property
+    def _sum_keys(self) -> tuple[int, ...]:
+        return self.stack.ps
+
+    def _root(self, w: int) -> float:
+        return np.sqrt(w)
+
+    def _holds(self, bins: int) -> bool:
+        # whatever its size: a rebuild costs far more than the held bins
+        return True
 
 
 def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int,
@@ -428,41 +591,32 @@ def frame_element(spec: FrameSpec, p: int, k: int) -> SpectralSignal:
 
 
 def analyze(spec: FrameSpec, f) -> FrameCoefficients:
-    """<f, element_{p,k}> for every band: fold f^ Phi_p mod m on the
-    records a chunk at a time, then one inverse DFT per run of equal
-    period."""
-    fhat = _as_spectrum(spec, f)
-    g = spec.core
-    rows = [row for c in g.chunks
-            for row in _fold_runs(fhat[c.bins] * c.values, c.fold, c, 1, np.sqrt)]
-    return FrameCoefficients(spec, dict(zip(g.ps, rows)))
+    """<f, element_{p,k}> for every band, in p order (_analyze)."""
+    return FrameCoefficients(spec, _analyze(spec, _as_spectrum(spec, f)))
 
 
 def synthesize(spec: FrameSpec, coeffs: FrameCoefficients,
                bands: dict[int, np.ndarray] | None = None) -> SpectralSignal:
-    """sum_k c_k element_k, over the analysis bands or a replacement family.
-
-    One DFT per run of equal period spreads the coefficients; each band's
-    spread lands on its extent only, and bands are added in the order of
-    coeffs.data.  Another order gathers the stack records in that order;
-    a replacement family gets records on its own nonzero extents.
-    """
-    ps = tuple(coeffs.data)
-    g = spec.core
-    if bands is not None:
-        g = _family_records(spec, bands, ps)
-    elif ps != g.ps:
-        g = g.take(ps)
-    acc = np.zeros(spec.grid.size, dtype=np.complex128)
-    for c in g.chunks:
-        _spread_runs(acc, [coeffs.data[p] for p in g.ps[c.bands]], c, c.fold, 1, np.sqrt)
-    return SpectralSignal(spec.grid, acc)
+    """sum_k c_k element_k, over the analysis bands or a replacement
+    family, bands added in the order of coeffs.data (_synthesize)."""
+    return SpectralSignal(spec.grid, _synthesize(spec, coeffs.data, bands))
 
 
 def frame_operator_apply(spec: FrameSpec, f,
                          synthesis_bands: dict[int, np.ndarray] | None = None) -> SpectralSignal:
     """S f (or the mixed-window S_{phi,psi} f) through analysis + synthesis."""
     return synthesize(spec, analyze(spec, f), synthesis_bands)
+
+
+def _family_records(spec: FrameSpec, family: dict[int, np.ndarray], ps) -> BandRecords:
+    """Records of a replacement family's bands ps on their own nonzero extents."""
+    ps = tuple(ps)
+    mat = np.array([family[p] for p in ps])
+    lo, length = (x[:, 0] for x in _extents(mat, 1))
+    values = mat.ravel()[_runs(lo + mat.shape[1] * np.arange(len(ps)), length)]
+    w = np.array([spec.width(p) for p in ps], dtype=np.int64)
+    return BandRecords(ps, lo, lo + length, np.cumsum(length) - lo - length, values, w, spec.q * w,
+                       spec.grid.half)
 
 
 def _shift_limit(g: BandRecords, psi: BandRecords) -> np.ndarray:
@@ -646,46 +800,43 @@ def _held_duals(chunks, h0: np.ndarray, nu: float) -> tuple[np.ndarray, ...]:
 
 @dataclass
 class ConjugateFilter:
-    """Canonical dual bands Omega_p = nu Phi_p / H0 and the H0 it came from.
+    """Canonical dual bands Omega = nu^d Phi / H0 of a 1D or n-D frame
+    (FrameSpec or tiling.NdFrameSpec) and the H0 it came from.
 
-    Dense dual bands are built on demand; reconstruct reads the dual on
-    the core chunks (chunks).
+    Dense dual bands are built on demand; reconstruction reads the dual
+    on the spec's core chunks (chunks).
     """
 
-    spec: FrameSpec = field(repr=False)
+    spec: _BoxFrame = field(repr=False)
     h0: np.ndarray = field(repr=False)
 
-    def band(self, p: int) -> np.ndarray:
-        return self.spec.nu * self.spec.stack.band(p) / self.h0
+    def band(self, key) -> np.ndarray:
+        spec = self.spec
+        return spec.nu ** spec.d * spec.box_stack(key) / self.h0
 
     @cached_property
-    def bands(self) -> dict[int, np.ndarray]:
-        return {p: self.band(p) for p in self.spec.stack.ps}
+    def bands(self) -> dict:
+        return {key: self.band(key) for key in self.spec._sum_keys}
 
     def chunks(self):
         """(chunk, dual) per core chunk: the spec's held duals for its
         own H0, else the dual of this h0 formed a chunk at a time."""
         spec = self.spec
-        if self.h0 is spec.h0:
-            return zip(spec.core.chunks, spec.duals)
-        return _duals(spec.core.chunks, self.h0, spec.nu)
+        if self.h0 is spec.h0 and spec.duals is not None:
+            return zip(spec.chunks, spec.duals)
+        return _duals(spec.chunks, self.h0.ravel(), spec.nu ** spec.d)
 
     def partition_residual(self) -> float:
-        """max_j |sum_p Omega_p Phi_p - nu|, zero to round-off by construction;
-        each bin adds its products in the stack's band order."""
-        st, nu = self.spec.stack, self.spec.nu
-        bins = _runs(st.lo, st.hi - st.lo)
-        return _dual_residual([(bins, st.values, nu * st.values / self.h0[bins])], self.h0.size, nu)
-
-
-def _dual_residual(records, size: int, nu: float) -> float:
-    """max |sum Omega Phi - nu| over a flat grid of size bins, for a family
-    held as records (bins, Phi, Omega there): each bin adds its products
-    in record order."""
-    acc = np.zeros(size)
-    for bins, values, dual in records:
-        np.add.at(acc, bins, dual * values)
-    return float(np.max(np.abs(acc - nu)))
+        """max |sum Omega Phi - nu^d| over the grid, zero to round-off by
+        construction, on the full records (the tails the folds leave out
+        included): the dual formed a chunk at a time, each bin adding its
+        products in the order H0 adds the bands."""
+        spec, nu_d = self.spec, self.spec.nu ** self.spec.d
+        chunks = spec._fold_chunks(spec._sum_keys, spec.records)[1]
+        acc = np.zeros(self.h0.size)
+        for c, dual in _duals(chunks, self.h0.ravel(), nu_d):
+            np.add.at(acc, c.bins, dual * c.values)
+        return float(np.max(np.abs(acc - nu_d)))
 
 
 def _check_gap(h0: np.ndarray, half: int, floor: float) -> None:
@@ -702,34 +853,40 @@ def _check_gap(h0: np.ndarray, half: int, floor: float) -> None:
         )
 
 
-def conjugate_filter(spec: FrameSpec, floor: float = H0_FLOOR) -> ConjugateFilter:
-    _check_gap(spec.h0, spec.grid.half, floor)
+def conjugate_filter(spec: _BoxFrame, floor: float = H0_FLOOR) -> ConjugateFilter:
+    """The conjugate filter of a 1D or n-D frame, refused if H0 reaches floor."""
+    _check_gap(spec.h0, spec.n // 2, floor)
     return ConjugateFilter(spec, spec.h0)
 
 
-def _reconstruct(fhat: np.ndarray, chunks, q) -> np.ndarray:
-    """sum q Phi fold_m(f^ Omega)[fold] over the bands of the (chunk,
-    dual Omega) pairs, a chunk at a time: the reconstruction of the 1D
-    and n-D frames (flat grids, q raised to the dimension)."""
+def _norm(x: np.ndarray) -> float:
+    """The l2 norm of a contiguous complex array by numpy's own pairwise
+    sum of its squared parts, not BLAS: the same bits under any thread
+    count."""
+    parts = x.view(np.float64)
+    return math.sqrt(float(np.sum(parts * parts)))
+
+
+def _round_trip(spec: _BoxFrame, fhat: np.ndarray,
+                conj: ConjugateFilter | None) -> tuple[np.ndarray, float]:
+    """Analyze f^ (flat on the grid) against the conjugate family and
+    synthesize with the primal one: sum q^d Phi fold(f^ Omega)[fold] over
+    the core chunks, no coefficients formed, as the FFT pair cancels
+    (module docstring).  Returns (reconstruction, relative l2 error)."""
+    if conj is None:
+        conj = conjugate_filter(spec)
+    q = spec.q ** spec.d
     acc = np.zeros(fhat.size, dtype=np.complex128)
-    for c, dual in chunks:
+    for c, dual in conj.chunks():
         np.add.at(acc, c.bins, q * c.values * _fold(fhat[c.bins] * dual, c.fold, c.size)[c.fold])
-    return acc
+    return acc, _norm(acc - fhat) / (_norm(fhat) or 1.0)
 
 
 def reconstruct(spec: FrameSpec, f,
                 conj: ConjugateFilter | None = None) -> tuple[SpectralSignal, float]:
-    """Analyze against the conjugate family, synthesize with the analysis one.
-
-    The FFT pair cancels (module docstring), so no coefficients are formed.
-    Returns (reconstruction, relative l2 error against the input).
-    """
+    """Analyze against the conjugate family, synthesize with the analysis
+    one (_round_trip).  Returns (reconstruction, relative l2 error against
+    the input)."""
     fhat = _as_spectrum(spec, f)
-    if conj is None:
-        conj = conjugate_filter(spec)
-    acc = _reconstruct(fhat, conj.chunks(), spec.q)
-    rec = SpectralSignal(spec.grid, acc)
-    scale = float(np.linalg.norm(fhat)) or 1.0
-    rel_err = float(np.linalg.norm(rec.coeffs - fhat)) / scale
-    return rec, rel_err
-
+    rec, rel_err = _round_trip(spec, fhat, conj)
+    return SpectralSignal(spec.grid, rec), rel_err

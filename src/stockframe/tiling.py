@@ -30,52 +30,41 @@ Each axis factor F_{p,e} is a frame1d band record (extent and values) of
 width w = b and period m = q b, capped at n as a longer period admits no
 shift on the grid (box_period keeps q b; DC: w = 1, m = q).  Box shifts
 are products of factor shifts: the Walnut sum and tail sups run on the
-1D pair kernels.  A box is a record on the flattened n^d grid: the
-C-order bins of its support, the product of its factors' extents, with
-the outer product of their values (bins off it only add +0.0).
+1D pair kernels.  H0, the Walnut sum, the tail bound and the dual
+residual read the full factors; H0 adds per box on grid slices.
 
-The folds form their boxes from the core factors (NdFrameSpec.core, as
-frame1d's core records: each factor extent cut to its samples >= TAU =
-2^-80 times the largest factor value, before any box is formed); a box
-sample off its core has a dropped factor, so is below TAU peak^d.  A
-Gaussian family at d = 3, n = 32 then holds 0.22M to 0.55M box bins for
-mu from 3 down to 0.1, against 3.0M to 11.7M on the full factors.  H0,
-the Walnut sum, the tail bound and the dual residual read the full
-factors.  Cut into frame1d fold chunks, held up to RECORD_CAP bins and
-else rebuilt per call, the core boxes run the frame1d bodies: analysis
-folds each bin into
-its coefficient slot (j_s - half) mod m, synthesis reads it, one DFT per
-run of equal period.  With the dual Omega = nu^d Phi / H0 and
+A box is a band of frame1d's engine at dimension d (frame1d module
+docstring): NdFrameSpec shares its records, core, chunks, held dual,
+analysis, synthesis, conjugate filter and round trip with the 1D frame.
+Its chunks hold the C-order bins of each box's core support (the product
+of its core factors' extents: a box sample off it has a dropped factor,
+so is below TAU peak^d), the outer product of the factor values there, a
+compact fold slot and, up to COEFF_CAP, a placement slot per bin.  A
+Gaussian family at d = 3, n = 32 holds 0.22M to 0.55M core box bins for
+mu from 3 down to 0.1, against 3.0M to 11.7M on the full factors; the
+spec holds its chunks and dual up to RECORD_CAP bins and rebuilds them
+per call past it.  With the dual Omega = nu^d Phi / H0 and
 normalization b^d (m^d / b^d = q^d, DC too), analysis then synthesis is
 fftn(ifftn(x)) = x, so reconstruction is
 
     rec_box(j) = q^d Phi_box(j) fold_m(f^ Omega_box)[j mod m],
 
-with the dual held on the core box records like the records themselves
-(NdFrameSpec.duals: one read-only array per held chunk, 8 B per core
-bin, built on the first reconstruction; formed per chunk past
-RECORD_CAP), folded by one add.at into compact slots, the C-order ravel
-of (j_s - lo_s) mod m over radices min(extent_s, m): no more slots than
-bins, where all m^d at m = n would give a box far out n^d.  A slot sums
-in C order over the support, so reconstruction is round-off equal, not
-bit-equal, to a fold axis by axis; all else adds as a dense per-box loop
-would.  H0 adds per box on grid slices, at set-up, where records would
-cost more than they save.
+each slot of the compact fold summing in C order over the support:
+round-off equal, not bit-equal, to a fold axis by axis.  All else adds
+as a dense per-box loop would.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
-from .frame1d import (H0_FLOOR, BandRecords, FoldChunk, _check_gap, _core, _cut, _dual_residual,
-                      _duals, _fold_runs, _held_duals, _reconstruct, _shift_limit,
-                      _shift_maxima, _spread_runs, _walnut_pairs)
+from .frame1d import (BandRecords, ConjugateFilter, _analyze, _BoxFrame, _on_grid, _round_trip,
+                      _shift_limit, _shift_maxima, _synthesize, _walnut_pairs, conjugate_filter)
 from .window import COEFF_CAP, Window, _lattice_budget, _runs, lattice_records
 
 __all__ = [
@@ -186,21 +175,14 @@ def build_tiling(d: int, p_max: int) -> NdTiling:
     return NdTiling(d, p_max, tuple(boxes))
 
 
-def _on_grid(n: int, sup, values: np.ndarray) -> np.ndarray:
-    """values held on the support sup (grid slices), zero-filled to the grid."""
-    out = np.zeros((n,) * values.ndim)
-    out[sup] = values
-    return out
-
-
 @dataclass
-class NdFrameSpec:
+class NdFrameSpec(_BoxFrame):
     """Separable frame on an n^d grid; axis window factors stored once.
 
     records holds the factors (p, e), p = 1 .. p_max, e = -2 .. 1, then
     DC (key None).  A box's stack is the outer product of its factors,
-    held as records of its core (box_chunks) or formed whole for one box
-    (box_support).
+    held as chunks of its core (frame1d._BoxFrame) or formed whole for one
+    box (box_support).
     """
 
     window: Window
@@ -215,10 +197,6 @@ class NdFrameSpec:
     def half(self) -> int:
         return self.n // 2
 
-    @property
-    def nu(self) -> float:
-        return 1.0 / self.q
-
     def axis_frequencies(self) -> np.ndarray:
         return np.arange(-self.half, self.half)
 
@@ -227,22 +205,6 @@ class NdFrameSpec:
         if box.ell is None:
             return [len(self.records.ps) - 1] * self.d
         return [4 * (box.p - 1) + e + 2 for e in box.ell]
-
-    @cached_property
-    def _factors(self) -> list[tuple[slice, np.ndarray]]:
-        """Per record, (its extent as a grid slice, its values there)."""
-        g = self.records
-        return [(slice(lo, hi), g.values[lo + off:hi + off])
-                for lo, hi, off in zip(g.lo.tolist(), g.hi.tolist(), g.offset.tolist())]
-
-    def box_support(self, box: BoxIndex) -> tuple[tuple[slice, ...], np.ndarray]:
-        """(grid slices of the box support, the box stack on them)."""
-        sup, values = zip(*(self._factors[r] for r in self.factor_rows(box)))
-        return sup, reduce(np.multiply.outer, values)
-
-    def box_stack(self, box: BoxIndex) -> np.ndarray:
-        """The box stack on the whole grid, built on demand."""
-        return _on_grid(self.n, *self.box_support(box))
 
     @property
     def dc_factor(self) -> np.ndarray:
@@ -263,71 +225,17 @@ class NdFrameSpec:
             h0[sup] += stack * stack
         return h0
 
-    @cached_property
-    def h0(self) -> np.ndarray:
-        """sum_of_squares(), read-only; built on first use."""
-        h0 = self.sum_of_squares()
-        h0.flags.writeable = False
-        return h0
-
-    @cached_property
-    def core(self) -> BandRecords:
-        """The factor records cut to their numerical core (frame1d._core),
-        from which the folded boxes are formed; built on first use."""
-        return _core(self.records)
-
-    @cached_property
-    def _held_chunks(self) -> tuple[FoldChunk, ...] | None:
-        size, chunks = _box_chunks(self, self.core, self.tiling.boxes)
-        return tuple(chunks) if size <= RECORD_CAP else None
-
     @property
-    def box_chunks(self) -> Iterable[FoldChunk]:
-        """The core box records in tiling order as fold chunks (module docstring)."""
-        return self._held_chunks or _box_chunks(self, self.core, self.tiling.boxes)[1]
+    def _fold_keys(self) -> tuple[BoxIndex, ...]:
+        return self.tiling.boxes
 
-    @cached_property
-    def duals(self) -> tuple[np.ndarray, ...] | None:
-        """The dual Omega = nu^d Phi / H0 at the bins of each held box
-        chunk, read-only (None when the records are not held); built on
-        first use."""
-        if self._held_chunks is None:
-            return None
-        return _held_duals(self._held_chunks, self.h0.ravel(), self.nu ** self.d)
+    _sum_keys = _fold_keys
 
+    def _root(self, w: int) -> float:
+        return float(w) ** (self.d / 2.0)
 
-def _box_chunks(spec: NdFrameSpec, g: BandRecords, boxes,
-                family=None) -> tuple[int, Iterator[FoldChunk]]:
-    """(bins, fold chunks) of the boxes' records, in that order: on the
-    products of their factor extents in g (the spec's records or core), or
-    on the whole grid with a dense family."""
-    d, n = spec.d, spec.n
-    rows = np.array([spec.factor_rows(box) for box in boxes], dtype=np.int64).reshape(-1, d)
-    m, w = g.m[rows[:, 0]], g.w[rows[:, 0]]
-    lo = g.lo[rows] if family is None else np.zeros_like(rows)
-    length = g.hi[rows] - g.lo[rows] if family is None else np.full_like(rows, n)
-    radix = np.minimum(length, m[:, None])
-
-    def expand(a, b):
-        # axis by axis; the bins (n^d <= 2^16) and slots (<= bins) fit int32
-        owner = np.arange(a, b)
-        bins = slot = np.zeros(b - a, dtype=np.int64)
-        values = np.ones(b - a)
-        for s in range(d):
-            count = length[owner, s]
-            owner = np.repeat(owner, count)
-            step = _runs(np.zeros_like(count), count)
-            u = lo[owner, s] + step
-            bins = np.repeat(bins, count) * n + u
-            slot = np.repeat(slot, count) * radix[owner, s] + step % m[owner]
-            if family is None:  # (v0 v1) v2, as reduce(np.multiply.outer) associates
-                values = np.repeat(values, count) * g.values[u + g.offset[rows[owner, s]]]
-        return bins.astype(np.int32), slot.astype(np.int32), (values if family is None else
-                np.concatenate([np.ravel(family[box]) for box in boxes[a:b]]))
-
-    size = np.prod(length, axis=1)
-    return int(size.sum()), _cut(size, np.prod(radix, axis=1), w, [spec.q * b for b in w.tolist()],
-                                 expand)
+    def _holds(self, bins: int) -> bool:
+        return bins <= RECORD_CAP
 
 
 def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
@@ -393,39 +301,18 @@ def _coeff_budget(spec: NdFrameSpec) -> None:
         raise ValueError(f"coefficient count {total} exceeds the cap {COEFF_CAP}; reduce q or p_max")
 
 
-def _placement(spec: NdFrameSpec, c: FoldChunk) -> np.ndarray:
-    """Per bin j of the chunk, the flat index of its coefficient slot (j_s -
-    half) mod box_period in the chunk's blocks of box_period^d slots."""
-    period = np.repeat([m for _, _, _, m in c.runs], [b - a for a, b, _, _ in c.runs])
-    block = period ** spec.d
-    place, period = np.repeat(np.cumsum(block) - block, c.lengths), np.repeat(period, c.lengths)
-    for s, j in enumerate(np.unravel_index(c.bins, (spec.n,) * spec.d)):
-        place = place + (j - spec.half) % period * period ** (spec.d - 1 - s)
-    return place
-
-
 def analyze_nd(spec: NdFrameSpec, fhat: np.ndarray) -> dict[BoxIndex, np.ndarray]:
-    """<f, element> over all boxes, f^ the spectral field on the grid."""
-    fhat = _check_field(spec, fhat).ravel()
+    """<f, element> over all boxes, f^ the spectral field on the grid (frame1d._analyze)."""
+    fhat = _check_field(spec, fhat)
     _coeff_budget(spec)
-    blocks = [block for c in spec.box_chunks for block in _fold_runs(
-        fhat[c.bins] * c.values, _placement(spec, c), c, spec.d,
-        lambda w: float(w) ** (spec.d / 2.0))]
-    return dict(zip(spec.tiling.boxes, blocks))
+    return _analyze(spec, fhat.ravel())
 
 
 def synthesize_nd(spec: NdFrameSpec, coeffs: dict[BoxIndex, np.ndarray],
                   stacks: dict[BoxIndex, np.ndarray] | None = None) -> np.ndarray:
-    """sum of coefficient-weighted elements, boxes added in coeffs order
-    (records in that order; a dense family's on the whole grid)."""
-    boxes = tuple(coeffs)
-    same = stacks is None and boxes == spec.tiling.boxes
-    chunks = spec.box_chunks if same else _box_chunks(spec, spec.core, boxes, stacks)[1]
-    acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
-    for c in chunks:
-        _spread_runs(acc, [coeffs[box] for box in boxes[c.bands]], c, _placement(spec, c), spec.d,
-                     lambda w: float(w) ** (spec.d / 2.0))
-    return acc.reshape((spec.n,) * spec.d)
+    """sum of coefficient-weighted elements, boxes added in coeffs order,
+    over the spec's boxes or a dense family (frame1d._synthesize)."""
+    return _synthesize(spec, coeffs, stacks).reshape((spec.n,) * spec.d)
 
 
 def frame_operator_apply_nd(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:
@@ -510,45 +397,15 @@ def walnut_bounds_nd(spec: NdFrameSpec, k_max: int | None = None) -> NdBoundRepo
     return NdBoundReport(float(h0.min()), float(h0.max()), h_tail, spec.nu, spec.d)
 
 
-@dataclass
-class NdConjugate:
-    """Conjugate-filter dual: Omega_box = nu^d Phi_box / H0, built on demand."""
-
-    spec: NdFrameSpec = field(repr=False)
-    h0: np.ndarray = field(repr=False)
-
-    def band(self, box: BoxIndex) -> np.ndarray:
-        return (self.spec.nu ** self.spec.d) * self.spec.box_stack(box) / self.h0
-
-    def chunks(self):
-        """(chunk, dual) per core box chunk: the spec's held duals for its own
-        H0, else the dual of this h0 formed a chunk at a time."""
-        spec = self.spec
-        if self.h0 is spec.h0 and spec.duals is not None:
-            return zip(spec.box_chunks, spec.duals)
-        return _duals(spec.box_chunks, self.h0.ravel(), spec.nu ** spec.d)
-
-    def partition_residual(self) -> float:
-        """max |sum_box Omega Phi - nu^d| over the full box records, the
-        tails the folds leave out included, the dual formed a chunk at a
-        time."""
-        spec, nu_d = self.spec, self.spec.nu ** self.spec.d
-        chunks = _duals(_box_chunks(spec, spec.records, spec.tiling.boxes)[1], self.h0.ravel(), nu_d)
-        return _dual_residual(((c.bins, c.values, dual) for c, dual in chunks), self.h0.size, nu_d)
-
-
-def conjugate_filter_nd(spec: NdFrameSpec, floor: float = H0_FLOOR) -> NdConjugate:
-    _check_gap(spec.h0, spec.half, floor)
-    return NdConjugate(spec, spec.h0)
+# one conjugate filter serves both frames
+NdConjugate = ConjugateFilter
+conjugate_filter_nd = conjugate_filter
 
 
 def reconstruct_nd(spec: NdFrameSpec, fhat: np.ndarray,
-                   conj: NdConjugate | None = None) -> tuple[np.ndarray, float]:
-    """Analyze against the conjugate family, synthesize with the primal one:
-    the frame1d reconstruction on the core box records, with no coefficients."""
+                   conj: ConjugateFilter | None = None) -> tuple[np.ndarray, float]:
+    """Analyze against the conjugate family, synthesize with the primal
+    one: the frame1d round trip (_round_trip) on the core box records."""
     fhat = _check_field(spec, fhat)
-    if conj is None:
-        conj = conjugate_filter_nd(spec)
-    rec = _reconstruct(fhat.ravel(), conj.chunks(), spec.q ** spec.d).reshape(fhat.shape)
-    scale = float(np.linalg.norm(fhat)) or 1.0
-    return rec, float(np.linalg.norm(rec - fhat)) / scale
+    rec, rel_err = _round_trip(spec, fhat.ravel(), conj)
+    return rec.reshape(fhat.shape), rel_err

@@ -46,7 +46,6 @@ __all__ = [
     "StackBounds",
     "stack_sum_bounds",
     "gaussian_floor",
-    "band_mass_outside",
 ]
 
 # Profile values below this are treated as zero when counting overlaps.
@@ -177,15 +176,6 @@ class WindowStack:
         """H0 = sum_p Phi_p^2: one bincount over the records, which adds
         each bin's squares in band order, as a dense band-by-band sum would."""
         return np.bincount(_runs(self.lo, self.hi - self.lo), self.values * self.values, self.grid.size)
-
-    def lattice(self, p: int) -> np.ndarray:
-        """Scaled band lattice mu * band(p), ascending."""
-        return self.mu * self.partition.band_frequencies(p)
-
-    def band_hull(self, p: int) -> tuple[float, float]:
-        """Closed hull [min, max] of the scaled band lattice."""
-        lat = self.lattice(p)
-        return float(lat[0]), float(lat[-1])
 
 
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -320,15 +310,3 @@ def gaussian_floor(mu: float) -> float:
     """Proven lower bound (1/2) exp(-2 pi mu^2) for the Gaussian stack's H0."""
     return 0.5 * math.exp(-2.0 * math.pi * mu * mu)
 
-
-def band_mass_outside(stack: WindowStack, p: int, factor: float = 3.0) -> float:
-    """Fraction of a band's grid mass outside a widened hull neighborhood."""
-    omegas = stack.grid.frequencies().astype(float)
-    lo, hi = stack.band_hull(p)
-    pad = factor * max(hi - lo, stack.mu)
-    inside = (omegas >= lo - pad) & (omegas <= hi + pad)
-    band = stack.band(p)
-    total = float(band.sum())
-    if total == 0.0:
-        return 0.0
-    return float(band[~inside].sum() / total)

@@ -1,5 +1,6 @@
 """Frame analysis/synthesis, shift-sum operator, bounds, conjugate dual."""
 
+import math
 from itertools import product
 
 import numpy as np
@@ -23,7 +24,7 @@ from stockframe.frame1d import (
     walnut_bounds,
 )
 from stockframe.spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
-from stockframe.window import Window, WindowStack, gaussian_window, truncated_gaussian
+from stockframe.window import COEFF_CAP, Window, WindowStack, gaussian_window, truncated_gaussian
 from tailbound import analysis_bound, check_trim, dense_records, reconstruct_bound, synthesis_bound
 
 
@@ -307,7 +308,7 @@ def test_batched_engine_is_bit_identical_to_dense_reference(alpha, window, chunk
     rec_want = dense_reconstruct(spec, fhat, dual, stack)
     rec, rel = reconstruct(spec, fs)
     assert np.array_equal(rec.coeffs, rec_want)
-    assert rel == float(np.linalg.norm(rec_want - fhat)) / float(np.linalg.norm(fhat))
+    assert rel == norm(rec_want - fhat) / norm(fhat)
     # the coefficient round trip it short-cuts agrees to round-off
     composed = dense_synthesize(spec, dense_analyze(spec, fhat, dual), stack)
     assert np.max(np.abs(rec.coeffs - composed)) <= 1e-13 * np.max(np.abs(composed))
@@ -519,6 +520,13 @@ def per_call_reconstruct(fhat, h0, chunks, nu, q):
     return acc
 
 
+def norm(x):
+    # the l2 norm as the round trips take it: numpy's pairwise sum of the
+    # squared parts, not BLAS, so the same under any thread count
+    parts = np.ravel(x).view(np.float64)
+    return math.sqrt(float(np.sum(parts * parts)))
+
+
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -538,22 +546,22 @@ def test_held_dual_is_bit_identical_to_the_per_call_dual(alpha, window, q, chunk
     spec = make_frame_spec(WINDOWS[window](), 0.5, q, alpha, 48)
     fs = random_spectrum(rng, 48)
     fhat = fs.coeffs
-    want = per_call_reconstruct(fhat, spec.h0, spec.records.chunks, spec.nu, spec.q)
-    rel_want = float(np.linalg.norm(want - fhat)) / float(np.linalg.norm(fhat))
+    want = per_call_reconstruct(fhat, spec.h0, spec.chunks, spec.nu, spec.q)
+    rel_want = norm(want - fhat) / norm(fhat)
     for _ in range(2):
         rec, rel = reconstruct(spec, fs)
         assert same_bits(rec.coeffs, want)
         assert rel == rel_want
     # built once per spec, one read-only array per chunk
     assert len(calls) == 1
-    assert len(spec.duals) == len(spec.core.chunks)
+    assert len(spec.duals) == len(spec.chunks)
     assert all(not dual.flags.writeable for dual in spec.duals)
     # a caller's H0 is the one its dual divides by, formed on each call
     h0 = 2 * spec.h0
-    want = per_call_reconstruct(fhat, h0, spec.records.chunks, spec.nu, spec.q)
+    want = per_call_reconstruct(fhat, h0, spec.chunks, spec.nu, spec.q)
     rec, rel = reconstruct(spec, fs, ConjugateFilter(spec, h0))
     assert same_bits(rec.coeffs, want)
-    assert rel == float(np.linalg.norm(want - fhat)) / float(np.linalg.norm(fhat))
+    assert rel == norm(want - fhat) / norm(fhat)
     assert len(calls) == 2
 
 
@@ -642,3 +650,26 @@ def test_compact_windows_keep_their_extents():
     spec = make_frame_spec(truncated_gaussian(0.1), 0.5, 8, 0, 2048)
     assert spec.records.values.size == spec.core.values.size == 10238
     assert np.array_equal(spec.core.lo, spec.records.lo) and np.array_equal(spec.core.hi, spec.records.hi)
+
+
+def test_fold_counts_one_slot_per_residue_on_the_support():
+    # the compact fold has min(extent, m) slots a band: alpha = 1 folds
+    # 2,232 slots where m = q w per band would take 65,528
+    spec = gauss_spec(q=8, alpha=1, n=2048)
+    assert sum(c.size for c in spec.chunks) == 2232
+    assert sum(sum((b - a) * m for a, b, _, m in c.runs) for c in spec.chunks) == 65528
+
+
+def test_huge_q_analysis_refuses_where_reconstruction_is_exact():
+    # q = 2^40 asks 2^40 coefficient slots a band: analysis and synthesis
+    # refuse, while reconstruction folds into at most one slot per bin
+    rng = np.random.default_rng(20)
+    spec = gauss_spec(q=1 << 40, alpha=0, n=64)
+    fs = random_spectrum(rng, 64)
+    with pytest.raises(ValueError, match=f"exceeds the cap {COEFF_CAP}; reduce q"):
+        analyze(spec, fs)
+    with pytest.raises(ValueError, match=f"exceeds the cap {COEFF_CAP}; reduce q"):
+        synthesize(spec, FrameCoefficients(spec, {p: np.zeros(1) for p in spec.p_range}))
+    rec, rel = reconstruct(spec, fs)
+    assert rel < 1e-13
+    assert np.max(np.abs(rec.coeffs - fs.coeffs)) < 1e-13 * np.max(np.abs(fs.coeffs))

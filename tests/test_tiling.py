@@ -29,7 +29,7 @@ from stockframe.tiling import (
     walnut_apply_nd,
     walnut_bounds_nd,
 )
-from stockframe.window import gaussian_window, truncated_gaussian
+from stockframe.window import COEFF_CAP, gaussian_window, truncated_gaussian
 from tailbound import analysis_bound, check_trim, dense_records, reconstruct_bound, synthesis_bound
 
 
@@ -435,7 +435,7 @@ def test_reconstruct_nd_matches_coefficient_round_trip(d, window, q):
     rec, rel = reconstruct_nd(spec, fhat)
     want = coefficient_round_trip(spec, fhat)
     assert np.max(np.abs(rec - want)) <= 1e-13 * np.max(np.abs(fhat))
-    assert rel == float(np.linalg.norm(rec - fhat)) / float(np.linalg.norm(fhat))
+    assert rel == norm(rec - fhat) / norm(fhat)
     if window == "tgauss" and q == 4:  # painless: q > 2 * 1.1 + mu
         assert rel < 1e-15
 
@@ -525,25 +525,32 @@ def test_box_records_past_the_cap_are_rebuilt_on_each_call(d, monkeypatch):
     assert residual == conjugate_filter_nd(held).partition_residual()
 
 
+def norm(x):
+    # the l2 norm as the round trips take it: numpy's pairwise sum of the
+    # squared parts, not BLAS, so the same under any thread count
+    parts = np.ravel(x).view(np.float64)
+    return math.sqrt(float(np.sum(parts * parts)))
+
+
 def per_call_reconstruct_nd(spec, fhat, h0):
     # reconstruct_nd before the dual was held: the dual formed on every
     # call and each fold taken by one bincount per part
     fhat, h0, nu_d = fhat.ravel(), h0.ravel(), spec.nu ** spec.d
     acc = np.zeros(fhat.size, dtype=np.complex128)
-    for c in spec.box_chunks:
+    for c in spec.chunks:
         x = fhat[c.bins] * (nu_d * c.values / h0[c.bins])
         folded = np.empty(c.size, dtype=np.complex128)
         folded.real = np.bincount(c.fold, x.real, c.size)
         folded.imag = np.bincount(c.fold, x.imag, c.size)
         np.add.at(acc, c.bins, spec.q ** spec.d * c.values * folded[c.fold])
     rec = acc.reshape((spec.n,) * spec.d)
-    return rec, float(np.linalg.norm(rec - fhat.reshape(rec.shape))) / float(np.linalg.norm(fhat))
+    return rec, norm(rec - fhat.reshape(rec.shape)) / norm(fhat)
 
 
 def per_call_residual_nd(spec, h0):
     h0, nu_d = h0.ravel(), spec.nu ** spec.d
     acc = np.zeros(h0.size)
-    for c in spec.box_chunks:
+    for c in spec.chunks:
         np.add.at(acc, c.bins, nu_d * c.values / h0[c.bins] * c.values)
     return float(np.max(np.abs(acc - nu_d)))
 
@@ -561,13 +568,13 @@ def test_held_dual_nd_is_bit_identical_to_the_per_call_dual(d, window, q, mu, ch
     monkeypatch.setattr(frame1d, "_TERM_CHUNK", chunk)
     if not held:
         monkeypatch.setattr(tiling, "RECORD_CAP", 0)
-    original, calls = tiling._duals, []
+    original, calls = frame1d._duals, []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(tiling, "_duals", counting)
+    monkeypatch.setattr(frame1d, "_duals", counting)
     rng = np.random.default_rng(36)
     n = GRID[d]
     spec = make_nd_frame_spec(WINDOWS[window](), mu, q, d, n)
@@ -579,8 +586,9 @@ def test_held_dual_nd_is_bit_identical_to_the_per_call_dual(d, window, q, mu, ch
         assert rel == rel_want
     assert conjugate_filter_nd(spec).partition_residual() == per_call_residual_nd(spec, spec.h0)
     if held:
-        # built once per spec, one read-only array per held chunk
-        assert len(calls) == 1
+        # built once per spec, one read-only array per held chunk; the
+        # residual's dual on the full box records is the other call
+        assert len(calls) == 2
         assert len(spec.duals) == len(spec._held_chunks)
         assert all(not dual.flags.writeable for dual in spec.duals)
     else:
@@ -696,7 +704,7 @@ def test_core_boxes_drop_only_terms_below_tau(d, n, q, monkeypatch):
     at most TAU * peak^d * |f(u)| (peak the largest factor value) times
     their other factors, plus the rounding of either path."""
     with monkeypatch.context() as patch:
-        patch.setattr(tiling, "_core", lambda g: g)  # the engine on the full records
+        patch.setattr(frame1d, "_core", lambda g: g)  # the engine on the full records
         full = make_nd_frame_spec(gaussian_window(), 0.5, q, d, n)
         assert full.core is full.records
     spec = make_nd_frame_spec(gaussian_window(), 0.5, q, d, n)
@@ -734,13 +742,13 @@ def test_core_boxes_drop_only_terms_below_tau(d, n, q, monkeypatch):
 def test_held_dual_nd_is_built_once_per_spec(monkeypatch):
     # formed on the first reconstruction from the held core chunks; the
     # residual forms its own dual on the full box records
-    original, calls = tiling._held_duals, []
+    original, calls = frame1d._held_duals, []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(tiling, "_held_duals", counting)
+    monkeypatch.setattr(frame1d, "_held_duals", counting)
     spec = make_nd_frame_spec(gaussian_window(), 0.5, 8, 2, 32)
     fhat = random_field(np.random.default_rng(38), 2, 32)
     first, again = reconstruct_nd(spec, fhat), reconstruct_nd(spec, fhat)
@@ -757,3 +765,31 @@ def test_gaussian_core_boxes_fit_the_record_cap_at_every_axis_cap():
         length = spec.core.hi - spec.core.lo
         bins = sum(int(np.prod(length[spec.factor_rows(box)])) for box in spec.tiling.boxes)
         assert bins <= tiling.RECORD_CAP, (d, n, mu, q, bins)
+
+
+def chunk_specs():
+    """(d, alpha, window, q) of 1D specs (d = None) and n-D specs, some at
+    q = 2^40, whose coefficient blocks pass COEFF_CAP."""
+    for alpha, window, q in product((0, 0.3, 0.5, 1), sorted(WINDOWS), (1, 2, 8, 1 << 40)):
+        yield pytest.param(None, alpha, window, q, id=f"1d-{alpha}-{window}-q{q}")
+    for d, window, q in product((1, 2, 3), sorted(WINDOWS), (1, 8, 1 << 40)):
+        yield pytest.param(d, 1, window, q, id=f"{d}d-{window}-q{q}")
+
+
+@pytest.mark.parametrize("d, alpha, window, q", chunk_specs())
+def test_held_chunks_fold_no_more_slots_than_bins(d, alpha, window, q):
+    # the compact fold never has more slots than bins; the placement, where
+    # the blocks of P^d slots fit COEFF_CAP, stays inside them
+    if d is None:
+        spec = make_frame_spec(WINDOWS[window](), 0.5, q, alpha, 256)
+    else:
+        spec = make_nd_frame_spec(WINDOWS[window](), 0.5, q, d, GRID[d])
+    assert spec._held_chunks is not None
+    for c in spec._held_chunks:
+        assert c.size <= c.bins.size
+        assert np.all((0 <= c.fold) & (c.fold < c.size))
+        blocks = sum((b - a) * period ** spec.d for a, b, _, period in c.runs)
+        if blocks > COEFF_CAP:
+            assert c.place is None
+        else:
+            assert np.all((0 <= c.place) & (c.place < blocks))

@@ -17,7 +17,6 @@ from stockframe.window import (
     Window,
     _gauss,
     admissibility,
-    band_mass_outside,
     build_stack,
     gaussian_floor,
     gaussian_window,
@@ -239,14 +238,6 @@ def test_sum_of_squares_matches_bands():
     assert not np.array_equal(stack.sum_of_squares(), in_p_order)
 
 
-def test_lattice_points_follow_partition():
-    stack = stack_case(mu=0.25, alpha=0.5, n=64)
-    for p in (1, 3, 5):
-        iv = stack.partition.interval(p)
-        want = 0.25 * np.arange(iv.start, iv.stop)
-        assert np.array_equal(stack.lattice(p), want)
-
-
 # ---------------------------------------------------------------- bounds
 
 
@@ -320,10 +311,3 @@ def test_admissibility_fails_on_gapped_stack():
     # spacing far beyond the support leaves holes in the band sum
     stack = build_stack(truncated_gaussian(0.01), 8.0, 1, 256)
     assert not admissibility(stack).passed
-
-
-def test_band_mass_outside_decreases_with_factor():
-    stack = stack_case(n=256)
-    m2 = band_mass_outside(stack, 3, factor=2.0)
-    m4 = band_mass_outside(stack, 3, factor=4.0)
-    assert 0 <= m4 <= m2 < 1.0
