@@ -382,12 +382,18 @@ def cmd_roundtrip(args) -> int:
         "q": args.q,
         "n": args.n,
         "window": args.window,
-        "rel_err": float(rel),
-        "tol": float(args.tol),
     }
+    return _round_trip_report(args, payload, rel, lambda path: write_sfr1(
+        path, rec if isinstance(signal, SpectralSignal) else from_spectrum(rec)))
+
+
+def _round_trip_report(args, payload: dict, rel: float, write) -> int:
+    """Finish a round trip: write the reconstruction to --out (write(path)),
+    print payload with rel_err, tol and out as JSON or text lines, and
+    return EXIT_CHECK if rel_err is above --tol."""
+    payload.update({"rel_err": float(rel), "tol": float(args.tol)})
     if args.out:
-        out_sig = rec if isinstance(signal, SpectralSignal) else from_spectrum(rec)
-        write_sfr1(args.out, out_sig)
+        write(args.out)
         payload["out"] = args.out
     code = EXIT_OK if rel <= args.tol else EXIT_CHECK
     if args.json:
@@ -455,24 +461,9 @@ def cmd_roundtrip2d(args) -> int:
         "n": args.n,
         "window": args.window,
         "p_max": spec.tiling.p_max,
-        "rel_err": float(rel),
-        "tol": float(args.tol),
     }
-    if args.out:
-        out_vals = tiling.from_spectrum_nd(rec) if domain == DOMAIN_TIME else rec
-        write_sfr2(args.out, out_vals, domain)
-        payload["out"] = args.out
-    code = EXIT_OK if rel <= args.tol else EXIT_CHECK
-    if args.json:
-        _emit_json(payload)
-        return code
-    lines = [f"rel_err = {_r(rel)} (tol = {_r(args.tol)})"]
-    if args.out:
-        lines.append(f"wrote reconstruction to {args.out}")
-    if code != EXIT_OK:
-        lines.append("frame check FAILED: reconstruction error above tolerance")
-    _print(lines)
-    return code
+    return _round_trip_report(args, payload, rel, lambda path: write_sfr2(
+        path, tiling.from_spectrum_nd(rec) if domain == DOMAIN_TIME else rec, domain))
 
 
 # ----------------------------------------------------------------- selftest

@@ -80,21 +80,23 @@ construction: an input living only on dropped bins differs by dropped
 terms, each at most TAU * peak * |f(u)| times its other factors.
 
 A band's shifted product Phi_p(u - s) Psi_p(u) is nonzero only where
-both extents meet, so `walnut_apply`, `walnut_bounds` and
-`frame_bounds_eigen` enumerate every (band, shift) pair and its overlap
-once, in (p, m) order, and `frame_bounds_eigen` assembles the operator
-from its Walnut kernel
+both extents meet, so the Walnut paths enumerate every (factor, shift)
+pair and its overlap once, in (p, m) order (_walnut_pairs).  A box's
+shifts are its kvecs, one pair per axis, and one body serves both
+frames: `_walnut_sum` adds the terms of every (box, kvec) in fold order,
+`walnut_bounds` each factor's shift maxima into its tail, then the tail
+terms box by box; `frame_bounds_eigen` assembles the 1D operator from
+its Walnut kernel
 
     S[u, v] = q * sum_p Phi_p(u) Phi_p(v) [u = v mod q*width_p],
 
-which agrees with the analysis + synthesis operator to round-off; the
-n-D Walnut sum and tail bound run on the same pair kernels.  All other
-outputs equal the dense per-band (or per-shift) evaluation bit for bit,
-because every bin receives the same additions in the same order: folds
-in ascending frequency, synthesis and reconstruction in coefficient
-order, Walnut terms in (p, m) order and H0 in the stack's band order;
-each shift's maximum comes from one reduceat.  Bins outside an extent
-would only receive +0.0, which changes no sum.
+which agrees with the analysis + synthesis operator to round-off.  All
+other outputs equal the dense per-band (or per-shift) evaluation bit for
+bit, because every bin receives the same additions in the same order:
+folds in ascending frequency, synthesis and reconstruction in coefficient
+order, Walnut terms in (box, kvec) order, h_tail band by band and H0 in
+the stack's band order; each shift's maximum comes from one reduceat.
+Bins outside an extent would only receive +0.0, which changes no sum.
 """
 
 from __future__ import annotations
@@ -411,14 +413,20 @@ class _BoxFrame:
         """The factor rows of the bands keys, one row of d per band."""
         return np.array([self.factor_rows(key) for key in keys], dtype=np.int64).reshape(-1, self.d)
 
-    def _fold_chunks(self, keys, g: BandRecords | None = None,
+    @cached_property
+    def _fold_rows(self) -> np.ndarray:
+        """The factor rows of the bands in fold order (_box_rows)."""
+        return self._box_rows(self._fold_keys)
+
+    def _fold_chunks(self, rows: np.ndarray, g: BandRecords | None = None,
                      family=None) -> tuple[int, Iterator[FoldChunk]]:
-        """_box_chunks of the bands keys, on the core records by default."""
-        return _box_chunks(self.core if g is None else g, self._box_rows(keys), self.n, self.q, family)
+        """_box_chunks of the bands of factor rows rows, on the core
+        records by default."""
+        return _box_chunks(self.core if g is None else g, rows, self.n, self.q, family)
 
     @cached_property
     def _held_chunks(self) -> tuple[FoldChunk, ...] | None:
-        size, chunks = self._fold_chunks(self._fold_keys)
+        size, chunks = self._fold_chunks(self._fold_rows)
         return tuple(chunks) if self._holds(size) else None
 
     @property
@@ -426,7 +434,7 @@ class _BoxFrame:
         """The core records of the bands in fold order as fold chunks:
         held, or rebuilt on each call past the spec's hold rule."""
         held = self._held_chunks
-        return self._fold_chunks(self._fold_keys)[1] if held is None else held
+        return self._fold_chunks(self._fold_rows)[1] if held is None else held
 
     @cached_property
     def duals(self) -> tuple[np.ndarray, ...] | None:
@@ -455,7 +463,7 @@ def _synthesize(spec: _BoxFrame, coeffs: dict, family: dict | None) -> np.ndarra
         chunks = spec.chunks
     else:
         arrays = None if family is None else [family[key] for key in keys]
-        chunks = spec._fold_chunks(keys, family=arrays)[1]
+        chunks = spec._fold_chunks(spec._box_rows(keys), family=arrays)[1]
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
     for c in chunks:
         _spread_runs(acc, [coeffs[key] for key in keys[c.bands]], c, spec.d, spec._root)
@@ -517,6 +525,10 @@ class FrameSpec(_BoxFrame):
     def _box_rows(self, ps) -> np.ndarray:
         # one pass, no list per band: a spec built per request pays this
         return np.fromiter(map(self._rows.__getitem__, ps), np.int64, len(ps))[:, None]
+
+    @cached_property
+    def _fold_rows(self) -> np.ndarray:
+        return np.arange(len(self.records.ps))[:, None]  # the records are in p order
 
     @property
     def _fold_keys(self) -> tuple[int, ...]:
@@ -619,28 +631,25 @@ def _family_records(spec: FrameSpec, family: dict[int, np.ndarray], ps) -> BandR
                        spec.grid.half)
 
 
-def _shift_limit(g: BandRecords, psi: BandRecords) -> np.ndarray:
-    """Per band, the largest |m| for which Phi_p(u - m q w_p) Psi_p(u) can
-    be nonzero: shifts reach across the union of the two extents.  -1 for
-    a band with an empty extent."""
-    span = np.maximum(g.hi, psi.hi) - 1 - np.minimum(g.lo, psi.lo)
-    return np.where((g.lo == g.hi) | (psi.lo == psi.hi), -1, span // g.m)
-
-
-def _walnut_pairs(n: int, g: BandRecords, psi: BandRecords, first, last):
-    """The shifts s = m q w_p with first[b] <= m <= last[b] and |s| < n.
+def _walnut_pairs(g: BandRecords, psi: BandRecords, k_max=None, first=None):
+    """The shifts s = m q w_p that can make Phi_p(u - s) Psi_p(u) nonzero,
+    first <= m <= last (first = -last by default): last is the largest
+    |m| that reaches across the union of the two extents (-1 for a band
+    with an empty one), at most k_max, so |s| < n.
 
     Returns (band, shift, lo, length) per pair, band-major in p order and
     m ascending within a band: Phi_p(u - s) Psi_p(u) can be nonzero only
     for lo <= u < lo + length.
     """
     step = g.m
-    first = np.broadcast_to(first, step.shape)
+    span = np.maximum(g.hi, psi.hi) - 1 - np.minimum(g.lo, psi.lo)
+    last = np.where((g.lo == g.hi) | (psi.lo == psi.hi), -1, span // step)
+    if k_max is not None:
+        last = np.minimum(last, k_max)
+    first = np.broadcast_to(-last if first is None else first, step.shape)
     count = np.maximum(last - first + 1, 0)
     band = np.repeat(np.arange(step.size), count)
     shift = step[band] * _runs(first, count)
-    keep = np.abs(shift) < n
-    band, shift = band[keep], shift[keep]
     lo = np.maximum(psi.lo[band], g.lo[band] + shift)
     length = np.maximum(np.minimum(psi.hi[band], g.hi[band] + shift) - lo, 0)
     return band, shift, lo, length
@@ -663,7 +672,7 @@ def _shift_maxima(g: BandRecords, n: int, k_max) -> tuple[np.ndarray, np.ndarray
     band-major: maximum = sup_u Phi_b(u - s) Phi_b(u) over the grid of
     size n.  Each maximum comes from a reduceat over the products on the
     extents, a chunk of shifts per call."""
-    band, shift, lo, length = _walnut_pairs(n, g, g, 1, np.minimum(_shift_limit(g, g), k_max))
+    band, shift, lo, length = _walnut_pairs(g, g, k_max, first=1)
     # every pair has length >= 1: s <= hi - 1 - lo
     maxima = np.concatenate([np.zeros(0)] + [
         np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
@@ -671,6 +680,52 @@ def _shift_maxima(g: BandRecords, n: int, k_max) -> tuple[np.ndarray, np.ndarray
     # the sup over the grid also sees the zeros off a partial extent
     partial = (g.hi - g.lo)[band] < n
     return band, np.where(partial, np.maximum(maxima, 0.0), maxima)
+
+
+def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None,
+                psi: BandRecords | None = None) -> np.ndarray:
+    """q^d times the sum of every term (f^ Phi)(u - s) Psi(u), f^ flat on
+    the grid, over the spec's bands (boxes); Psi is the records psi, by
+    default the spec's own.  A box's shifts are its kvecs, one factor pair
+    (_walnut_pairs) per axis in C order.  The (box, kvec)s are listed in
+    fold order, and a chunk of whole kvecs of about _TERM_CHUNK terms at a
+    time is expanded axis by axis, as _box_chunks expands bins: u and
+    v = u - s on the flat grid, and Phi(v), Psi(u) as the C-order products
+    ((F0 F1) F2).  One add.at adds each bin's terms in (box, kvec) order,
+    as a dense loop would."""
+    g = spec.records
+    psi = g if psi is None else psi
+    n, d = spec.n, spec.d
+    band, shift, lo, length = _walnut_pairs(g, psi, k_max)
+    count = np.bincount(band, minlength=len(g.ps))  # pairs per factor record
+    first = np.cumsum(count) - count
+    rows = spec._fold_rows
+    # the kvecs in order: per axis, the band, shift, lo and length of
+    # each kvec's pair there
+    owner, kvecs = np.arange(len(rows)), []
+    for s in range(d):
+        r = rows[owner, s]
+        c = count[r]
+        pair = _runs(first[r], c)
+        kvecs = [np.repeat(x, c) for x in kvecs] + [band[pair], shift[pair], lo[pair], length[pair]]
+        owner = np.repeat(owner, c)
+    acc = np.zeros(n ** d, dtype=np.complex128)
+    for a, b in _chunks(reduce(np.multiply, kvecs[3::4])):
+        later = [x[a:b] for x in kvecs]
+        for s in range(d):
+            rec, step, start, size, *later = later
+            later = [np.repeat(x, size) for x in later]
+            u = _runs(start, size)
+            v = u - np.repeat(step, size)
+            r = np.repeat(rec, size)
+            gv, pv = g.values[v + g.offset[r]], psi.values[u + psi.offset[r]]
+            if s == 0:
+                dst, src, phi, out = u, v, gv, pv
+            else:
+                dst, src = np.repeat(dst, size) * n + u, np.repeat(src, size) * n + v
+                phi, out = np.repeat(phi, size) * gv, np.repeat(out, size) * pv
+        np.add.at(acc, dst, fhat[src] * phi * out)
+    return spec.q ** d * acc
 
 
 def walnut_apply(spec: FrameSpec, f,
@@ -687,25 +742,18 @@ def walnut_apply(spec: FrameSpec, f,
 
     Every term (f^ Phi_p)(u - s) Psi_p(u) is added into bin u in (p, m)
     order, as a dense loop over bands and shifts would add it; terms off
-    either extent are zero and left out.
+    either extent are zero and left out (_walnut_sum).
     """
     fhat = _as_spectrum(spec, f)
     g = spec.records
     psi = g if synthesis_bands is None else _family_records(spec, synthesis_bands, g.ps)
-    limit = _shift_limit(g, psi)
-    if k_max is not None:
-        limit = np.minimum(limit, k_max)
-    n = spec.grid.size
-    pairs = _walnut_pairs(n, g, psi, -limit, limit)
-    acc = np.zeros(n, dtype=np.complex128)
-    for u, v, gv, pv, _ in _walnut_terms(g, psi, *pairs):
-        np.add.at(acc, u, fhat[v] * gv * pv)
-    result = SpectralSignal(spec.grid, spec.q * acc)
+    result = SpectralSignal(spec.grid, _walnut_sum(spec, fhat, k_max, psi))
     if not with_dropped_mass:
         return result
     # sum each lost slice whole, as pairwise summation depends on its
     # length; a slice off the band's extent sums to exactly 0.0
-    band, shift = pairs[0], pairs[1]
+    n = spec.n
+    band, shift, _, _ = _walnut_pairs(g, psi, k_max)
     lost = np.where(shift > 0, g.hi[band] > n - shift, g.lo[band] < -shift)
     dropped, last = 0.0, -1
     for b, s in zip(band[lost].tolist(), shift[lost].tolist()):
@@ -717,39 +765,61 @@ def walnut_apply(spec: FrameSpec, f,
 
 @dataclass(frozen=True)
 class WalnutBoundReport:
-    """Certified frame-bound estimates from the shift-sum representation."""
+    """Certified frame-bound estimates from the shift-sum representation
+    of a frame on d axes: (H0 extremes -+ h_tail) / nu^d."""
 
     h0_inf: float
     h0_sup: float
     h_tail: float
     nu: float
     k_max: int
+    d: int = 1
 
     @property
     def lower(self) -> float:
-        return max(0.0, (self.h0_inf - self.h_tail) / self.nu)
+        return max(0.0, (self.h0_inf - self.h_tail) / self.nu ** self.d)
 
     @property
     def upper(self) -> float:
-        return (self.h0_sup + self.h_tail) / self.nu
+        return (self.h0_sup + self.h_tail) / self.nu ** self.d
 
 
-def walnut_bounds(spec: FrameSpec, k_max: int | None = None) -> WalnutBoundReport:
-    """Bound the frame operator by H0 extremes and the aliasing tail.
+def walnut_bounds(spec: _BoxFrame, k_max: int | None = None) -> WalnutBoundReport:
+    """Bound the operator of a 1D or n-D frame by H0 extremes and the
+    aliasing tail.
 
-    The default k_max follows the spec's ceil(n / 2q); shifts whose
-    products vanish identically are skipped either way, so enlarging
-    k_max past the grid edge changes nothing.  The shift maxima
-    (_shift_maxima) add into h_tail in (p, m) order.
+    k_max defaults to the spec's walnut_k_max; shifts whose products
+    vanish identically are skipped either way, so enlarging k_max past the
+    grid edge changes nothing.  With per-axis sups a_s(k) = sup_x
+    F_s(x - k m) F_s(x), separability makes a box's tail
+    sum_{k != 0} prod_s a_s(|k_s|) equal prod_s (a_s(0) + t_s) -
+    prod_s a_s(0), t_s = 2 sum_{k >= 1} a_s(k) (a band's is its t).  Each
+    factor's sups (_shift_maxima) add in k order; the product is expanded
+    mask by mask, as the tails can sit far below one ulp of the diagonal,
+    where the factored form cancels; the box terms add in (box, mask) order.
     """
     if k_max is None:
         k_max = spec.walnut_k_max
+    g = spec.records
+    band, maxima = _shift_maxima(g, spec.n, k_max)
+    tail = np.zeros(len(g.ps))
+    np.add.at(tail, band, maxima)  # each factor's in k order, from +0.0
+    tail *= 2.0  # the sup is shift-sign symmetric; count both signs
+    if spec.d > 1:  # a band (d = 1) has no diagonal term
+        # max F^2 on the extent: F^2 = +0.0 off it, and an empty factor's
+        # 0.0 diagonal and tail make its boxes add only +0.0
+        square = np.append(g.values * g.values, 0.0)
+        diag = np.where(g.hi > g.lo, np.maximum.reduceat(square, g.lo + g.offset), 0.0)
+    rows, masks = spec._fold_rows, range(1, 1 << spec.d)
+    # the (box, mask) terms, box-major, after a +0.0, added in order
+    seq = np.zeros(1 + len(rows) * len(masks))
+    terms = seq[1:].reshape(len(rows), len(masks))
+    for i, mask in enumerate(masks):
+        terms[:, i] = reduce(np.multiply, [(tail if mask >> s & 1 else diag)[rows[:, s]]
+                                           for s in range(spec.d)])
+    h_tail = float(np.add.accumulate(seq)[-1])
     h0 = spec.h0
-    _, maxima = _shift_maxima(spec.records, spec.grid.size, k_max)
-    # the sup is shift-sign symmetric; count both signs
-    h_tail = float(np.add.accumulate(np.concatenate([[0.0], 2.0 * maxima]))[-1])
-    return WalnutBoundReport(float(h0.min()), float(h0.max()), h_tail,
-                             spec.nu, int(k_max))
+    return WalnutBoundReport(float(h0.min()), float(h0.max()), h_tail, spec.nu, int(k_max), spec.d)
 
 
 @dataclass(frozen=True)
@@ -771,9 +841,8 @@ def frame_bounds_eigen(spec: FrameSpec) -> FrameBounds:
     if n > EIGEN_SIZE_CAP:
         raise ValueError(f"dense eigenbounds capped at n = {EIGEN_SIZE_CAP}, got {n}")
     g = spec.records
-    limit = _shift_limit(g, g)
     mat = np.zeros(n * n)
-    for u, v, gv, pv, _ in _walnut_terms(g, g, *_walnut_pairs(n, g, g, -limit, limit)):
+    for u, v, gv, pv, _ in _walnut_terms(g, g, *_walnut_pairs(g, g)):
         np.add.at(mat, u * n + v, pv * gv)
     mat = spec.q * mat.reshape(n, n)
     asym = float(np.max(np.abs(mat - mat.T)))
@@ -832,7 +901,7 @@ class ConjugateFilter:
         included): the dual formed a chunk at a time, each bin adding its
         products in the order H0 adds the bands."""
         spec, nu_d = self.spec, self.spec.nu ** self.spec.d
-        chunks = spec._fold_chunks(spec._sum_keys, spec.records)[1]
+        chunks = spec._fold_chunks(spec._box_rows(spec._sum_keys), spec.records)[1]
         acc = np.zeros(self.h0.size)
         for c, dual in _duals(chunks, self.h0.ravel(), nu_d):
             np.add.at(acc, c.bins, dual * c.values)

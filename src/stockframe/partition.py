@@ -195,17 +195,10 @@ class AlphaPartition:
         return self._run(p).width
 
     def interval(self, p: int) -> PartitionInterval:
-        """Interval at |p|; the p < 0 interval is its negation (see band_frequencies)."""
+        """Interval at |p|; the band at p < 0 is its negation, (-stop, -start]."""
         run, k = self._run(p), abs(p)
         start = run.lo + (k - run.p) * run.width
         return PartitionInterval(k, start, start + run.width)
-
-    def band_frequencies(self, p: int) -> np.ndarray:
-        """Signed integer frequencies of the band at p, ascending."""
-        iv = self.interval(p)
-        if p >= 0:
-            return iv.frequencies()
-        return -iv.frequencies()[::-1]
 
     def locate(self, eta: int) -> int:
         """Signed ladder index p with eta in band(p).

@@ -29,9 +29,11 @@ a self-similar corona.
 Each axis factor F_{p,e} is a frame1d band record (extent and values) of
 width w = b and period m = q b, capped at n as a longer period admits no
 shift on the grid (box_period keeps q b; DC: w = 1, m = q).  Box shifts
-are products of factor shifts: the Walnut sum and tail sups run on the
-1D pair kernels.  H0, the Walnut sum, the tail bound and the dual
-residual read the full factors; H0 adds per box on grid slices.
+are products of factor shifts: the Walnut sum and the tail bound are one
+body for both frames (frame1d._walnut_sum, frame1d.walnut_bounds), of
+which a 1D band is the d = 1 case.  H0, the Walnut sum, the tail bound
+and the dual residual read the full factors; H0 adds per box on grid
+slices.
 
 A box is a band of frame1d's engine at dimension d (frame1d module
 docstring): NdFrameSpec shares its records, core, chunks, held dual,
@@ -63,8 +65,8 @@ from itertools import product
 
 import numpy as np
 
-from .frame1d import (BandRecords, ConjugateFilter, _analyze, _BoxFrame, _on_grid, _round_trip,
-                      _shift_limit, _shift_maxima, _synthesize, _walnut_pairs, conjugate_filter)
+from .frame1d import (BandRecords, ConjugateFilter, WalnutBoundReport, _analyze, _BoxFrame, _on_grid,
+                      _round_trip, _synthesize, _walnut_sum, conjugate_filter, walnut_bounds)
 from .window import COEFF_CAP, Window, _lattice_budget, _runs, lattice_records
 
 __all__ = [
@@ -215,6 +217,11 @@ class NdFrameSpec(_BoxFrame):
         """Per-axis modulation period m = q w: q per lattice node along the axis."""
         return self.q * int(self.records.w[self.factor_rows(box)[0]])
 
+    @property
+    def walnut_k_max(self) -> int:
+        """The tail bound's default shift count, ceil(n / 2q)."""
+        return math.ceil(self.n / (2 * self.q))
+
     def box_norm(self, box: BoxIndex) -> float:
         return float(self.records.w[self.factor_rows(box)[0]]) ** (self.d / 2.0)
 
@@ -324,80 +331,16 @@ def walnut_apply_nd(spec: NdFrameSpec, fhat: np.ndarray,
     """Direct shift-sum evaluation of S f; matches analyze/synthesize.
 
     A box's shifts are the products of its factors' 1D pairs, in kvec
-    order; each adds (f^ Phi)(u - s) Phi(u) on its overlap only.
+    order; each adds (f^ Phi)(u - s) Phi(u) on its overlap only
+    (frame1d._walnut_sum).
     """
     fhat = _check_field(spec, fhat)
-    g = spec.records
-    limit = _shift_limit(g, g)
-    if k_max is not None:
-        limit = np.minimum(limit, k_max)
-    band, shift, lo, length = _walnut_pairs(spec.n, g, g, -limit, limit)
-    # per pair: its overlap u on the grid, and u - s and u as offsets
-    # into the factor's extent
-    cuts = np.searchsorted(band, np.arange(len(g.ps) + 1)).tolist()
-    start = (lo - g.lo[band]).tolist()
-    pairs = [(slice(a, a + size), slice(u - s, u - s + size), slice(u, u + size))
-             for a, size, s, u in zip(lo.tolist(), length.tolist(), shift.tolist(), start)]
-    acc = np.zeros((spec.n,) * spec.d, dtype=np.complex128)
-    for box in spec.tiling.boxes:
-        rows = spec.factor_rows(box)
-        sup, stack = spec.box_support(box)
-        base = fhat[sup] * stack
-        for kvec in product(*(pairs[cuts[r]:cuts[r + 1]] for r in rows)):
-            dst, src, own = zip(*kvec)
-            acc[dst] += base[src] * stack[own]
-    return (spec.q ** spec.d) * acc
+    return _walnut_sum(spec, fhat.ravel(), k_max).reshape(fhat.shape)
 
 
-@dataclass(frozen=True)
-class NdBoundReport:
-    h0_inf: float
-    h0_sup: float
-    h_tail: float
-    nu: float
-    d: int
-
-    @property
-    def lower(self) -> float:
-        return max(0.0, (self.h0_inf - self.h_tail) / self.nu ** self.d)
-
-    @property
-    def upper(self) -> float:
-        return (self.h0_sup + self.h_tail) / self.nu ** self.d
-
-
-def walnut_bounds_nd(spec: NdFrameSpec, k_max: int | None = None) -> NdBoundReport:
-    """Certified bounds; separability turns the tail into a product formula.
-
-    With per-axis sups a_s(k) = sup_x F_s(x - k step) F_s(x), the box tail
-    sum_{k != 0} prod_s a_s(|k_s|) equals prod_s (a_s(0) + 2 sum_{k>=1})
-    minus prod_s a_s(0) exactly.  The sups for k >= 1 come from the 1D
-    shift maxima (_shift_maxima) and add per factor in k order.
-    """
-    if k_max is None:
-        k_max = math.ceil(spec.n / (2 * spec.q))
-    h0 = spec.h0
-    g = spec.records
-    band, maxima = _shift_maxima(g, spec.n, k_max)
-    cuts = np.searchsorted(band, np.arange(len(g.ps) + 1)).tolist()
-    tail = [2.0 * sum(maxima[a:b].tolist()) for a, b in zip(cuts[:-1], cuts[1:])]
-    # max F^2 on the extent: F^2 = +0.0 off it, and an empty factor's 0.0
-    # diagonal and tail make its boxes add only +0.0
-    diag = [float(np.max(v * v, initial=0.0)) for _, v in spec._factors]
-    h_tail = 0.0
-    for box in spec.tiling.boxes:
-        rows = spec.factor_rows(box)
-        # expand prod(a + t) - prod(a) term by term: the tails can sit far
-        # below one ulp of the diagonal, where the factored form cancels
-        for mask in range(1, 1 << spec.d):
-            term = 1.0
-            for s, r in enumerate(rows):
-                term *= tail[r] if mask >> s & 1 else diag[r]
-            h_tail += term
-    return NdBoundReport(float(h0.min()), float(h0.max()), h_tail, spec.nu, spec.d)
-
-
-# one conjugate filter serves both frames
+# one conjugate filter and one tail bound serve both frames
+NdBoundReport = WalnutBoundReport
+walnut_bounds_nd = walnut_bounds
 NdConjugate = ConjugateFilter
 conjugate_filter_nd = conjugate_filter
 

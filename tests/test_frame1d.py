@@ -10,6 +10,7 @@ from stockframe import frame1d
 from stockframe.frame1d import (
     EIGEN_SIZE_CAP,
     ConjugateFilter,
+    FrameBounds,
     FrameCoefficients,
     FrameGapError,
     analyze,
@@ -149,13 +150,31 @@ def dense_walnut_apply(spec, fhat, synth, k_max=None):
     return spec.q * acc, float(np.sqrt(dropped))
 
 
+def dense_kernel(spec):
+    # S[u, v] = q sum_p Phi_p(u) Phi_p(v) [u = v mod q w_p], one (band,
+    # shift) pair at a time over the whole grid
+    n = spec.grid.size
+    mat = np.zeros((n, n))
+    for p in spec.p_range:
+        band = spec.stack.band(p)
+        limit = _reach(spec, p, band, None)
+        for m in range(-limit, limit + 1):
+            s = m * spec.k_count(p)
+            u = np.arange(max(s, 0), min(n, n + s))
+            mat[u, u - s] += band[u] * band[u - s]
+    return spec.q * mat
+
+
 def dense_h_tail(spec, k_max):
+    # each band's sups add in m order into its tail, the tails in p order
     h_tail = 0.0
     for p in spec.p_range:
         band = spec.stack.band(p)
+        tail = 0.0
         for m in range(1, _reach(spec, p, band, k_max) + 1):
             s = m * spec.k_count(p)
-            h_tail += 2.0 * float(np.max(band[s:] * band[:-s]))
+            tail += float(np.max(band[s:] * band[:-s]))
+        h_tail += 2.0 * tail
     return h_tail
 
 
@@ -351,7 +370,7 @@ def test_walnut_paths_are_bit_identical_to_per_shift_loops(alpha, window, q, chu
     wide = make_frame_spec(gaussian_window(), 0.5, q, alpha, 48).stack.bands
     for synth in (None, conj.bands, wide):
         family = spec.stack.bands if synth is None else synth
-        for k_max in (None, 1):
+        for k_max in (None, 0, 1):
             want, want_mass = dense_walnut_apply(spec, fs.coeffs, family, k_max)
             got, mass = walnut_apply(spec, fs, synth, k_max=k_max, with_dropped_mass=True)
             assert np.array_equal(got.coeffs, want)
@@ -360,6 +379,16 @@ def test_walnut_paths_are_bit_identical_to_per_shift_loops(alpha, window, q, chu
     for k_max in (None, 1, 2, 1000):
         rep = walnut_bounds(spec, k_max)
         assert rep.h_tail == dense_h_tail(spec, rep.k_max)
+
+
+@pytest.mark.parametrize("alpha, window, chunk",
+                         over_term_chunks(product([0, 0.5, 1], ["gaussian", "step"])))
+def test_eigen_kernel_is_bit_identical_to_per_shift_loops(alpha, window, chunk, monkeypatch):
+    monkeypatch.setattr(frame1d, "_TERM_CHUNK", chunk)
+    spec = make_frame_spec({**WINDOWS, "step": step_window}[window](), 0.5, 2, alpha, 48)
+    mat = dense_kernel(spec)
+    eigs = np.linalg.eigvalsh((mat + mat.T) / 2.0)
+    assert frame_bounds_eigen(spec) == FrameBounds(float(eigs[0]), float(eigs[-1]), "eigen")
 
 
 @pytest.mark.parametrize("alpha", [0, 0.5, 1])

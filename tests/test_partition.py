@@ -170,8 +170,9 @@ def assert_matches_recurrence(part, ivs):
         assert part.interval(-p) == iv
         assert part.width(p) == part.width(-p) == b - a
         if b - a <= 1024:  # dyadic widths at p = 120 are 2**119
-            assert part.band_frequencies(p).tolist() == list(range(a, b))
-            assert part.band_frequencies(-p).tolist() == list(range(-b + 1, -a + 1))
+            assert iv.frequencies().tolist() == list(range(a, b))
+            # the mirror rule: the band at -p is the negated interval
+            assert (-iv.frequencies()[::-1]).tolist() == list(range(-b + 1, -a + 1))
         for eta in {a, b - 1}:
             assert part.locate(eta) == p
             assert part.locate(-eta) == -p
@@ -295,8 +296,9 @@ def test_partition_covering_rejects_bad_limit():
 def test_locate_returns_containing_band(eta, alpha_idx):
     part = partition_covering(ALPHAS[alpha_idx], 801)
     p = part.locate(eta)
-    band = part.band_frequencies(p)
-    assert eta in band
+    iv = part.interval(p)
+    # the mirror rule: the band at p < 0 is the negated interval at |p|
+    assert iv.start <= (eta if p >= 0 else -eta) < iv.stop
     assert (p >= 0) == (eta >= 0)
     if eta > 0:
         assert part.locate(-eta) == -p
@@ -309,14 +311,6 @@ def test_locate_rejects_uncovered_frequency():
     with pytest.raises(ValueError):
         part.locate(-16)
     assert part.locate(15) == 4
-
-
-def test_band_frequencies_mirror():
-    part = build_partition(0.5, 6)
-    for p in range(1, 7):
-        pos = part.band_frequencies(p)
-        neg = part.band_frequencies(-p)
-        assert list(neg) == [-j for j in pos[::-1]]
 
 
 def test_partition_is_immutable():

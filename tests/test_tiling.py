@@ -171,7 +171,7 @@ def dense_walnut_bounds_nd(spec, k_max=None):
                 term *= tails[s] if mask >> s & 1 else diag[s]
             h_tail += term
     h0 = dense_sum_of_squares(spec)
-    return NdBoundReport(float(h0.min()), float(h0.max()), h_tail, spec.nu, spec.d)
+    return NdBoundReport(float(h0.min()), float(h0.max()), h_tail, spec.nu, k_max, spec.d)
 
 
 def coefficient_round_trip(spec, fhat):
@@ -649,6 +649,49 @@ def test_walnut_nd_is_bit_identical_to_dense_shift_loops(window, d, q, deep, mu)
         assert np.array_equal(walnut_apply_nd(spec, fhat, k_max=k_max),
                               dense_walnut_apply_nd(spec, fhat, k_max))
         assert walnut_bounds_nd(spec, k_max) == dense_walnut_bounds_nd(spec, k_max)
+
+
+@pytest.mark.parametrize("d, chunk", [pytest.param(d, chunk, id=f"d{d}-chunk{chunk}")
+                                      for d in (1, 2, 3) for chunk in (frame1d._TERM_CHUNK, 64, 1)])
+def test_walnut_nd_chunks_of_whole_kvecs_are_bit_identical(d, chunk, monkeypatch):
+    # the Walnut sum cuts the kvecs of every box into chunks of about
+    # _TERM_CHUNK terms, one kvec an item, so none is ever split: at any
+    # chunk size the sum and the bound keep the dense loops' bits
+    monkeypatch.setattr(frame1d, "_TERM_CHUNK", chunk)
+    items = []
+    chunks = frame1d._chunks
+    monkeypatch.setattr(frame1d, "_chunks", lambda lengths: items.append(lengths.size) or chunks(lengths))
+    n = GRID[d]
+    spec = make_nd_frame_spec(truncated_gaussian(1.0), 0.5, 2, d, n)
+    factors = dense_factors(spec)
+    fhat = random_field(np.random.default_rng(35), d, n)
+    for k_max in (None, 0, 1):
+        items.clear()
+        assert same_bits(walnut_apply_nd(spec, fhat, k_max=k_max), dense_walnut_apply_nd(spec, fhat, k_max))
+        limits = [axis_limits([factors[key] for key in box_keys(spec, box)], spec.box_period(box), k_max)
+                  for box in spec.tiling.boxes]
+        assert items == [sum(math.prod(2 * lim + 1 for lim in lims) for lims in limits if lims is not None)]
+        assert walnut_bounds_nd(spec, k_max) == dense_walnut_bounds_nd(spec, k_max)
+
+
+def test_walnut_nd_report_carries_its_k_max():
+    spec = small_spec(d=2, n=16, q=2)
+    assert (walnut_bounds_nd(spec).k_max, walnut_bounds_nd(spec).d) == (4, 2)  # ceil(n / 2q)
+    assert walnut_bounds_nd(spec, 1).k_max == 1
+    assert walnut_bounds_nd(spec, 1) == dense_walnut_bounds_nd(spec, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_nd_k_max_past_the_grid_edge_changes_nothing(d):
+    # no shift of n or more bins reaches the grid, and every step is >= 1
+    n = GRID[d]
+    spec = make_nd_frame_spec(gaussian_window(), 0.5, 2, d, n)
+    fhat = random_field(np.random.default_rng(36), d, n)
+    assert same_bits(walnut_apply_nd(spec, fhat, k_max=10 ** 6), walnut_apply_nd(spec, fhat))
+    assert same_bits(walnut_apply_nd(spec, fhat, k_max=n), walnut_apply_nd(spec, fhat))
+    far, edge = walnut_bounds_nd(spec, 10 ** 6), walnut_bounds_nd(spec, n)
+    assert (far.h_tail, far.lower, far.upper) == (edge.h_tail, edge.lower, edge.upper)
+    assert (far.k_max, edge.k_max) == (10 ** 6, n)
 
 
 def test_conjugate_nd_partition_residual():
