@@ -82,15 +82,18 @@ terms, each at most TAU * peak * |f(u)| times its other factors.
 A band's shifted product Phi_p(u - s) Psi_p(u) is nonzero only where
 both extents meet, so the Walnut paths enumerate every (factor, shift)
 pair and its overlap once, in (p, m) order (_walnut_pairs).  A box's
-shifts are its kvecs, one pair per axis, and one body serves both
-frames: `_walnut_sum` adds the terms of every (box, kvec) in fold order,
-`walnut_bounds` each factor's shift maxima into its tail, then the tail
-terms box by box; `frame_bounds_eigen` assembles the 1D operator from
-its Walnut kernel
+shifts are its kvecs, one pair per axis, and one stream serves both
+frames (_walnut_stream): the terms Phi(v) Psi(u), u - v the kvec's
+shift, of every (box, kvec) in fold order, a chunk of whole kvecs at a
+time.  `_walnut_sum` adds f^(v) times them; `walnut_bounds` takes each
+factor's shift maxima from the stream of its own pairs, then adds the
+tail terms box by box; `frame_bounds_eigen` assembles the 1D or n-D
+operator from its Walnut kernel
 
-    S[u, v] = q * sum_p Phi_p(u) Phi_p(v) [u = v mod q*width_p],
+    S[u, v] = q^d * sum over (box, kvec) of shift u - v of Phi(u) Phi(v),
 
-which agrees with the analysis + synthesis operator to round-off.  All
+which agrees with the analysis + synthesis operator to round-off.  One
+body (_element) forms the elements of both frames.  All
 other outputs equal the dense per-band (or per-shift) evaluation bit for
 bit, because every bin receives the same additions in the same order:
 folds in ascending frequency, synthesis and reconstruction in coefficient
@@ -418,6 +421,10 @@ class _BoxFrame:
         """The factor rows of the bands in fold order (_box_rows)."""
         return self._box_rows(self._fold_keys)
 
+    @property
+    def _kvec_rows(self) -> np.ndarray | None:  # as _walnut_stream reads them
+        return self._fold_rows
+
     def _fold_chunks(self, rows: np.ndarray, g: BandRecords | None = None,
                      family=None) -> tuple[int, Iterator[FoldChunk]]:
         """_box_chunks of the bands of factor rows rows, on the core
@@ -485,6 +492,7 @@ class FrameSpec(_BoxFrame):
     walnut_k_max: int
 
     d = 1
+    _kvec_rows = None  # the records are the bands in p order
 
     @property
     def n(self) -> int:
@@ -596,10 +604,21 @@ def frame_element(spec: FrameSpec, p: int, k: int) -> SpectralSignal:
     m = spec.k_count(p)
     if not 0 <= k < m:
         raise ValueError(f"slot k = {k} outside 0..{m - 1}")
-    w = spec.width(p)
-    j = spec.grid.frequencies()
-    phase = np.exp(-2j * np.pi * j * k / m)
-    return SpectralSignal(spec.grid, phase * spec.stack.band(p) / np.sqrt(w))
+    return SpectralSignal(spec.grid, _element(spec, p, (k,)))
+
+
+def _element(spec: _BoxFrame, key, kvec) -> np.ndarray:
+    """The element of band (box) key at slot kvec, one integer slot per
+    axis, on the whole grid: the outer product of one phase
+    exp(-2 pi i j k / (q w)) per axis, times the band's stack, over
+    _root(w)."""
+    for k in kvec:
+        if int(k) != k:
+            raise ValueError(f"slot {k} is not an integer")
+    w = int(spec.records.w[spec.factor_rows(key)[0]])
+    j = np.arange(-(spec.n // 2), spec.n // 2)
+    axes = [np.exp(-2j * np.pi * j * k / (spec.q * w)) for k in kvec]
+    return reduce(np.multiply.outer, axes) * spec.box_stack(key) / spec._root(w)
 
 
 def analyze(spec: FrameSpec, f) -> FrameCoefficients:
@@ -655,62 +674,29 @@ def _walnut_pairs(g: BandRecords, psi: BandRecords, k_max=None, first=None):
     return band, shift, lo, length
 
 
-def _walnut_terms(g: BandRecords, psi: BandRecords, band, shift, lo, length):
-    """Yield the terms of the pairs, pair after pair, in chunks of whole
-    pairs of about _TERM_CHUNK terms: (u, v = u - s, Phi_p(v), Psi_p(u),
-    the chunk's pair lengths)."""
-    for a, b in _chunks(length):
-        sizes = length[a:b]
-        u = _runs(lo[a:b], sizes)
-        v = u - np.repeat(shift[a:b], sizes)
-        rows = np.repeat(band[a:b], sizes)
-        yield u, v, g.values[v + g.offset[rows]], psi.values[u + psi.offset[rows]], sizes
-
-
-def _shift_maxima(g: BandRecords, n: int, k_max) -> tuple[np.ndarray, np.ndarray]:
-    """(band, maximum) per pair (b, s = m q w_b), 1 <= m <= k_max, |s| < n,
-    band-major: maximum = sup_u Phi_b(u - s) Phi_b(u) over the grid of
-    size n.  Each maximum comes from a reduceat over the products on the
-    extents, a chunk of shifts per call."""
-    band, shift, lo, length = _walnut_pairs(g, g, k_max, first=1)
-    # every pair has length >= 1: s <= hi - 1 - lo
-    maxima = np.concatenate([np.zeros(0)] + [
-        np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
-        for _, _, gv, pv, sizes in _walnut_terms(g, g, band, shift, lo, length)])
-    # the sup over the grid also sees the zeros off a partial extent
-    partial = (g.hi - g.lo)[band] < n
-    return band, np.where(partial, np.maximum(maxima, 0.0), maxima)
-
-
-def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None,
-                psi: BandRecords | None = None) -> np.ndarray:
-    """q^d times the sum of every term (f^ Phi)(u - s) Psi(u), f^ flat on
-    the grid, over the spec's bands (boxes); Psi is the records psi, by
-    default the spec's own.  A box's shifts are its kvecs, one factor pair
-    (_walnut_pairs) per axis in C order.  The (box, kvec)s are listed in
-    fold order, and a chunk of whole kvecs of about _TERM_CHUNK terms at a
-    time is expanded axis by axis, as _box_chunks expands bins: u and
-    v = u - s on the flat grid, and Phi(v), Psi(u) as the C-order products
-    ((F0 F1) F2).  One add.at adds each bin's terms in (box, kvec) order,
-    as a dense loop would."""
-    g = spec.records
-    psi = g if psi is None else psi
-    n, d = spec.n, spec.d
-    band, shift, lo, length = _walnut_pairs(g, psi, k_max)
-    count = np.bincount(band, minlength=len(g.ps))  # pairs per factor record
-    first = np.cumsum(count) - count
-    rows = spec._fold_rows
-    # the kvecs in order: per axis, the band, shift, lo and length of
-    # each kvec's pair there
-    owner, kvecs = np.arange(len(rows)), []
-    for s in range(d):
-        r = rows[owner, s]
-        c = count[r]
-        pair = _runs(first[r], c)
-        kvecs = [np.repeat(x, c) for x in kvecs] + [band[pair], shift[pair], lo[pair], length[pair]]
-        owner = np.repeat(owner, c)
-    acc = np.zeros(n ** d, dtype=np.complex128)
-    for a, b in _chunks(reduce(np.multiply, kvecs[3::4])):
+def _walnut_stream(g: BandRecords, psi: BandRecords, pairs, rows: np.ndarray | None, n: int):
+    """Yield every Walnut term Phi(v) Psi(u), u - v = s, of a family of
+    boxes on the flat grid of n^d bins, a chunk of whole (box, kvec)s of
+    about _TERM_CHUNK terms at a time: (u, v, Phi(v), Psi(u), terms per
+    kvec).  Box i is the product of the factor records rows[i] (None: the
+    records in order, whose kvecs are the pairs), a kvec one factor pair
+    (_walnut_pairs) per axis; each chunk is expanded axis by axis, as
+    _box_chunks expands bins, Phi and Psi as C-order products."""
+    if rows is None:
+        d, kvecs = 1, list(pairs)
+    else:
+        d, count = rows.shape[1], np.bincount(pairs[0], minlength=len(g.ps))  # pairs per record
+        first = np.cumsum(count) - count
+        # per axis, the band, shift, lo and length of each kvec's pair there
+        owner, kvecs = np.arange(len(rows)), []
+        for s in range(d):
+            r = rows[owner, s]
+            c = count[r]
+            pair = _runs(first[r], c)
+            kvecs = [np.repeat(x, c) for x in kvecs] + [x[pair] for x in pairs]
+            owner = np.repeat(owner, c)
+    sizes = reduce(np.multiply, kvecs[3::4])
+    for a, b in _chunks(sizes):
         later = [x[a:b] for x in kvecs]
         for s in range(d):
             rec, step, start, size, *later = later
@@ -724,8 +710,22 @@ def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None,
             else:
                 dst, src = np.repeat(dst, size) * n + u, np.repeat(src, size) * n + v
                 phi, out = np.repeat(phi, size) * gv, np.repeat(out, size) * pv
-        np.add.at(acc, dst, fhat[src] * phi * out)
-    return spec.q ** d * acc
+        yield dst, src, phi, out, sizes[a:b]
+
+
+def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None,
+                psi: BandRecords | None = None) -> np.ndarray:
+    """q^d times the sum of every term (f^ Phi)(u - s) Psi(u), f^ flat on
+    the grid, over the spec's bands (boxes) and their kvecs
+    (_walnut_stream); Psi is the records psi, by default the spec's own.
+    One add.at per chunk adds each bin's terms in (box, kvec) order, as a
+    dense loop would."""
+    g = spec.records
+    psi = g if psi is None else psi
+    acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
+    for u, v, phi, out, _ in _walnut_stream(g, psi, _walnut_pairs(g, psi, k_max), spec._kvec_rows, spec.n):
+        np.add.at(acc, u, fhat[v] * phi * out)
+    return spec.q ** spec.d * acc
 
 
 def walnut_apply(spec: FrameSpec, f,
@@ -738,11 +738,7 @@ def walnut_apply(spec: FrameSpec, f,
     with frame_operator_apply up to round-off); an explicit k_max truncates
     the aliasing sum for decay studies.  Shifted content leaving the grid
     is dropped; with_dropped_mass=True also returns the l2 mass of what
-    was dropped.
-
-    Every term (f^ Phi_p)(u - s) Psi_p(u) is added into bin u in (p, m)
-    order, as a dense loop over bands and shifts would add it; terms off
-    either extent are zero and left out (_walnut_sum).
+    was dropped.  The terms add in (p, m) order (_walnut_sum).
     """
     fhat = _as_spectrum(spec, f)
     g = spec.records
@@ -794,16 +790,22 @@ def walnut_bounds(spec: _BoxFrame, k_max: int | None = None) -> WalnutBoundRepor
     F_s(x - k m) F_s(x), separability makes a box's tail
     sum_{k != 0} prod_s a_s(|k_s|) equal prod_s (a_s(0) + t_s) -
     prod_s a_s(0), t_s = 2 sum_{k >= 1} a_s(k) (a band's is its t).  Each
-    factor's sups (_shift_maxima) add in k order; the product is expanded
-    mask by mask, as the tails can sit far below one ulp of the diagonal,
-    where the factored form cancels; the box terms add in (box, mask) order.
+    factor's sups, each from one reduceat over the products of a pair
+    (1 <= k <= k_max) on its overlap (_walnut_stream), add in k order; the
+    product is expanded mask by mask, as the tails can sit far below one
+    ulp of the diagonal, where the factored form cancels; the box terms
+    add in (box, mask) order.
     """
     if k_max is None:
         k_max = spec.walnut_k_max
-    g = spec.records
-    band, maxima = _shift_maxima(g, spec.n, k_max)
+    g, n = spec.records, spec.n
+    pairs = _walnut_pairs(g, g, k_max, first=1)  # each of length >= 1: s <= hi - 1 - lo
+    maxima = np.concatenate([np.zeros(0)] + [np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
+                                            for _, _, gv, pv, sizes in _walnut_stream(g, g, pairs, None, n)])
+    # the sup over the grid also sees the zeros off a partial extent
+    maxima = np.where((g.hi - g.lo)[pairs[0]] < n, np.maximum(maxima, 0.0), maxima)
     tail = np.zeros(len(g.ps))
-    np.add.at(tail, band, maxima)  # each factor's in k order, from +0.0
+    np.add.at(tail, pairs[0], maxima)  # each factor's in k order, from +0.0
     tail *= 2.0  # the sup is shift-sign symmetric; count both signs
     if spec.d > 1:  # a band (d = 1) has no diagonal term
         # max F^2 on the extent: F^2 = +0.0 off it, and an empty factor's
@@ -829,22 +831,24 @@ class FrameBounds:
     method: str
 
 
-def frame_bounds_eigen(spec: FrameSpec) -> FrameBounds:
-    """Exact bounds as extreme eigenvalues of the dense frame operator.
+def frame_bounds_eigen(spec: _BoxFrame) -> FrameBounds:
+    """Exact bounds of a 1D or n-D frame as extreme eigenvalues of the
+    dense frame operator on the n^d grid points.
 
-    The operator is assembled from its Walnut kernel,
-    S[u, v] = q sum_p Phi_p(u) Phi_p(v) [u = v mod q w_p]: each band adds
-    the products of its values on its extent at every multiple of its
-    period.  Grids above EIGEN_SIZE_CAP are refused.
+    The operator is assembled from its Walnut kernel, S[u, v] = q^d times
+    the sum of Phi(u) Phi(v) over every (box, kvec) of shift u - v
+    (_walnut_stream), which agrees with the analysis + synthesis operator
+    to round-off.  Grids of more than EIGEN_SIZE_CAP points are refused.
     """
-    n = spec.grid.size
-    if n > EIGEN_SIZE_CAP:
-        raise ValueError(f"dense eigenbounds capped at n = {EIGEN_SIZE_CAP}, got {n}")
+    size = spec.n ** spec.d
+    if size > EIGEN_SIZE_CAP:
+        raise ValueError(f"dense eigenbounds capped at {EIGEN_SIZE_CAP} grid points, "
+                         f"got n^d = {spec.n}^{spec.d} = {size}")
     g = spec.records
-    mat = np.zeros(n * n)
-    for u, v, gv, pv, _ in _walnut_terms(g, g, *_walnut_pairs(g, g)):
-        np.add.at(mat, u * n + v, pv * gv)
-    mat = spec.q * mat.reshape(n, n)
+    mat = np.zeros(size * size)
+    for u, v, gv, pv, _ in _walnut_stream(g, g, _walnut_pairs(g, g), spec._kvec_rows, spec.n):
+        np.add.at(mat, u * size + v, pv * gv)
+    mat = spec.q ** spec.d * mat.reshape(size, size)
     asym = float(np.max(np.abs(mat - mat.T)))
     scale = float(np.max(np.abs(mat))) or 1.0
     if asym > 1e-8 * scale:

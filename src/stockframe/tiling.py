@@ -28,16 +28,16 @@ a self-similar corona.
 
 Each axis factor F_{p,e} is a frame1d band record (extent and values) of
 width w = b and period m = q b, capped at n as a longer period admits no
-shift on the grid (box_period keeps q b; DC: w = 1, m = q).  Box shifts
-are products of factor shifts: the Walnut sum and the tail bound are one
-body for both frames (frame1d._walnut_sum, frame1d.walnut_bounds), of
-which a 1D band is the d = 1 case.  H0, the Walnut sum, the tail bound
-and the dual residual read the full factors; H0 adds per box on grid
-slices.
+shift on the grid (box_period keeps q b; DC: w = 1, m = q).  H0, the
+Walnut sum, the tail bound, the eigenbounds and the dual residual read
+the full factors; H0 adds per box on grid slices.  A tiling lists
+1 + p_max (4^d - 2^d) boxes, refused past TILE_CAP before any is listed.
 
 A box is a band of frame1d's engine at dimension d (frame1d module
-docstring): NdFrameSpec shares its records, core, chunks, held dual,
-analysis, synthesis, conjugate filter and round trip with the 1D frame.
+docstring), a box shift the product of factor shifts: NdFrameSpec shares
+its records, core, chunks, held dual, elements, analysis, synthesis,
+Walnut sum, tail bound, eigenbounds, conjugate filter and round trip
+with the 1D frame, of which a 1D band is the d = 1 case.
 Its chunks hold the C-order bins of each box's core support (the product
 of its core factors' extents: a box sample off it has a dropped factor,
 so is below TAU peak^d), the outer product of the factor values there, a
@@ -60,13 +60,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
 
 import numpy as np
 
-from .frame1d import (BandRecords, ConjugateFilter, WalnutBoundReport, _analyze, _BoxFrame, _on_grid,
-                      _round_trip, _synthesize, _walnut_sum, conjugate_filter, walnut_bounds)
+from .frame1d import (BandRecords, ConjugateFilter, WalnutBoundReport, _analyze, _BoxFrame, _element,
+                      _on_grid, _round_trip, _synthesize, _walnut_sum, conjugate_filter, walnut_bounds)
 from .window import COEFF_CAP, Window, _lattice_budget, _runs, lattice_records
 
 __all__ = [
@@ -105,6 +104,8 @@ AXIS_CAP = {1: 4096, 2: 256, 3: 32}
 RECORD_CAP = 1 << 20
 # deepest corona: the lattice starts +-2^p of every factor stay in int64
 P_MAX_CAP = 62
+# boxes a tiling lists: d = 8 at p_max = 1 (65,281) is the largest table
+TILE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -171,10 +172,14 @@ def build_tiling(d: int, p_max: int) -> NdTiling:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
-    boxes = [BoxIndex(0, None)]
-    for p in range(1, p_max + 1):
-        boxes.extend(BoxIndex(p, ell) for ell in admissible_ells(d))
-    return NdTiling(d, p_max, tuple(boxes))
+    # exact up to d = 64, past which a table is far past the cap anyway
+    count = 1 + p_max * (4 ** min(d, 64) - 2 ** min(d, 64))
+    if count > TILE_CAP:
+        raise ValueError(f"a tiling of {'over ' if d > 64 else ''}{count} boxes exceeds the cap "
+                         f"{TILE_CAP}; reduce d or p_max")
+    ells = admissible_ells(d)
+    boxes = (BoxIndex(0, None), *(BoxIndex(p, ell) for p in range(1, p_max + 1) for ell in ells))
+    return NdTiling(d, p_max, boxes)
 
 
 @dataclass
@@ -297,21 +302,15 @@ def element_nd(spec: NdFrameSpec, box: BoxIndex, kvec: tuple[int, ...]) -> np.nd
     m = spec.box_period(box)
     if len(kvec) != spec.d or not all(0 <= k < m for k in kvec):
         raise ValueError(f"kvec {kvec} outside (0..{m - 1})^{spec.d}")
-    j = spec.axis_frequencies()
-    axes = [np.exp(-2j * np.pi * j * k / m) for k in kvec]
-    return reduce(np.multiply.outer, axes) * spec.box_stack(box) / spec.box_norm(box)
-
-
-def _coeff_budget(spec: NdFrameSpec) -> None:
-    total = sum(spec.box_period(box) ** spec.d for box in spec.tiling.boxes)
-    if total > COEFF_CAP:
-        raise ValueError(f"coefficient count {total} exceeds the cap {COEFF_CAP}; reduce q or p_max")
+    return _element(spec, box, kvec)
 
 
 def analyze_nd(spec: NdFrameSpec, fhat: np.ndarray) -> dict[BoxIndex, np.ndarray]:
     """<f, element> over all boxes, f^ the spectral field on the grid (frame1d._analyze)."""
     fhat = _check_field(spec, fhat)
-    _coeff_budget(spec)
+    total = sum(spec.box_period(box) ** spec.d for box in spec.tiling.boxes)
+    if total > COEFF_CAP:
+        raise ValueError(f"coefficient count {total} exceeds the cap {COEFF_CAP}; reduce q or p_max")
     return _analyze(spec, fhat.ravel())
 
 
@@ -328,12 +327,8 @@ def frame_operator_apply_nd(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:
 
 def walnut_apply_nd(spec: NdFrameSpec, fhat: np.ndarray,
                     k_max: int | None = None) -> np.ndarray:
-    """Direct shift-sum evaluation of S f; matches analyze/synthesize.
-
-    A box's shifts are the products of its factors' 1D pairs, in kvec
-    order; each adds (f^ Phi)(u - s) Phi(u) on its overlap only
-    (frame1d._walnut_sum).
-    """
+    """Direct shift-sum evaluation of S f (frame1d._walnut_sum); matches
+    analyze/synthesize."""
     fhat = _check_field(spec, fhat)
     return _walnut_sum(spec, fhat.ravel(), k_max).reshape(fhat.shape)
 

@@ -354,6 +354,15 @@ def test_tile_box_count(capsys):
     assert len(rep["table"]) == rep["boxes"]
 
 
+@pytest.mark.parametrize("d", [10, 11, 16, 1000])
+def test_tile_past_the_box_cap_is_usage_error(d):
+    # refused from the box count alone, before 4^d corners are filtered
+    proc = run_cli_quickly("tile", "--d", str(d), "--pmax", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1 and "exceeds the cap" in proc.stderr
+
+
 def test_roundtrip2d_frequency_field(tmp_path, capsys):
     rng = np.random.default_rng(5)
     field = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))

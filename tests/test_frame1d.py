@@ -204,6 +204,14 @@ def test_frame_element_range_checks():
         frame_element(spec, 1, -1)
 
 
+def test_frame_element_refuses_non_integer_slots():
+    spec = gauss_spec(n=64)
+    with pytest.raises(ValueError, match="not an integer"):
+        frame_element(spec, 1, 0.5)
+    # an integral value names the same element
+    assert np.array_equal(frame_element(spec, 1, 2.0).coeffs, frame_element(spec, 1, 2).coeffs)
+
+
 def test_alpha_zero_elements_are_gabor_atoms():
     # k-th slot at band p is the modulation p*mu, translation k/q atom
     spec = gauss_spec(mu=0.5, q=4, alpha=0, n=64)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from stockframe import frame1d, tiling
-from stockframe.frame1d import FrameGapError, make_frame_spec
+from stockframe.frame1d import EIGEN_SIZE_CAP, FrameGapError, frame_bounds_eigen, make_frame_spec
 from stockframe.tiling import (
     AXIS_CAP,
+    TILE_CAP,
     BoxIndex,
     NdBoundReport,
     NdConjugate,
@@ -240,6 +241,14 @@ def test_build_tiling_validation():
         build_tiling(2, 0)
 
 
+def test_build_tiling_refuses_tables_past_the_box_cap():
+    # 1 + p_max (4^d - 2^d) boxes, counted before any is listed
+    assert len(build_tiling(8, 1).boxes) == 65281 <= TILE_CAP
+    for d, p_max in [(8, 2), (9, 1), (1000, 1)]:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            build_tiling(d, p_max)
+
+
 # ---------------------------------------------------------------- spec construction
 
 
@@ -347,6 +356,15 @@ def test_element_nd_validation():
         element_nd(spec, box, (0, spec.box_period(box)))
 
 
+def test_element_nd_refuses_non_integer_slots():
+    spec = small_spec(d=2, n=8, q=2)
+    box = spec.tiling.boxes[1]
+    with pytest.raises(ValueError, match="not an integer"):
+        element_nd(spec, box, (0, 0.5))
+    # an integral value names the same element
+    assert np.array_equal(element_nd(spec, box, (1.0, 0)), element_nd(spec, box, (1, 0)))
+
+
 # ---------------------------------------------------------------- operator
 
 
@@ -401,6 +419,52 @@ def test_nd_tail_survives_tiny_magnitudes():
     spec = small_spec(d=2, n=16, q=8)
     rep = walnut_bounds_nd(spec)
     assert 0 < rep.h_tail < 1e-12
+
+
+def dense_operator_nd(spec):
+    """The frame operator's matrix on the n^d grid points, one column per
+    unit field through analysis + synthesis."""
+    size = spec.n ** spec.d
+    mat = np.empty((size, size), dtype=np.complex128)
+    for col in range(size):
+        unit = np.zeros(size, dtype=np.complex128)
+        unit[col] = 1.0
+        mat[:, col] = frame_operator_apply_nd(spec, unit.reshape((spec.n,) * spec.d)).ravel()
+    return mat
+
+
+@pytest.mark.parametrize("n,q", [(8, 2), (16, 1)])
+def test_eigenbounds_nd_match_column_applied_operator(n, q):
+    spec = small_spec(d=2, n=n, q=q)
+    mat = dense_operator_nd(spec)
+    eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+    bounds = frame_bounds_eigen(spec)
+    # the operator is assembled from the Walnut kernel, not this FFT pair
+    assert abs(bounds.lower - eigs[0]) <= 1e-13 * abs(eigs[0])
+    assert abs(bounds.upper - eigs[-1]) <= 1e-13 * abs(eigs[-1])
+
+
+def test_eigenbounds_nd_painless_equal_walnut_bounds():
+    # every shifted product vanishes: S is q^d H0, and the bounds are attained
+    spec = small_spec(d=2, n=16, q=4, window=truncated_gaussian(0.1))
+    rep, eig = walnut_bounds_nd(spec), frame_bounds_eigen(spec)
+    assert rep.h_tail == 0.0
+    assert (eig.lower, eig.upper) == (rep.lower, rep.upper)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_walnut_bounds_nd_bracket_eigenbounds(q):
+    spec = small_spec(d=3, n=8, q=q)
+    rep, eig = walnut_bounds_nd(spec), frame_bounds_eigen(spec)
+    assert 0.0 < eig.lower <= eig.upper
+    assert rep.lower <= eig.lower and eig.upper <= rep.upper
+
+
+def test_eigenbounds_nd_refuse_grids_past_the_cap():
+    spec = small_spec(d=2, n=64)
+    assert 64 < EIGEN_SIZE_CAP < 64 ** 2
+    with pytest.raises(ValueError, match=r"1024 grid points, got n\^d = 64\^2 = 4096"):
+        frame_bounds_eigen(spec)
 
 
 # ---------------------------------------------------------------- duals
