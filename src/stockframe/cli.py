@@ -411,7 +411,7 @@ def _round_trip_report(args, payload: dict, rel: float, write) -> int:
 # --------------------------------------------------------------------- tile
 
 def cmd_tile(args) -> int:
-    from .tiling import admissible_ells, build_tiling
+    from .tiling import build_tiling
     til = build_tiling(args.d, args.pmax)
     rows = []
     for box in til.boxes:
@@ -426,7 +426,7 @@ def cmd_tile(args) -> int:
         "d": args.d,
         "p_max": args.pmax,
         "boxes": len(rows),
-        "boxes_per_level": len(admissible_ells(args.d)),
+        "boxes_per_level": 4 ** args.d - 2 ** args.d,  # the shell corners (tiling docstring)
         "table": rows,
     }
     if args.json:

@@ -35,7 +35,17 @@ The canonical dual comes from the conjugate filter
 whose elements use the same phases with Omega in place of Phi.  Since
 m / w = q, analysis against Omega followed by synthesis with Phi is an
 FFT pair that cancels: reconstruction is q Phi_p(j) fold_m(f^ Omega_p)[j
-mod m] summed over p, with no coefficients.
+mod m] summed over p, with no coefficients.  A fold slot that holds one
+bin of the band folds f^ Omega into that bin alone, so there the term is
+the pointwise product q Phi Omega f^ (the painless case of Daubechies,
+Grossmann & Meyer, J. Math. Phys. 27, 1986).  Reconstruction is thus a
+multiplier plus an aliasing fold (RoundTripSplit): D = q sum Phi Omega
+over every (band, bin) alone in its slot, added in band order, and the
+bins of the slots of two or more bins, regrouped into alias chunks of
+whole slots of about _TERM_CHUNK bins.  The output is D f^, then one
+add.at per alias chunk of q Phi fold(f^ Omega)[fold], in band order.  A
+painless spec has no alias part; where every slot aliases, D = 0 and the
+folds are the whole round trip.
 
 Each band is held as a record, in p order (`FrameSpec.records`): its
 nonzero extent [lo, hi) in grid bins, its values there, its width w and
@@ -57,20 +67,22 @@ values there and, formed in one loop over the axes, two slots per bin:
 Analysis folds f^ Phi at the placement with one add.at and runs one
 inverse FFT per group of bands of equal period (in p order the runs are
 long, as width(|p|) is monotone); synthesis runs the forward FFT and
-adds it, read at the placement, into the grid; reconstruction folds
-f^ Omega at the compact fold and adds q Phi times the fold, with no FFT.
+adds it, read at the placement, into the grid; reconstruction takes
+D f^ and folds the alias part at the compact fold, with no FFT.
 Both specs (FrameSpec, tiling.NdFrameSpec: _BoxFrame) hold their
 records, the core records (below), the core chunks in band order and the
-dual at their bins (`duals`, 8 B per core bin), each built on first use;
-the 1D spec holds its chunks at any size, the n-D spec up to RECORD_CAP
-bins, else rebuilding them per call.  A coefficient dict in another
-order, or a replacement family (on each array's nonzero bounding box),
-gets its own chunks per call.  One ConjugateFilter serves both frames.
+round trip's split with their own H0 (`split`: D, 8 B per grid point,
+and 32 B per alias bin), each built on first use, the split on the first
+reconstruction; the 1D spec holds its chunks at any size, the n-D spec
+up to RECORD_CAP bins, else rebuilding them and the split per call, as
+for a caller's own H0.  A coefficient dict in another order, or a
+replacement family (on each array's nonzero bounding box), gets its own
+chunks per call.  One ConjugateFilter serves both frames.
 
 A Gaussian never vanishes, so its records run out to the window's zero
 radius, 15.5 bins from each lattice point, though past about 4.2 bins a
 sample is below TAU = 2^-80 of the peak and moves no O(1) sum by a
-rounding.  So analysis, synthesis, reconstruction and the held dual read
+rounding.  So analysis, synthesis, reconstruction and the held split read
 the core records (`core`): each extent cut to the span of its samples of
 magnitude >= TAU times the family's largest.  Compact windows keep their
 extents.  H0, the Walnut sum, the bounds, the eigenbounds, admissibility
@@ -96,9 +108,10 @@ which agrees with the analysis + synthesis operator to round-off.  One
 body (_element) forms the elements of both frames.  All
 other outputs equal the dense per-band (or per-shift) evaluation bit for
 bit, because every bin receives the same additions in the same order:
-folds in ascending frequency, synthesis and reconstruction in coefficient
-order, Walnut terms in (box, kvec) order, h_tail band by band and H0 in
-the stack's band order; each shift's maximum comes from one reduceat.
+folds in ascending frequency, synthesis in coefficient order,
+reconstruction D f^ first and then the alias folds in band order, Walnut
+terms in (box, kvec) order, h_tail band by band and H0 in the stack's
+band order; each shift's maximum comes from one reduceat.
 Bins outside an extent would only receive +0.0, which changes no sum.
 """
 
@@ -444,12 +457,13 @@ class _BoxFrame:
         return self._fold_chunks(self._fold_rows)[1] if held is None else held
 
     @cached_property
-    def duals(self) -> tuple[np.ndarray, ...] | None:
-        """The dual Omega = nu^d Phi / H0 at the bins of each held chunk,
-        read-only (None when the chunks are not held); built on first use."""
+    def split(self) -> RoundTripSplit | None:
+        """The round trip's split (_split) of the held chunks with the
+        spec's own H0, read-only (None when the chunks are not held);
+        built on the first reconstruction."""
         if self._held_chunks is None:
             return None
-        return _held_duals(self._held_chunks, self.h0.ravel(), self.nu ** self.d)
+        return _split(self, self._held_chunks, self.h0)
 
 
 def _analyze(spec: _BoxFrame, fhat: np.ndarray) -> dict:
@@ -654,7 +668,9 @@ def _walnut_pairs(g: BandRecords, psi: BandRecords, k_max=None, first=None):
     """The shifts s = m q w_p that can make Phi_p(u - s) Psi_p(u) nonzero,
     first <= m <= last (first = -last by default): last is the largest
     |m| that reaches across the union of the two extents (-1 for a band
-    with an empty one), at most k_max, so |s| < n.
+    with an empty one), at most k_max, so |s| < n.  k_max is clamped at n,
+    as no shift past the grid is kept either way: a k_max past int64 is
+    taken too.
 
     Returns (band, shift, lo, length) per pair, band-major in p order and
     m ascending within a band: Phi_p(u - s) Psi_p(u) can be nonzero only
@@ -664,7 +680,7 @@ def _walnut_pairs(g: BandRecords, psi: BandRecords, k_max=None, first=None):
     span = np.maximum(g.hi, psi.hi) - 1 - np.minimum(g.lo, psi.lo)
     last = np.where((g.lo == g.hi) | (psi.lo == psi.hi), -1, span // step)
     if k_max is not None:
-        last = np.minimum(last, k_max)
+        last = np.minimum(last, min(k_max, 2 * g.half))  # n = 2 half
     first = np.broadcast_to(-last if first is None else first, step.shape)
     count = np.maximum(last - first + 1, 0)
     band = np.repeat(np.arange(step.size), count)
@@ -866,9 +882,61 @@ def _duals(chunks, h0: np.ndarray, nu: float):
         yield c, dual
 
 
-def _held_duals(chunks, h0: np.ndarray, nu: float) -> tuple[np.ndarray, ...]:
-    """The dual at the bins of each chunk (_duals), for a spec to hold."""
-    return tuple(dual for _, dual in _duals(chunks, h0, nu))
+@dataclass(frozen=True)
+class AliasChunk:
+    """Whole compact-fold slots of two or more bins, of consecutive bands:
+    their bins, band after band, each bin's slot among the size slots
+    (fold, numbered from 0), q^d Phi (qphi) and Omega (dual) there."""
+
+    bins: np.ndarray = field(repr=False)
+    fold: np.ndarray = field(repr=False)
+    size: int
+    qphi: np.ndarray = field(repr=False)
+    dual: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True)
+class RoundTripSplit:
+    """The round trip as a multiplier plus an aliasing fold: diagonal is
+    D = q^d sum Phi Omega over every (band, bin) alone in its compact-fold
+    slot, on the flat grid; alias holds the bins of every other slot."""
+
+    diagonal: np.ndarray = field(repr=False)
+    alias: tuple[AliasChunk, ...]
+
+
+def _split(spec: _BoxFrame, chunks, h0: np.ndarray) -> RoundTripSplit:
+    """Split the round trip of the spec's core chunks, in band order, with
+    the dual of h0 (_duals): a bin alone in its slot folds only into
+    itself, so it adds q^d Phi Omega to D, in band order; the bins of the
+    other slots are regrouped, whole chunks at a time, into alias chunks
+    of about _TERM_CHUNK bins.  Every array is read-only."""
+    q = spec.q ** spec.d
+    diagonal = np.zeros(spec.n ** spec.d)
+    alias, group, base = [], [], 0
+
+    def flush():
+        slot, bins, qphi, dual = (np.concatenate(x) for x in zip(*group))
+        slots, fold = np.unique(slot, return_inverse=True)
+        for x in (bins, fold, qphi, dual):
+            x.flags.writeable = False
+        alias.append(AliasChunk(bins, fold, slots.size, qphi, dual))
+        group.clear()
+
+    for c, dual in _duals(chunks, h0.ravel(), spec.nu ** spec.d):
+        qphi = q * c.values
+        alone = np.bincount(c.fold, minlength=c.size)[c.fold] == 1
+        np.add.at(diagonal, c.bins[alone], qphi[alone] * dual[alone])
+        shared = ~alone
+        if shared.any():  # slot numbers kept distinct across chunks
+            group.append((base + c.fold[shared], c.bins[shared], qphi[shared], dual[shared]))
+        base += c.size
+        if sum(part[1].size for part in group) >= _TERM_CHUNK:
+            flush()
+    if group:
+        flush()
+    diagonal.flags.writeable = False
+    return RoundTripSplit(diagonal, tuple(alias))
 
 
 @dataclass
@@ -877,7 +945,7 @@ class ConjugateFilter:
     (FrameSpec or tiling.NdFrameSpec) and the H0 it came from.
 
     Dense dual bands are built on demand; reconstruction reads the dual
-    on the spec's core chunks (chunks).
+    on the spec's core chunks through the round trip's split (split).
     """
 
     spec: _BoxFrame = field(repr=False)
@@ -891,13 +959,13 @@ class ConjugateFilter:
     def bands(self) -> dict:
         return {key: self.band(key) for key in self.spec._sum_keys}
 
-    def chunks(self):
-        """(chunk, dual) per core chunk: the spec's held duals for its
-        own H0, else the dual of this h0 formed a chunk at a time."""
+    def split(self) -> RoundTripSplit:
+        """The round trip's split (_split) of the core chunks: the spec's
+        held one for its own H0, else that of this h0, built on each call."""
         spec = self.spec
-        if self.h0 is spec.h0 and spec.duals is not None:
-            return zip(spec.chunks, spec.duals)
-        return _duals(spec.chunks, self.h0.ravel(), spec.nu ** spec.d)
+        if self.h0 is spec.h0 and spec.split is not None:
+            return spec.split
+        return _split(spec, spec.chunks, self.h0)
 
     def partition_residual(self) -> float:
         """max |sum Omega Phi - nu^d| over the grid, zero to round-off by
@@ -945,14 +1013,16 @@ def _round_trip(spec: _BoxFrame, fhat: np.ndarray,
     """Analyze f^ (flat on the grid) against the conjugate family and
     synthesize with the primal one: sum q^d Phi fold(f^ Omega)[fold] over
     the core chunks, no coefficients formed, as the FFT pair cancels
-    (module docstring).  Returns (reconstruction, relative l2 error)."""
+    (module docstring), taken as D f^ plus one add.at per alias chunk, in
+    band order (conj.split()).  Returns (reconstruction, relative l2
+    error)."""
     if conj is None:
         conj = conjugate_filter(spec)
-    q = spec.q ** spec.d
-    acc = np.zeros(fhat.size, dtype=np.complex128)
-    for c, dual in conj.chunks():
-        np.add.at(acc, c.bins, q * c.values * _fold(fhat[c.bins] * dual, c.fold, c.size)[c.fold])
-    return acc, _norm(acc - fhat) / (_norm(fhat) or 1.0)
+    split = conj.split()
+    rec = split.diagonal * fhat
+    for a in split.alias:
+        np.add.at(rec, a.bins, a.qphi * _fold(fhat[a.bins] * a.dual, a.fold, a.size)[a.fold])
+    return rec, _norm(rec - fhat) / (_norm(fhat) or 1.0)
 
 
 def reconstruct(spec: FrameSpec, f,

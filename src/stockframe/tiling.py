@@ -44,16 +44,18 @@ so is below TAU peak^d), the outer product of the factor values there, a
 compact fold slot and, up to COEFF_CAP, a placement slot per bin.  A
 Gaussian family at d = 3, n = 32 holds 0.22M to 0.55M core box bins for
 mu from 3 down to 0.1, against 3.0M to 11.7M on the full factors; the
-spec holds its chunks and dual up to RECORD_CAP bins and rebuilds them
-per call past it.  With the dual Omega = nu^d Phi / H0 and
-normalization b^d (m^d / b^d = q^d, DC too), analysis then synthesis is
-fftn(ifftn(x)) = x, so reconstruction is
+spec holds its chunks and the round trip's split up to RECORD_CAP bins
+and rebuilds them per call past it.  With the dual Omega = nu^d Phi / H0
+and normalization b^d (m^d / b^d = q^d, DC too), analysis then synthesis
+is fftn(ifftn(x)) = x, so reconstruction is
 
     rec_box(j) = q^d Phi_box(j) fold_m(f^ Omega_box)[j mod m],
 
-each slot of the compact fold summing in C order over the support:
-round-off equal, not bit-equal, to a fold axis by axis.  All else adds
-as a dense per-box loop would.
+taken as frame1d's multiplier plus aliasing fold: D f^, D = q^d sum
+Phi Omega over every (box, bin) alone in its compact-fold slot in box
+order, then box by box the slots of two or more bins, each summing in C
+order over the support: round-off equal, not bit-equal, to a fold axis
+by axis.  All else adds as a dense per-box loop would.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context
 from functools import cached_property
 from typing import Callable
 
@@ -189,12 +190,21 @@ def _point_bins(window: Window, n: int) -> int:
     return int(min(n, np.ceil(2 * window.zero_radius) + 4))
 
 
+def _g(count: int) -> str:
+    """An integer in %g form, past the float range too."""
+    try:
+        return f"{count:g}"
+    except OverflowError:
+        return f"{Context(prec=6).create_decimal(count).normalize():g}"
+
+
 def _lattice_budget(window: Window, points: int, n: int) -> None:
     """Refuse a lattice of this many points on the grid of size n before it
-    is evaluated, if points times bins per point pass COEFF_CAP."""
+    is evaluated, if points times bins per point pass COEFF_CAP; the
+    counts print in %g form, as a tiny mu makes them hundreds of digits."""
     terms = points * _point_bins(window, n)
     if terms > COEFF_CAP:
-        raise ValueError(f"a lattice of {points} points has {terms} window samples, "
+        raise ValueError(f"a lattice of {_g(points)} points has {_g(terms)} window samples, "
                          f"over the cap {COEFF_CAP}; raise mu")
 
 

@@ -22,6 +22,7 @@ from stockframe.containers import (
     write_sfr2,
 )
 from stockframe.spectral import FrequencyGrid, TimeSamples
+from stockframe.tiling import admissible_ells
 
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?!\w)")
 
@@ -354,6 +355,14 @@ def test_tile_box_count(capsys):
     assert len(rep["table"]) == rep["boxes"]
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_tile_boxes_per_level_counts_the_shell_corners(d, capsys):
+    # taken as 4^d - 2^d, without listing the corners again
+    code, out, _ = run(capsys, "tile", "--d", str(d), "--pmax", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["boxes_per_level"] == len(admissible_ells(d))
+
+
 @pytest.mark.parametrize("d", [10, 11, 16, 1000])
 def test_tile_past_the_box_cap_is_usage_error(d):
     # refused from the box count alone, before 4^d corners are filtered
@@ -399,7 +408,7 @@ def test_roundtrip2d_huge_q_still_reconstructs(tmp_path, capsys):
                         "--window", "gaussian", "--n", "16", "--in", str(path), "--json")
     assert code == 0
     assert text == ('{"mu": 0.5, "n": 16, "p_max": 4, "q": 4611686018427387904, '
-                    '"rel_err": 1.2977335653697783e-16, "tol": 1e-06, "window": "gaussian"}\n')
+                    '"rel_err": 1.136799391670416e-16, "tol": 1e-06, "window": "gaussian"}\n')
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -444,6 +453,31 @@ def test_small_mu_lattice_is_refused_before_it_is_evaluated(tmp_path, command, m
     assert proc.stderr.startswith("error: a lattice of ")
     assert len(proc.stderr.strip().splitlines()) == 1
     assert peak_kib < 256 * 1024
+
+
+@pytest.mark.parametrize("mu", ["1e-300", "2.5e-307"])
+def test_tiny_mu_is_refused_on_one_short_line(mu):
+    # the lattice holds about n / mu points: its counts print in %g form,
+    # not as hundreds of digits, past the float range too
+    proc = run_cli_quickly("frame-bounds", "--alpha", "0.5", "--mu", mu, "--q", "2",
+                           "--window", "gaussian", "--n", "64")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: a lattice of ")
+    assert len(proc.stderr.strip().splitlines()) == 1 and len(proc.stderr) < 200
+
+
+def test_frame_bounds_kmax_past_int64_is_clamped(capsys):
+    # more shifts than the grid holds change nothing; the report keeps the
+    # k_max given
+    argv = ("frame-bounds", "--alpha", "0.5", "--mu", "0.5", "--q", "2", "--window", "gaussian",
+            "--n", "64", "--json", "--kmax")
+    proc = run_cli_quickly(*argv, str(1 << 63))
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["k_max"] == 1 << 63
+    code, out, _ = run(capsys, *argv, "64")
+    assert code == 0
+    assert {**json.loads(out), "k_max": 1 << 63} == rep
 
 
 @pytest.mark.parametrize("n", [1026, 16384, 1 << 30])

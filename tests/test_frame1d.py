@@ -26,6 +26,7 @@ from stockframe.frame1d import (
 )
 from stockframe.spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
 from stockframe.window import COEFF_CAP, Window, WindowStack, gaussian_window, truncated_gaussian
+from roundtrip import check_split, fold_order_reconstruct, per_call_reconstruct
 from tailbound import analysis_bound, check_trim, dense_records, reconstruct_bound, synthesis_bound
 
 
@@ -88,14 +89,26 @@ def dense_synthesize(spec, data, bands):
 
 def dense_reconstruct(spec, fhat, duals, bands):
     # analysis against duals then synthesis with bands, FFT pair cancelled:
-    # q * band * (f^ dual folded mod m), one band at a time in p order
-    j = spec.grid.frequencies()
-    acc = np.zeros(spec.grid.size, dtype=np.complex128)
-    for p in spec.p_range:
+    # q * band * (f^ dual folded mod m) on each band's core extent.  A bin
+    # alone in its residue class there adds q band dual to the multiplier
+    # D, band by band in p order; the output is D f^ plus, band by band in
+    # p order, the folds of the classes of two or more bins
+    n, j = spec.grid.size, spec.grid.frequencies()
+    core, classes = spec.core, {}
+    diagonal = np.zeros(n)
+    for b, p in enumerate(core.ps):
+        m = spec.k_count(p)
+        extent = (np.arange(n) >= core.lo[b]) & (np.arange(n) < core.hi[b])
+        shared = extent & (np.bincount(j[extent] % m, minlength=m)[j % m] > 1)
+        alone = extent & ~shared
+        diagonal[alone] += spec.q * bands[p][alone] * duals[p][alone]
+        classes[p] = shared
+    acc = diagonal * fhat
+    for p, shared in classes.items():
         m = spec.k_count(p)
         folded = np.zeros(m, dtype=np.complex128)
-        np.add.at(folded, j % m, fhat * duals[p])
-        acc += spec.q * bands[p] * folded[j % m]
+        np.add.at(folded, j[shared] % m, fhat[shared] * duals[p][shared])
+        acc[shared] += spec.q * bands[p][shared] * folded[j[shared] % m]
     return acc
 
 
@@ -544,19 +557,6 @@ def test_reconstruct_builds_h0_once_per_spec(monkeypatch):
         conjugate_filter(spec, floor=float(spec.h0.min()))
 
 
-def per_call_reconstruct(fhat, h0, chunks, nu, q):
-    # the reconstruction before the dual was held: the dual formed on
-    # every call and each fold taken by one bincount per part
-    acc = np.zeros(fhat.size, dtype=np.complex128)
-    for c in chunks:
-        x = fhat[c.bins] * (nu * c.values / h0[c.bins])
-        folded = np.empty(c.size, dtype=np.complex128)
-        folded.real = np.bincount(c.fold, x.real, c.size)
-        folded.imag = np.bincount(c.fold, x.imag, c.size)
-        np.add.at(acc, c.bins, q * c.values * folded[c.fold])
-    return acc
-
-
 def norm(x):
     # the l2 norm as the round trips take it: numpy's pairwise sum of the
     # squared parts, not BLAS, so the same under any thread count
@@ -572,13 +572,13 @@ def same_bits(a, b):
                          over_term_chunks(product([0, 0.3, 0.5, 1], sorted(WINDOWS), [1, 2, 3, 8])))
 def test_held_dual_is_bit_identical_to_the_per_call_dual(alpha, window, q, chunk, monkeypatch):
     monkeypatch.setattr(frame1d, "_TERM_CHUNK", chunk)
-    original, calls = frame1d._duals, []
+    original, calls = frame1d._split, []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(frame1d, "_duals", counting)
+    monkeypatch.setattr(frame1d, "_split", counting)
     rng = np.random.default_rng(17)
     spec = make_frame_spec(WINDOWS[window](), 0.5, q, alpha, 48)
     fs = random_spectrum(rng, 48)
@@ -589,11 +589,14 @@ def test_held_dual_is_bit_identical_to_the_per_call_dual(alpha, window, q, chunk
         rec, rel = reconstruct(spec, fs)
         assert same_bits(rec.coeffs, want)
         assert rel == rel_want
-    # built once per spec, one read-only array per chunk
+    # built once per spec, read-only, each core (band, bin) in D or the
+    # alias part
     assert len(calls) == 1
-    assert len(spec.duals) == len(spec.chunks)
-    assert all(not dual.flags.writeable for dual in spec.duals)
-    # a caller's H0 is the one its dual divides by, formed on each call
+    check_split(spec.split, spec.chunks, spec.q)
+    # the fold of every bin, the order before the split, to round-off
+    old = fold_order_reconstruct(fhat, spec.h0, spec.chunks, spec.nu, spec.q)
+    assert np.max(np.abs(rec.coeffs - old)) <= 1e-14 * np.max(np.abs(rec.coeffs))
+    # a caller's H0 is the one its dual divides by, split on each call
     h0 = 2 * spec.h0
     want = per_call_reconstruct(fhat, h0, spec.chunks, spec.nu, spec.q)
     rec, rel = reconstruct(spec, fs, ConjugateFilter(spec, h0))

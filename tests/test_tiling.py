@@ -31,6 +31,7 @@ from stockframe.tiling import (
     walnut_bounds_nd,
 )
 from stockframe.window import COEFF_CAP, gaussian_window, truncated_gaussian
+from roundtrip import check_split, fold_order_reconstruct, per_call_reconstruct
 from tailbound import analysis_bound, check_trim, dense_records, reconstruct_bound, synthesis_bound
 
 
@@ -597,18 +598,11 @@ def norm(x):
 
 
 def per_call_reconstruct_nd(spec, fhat, h0):
-    # reconstruct_nd before the dual was held: the dual formed on every
-    # call and each fold taken by one bincount per part
-    fhat, h0, nu_d = fhat.ravel(), h0.ravel(), spec.nu ** spec.d
-    acc = np.zeros(fhat.size, dtype=np.complex128)
-    for c in spec.chunks:
-        x = fhat[c.bins] * (nu_d * c.values / h0[c.bins])
-        folded = np.empty(c.size, dtype=np.complex128)
-        folded.real = np.bincount(c.fold, x.real, c.size)
-        folded.imag = np.bincount(c.fold, x.imag, c.size)
-        np.add.at(acc, c.bins, spec.q ** spec.d * c.values * folded[c.fold])
-    rec = acc.reshape((spec.n,) * spec.d)
-    return rec, norm(rec - fhat.reshape(rec.shape)) / norm(fhat)
+    # reconstruct_nd in its documented order, the dual formed on every
+    # call (roundtrip.per_call_reconstruct)
+    rec = per_call_reconstruct(fhat.ravel(), h0.ravel(), spec.chunks, spec.nu ** spec.d,
+                               spec.q ** spec.d).reshape(fhat.shape)
+    return rec, norm(rec - fhat) / norm(fhat)
 
 
 def per_call_residual_nd(spec, h0):
@@ -650,15 +644,21 @@ def test_held_dual_nd_is_bit_identical_to_the_per_call_dual(d, window, q, mu, ch
         assert rel == rel_want
     assert conjugate_filter_nd(spec).partition_residual() == per_call_residual_nd(spec, spec.h0)
     if held:
-        # built once per spec, one read-only array per held chunk; the
-        # residual's dual on the full box records is the other call
+        # the split built once per spec; the residual's dual on the full
+        # box records is the other call
         assert len(calls) == 2
-        assert len(spec.duals) == len(spec._held_chunks)
-        assert all(not dual.flags.writeable for dual in spec.duals)
+        split = spec.split
     else:
-        # past RECORD_CAP every call forms the dual a chunk at a time
-        assert spec.duals is None
+        # past RECORD_CAP every call forms the dual and splits it
+        assert spec.split is None
         assert len(calls) == 3
+        split = conjugate_filter_nd(spec).split()
+    # read-only, each core (box, bin) in D or the alias part
+    check_split(split, spec.chunks, spec.q ** spec.d)
+    # the fold of every bin, the order before the split, to round-off
+    old = fold_order_reconstruct(fhat.ravel(), spec.h0.ravel(), spec.chunks, spec.nu ** spec.d,
+                                 spec.q ** spec.d).reshape(rec.shape)
+    assert np.max(np.abs(rec - old)) <= 1e-14 * np.max(np.abs(rec))
     # a caller's H0 is the one its dual divides by
     h0 = 2 * spec.h0
     rec_want, rel_want = per_call_reconstruct_nd(spec, fhat, h0)
@@ -847,22 +847,45 @@ def test_core_boxes_drop_only_terms_below_tau(d, n, q, monkeypatch):
 
 
 def test_held_dual_nd_is_built_once_per_spec(monkeypatch):
-    # formed on the first reconstruction from the held core chunks; the
-    # residual forms its own dual on the full box records
-    original, calls = frame1d._held_duals, []
+    # the split is formed on the first reconstruction from the held core
+    # chunks, not with the spec; the residual forms its own dual on the
+    # full box records
+    original, calls = frame1d._split, []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(frame1d, "_held_duals", counting)
+    monkeypatch.setattr(frame1d, "_split", counting)
     spec = make_nd_frame_spec(gaussian_window(), 0.5, 8, 2, 32)
     fhat = random_field(np.random.default_rng(38), 2, 32)
+    assert not calls
     first, again = reconstruct_nd(spec, fhat), reconstruct_nd(spec, fhat)
     conjugate_filter_nd(spec).partition_residual()
     assert len(calls) == 1
-    assert len(spec.duals) == len(spec._held_chunks)
+    assert spec.split is conjugate_filter_nd(spec).split()
     assert same_bits(first[0], again[0]) and first[1] == again[1]
+
+
+@pytest.mark.parametrize("d, window, q", [(None, "tgauss", 4), (None, "tgauss", 1 << 62),
+                                          (None, "gaussian", 1 << 62)]
+                         + [(d, w, q) for d, (w, q) in product(
+                             (1, 2, 3), (("tgauss", 4), ("tgauss", 1 << 62), ("gaussian", 1 << 62)))])
+def test_painless_split_has_no_alias_part(d, window, q):
+    # no compact-fold slot holds two bins, so the round trip is the
+    # multiplier D alone; 1D runs q = 2^62 at alpha = 0, where every
+    # width is 1 and q w stays in int64
+    if d is None:
+        spec = make_frame_spec(WINDOWS[window](), 0.5, q, 1 if q == 4 else 0, 256)
+    else:
+        spec = make_nd_frame_spec(WINDOWS[window](), 0.5, q, d, GRID[d])
+    assert all(c.size == c.bins.size for c in spec.chunks)
+    fhat = random_field(np.random.default_rng(39), spec.d, spec.n).ravel()
+    rec, rel = frame1d._round_trip(spec, fhat, None)
+    assert spec.split.alias == ()
+    check_split(spec.split, spec.chunks, spec.q ** spec.d)
+    assert same_bits(rec, spec.split.diagonal * fhat)
+    assert rel < 1e-13
 
 
 def test_gaussian_core_boxes_fit_the_record_cap_at_every_axis_cap():
