@@ -75,8 +75,7 @@ round trip's split with their own H0 (`split`: D, 8 B per grid point,
 and 32 B per alias bin), each built on first use, the split on the first
 reconstruction; the 1D spec holds its chunks at any size, the n-D spec
 up to RECORD_CAP bins, else rebuilding them and the split per call, as
-for a caller's own H0.  A coefficient dict in another order, or a
-replacement family (on each array's nonzero bounding box), gets its own
+for a caller's own H0.  A coefficient dict in another order gets its own
 chunks per call.  One ConjugateFilter serves both frames.
 
 A Gaussian never vanishes, so its records run out to the window's zero
@@ -91,11 +90,11 @@ give the same bits on either (measured over the test matrices), not by
 construction: an input living only on dropped bins differs by dropped
 terms, each at most TAU * peak * |f(u)| times its other factors.
 
-A band's shifted product Phi_p(u - s) Psi_p(u) is nonzero only where
-both extents meet, so the Walnut paths enumerate every (factor, shift)
-pair and its overlap once, in (p, m) order (_walnut_pairs).  A box's
-shifts are its kvecs, one pair per axis, and one stream serves both
-frames (_walnut_stream): the terms Phi(v) Psi(u), u - v the kvec's
+A band's shifted product Phi_p(u - s) Phi_p(u) is nonzero only where
+the extent meets its shift, so the Walnut paths enumerate every (factor,
+shift) pair and its overlap once, in (p, m) order (_walnut_pairs).  A
+box's shifts are its kvecs, one pair per axis, and one stream serves
+both frames (_walnut_stream): the terms Phi(v) Phi(u), u - v the kvec's
 shift, of every (box, kvec) in fold order, a chunk of whole kvecs at a
 time.  `_walnut_sum` adds f^(v) times them; `walnut_bounds` takes each
 factor's shift maxima from the stream of its own pairs, then adds the
@@ -126,7 +125,7 @@ from fractions import Fraction
 import numpy as np
 
 from .partition import AlphaPartition
-from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
+from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _norm, to_spectrum
 from .window import COEFF_CAP, Window, WindowStack, _runs, build_stack
 
 __all__ = [
@@ -237,38 +236,17 @@ def _core(g: BandRecords) -> BandRecords:
                        g.w, g.m, g.half)
 
 
-def _extents(arrays, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, length), each (k, d): per array and axis, the extent of its
-    nonzero bounding box, (0, 0) for zeros; arrays are stacked about 2^20
-    values at a time, never the whole family at once."""
-    lo, hi = np.zeros((2, len(arrays), d), dtype=np.int64)
-    step = max(1, (1 << 20) // np.size(arrays[0])) if len(arrays) else 1
-    for i in range(0, len(arrays), step):
-        nz = np.array(arrays[i:i + step]) != 0
-        for s in range(d):
-            hit = nz.any(axis=tuple(a for a in range(1, d + 1) if a != s + 1))
-            some = hit.any(axis=1)
-            lo[i:i + step, s] = np.where(some, hit.argmax(axis=1), 0)
-            hi[i:i + step, s] = np.where(some, hit.shape[1] - hit[:, ::-1].argmax(axis=1), 0)
-    return lo, hi - lo
-
-
-def _box_chunks(g: BandRecords, rows: np.ndarray, n: int, q: int,
-                family: list | None = None) -> tuple[int, Iterator[FoldChunk]]:
+def _box_chunks(g: BandRecords, rows: np.ndarray, n: int, q: int) -> tuple[int, Iterator[FoldChunk]]:
     """(bins, fold chunks) of a family of boxes on the grid of n^d bins, in
     order: box i is the product of the factor records rows[i] of g, one per
-    axis (d = rows.shape[1]; a 1D band is one row), or with a dense family
-    (one array per box) that array, held on its nonzero bounding box.  A
-    box has the width w of its first factor, period P = q*w, and compact
-    radix min(extent, m) along an axis of factor period m."""
+    axis (d = rows.shape[1]; a 1D band is one row).  A box has the width w
+    of its first factor, period P = q*w, and compact radix min(extent, m)
+    along an axis of factor period m."""
     d, half = rows.shape[1], n // 2
     first = rows[:, 0]
     w, m = g.w[first], g.m[first]
-    if family is None:
-        lo = g.lo[rows]
-        length, offset = g.hi[rows] - lo, g.offset[rows].T
-    else:
-        lo, length = _extents(family, d)
+    lo = g.lo[rows]
+    length, offset = g.hi[rows] - lo, g.offset[rows].T
     radix = np.minimum(length, m[:, None])
     size, slots = length.prod(axis=1), radix.prod(axis=1)
     # P^d per box, as floats: exact up to 2^53, so wherever COEFF_CAP is met
@@ -294,13 +272,9 @@ def _box_chunks(g: BandRecords, rows: np.ndarray, n: int, q: int,
                     if period is not None:
                         p = period[owner - a]
                         place = np.repeat(place, count) * p + (u - half) % p
-                if family is None:  # (v0 v1) v2, as reduce(np.multiply.outer) associates
-                    v = g.values[u + offset[s][owner]]
-                    values = v if s == 0 else np.repeat(values, count) * v
-            if family is not None:  # each array on its bounding box, in C order
-                values = np.concatenate([np.asarray(family[i])[tuple(
-                    slice(lo[s][i], lo[s][i] + length[s][i]) for s in range(d))].ravel()
-                    for i in range(a, b)])
+                # (v0 v1) v2, as reduce(np.multiply.outer) associates
+                v = g.values[u + offset[s][owner]]
+                values = v if s == 0 else np.repeat(values, count) * v
             lengths = size[a:b]
             fold += np.repeat(np.cumsum(slots[a:b]) - slots[a:b], lengths)
             if period is not None:
@@ -438,11 +412,10 @@ class _BoxFrame:
     def _kvec_rows(self) -> np.ndarray | None:  # as _walnut_stream reads them
         return self._fold_rows
 
-    def _fold_chunks(self, rows: np.ndarray, g: BandRecords | None = None,
-                     family=None) -> tuple[int, Iterator[FoldChunk]]:
+    def _fold_chunks(self, rows: np.ndarray, g: BandRecords | None = None) -> tuple[int, Iterator[FoldChunk]]:
         """_box_chunks of the bands of factor rows rows, on the core
         records by default."""
-        return _box_chunks(self.core if g is None else g, rows, self.n, self.q, family)
+        return _box_chunks(self.core if g is None else g, rows, self.n, self.q)
 
     @cached_property
     def _held_chunks(self) -> tuple[FoldChunk, ...] | None:
@@ -475,16 +448,11 @@ def _analyze(spec: _BoxFrame, fhat: np.ndarray) -> dict:
     return dict(zip(spec._fold_keys, blocks))
 
 
-def _synthesize(spec: _BoxFrame, coeffs: dict, family: dict | None) -> np.ndarray:
+def _synthesize(spec: _BoxFrame, coeffs: dict) -> np.ndarray:
     """sum of coefficient-weighted elements on the flat grid, over the
-    spec's bands or a replacement family; bands add in the order of
-    coeffs (module docstring)."""
+    spec's bands; bands add in the order of coeffs (module docstring)."""
     keys = tuple(coeffs)
-    if family is None and keys == spec._fold_keys:
-        chunks = spec.chunks
-    else:
-        arrays = None if family is None else [family[key] for key in keys]
-        chunks = spec._fold_chunks(spec._box_rows(keys), family=arrays)[1]
+    chunks = spec.chunks if keys == spec._fold_keys else spec._fold_chunks(spec._box_rows(keys))[1]
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
     for c in chunks:
         _spread_runs(acc, [coeffs[key] for key in keys[c.bands]], c, spec.d, spec._root)
@@ -640,64 +608,49 @@ def analyze(spec: FrameSpec, f) -> FrameCoefficients:
     return FrameCoefficients(spec, _analyze(spec, _as_spectrum(spec, f)))
 
 
-def synthesize(spec: FrameSpec, coeffs: FrameCoefficients,
-               bands: dict[int, np.ndarray] | None = None) -> SpectralSignal:
-    """sum_k c_k element_k, over the analysis bands or a replacement
-    family, bands added in the order of coeffs.data (_synthesize)."""
-    return SpectralSignal(spec.grid, _synthesize(spec, coeffs.data, bands))
+def synthesize(spec: FrameSpec, coeffs: FrameCoefficients) -> SpectralSignal:
+    """sum_k c_k element_k, bands added in the order of coeffs.data
+    (_synthesize)."""
+    return SpectralSignal(spec.grid, _synthesize(spec, coeffs.data))
 
 
-def frame_operator_apply(spec: FrameSpec, f,
-                         synthesis_bands: dict[int, np.ndarray] | None = None) -> SpectralSignal:
-    """S f (or the mixed-window S_{phi,psi} f) through analysis + synthesis."""
-    return synthesize(spec, analyze(spec, f), synthesis_bands)
+def frame_operator_apply(spec: FrameSpec, f) -> SpectralSignal:
+    """S f through analysis + synthesis."""
+    return synthesize(spec, analyze(spec, f))
 
 
-def _family_records(spec: FrameSpec, family: dict[int, np.ndarray], ps) -> BandRecords:
-    """Records of a replacement family's bands ps on their own nonzero extents."""
-    ps = tuple(ps)
-    mat = np.array([family[p] for p in ps])
-    lo, length = (x[:, 0] for x in _extents(mat, 1))
-    values = mat.ravel()[_runs(lo + mat.shape[1] * np.arange(len(ps)), length)]
-    w = np.array([spec.width(p) for p in ps], dtype=np.int64)
-    return BandRecords(ps, lo, lo + length, np.cumsum(length) - lo - length, values, w, spec.q * w,
-                       spec.grid.half)
-
-
-def _walnut_pairs(g: BandRecords, psi: BandRecords, k_max=None, first=None):
-    """The shifts s = m q w_p that can make Phi_p(u - s) Psi_p(u) nonzero,
+def _walnut_pairs(g: BandRecords, k_max=None, first=None):
+    """The shifts s = m q w_p that can make Phi_p(u - s) Phi_p(u) nonzero,
     first <= m <= last (first = -last by default): last is the largest
-    |m| that reaches across the union of the two extents (-1 for a band
-    with an empty one), at most k_max, so |s| < n.  k_max is clamped at n,
-    as no shift past the grid is kept either way: a k_max past int64 is
-    taken too.
+    |m| that reaches across the extent (-1 for a band with an empty one),
+    at most k_max, so |s| < n.  k_max is clamped at n, as no shift past
+    the grid is kept either way: a k_max past int64 is taken too.
 
     Returns (band, shift, lo, length) per pair, band-major in p order and
-    m ascending within a band: Phi_p(u - s) Psi_p(u) can be nonzero only
+    m ascending within a band: Phi_p(u - s) Phi_p(u) can be nonzero only
     for lo <= u < lo + length.
     """
     step = g.m
-    span = np.maximum(g.hi, psi.hi) - 1 - np.minimum(g.lo, psi.lo)
-    last = np.where((g.lo == g.hi) | (psi.lo == psi.hi), -1, span // step)
+    last = np.where(g.lo == g.hi, -1, (g.hi - 1 - g.lo) // step)
     if k_max is not None:
         last = np.minimum(last, min(k_max, 2 * g.half))  # n = 2 half
     first = np.broadcast_to(-last if first is None else first, step.shape)
     count = np.maximum(last - first + 1, 0)
     band = np.repeat(np.arange(step.size), count)
     shift = step[band] * _runs(first, count)
-    lo = np.maximum(psi.lo[band], g.lo[band] + shift)
-    length = np.maximum(np.minimum(psi.hi[band], g.hi[band] + shift) - lo, 0)
+    lo = g.lo[band] + np.maximum(shift, 0)
+    length = np.maximum(g.hi[band] - g.lo[band] - np.abs(shift), 0)
     return band, shift, lo, length
 
 
-def _walnut_stream(g: BandRecords, psi: BandRecords, pairs, rows: np.ndarray | None, n: int):
-    """Yield every Walnut term Phi(v) Psi(u), u - v = s, of a family of
+def _walnut_stream(g: BandRecords, pairs, rows: np.ndarray | None, n: int):
+    """Yield every Walnut term Phi(v) Phi(u), u - v = s, of a family of
     boxes on the flat grid of n^d bins, a chunk of whole (box, kvec)s of
-    about _TERM_CHUNK terms at a time: (u, v, Phi(v), Psi(u), terms per
+    about _TERM_CHUNK terms at a time: (u, v, Phi(v), Phi(u), terms per
     kvec).  Box i is the product of the factor records rows[i] (None: the
     records in order, whose kvecs are the pairs), a kvec one factor pair
     (_walnut_pairs) per axis; each chunk is expanded axis by axis, as
-    _box_chunks expands bins, Phi and Psi as C-order products."""
+    _box_chunks expands bins, Phi(v) and Phi(u) as C-order products."""
     if rows is None:
         d, kvecs = 1, list(pairs)
     else:
@@ -720,7 +673,7 @@ def _walnut_stream(g: BandRecords, psi: BandRecords, pairs, rows: np.ndarray | N
             u = _runs(start, size)
             v = u - np.repeat(step, size)
             r = np.repeat(rec, size)
-            gv, pv = g.values[v + g.offset[r]], psi.values[u + psi.offset[r]]
+            gv, pv = g.values[v + g.offset[r]], g.values[u + g.offset[r]]
             if s == 0:
                 dst, src, phi, out = u, v, gv, pv
             else:
@@ -729,50 +682,27 @@ def _walnut_stream(g: BandRecords, psi: BandRecords, pairs, rows: np.ndarray | N
         yield dst, src, phi, out, sizes[a:b]
 
 
-def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None,
-                psi: BandRecords | None = None) -> np.ndarray:
-    """q^d times the sum of every term (f^ Phi)(u - s) Psi(u), f^ flat on
+def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None) -> np.ndarray:
+    """q^d times the sum of every term (f^ Phi)(u - s) Phi(u), f^ flat on
     the grid, over the spec's bands (boxes) and their kvecs
-    (_walnut_stream); Psi is the records psi, by default the spec's own.
-    One add.at per chunk adds each bin's terms in (box, kvec) order, as a
-    dense loop would."""
+    (_walnut_stream).  One add.at per chunk adds each bin's terms in
+    (box, kvec) order, as a dense loop would."""
     g = spec.records
-    psi = g if psi is None else psi
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
-    for u, v, phi, out, _ in _walnut_stream(g, psi, _walnut_pairs(g, psi, k_max), spec._kvec_rows, spec.n):
+    for u, v, phi, out, _ in _walnut_stream(g, _walnut_pairs(g, k_max), spec._kvec_rows, spec.n):
         np.add.at(acc, u, fhat[v] * phi * out)
     return spec.q ** spec.d * acc
 
 
-def walnut_apply(spec: FrameSpec, f,
-                 synthesis_bands: dict[int, np.ndarray] | None = None,
-                 k_max: int | None = None,
-                 with_dropped_mass: bool = False):
+def walnut_apply(spec: FrameSpec, f, k_max: int | None = None) -> SpectralSignal:
     """Direct evaluation of the shift-sum representation of S f.
 
     k_max = None keeps every shift that can touch the grid (exact equality
     with frame_operator_apply up to round-off); an explicit k_max truncates
     the aliasing sum for decay studies.  Shifted content leaving the grid
-    is dropped; with_dropped_mass=True also returns the l2 mass of what
-    was dropped.  The terms add in (p, m) order (_walnut_sum).
+    is dropped.  The terms add in (p, m) order (_walnut_sum).
     """
-    fhat = _as_spectrum(spec, f)
-    g = spec.records
-    psi = g if synthesis_bands is None else _family_records(spec, synthesis_bands, g.ps)
-    result = SpectralSignal(spec.grid, _walnut_sum(spec, fhat, k_max, psi))
-    if not with_dropped_mass:
-        return result
-    # sum each lost slice whole, as pairwise summation depends on its
-    # length; a slice off the band's extent sums to exactly 0.0
-    n = spec.n
-    band, shift, _, _ = _walnut_pairs(g, psi, k_max)
-    lost = np.where(shift > 0, g.hi[band] > n - shift, g.lo[band] < -shift)
-    dropped, last = 0.0, -1
-    for b, s in zip(band[lost].tolist(), shift[lost].tolist()):
-        if b != last:
-            last, mass = b, np.abs(fhat * spec.stack.band(g.ps[b])) ** 2
-        dropped += float(np.sum(mass[n - s:] if s > 0 else mass[:-s]))
-    return result, math.sqrt(dropped)
+    return SpectralSignal(spec.grid, _walnut_sum(spec, _as_spectrum(spec, f), k_max))
 
 
 @dataclass(frozen=True)
@@ -815,9 +745,9 @@ def walnut_bounds(spec: _BoxFrame, k_max: int | None = None) -> WalnutBoundRepor
     if k_max is None:
         k_max = spec.walnut_k_max
     g, n = spec.records, spec.n
-    pairs = _walnut_pairs(g, g, k_max, first=1)  # each of length >= 1: s <= hi - 1 - lo
+    pairs = _walnut_pairs(g, k_max, first=1)  # each of length >= 1: s <= hi - 1 - lo
     maxima = np.concatenate([np.zeros(0)] + [np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
-                                            for _, _, gv, pv, sizes in _walnut_stream(g, g, pairs, None, n)])
+                                            for _, _, gv, pv, sizes in _walnut_stream(g, pairs, None, n)])
     # the sup over the grid also sees the zeros off a partial extent
     maxima = np.where((g.hi - g.lo)[pairs[0]] < n, np.maximum(maxima, 0.0), maxima)
     tail = np.zeros(len(g.ps))
@@ -862,7 +792,7 @@ def frame_bounds_eigen(spec: _BoxFrame) -> FrameBounds:
                          f"got n^d = {spec.n}^{spec.d} = {size}")
     g = spec.records
     mat = np.zeros(size * size)
-    for u, v, gv, pv, _ in _walnut_stream(g, g, _walnut_pairs(g, g), spec._kvec_rows, spec.n):
+    for u, v, gv, pv, _ in _walnut_stream(g, _walnut_pairs(g), spec._kvec_rows, spec.n):
         np.add.at(mat, u * size + v, pv * gv)
     mat = spec.q ** spec.d * mat.reshape(size, size)
     asym = float(np.max(np.abs(mat - mat.T)))
@@ -941,23 +871,12 @@ def _split(spec: _BoxFrame, chunks, h0: np.ndarray) -> RoundTripSplit:
 
 @dataclass
 class ConjugateFilter:
-    """Canonical dual bands Omega = nu^d Phi / H0 of a 1D or n-D frame
-    (FrameSpec or tiling.NdFrameSpec) and the H0 it came from.
-
-    Dense dual bands are built on demand; reconstruction reads the dual
-    on the spec's core chunks through the round trip's split (split).
-    """
+    """The conjugate filter Omega = nu^d Phi / H0 of a 1D or n-D frame
+    (FrameSpec or tiling.NdFrameSpec) and the H0 it came from, read on the
+    spec's core chunks through the round trip's split (split)."""
 
     spec: _BoxFrame = field(repr=False)
     h0: np.ndarray = field(repr=False)
-
-    def band(self, key) -> np.ndarray:
-        spec = self.spec
-        return spec.nu ** spec.d * spec.box_stack(key) / self.h0
-
-    @cached_property
-    def bands(self) -> dict:
-        return {key: self.band(key) for key in self.spec._sum_keys}
 
     def split(self) -> RoundTripSplit:
         """The round trip's split (_split) of the core chunks: the spec's
@@ -998,14 +917,6 @@ def conjugate_filter(spec: _BoxFrame, floor: float = H0_FLOOR) -> ConjugateFilte
     """The conjugate filter of a 1D or n-D frame, refused if H0 reaches floor."""
     _check_gap(spec.h0, spec.n // 2, floor)
     return ConjugateFilter(spec, spec.h0)
-
-
-def _norm(x: np.ndarray) -> float:
-    """The l2 norm of a contiguous complex array by numpy's own pairwise
-    sum of its squared parts, not BLAS: the same bits under any thread
-    count."""
-    parts = x.view(np.float64)
-    return math.sqrt(float(np.sum(parts * parts)))
 
 
 def _round_trip(spec: _BoxFrame, fhat: np.ndarray,

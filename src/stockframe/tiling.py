@@ -35,9 +35,10 @@ the full factors; H0 adds per box on grid slices.  A tiling lists
 
 A box is a band of frame1d's engine at dimension d (frame1d module
 docstring), a box shift the product of factor shifts: NdFrameSpec shares
-its records, core, chunks, held dual, elements, analysis, synthesis,
+its records, core, chunks, held split, elements, analysis, synthesis,
 Walnut sum, tail bound, eigenbounds, conjugate filter and round trip
-with the 1D frame, of which a 1D band is the d = 1 case.
+with the 1D frame (a 1D band is the d = 1 case); each reads only the
+spec's own box records.
 Its chunks hold the C-order bins of each box's core support (the product
 of its core factors' extents: a box sample off it has a dropped factor,
 so is below TAU peak^d), the outer product of the factor values there, a
@@ -68,7 +69,7 @@ import numpy as np
 
 from .frame1d import (BandRecords, ConjugateFilter, WalnutBoundReport, _analyze, _BoxFrame, _element,
                       _on_grid, _round_trip, _synthesize, _walnut_sum, conjugate_filter, walnut_bounds)
-from .window import COEFF_CAP, Window, _lattice_budget, _runs, lattice_records
+from .window import COEFF_CAP, Window, _check_reach, _lattice_budget, _runs, lattice_records
 
 __all__ = [
     "BoxIndex",
@@ -266,6 +267,7 @@ def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     half = n // 2
+    _check_reach(half, mu)
     if p_max is None:
         # smallest p with mu 2^p >= n/2, so the floor cell of any grid
         # frequency lands inside the tiled cube
@@ -316,11 +318,10 @@ def analyze_nd(spec: NdFrameSpec, fhat: np.ndarray) -> dict[BoxIndex, np.ndarray
     return _analyze(spec, fhat.ravel())
 
 
-def synthesize_nd(spec: NdFrameSpec, coeffs: dict[BoxIndex, np.ndarray],
-                  stacks: dict[BoxIndex, np.ndarray] | None = None) -> np.ndarray:
-    """sum of coefficient-weighted elements, boxes added in coeffs order,
-    over the spec's boxes or a dense family (frame1d._synthesize)."""
-    return _synthesize(spec, coeffs, stacks).reshape((spec.n,) * spec.d)
+def synthesize_nd(spec: NdFrameSpec, coeffs: dict[BoxIndex, np.ndarray]) -> np.ndarray:
+    """sum of coefficient-weighted elements, boxes added in coeffs order
+    (frame1d._synthesize)."""
+    return _synthesize(spec, coeffs).reshape((spec.n,) * spec.d)
 
 
 def frame_operator_apply_nd(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:

@@ -198,6 +198,12 @@ def _g(count: int) -> str:
         return f"{Context(prec=6).create_decimal(count).normalize():g}"
 
 
+def _check_reach(half: int, mu: float) -> None:
+    """Refuse a mu whose lattice reach half / mu passes the float range."""
+    if not math.isfinite(half / mu):
+        raise ValueError(f"a lattice of n / mu = {2 * half} / {mu:g} points passes the float range; raise mu")
+
+
 def _lattice_budget(window: Window, points: int, n: int) -> None:
     """Refuse a lattice of this many points on the grid of size n before it
     is evaluated, if points times bins per point pass COEFF_CAP; the
@@ -254,6 +260,7 @@ def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     grid = FrequencyGrid(n)
+    _check_reach(grid.half, mu)
     limit = int(math.floor(grid.half / mu)) + 1
     _lattice_budget(window, 2 * limit - 3, n)  # every |eta| <= limit - 2 is in the lattice
     partition = partition_covering(alpha, limit + 1)

@@ -333,6 +333,23 @@ def test_roundtrip_json_is_the_same_under_any_thread_count(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_basis_and_element_json_are_the_same_under_any_thread_count(tmp_path):
+    # the norms sum by numpy, not BLAS, whose two-thread norm moved the
+    # last digits of time_norm at n = 2^20
+    commands = [("basis", "--alpha", "0.5", "--p", "4", "--tau", "1", "--n", str(1 << 20)),
+                ("element", "--alpha", "0.5", "--mu", "0.5", "--q", "4", "--window", "gaussian",
+                 "--n", "65536", "--p", "3", "--k", "2", "--out", str(tmp_path / "el"))]
+    for argv in commands:
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "stockframe.cli", *argv, "--json"],
+                                  env={**os.environ, "STOCKFRAME_THREADS": threads},
+                                  capture_output=True, text=True, timeout=20)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], argv[0]
+
+
 def test_roundtrip_oversized_sfr1_header_is_usage_error(tmp_path):
     # n = 4e9 declares a 64 GB payload; it must be refused, not allocated
     path = tmp_path / "huge.sfr1"
@@ -455,15 +472,22 @@ def test_small_mu_lattice_is_refused_before_it_is_evaluated(tmp_path, command, m
     assert peak_kib < 256 * 1024
 
 
-@pytest.mark.parametrize("mu", ["1e-300", "2.5e-307"])
-def test_tiny_mu_is_refused_on_one_short_line(mu):
+@pytest.mark.parametrize("mu", ["1e-300", "2.5e-307", "5e-324"])
+def test_tiny_mu_is_refused_on_one_short_line(tmp_path, mu):
     # the lattice holds about n / mu points: its counts print in %g form,
-    # not as hundreds of digits, past the float range too
-    proc = run_cli_quickly("frame-bounds", "--alpha", "0.5", "--mu", mu, "--q", "2",
-                           "--window", "gaussian", "--n", "64")
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: a lattice of ")
-    assert len(proc.stderr.strip().splitlines()) == 1 and len(proc.stderr) < 200
+    # not as hundreds of digits, past the float range too; at 5e-324 n / mu
+    # itself is past it
+    path = tmp_path / "in.sfr2"
+    write_sfr2(path, np.zeros((16, 16)), DOMAIN_TIME)
+    commands = [("frame-bounds", "--alpha", "0.5", "--q", "2", "--n", "64"),
+                ("stack", "--alpha", "0.5", "--n", "64")]
+    if mu == "5e-324":  # a finite n / mu asks a corona deeper than P_MAX_CAP first
+        commands.append(("roundtrip2d", "--q", "4", "--n", "16", "--in", str(path)))
+    for argv in commands:
+        proc = run_cli_quickly(*argv, "--mu", mu, "--window", "gaussian")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: a lattice of ")
+        assert len(proc.stderr.strip().splitlines()) == 1 and len(proc.stderr) < 200
 
 
 def test_frame_bounds_kmax_past_int64_is_clamped(capsys):
