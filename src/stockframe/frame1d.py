@@ -498,10 +498,10 @@ class FrameSpec(_BoxFrame):
         """The stack records in p order (one gather), read by the Walnut
         sum and the bounds; built on first use."""
         st = self.stack
-        index = np.argsort(st.ps)
-        lo, hi = st.lo[index], st.hi[index]
-        w = np.array([self.width(p) for p in self.p_range], dtype=np.int64)
-        return BandRecords(tuple(self.p_range), lo, hi, np.cumsum(hi - lo) - hi,
+        ps = np.array(st.ps)
+        index = np.argsort(ps)
+        lo, hi, w = st.lo[index], st.hi[index], self.partition.widths[np.abs(ps[index])]
+        return BandRecords(tuple(ps[index].tolist()), lo, hi, np.cumsum(hi - lo) - hi,
                            st.values[_runs(lo + st.offset[index], hi - lo)], w, self.q * w,
                            self.grid.half)
 

@@ -166,6 +166,13 @@ class AlphaPartition:
         )
 
     @cached_property
+    def widths(self) -> np.ndarray:
+        """Width of every interval 0..p_max, one repeat over the runs (read-only)."""
+        out = np.repeat([r.width for r in self.runs], [r.count for r in self.runs])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def _firsts(self) -> list[int]:
         return [r.p for r in self.runs]
 

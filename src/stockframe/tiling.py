@@ -69,7 +69,7 @@ import numpy as np
 
 from .frame1d import (BandRecords, ConjugateFilter, WalnutBoundReport, _analyze, _BoxFrame, _element,
                       _on_grid, _round_trip, _synthesize, _walnut_sum, conjugate_filter, walnut_bounds)
-from .window import COEFF_CAP, Window, _check_reach, _lattice_budget, _runs, lattice_records
+from .window import COEFF_CAP, Window, _check_reach, _lattice_budget, _lattice_reach, _runs, lattice_records
 
 __all__ = [
     "BoxIndex",
@@ -279,16 +279,12 @@ def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
     keys = (*((p, e) for p in range(1, p_max + 1) for e in (-2, -1, 0, 1)), None)
     starts, stops = np.array([(e << (p - 1), (e + 1) << (p - 1)) for p, e in keys[:-1]] + [(-1, 1)]).T
     w = np.append((stops - starts)[:-1], 1)
-    # points farther than the zero radius (and a bin) off the grid only
-    # add +0.0: evaluate each lattice where it reaches the grid
-    reach = (half + window.zero_radius + 1.0) / mu
-    starts = np.maximum(starts, np.ceil(-reach)).astype(np.int64)
-    counts = np.maximum(np.minimum(stops, np.floor(reach) + 1).astype(np.int64) - starts, 0)
-    live = counts > 0
+    # evaluate each lattice where it reaches the grid
+    reach = _lattice_reach(window, mu, n)
+    starts = np.maximum(starts, -reach).astype(np.int64)
+    counts = np.maximum(np.minimum(stops, reach + 1).astype(np.int64) - starts, 0)
     _lattice_budget(window, int(counts.sum()), n)
-    lo, hi = np.zeros((2, len(keys)), dtype=np.int64)
-    lo[live], hi[live], values = lattice_records(
-        window, mu * _runs(starts[live], counts[live]), counts[live], n)
+    lo, hi, values = lattice_records(window, mu * _runs(starts, counts), counts, n)
     m = np.array([min(int(q) * int(b), n) for b in w], dtype=np.int64)
     records = BandRecords(keys, lo, hi, np.cumsum(hi - lo) - hi, values, w, m, half)
     return NdFrameSpec(window, mu, int(q), d, n, tiling, records)

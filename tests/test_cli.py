@@ -490,6 +490,23 @@ def test_tiny_mu_is_refused_on_one_short_line(tmp_path, mu):
         assert len(proc.stderr.strip().splitlines()) == 1 and len(proc.stderr) < 200
 
 
+@pytest.mark.parametrize("mu", ["inf", "1e309"])
+def test_infinite_mu_is_refused_on_one_line(tmp_path, mu):
+    # an infinite mu put every lattice point but 0 at infinity: the 1D
+    # commands ended in an IndexError, roundtrip2d in "math domain error"
+    path1, _ = make_input(tmp_path, n=64)
+    path2 = tmp_path / "in.sfr2"
+    write_sfr2(path2, np.zeros((16, 16)), DOMAIN_TIME)
+    frame = ("--alpha", "0.5", "--q", "2", "--n", "64")
+    for argv in [("stack", "--alpha", "0.5", "--n", "64"), ("frame-bounds", *frame),
+                 ("element", *frame, "--p", "1", "--k", "0", "--out", str(tmp_path / "el")),
+                 ("roundtrip", *frame, "--in", str(path1)),
+                 ("roundtrip2d", "--q", "4", "--n", "16", "--in", str(path2))]:
+        proc = run_cli_quickly(*argv, "--mu", mu, "--window", "gaussian")
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr == "error: mu must be finite, got inf\n", argv
+
+
 def test_frame_bounds_kmax_past_int64_is_clamped(capsys):
     # more shifts than the grid holds change nothing; the report keeps the
     # k_max given

@@ -13,6 +13,7 @@ from stockframe import window
 from stockframe.partition import partition_covering
 from stockframe.spectral import FrequencyGrid, poisson_residual
 from stockframe.window import (
+    _GAUSS_AMP,
     OVERLAP_THRESHOLD,
     Window,
     _gauss,
@@ -50,6 +51,16 @@ def test_gaussian_vanishes_beyond_its_zero_radius():
     xs = np.concatenate([15.5 + np.linspace(0.0, 100.0, 1001), [1e6, np.inf]])
     assert np.all(_gauss(xs) == 0.0) and np.all(_gauss(-xs) == 0.0)
     assert truncated_gaussian(0.1).zero_radius == 1.1
+
+
+def test_gauss_keeps_the_bits_of_its_formula():
+    # one buffer through the same four operations: a scalar stays a scalar
+    for x in (0.5, 3, -15.5):
+        got, want = _gauss(x), _GAUSS_AMP * np.exp(-np.pi * np.square(x))
+        assert np.isscalar(got) and got.tobytes() == want.tobytes()
+    for x in (np.arange(-20, 21), np.linspace(-16.0, 16.0, 1001), 0.37 * np.arange(-6, 7).reshape(13, 1)):
+        got, want = _gauss(x), _GAUSS_AMP * np.exp(-np.pi * np.square(x))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_gaussian_is_self_dual():
@@ -140,26 +151,34 @@ def test_compact_band_sum_equals_full_evaluation(win):
         assert_records_equal_dense(*lattice_records(win, lattice, np.array([lattice.size]), 64), [want])
 
 
-def dense_stack(win, mu, alpha, n):
-    """The dense construction the records replace: every band summed
-    point by point over the whole grid, in build_stack's band order."""
+def stack_lattices(mu, alpha, n):
+    """Every band's whole lattice, in build_stack's band order."""
     half = n // 2
-    bands = {}
+    lattices = {}
     for iv in partition_covering(alpha, int(math.floor(half / mu)) + 2).intervals:
         if mu * iv.start > half:
             break
         points = mu * iv.frequencies()
         for p in ({0} if iv.p == 0 else {iv.p, -iv.p}):
-            bands[p] = dense_band_sum(win, points if p >= 0 else -points, n)
-    return bands
+            lattices[p] = points if p >= 0 else -points
+    return lattices
 
 
-@pytest.mark.parametrize("block", [1, 35, 36 * 7 + 5])
-@pytest.mark.parametrize("win", [gaussian_window(), truncated_gaussian(0.1)])
+def dense_stack(win, mu, alpha, n):
+    """The dense construction the records replace: every band summed
+    point by point over the whole grid, in build_stack's band order."""
+    return {p: dense_band_sum(win, points, n) for p, points in stack_lattices(mu, alpha, n).items()}
+
+
+@pytest.mark.parametrize("block", [1, 35, 36 * 7 + 5, 1 << 16])
+@pytest.mark.parametrize("win", [gaussian_window(), truncated_gaussian(0.1),
+                                 table_window([-1.0, 1.0], [0.5, 0.5])])
 def test_lattice_blocks_are_bit_identical(win, block, monkeypatch):
-    # blocks of whole points, one point to a few, add into the one
-    # accumulator in point order: the records do not depend on the block
-    points, counts = 0.1 * np.arange(-900, 901), np.array([300, 1, 900, 500, 100])
+    # blocks of whole points, one point to a few or the default's, add
+    # into the one accumulator in point order: the records equal those of
+    # one block of every point
+    points, counts = 0.1 * np.arange(-2000, 2001), np.array([700, 1, 2000, 1100, 200])
+    monkeypatch.setattr(window, "LATTICE_BLOCK", 1 << 30)
     want = lattice_records(win, points, counts, 256)
     monkeypatch.setattr(window, "LATTICE_BLOCK", block)
     got = lattice_records(win, points, counts, 256)
@@ -191,6 +210,38 @@ def test_stack_records_equal_dense_construction(window, mu, alpha, n):
     assert stack.ps == tuple(want)
     assert_records_equal_dense(stack.lo, stack.hi, stack.values, want.values())
     assert all(np.array_equal(stack.band(p), band) for p, band in want.items())
+
+
+@pytest.mark.parametrize("win", [gaussian_window(), truncated_gaussian(0.1), signed_window(),
+                                 table_window([-1.0, 1.0], [0.5, 0.5])])  # nonzero at its radius
+def test_stack_evaluates_only_the_samples_that_can_be_nonzero(win, monkeypatch):
+    # a lane past the zero radius or a point past the reach adds only +0.0:
+    # neither is evaluated, and the records stay those of the dense sums
+    mu, alpha, n = 0.5, 1, 256
+    radius, half = win.zero_radius, n // 2
+    calls, lattices = [], []
+
+    def profile(x):
+        calls.append((x.size, float(np.max(np.abs(x), initial=0.0))))
+        return win.freq_profile(x)
+
+    def records(window_, points, counts, n_):
+        lattices.append(points)
+        return lattice_records(window_, points, counts, n_)
+
+    monkeypatch.setattr(window, "lattice_records", records)
+    # the counting window vanishes past win's zero radius, as win does
+    stack = build_stack(Window(win.kind, profile, None, radius), mu, alpha, n)
+    want = dense_stack(win, mu, alpha, n)
+    assert stack.ps == tuple(want)
+    assert_records_equal_dense(stack.lo, stack.hi, stack.values, want.values())
+    assert max(far for _, far in calls) <= radius
+    assert np.abs(np.concatenate(lattices)).max() <= half + radius + 1.0
+    # exactly the (point, bin) pairs within the zero radius are evaluated
+    omegas = FrequencyGrid(n).frequencies().astype(float)
+    points = np.concatenate(list(stack_lattices(mu, alpha, n).values()))
+    within = np.count_nonzero(np.abs(np.subtract.outer(omegas, points)) <= radius)
+    assert sum(size for size, _ in calls) == within
 
 
 def test_stack_extents_bound_the_nonzero_bins():
