@@ -238,7 +238,10 @@ def basis_element(alpha, index: BasisIndex, n: int) -> TimeSamples:
     grid = FrequencyGrid(n)
     if n > ELEMENT_SIZE_CAP:
         raise ValueError(f"basis element grid capped at n = {ELEMENT_SIZE_CAP}, got {n}")
-    part = build_partition(alpha, max(abs(index.p), 1))
+    # the bands of the ladder that covers the grid, before any far band is built
+    part = partition_covering(alpha, grid.half)
+    if abs(index.p) > part.p_max:
+        raise ValueError(f"band {index.p} outside the grid: |p| <= {part.p_max} at n = {n}")
     iv = part.interval(index.p)
     if iv.stop > grid.half:
         raise ValueError(

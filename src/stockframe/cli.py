@@ -120,7 +120,14 @@ def _print(lines) -> None:
 
 def cmd_partition(args) -> int:
     from .partition import build_partition
+    # Python prints no integer of more digits (0: none); the last stop is
+    # the longest, and 2^pmax at alpha = 1
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and args.alpha == 1 and args.pmax >= (10 ** limit).bit_length():
+        raise ValueError(f"the stop 2^{args.pmax} has more than {limit} digits; lower --pmax")
     part = build_partition(args.alpha, args.pmax)
+    if limit and part.stop >= 10 ** limit:
+        raise ValueError(f"the last stop has more than {limit} digits; lower --pmax")
     rows = [{"p": iv.p, "start": iv.start, "stop": iv.stop, "width": iv.width}
             for iv in part.intervals]
     payload = {"alpha": str(args.alpha), "p_max": args.pmax, "intervals": rows}

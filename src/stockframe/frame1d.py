@@ -69,14 +69,14 @@ inverse FFT per group of bands of equal period (in p order the runs are
 long, as width(|p|) is monotone); synthesis runs the forward FFT and
 adds it, read at the placement, into the grid; reconstruction takes
 D f^ and folds the alias part at the compact fold, with no FFT.
-Both specs (FrameSpec, tiling.NdFrameSpec: _BoxFrame) hold their
-records, the core records (below), the core chunks in band order and the
-round trip's split with their own H0 (`split`: D, 8 B per grid point,
-and 32 B per alias bin), each built on first use, the split on the first
-reconstruction; the 1D spec holds its chunks at any size, the n-D spec
-up to RECORD_CAP bins, else rebuilding them and the split per call, as
-for a caller's own H0.  A coefficient dict in another order gets its own
-chunks per call.  One ConjugateFilter serves both frames.
+Both specs (FrameSpec, tiling.NdFrameSpec: _BoxFrame) hold, each built
+on first use, their records, the core records (below), the round trip's
+split with their own H0 (`split`: D, 8 B per grid point, and 32 B per
+alias bin), built on the first reconstruction from core chunks that are
+not kept, and the core chunks in band order, built on the first analysis
+or synthesis.  A caller's own H0 or a coefficient dict in another order
+gets its split or chunks per call.  The lattice, axis, tiling and corona
+caps bound what a spec holds.  One ConjugateFilter serves both frames.
 
 A Gaussian never vanishes, so its records run out to the window's zero
 radius, 15.5 bins from each lattice point, though past about 4.2 bins a
@@ -126,7 +126,7 @@ import numpy as np
 
 from .partition import AlphaPartition
 from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _norm, to_spectrum
-from .window import COEFF_CAP, Window, WindowStack, _runs, build_stack
+from .window import COEFF_CAP, Window, WindowStack, _runs, _trim, build_stack
 
 __all__ = [
     "FrameSpec",
@@ -223,21 +223,14 @@ class BandRecords:
 def _core(g: BandRecords) -> BandRecords:
     """The records with each extent cut to the span of its samples of
     magnitude >= TAU times the family's largest (empty if it has none):
-    one scan of the values, whatever the number of bands."""
+    one scan of the values, whatever the number of bands (_trim)."""
     mag = np.abs(g.values)
-    start, length = g.lo + g.offset, g.hi - g.lo  # band b's values start at start[b]
-    keep = np.append(np.flatnonzero(mag >= TAU * np.max(mag, initial=0.0)), 0)
-    i, j = np.searchsorted(keep[:-1], start), np.searchsorted(keep[:-1], start + length)
-    full = j > i  # band b keeps values keep[i[b]] .. keep[j[b] - 1]
-    first, stop = np.where(full, keep[i], 0), np.where(full, keep[j - 1] + 1, 0)
-    lo = np.where(full, g.lo + first - start, 0)
-    hi = lo + stop - first
-    return BandRecords(g.ps, lo, hi, np.cumsum(hi - lo) - hi, g.values[_runs(first, stop - first)],
-                       g.w, g.m, g.half)
+    lo, hi, values = _trim(g.values, mag >= TAU * np.max(mag, initial=0.0), g.lo, g.hi - g.lo)
+    return BandRecords(g.ps, lo, hi, np.cumsum(hi - lo) - hi, values, g.w, g.m, g.half)
 
 
-def _box_chunks(g: BandRecords, rows: np.ndarray, n: int, q: int) -> tuple[int, Iterator[FoldChunk]]:
-    """(bins, fold chunks) of a family of boxes on the grid of n^d bins, in
+def _box_chunks(g: BandRecords, rows: np.ndarray, n: int, q: int) -> Iterator[FoldChunk]:
+    """The fold chunks of a family of boxes on the grid of n^d bins, in
     order: box i is the product of the factor records rows[i] of g, one per
     axis (d = rows.shape[1]; a 1D band is one row).  A box has the width w
     of its first factor, period P = q*w, and compact radix min(extent, m)
@@ -285,7 +278,7 @@ def _box_chunks(g: BandRecords, rows: np.ndarray, n: int, q: int) -> tuple[int, 
             yield FoldChunk(slice(a, b), runs, lengths, bins, values, fold,
                             int(slots[a:b].sum()), place)
 
-    return int(size.sum()), cut()
+    return cut()
 
 
 def _groups(c: FoldChunk, d: int):
@@ -362,8 +355,8 @@ class _BoxFrame:
     """What FrameSpec and tiling.NdFrameSpec share: a band (box) is the
     product of d factor records on a grid of n bins per axis.  A spec
     gives records, q, d, n, factor_rows(key), its bands in fold order
-    (_fold_keys) and in H0 order (_sum_keys), sum_of_squares(), its
-    coefficient root _root(w) and its hold rule _holds(core bins).
+    (_fold_keys) and in H0 order (_sum_keys), sum_of_squares() and its
+    coefficient root _root(w).
     """
 
     @property
@@ -412,31 +405,24 @@ class _BoxFrame:
     def _kvec_rows(self) -> np.ndarray | None:  # as _walnut_stream reads them
         return self._fold_rows
 
-    def _fold_chunks(self, rows: np.ndarray, g: BandRecords | None = None) -> tuple[int, Iterator[FoldChunk]]:
-        """_box_chunks of the bands of factor rows rows, on the core
-        records by default."""
+    def _fold_chunks(self, rows: np.ndarray | None = None, g: BandRecords | None = None):
+        """_box_chunks of the bands of factor rows rows (the bands in fold
+        order by default), on the core records by default, built as they
+        are read."""
+        rows = self._fold_rows if rows is None else rows
         return _box_chunks(self.core if g is None else g, rows, self.n, self.q)
 
     @cached_property
-    def _held_chunks(self) -> tuple[FoldChunk, ...] | None:
-        size, chunks = self._fold_chunks(self._fold_rows)
-        return tuple(chunks) if self._holds(size) else None
-
-    @property
-    def chunks(self):
-        """The core records of the bands in fold order as fold chunks:
-        held, or rebuilt on each call past the spec's hold rule."""
-        held = self._held_chunks
-        return self._fold_chunks(self._fold_rows)[1] if held is None else held
+    def chunks(self) -> tuple[FoldChunk, ...]:
+        """The core records of the bands in fold order as fold chunks,
+        held; built on the first analysis or synthesis."""
+        return tuple(self._fold_chunks())
 
     @cached_property
-    def split(self) -> RoundTripSplit | None:
-        """The round trip's split (_split) of the held chunks with the
-        spec's own H0, read-only (None when the chunks are not held);
-        built on the first reconstruction."""
-        if self._held_chunks is None:
-            return None
-        return _split(self, self._held_chunks, self.h0)
+    def split(self) -> RoundTripSplit:
+        """The round trip's split (_split) with the spec's own H0,
+        read-only; built on the first reconstruction, of chunks not kept."""
+        return _split(self, self._fold_chunks(), self.h0)
 
 
 def _analyze(spec: _BoxFrame, fhat: np.ndarray) -> dict:
@@ -452,7 +438,7 @@ def _synthesize(spec: _BoxFrame, coeffs: dict) -> np.ndarray:
     """sum of coefficient-weighted elements on the flat grid, over the
     spec's bands; bands add in the order of coeffs (module docstring)."""
     keys = tuple(coeffs)
-    chunks = spec.chunks if keys == spec._fold_keys else spec._fold_chunks(spec._box_rows(keys))[1]
+    chunks = spec.chunks if keys == spec._fold_keys else spec._fold_chunks(spec._box_rows(keys))
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
     for c in chunks:
         _spread_runs(acc, [coeffs[key] for key in keys[c.bands]], c, spec.d, spec._root)
@@ -530,10 +516,6 @@ class FrameSpec(_BoxFrame):
 
     def _root(self, w: int) -> float:
         return np.sqrt(w)
-
-    def _holds(self, bins: int) -> bool:
-        # whatever its size: a rebuild costs far more than the held bins
-        return True
 
 
 def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int,
@@ -882,9 +864,7 @@ class ConjugateFilter:
         """The round trip's split (_split) of the core chunks: the spec's
         held one for its own H0, else that of this h0, built on each call."""
         spec = self.spec
-        if self.h0 is spec.h0 and spec.split is not None:
-            return spec.split
-        return _split(spec, spec.chunks, self.h0)
+        return spec.split if self.h0 is spec.h0 else _split(spec, spec._fold_chunks(), self.h0)
 
     def partition_residual(self) -> float:
         """max |sum Omega Phi - nu^d| over the grid, zero to round-off by
@@ -892,7 +872,7 @@ class ConjugateFilter:
         included): the dual formed a chunk at a time, each bin adding its
         products in the order H0 adds the bands."""
         spec, nu_d = self.spec, self.spec.nu ** self.spec.d
-        chunks = spec._fold_chunks(spec._box_rows(spec._sum_keys), spec.records)[1]
+        chunks = spec._fold_chunks(spec._box_rows(spec._sum_keys), spec.records)
         acc = np.zeros(self.h0.size)
         for c, dual in _duals(chunks, self.h0.ravel(), nu_d):
             np.add.at(acc, c.bins, dual * c.values)

@@ -43,12 +43,13 @@ Its chunks hold the C-order bins of each box's core support (the product
 of its core factors' extents: a box sample off it has a dropped factor,
 so is below TAU peak^d), the outer product of the factor values there, a
 compact fold slot and, up to COEFF_CAP, a placement slot per bin.  A
-Gaussian family at d = 3, n = 32 holds 0.22M to 0.55M core box bins for
-mu from 3 down to 0.1, against 3.0M to 11.7M on the full factors; the
-spec holds its chunks and the round trip's split up to RECORD_CAP bins
-and rebuilds them per call past it.  With the dual Omega = nu^d Phi / H0
-and normalization b^d (m^d / b^d = q^d, DC too), analysis then synthesis
-is fftn(ifftn(x)) = x, so reconstruction is
+Gaussian family at d = 3, n = 32 has 0.22M to 0.55M core box bins for
+mu from 3 down to 0.1, against 3.0M to 11.7M on the full factors; a
+compact window keeps whole extents, 1.46M core bins for
+table_window([-8, 0, 8], [0, 1, 0]) at mu = 0.5; the spec holds them
+by frame1d's one hold rule, at any size.  With the dual Omega = nu^d Phi
+/ H0 and normalization b^d (m^d / b^d = q^d, DC too), analysis then
+synthesis is fftn(ifftn(x)) = x, so reconstruction is
 
     rec_box(j) = q^d Phi_box(j) fold_m(f^ Omega_box)[j mod m],
 
@@ -103,8 +104,6 @@ def from_spectrum_nd(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(np.fft.ifftshift(coeffs)) * coeffs.size
 
 AXIS_CAP = {1: 4096, 2: 256, 3: 32}
-# box record bins a spec holds (a Gaussian d = 3 family has ~215 n^3)
-RECORD_CAP = 1 << 20
 # deepest corona: the lattice starts +-2^p of every factor stay in int64
 P_MAX_CAP = 62
 # boxes a tiling lists: d = 8 at p_max = 1 (65,281) is the largest table
@@ -191,8 +190,8 @@ class NdFrameSpec(_BoxFrame):
 
     records holds the factors (p, e), p = 1 .. p_max, e = -2 .. 1, then
     DC (key None).  A box's stack is the outer product of its factors,
-    held as chunks of its core (frame1d._BoxFrame) or formed whole for one
-    box (box_support).
+    formed as chunks of its core (frame1d._BoxFrame) or whole for one box
+    (box_support).
     """
 
     window: Window
@@ -206,9 +205,6 @@ class NdFrameSpec(_BoxFrame):
     @property
     def half(self) -> int:
         return self.n // 2
-
-    def axis_frequencies(self) -> np.ndarray:
-        return np.arange(-self.half, self.half)
 
     def factor_rows(self, box: BoxIndex) -> list[int]:
         """The record of each axis factor of the box."""
@@ -230,9 +226,6 @@ class NdFrameSpec(_BoxFrame):
         """The tail bound's default shift count, ceil(n / 2q)."""
         return math.ceil(self.n / (2 * self.q))
 
-    def box_norm(self, box: BoxIndex) -> float:
-        return float(self.records.w[self.factor_rows(box)[0]]) ** (self.d / 2.0)
-
     def sum_of_squares(self) -> np.ndarray:
         h0 = np.zeros((self.n,) * self.d)
         for box in self.tiling.boxes:
@@ -248,9 +241,6 @@ class NdFrameSpec(_BoxFrame):
 
     def _root(self, w: int) -> float:
         return float(w) ** (self.d / 2.0)
-
-    def _holds(self, bins: int) -> bool:
-        return bins <= RECORD_CAP
 
 
 def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,

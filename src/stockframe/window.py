@@ -202,6 +202,31 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
+def _trim(values: np.ndarray, keep: np.ndarray, lo: np.ndarray,
+          length: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Records laid end to end in values, record b at bins lo[b] ..
+    lo[b] + length[b] - 1, each cut to the span from its first entry kept
+    (keep) to its last: (lo, hi, values), (0, 0) where none is kept.  The
+    spans come from the flips of keep, cut at the record edges, and their
+    values from one mask gather."""
+    start = np.cumsum(length) - length
+    joined = np.zeros(keep.size + 1, dtype=bool)  # entries i - 1 and i kept, in one record
+    joined[1:-1] = keep[1:] & keep[:-1]
+    joined[start] = False
+    # each with a sentinel, read by records that keep nothing
+    rise = np.append(np.flatnonzero(keep & ~joined[:-1]), 0)
+    fall = np.append(np.flatnonzero(keep & ~joined[1:]) + 1, 0)
+    i = np.searchsorted(rise[:-1], start)
+    j = np.append(i[1:], rise.size - 1)  # the records lie end to end
+    full = j > i  # record b keeps rise[i[b]] .. fall[j[b] - 1] - 1
+    first, stop = np.where(full, rise[i], 0), np.where(full, fall[j - 1], 0)
+    lo = np.where(full, lo + first - start, 0)
+    # the mask: runs out of and in the spans by turns, from entry 0
+    edges = np.concatenate(([0], np.stack((first[full], stop[full]), axis=1).ravel(), [keep.size]))
+    inside = np.arange(edges.size - 1) % 2 == 1
+    return lo, lo + stop - first, values[np.repeat(inside, np.diff(edges))]
+
+
 def _point_bins(window: Window, n: int) -> int:
     """Bins a lattice point is evaluated on: those that can lie within the
     zero radius, and a spare bin a side for rounding."""
@@ -262,28 +287,23 @@ def lattice_records(window: Window, points: np.ndarray, counts: np.ndarray,
     live = counts > 0
     counts = counts[live]
     start = np.clip(np.floor(points - radius) + (half - 1), 0, n - k).astype(np.int64)
-    # band b sums into acc[u + cell[b]] for the bins u it reaches
+    # band b sums into acc[u + cell[b]] for the bins u = base[b] .. + length[b] - 1
     heads = np.cumsum(counts) - counts
     base = np.minimum.reduceat(start, heads)
-    ends = np.cumsum(np.maximum.reduceat(start, heads) + k - base)
-    cell = np.append(0, ends[:-1]) - base
+    length = np.maximum.reduceat(start, heads) + k - base
+    cell = np.cumsum(length) - length - base
     slot = start + np.repeat(cell, counts)
     # x = omega - point: offset + lane is an exact integer, so one rounding
     offset, lanes = (start - half).astype(float), np.arange(k)
-    acc = np.zeros(int(ends[-1]))
+    acc = np.zeros(int(length.sum()))
     step = max(1, LATTICE_BLOCK // k)
     for a in range(0, points.size, step):
         x = np.add.outer(offset[a:a + step], lanes.astype(float)) - points[a:a + step, None]
         keep = np.abs(x) <= radius
         np.add.at(acc, np.add.outer(slot[a:a + step], lanes)[keep], window.freq_profile(x[keep]))
-    nz = np.append(np.flatnonzero(acc), 0)
-    i, j = np.searchsorted(nz[:-1], cell + base), np.searchsorted(nz[:-1], ends)
-    full = j > i  # band b is nonzero at nz[i[b]:j[b]]
-    first, stop = np.where(full, nz[i], 0), np.where(full, nz[j - 1] + 1, 0)
     lo, hi = np.zeros((2, live.size), dtype=np.int64)
-    lo[live] = np.where(full, first - cell, 0)
-    hi[live] = lo[live] + stop - first
-    return lo, hi, acc[_runs(first, stop - first)]
+    lo[live], hi[live], values = _trim(acc, acc != 0, base, length)
+    return lo, hi, values
 
 
 def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:

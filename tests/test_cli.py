@@ -295,6 +295,41 @@ def test_partition_past_the_float_range():
     assert last == {"p": 1100, "start": 2**1099, "stop": 2**1100, "width": 2**1099}
 
 
+def refused_on_one_line(proc):
+    lines = proc.stderr.splitlines()
+    return proc.returncode == 2 and proc.stdout == "" and len(lines) == 1 and len(lines[0]) < 120
+
+
+@pytest.mark.parametrize("pmax", ["14285", "100000", "100000000"])
+def test_partition_stops_past_the_digit_limit_are_refused(pmax):
+    # at alpha = 1 the last stop is 2^pmax, refused before the ladder is
+    # built once it has more digits than Python prints (4300 by default:
+    # 2^14284 has 4300)
+    proc = run_cli_quickly("partition", "--alpha", "1", "--pmax", pmax)
+    assert refused_on_one_line(proc), proc.stderr
+    assert "more than 4300 digits" in proc.stderr
+
+
+def test_partition_checks_its_last_stop_before_printing(capsys, monkeypatch):
+    # at alpha = 1/2 and pmax = 100 the last stop is 2320, 4 digits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4)
+    code, out, _ = run(capsys, "partition", "--alpha", "0.5", "--pmax", "100", "--json")
+    assert code == 0 and json.loads(out)["intervals"][-1]["stop"] == 2320
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3)
+    code, out, err = run(capsys, "partition", "--alpha", "0.5", "--pmax", "100", "--json")
+    assert code == 2 and out == ""
+    assert err == "error: the last stop has more than 3 digits; lower --pmax\n"
+
+
+@pytest.mark.parametrize("p", ["1000", "100000", "1000000"])
+def test_basis_band_far_outside_the_grid_is_refused(p):
+    # p is checked against the ladder that covers the grid before any
+    # band out to |p| is built
+    proc = run_cli_quickly("basis", "--alpha", "1", "--p", p, "--n", "64")
+    assert refused_on_one_line(proc), proc.stderr
+    assert proc.stderr == f"error: band {p} outside the grid: |p| <= 5 at n = 64\n"
+
+
 @pytest.mark.parametrize("alpha, q", [("0", (1 << 63) + 4), ("1", (1 << 63) + 4), ("1", 1 << 62)])
 def test_roundtrip_huge_q_is_usage_error(tmp_path, alpha, q):
     # 2^63 + 4 and (at alpha = 1) 2^62 leave int64 in q*w

@@ -532,15 +532,16 @@ def test_held_dual_is_bit_identical_to_the_per_call_dual(alpha, window, q, chunk
     spec = make_frame_spec(WINDOWS[window](), 0.5, q, alpha, 48)
     fs = random_spectrum(rng, 48)
     fhat = fs.coeffs
-    want = per_call_reconstruct(fhat, spec.h0, spec.chunks, spec.nu, spec.q)
+    want = per_call_reconstruct(fhat, spec.h0, spec._fold_chunks(), spec.nu, spec.q)
     rel_want = norm(want - fhat) / norm(fhat)
     for _ in range(2):
         rec, rel = reconstruct(spec, fs)
         assert same_bits(rec.coeffs, want)
         assert rel == rel_want
-    # built once per spec, read-only, each core (band, bin) in D or the
-    # alias part
+    # built once per spec from chunks it does not keep, read-only, each
+    # core (band, bin) in D or the alias part
     assert len(calls) == 1
+    assert "chunks" not in vars(spec)
     check_split(spec.split, spec.chunks, spec.q)
     # the fold of every bin, the order before the split, to round-off
     old = fold_order_reconstruct(fhat, spec.h0, spec.chunks, spec.nu, spec.q)

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from stockframe import frame1d, tiling
+from stockframe import frame1d
 from stockframe.frame1d import EIGEN_SIZE_CAP, FrameGapError, frame_bounds_eigen, make_frame_spec
 from stockframe.tiling import (
     AXIS_CAP,
@@ -30,7 +30,7 @@ from stockframe.tiling import (
     walnut_apply_nd,
     walnut_bounds_nd,
 )
-from stockframe.window import COEFF_CAP, gaussian_window, truncated_gaussian
+from stockframe.window import COEFF_CAP, gaussian_window, table_window, truncated_gaussian
 from roundtrip import check_split, fold_order_reconstruct, per_call_reconstruct
 from tailbound import analysis_bound, check_trim, dense_records, reconstruct_bound, synthesis_bound
 
@@ -53,8 +53,17 @@ FACTOR_WINDOWS = {"gaussian": gaussian_window, "tgauss0.1": lambda: truncated_ga
 # Dense references: every box folds, transforms and spreads over the whole
 # n^d grid, one box at a time.
 
+def axis_frequencies(spec):
+    return np.arange(-(spec.n // 2), spec.n // 2)
+
+
+def box_norm(spec, box):
+    # b^(d/2), b the box's width (1 for DC)
+    return float(spec.records.w[spec.factor_rows(box)[0]]) ** (spec.d / 2.0)
+
+
 def jmod_index(spec, m):
-    return np.ix_(*[spec.axis_frequencies() % m] * spec.d)
+    return np.ix_(*[axis_frequencies(spec) % m] * spec.d)
 
 
 def dense_sum_of_squares(spec):
@@ -69,7 +78,7 @@ def dense_analyze_box(spec, fhat, box, stack):
     m = spec.box_period(box)
     folded = np.zeros((m,) * spec.d, dtype=np.complex128)
     np.add.at(folded, jmod_index(spec, m), fhat * stack)
-    return (m ** spec.d) * np.fft.ifftn(folded) / spec.box_norm(box)
+    return (m ** spec.d) * np.fft.ifftn(folded) / box_norm(spec, box)
 
 
 def dense_synthesize(spec, coeffs):
@@ -77,7 +86,7 @@ def dense_synthesize(spec, coeffs):
     for box, cbox in coeffs.items():
         stack = spec.box_stack(box)
         spread = np.fft.fftn(cbox)[jmod_index(spec, spec.box_period(box))]
-        acc += stack * spread / spec.box_norm(box)
+        acc += stack * spread / box_norm(spec, box)
     return acc
 
 
@@ -85,7 +94,7 @@ def dense_factors(spec):
     """Each axis factor summed point by point over the whole grid, by key:
     (p, e) sums over mu * [e b, (e+1) b), b = 2^(p-1), and DC (None) over
     mu * {-1, 0}."""
-    j = spec.axis_frequencies()
+    j = axis_frequencies(spec)
     factors = {}
     for key in [*((p, e) for p in range(1, spec.tiling.p_max + 1) for e in (-2, -1, 0, 1)), None]:
         etas = range(-1, 1) if key is None else range(key[1] << (key[0] - 1), (key[1] + 1) << (key[0] - 1))
@@ -566,27 +575,6 @@ def test_box_engine_is_bit_identical_to_dense_reference(d, window, q, mu, chunk,
     assert np.max(np.abs(rec - coefficient_round_trip(spec, fhat))) <= 1e-12 * np.max(np.abs(rec))
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_box_records_past_the_cap_are_rebuilt_on_each_call(d, monkeypatch):
-    # records past RECORD_CAP bins are not held: each call rebuilds the
-    # chunks, with the same results bit for bit
-    rng = np.random.default_rng(35)
-    n = GRID[d]
-    held = make_nd_frame_spec(gaussian_window(), 0.5, 2, d, n)
-    fhat = random_field(rng, d, n)
-    want = analyze_nd(held, fhat)
-    monkeypatch.setattr(tiling, "RECORD_CAP", 0)
-    spec = make_nd_frame_spec(gaussian_window(), 0.5, 2, d, n)
-    for _ in range(2):
-        assert np.array_equal(reconstruct_nd(spec, fhat)[0], reconstruct_nd(held, fhat)[0])
-    assert spec._held_chunks is None
-    coeffs = analyze_nd(spec, fhat)
-    assert all(np.array_equal(coeffs[box], want[box]) for box in want)
-    assert np.array_equal(synthesize_nd(spec, coeffs), synthesize_nd(held, want))
-    residual = conjugate_filter_nd(spec).partition_residual()
-    assert residual == conjugate_filter_nd(held).partition_residual()
-
-
 def norm(x):
     # the l2 norm as the round trips take it: numpy's pairwise sum of the
     # squared parts, not BLAS, so the same under any thread count
@@ -594,10 +582,11 @@ def norm(x):
     return math.sqrt(float(np.sum(parts * parts)))
 
 
-def per_call_reconstruct_nd(spec, fhat, h0):
+def per_call_reconstruct_nd(spec, fhat, h0, chunks=None):
     # reconstruct_nd in its documented order, the dual formed on every
-    # call (roundtrip.per_call_reconstruct)
-    rec = per_call_reconstruct(fhat.ravel(), h0.ravel(), spec.chunks, spec.nu ** spec.d,
+    # call (roundtrip.per_call_reconstruct), on the spec's chunks by default
+    chunks = spec.chunks if chunks is None else chunks
+    rec = per_call_reconstruct(fhat.ravel(), h0.ravel(), chunks, spec.nu ** spec.d,
                                spec.q ** spec.d).reshape(fhat.shape)
     return rec, norm(rec - fhat) / norm(fhat)
 
@@ -620,9 +609,10 @@ def same_bits(a, b):
                              (1, 2, 3), sorted(WINDOWS), (1, 2, 8), (0.5, 3.0), (frame1d._TERM_CHUNK, 1))])
 def test_held_dual_nd_is_bit_identical_to_the_per_call_dual(d, window, q, mu, chunk, held,
                                                               monkeypatch):
+    # held: the spec holds its chunks when it first reconstructs (an
+    # analysis came first); else it reconstructs holding none, and the
+    # split is built from chunks read as they are built
     monkeypatch.setattr(frame1d, "_TERM_CHUNK", chunk)
-    if not held:
-        monkeypatch.setattr(tiling, "RECORD_CAP", 0)
     original, calls = frame1d._duals, []
 
     def counting(*args):
@@ -634,24 +624,20 @@ def test_held_dual_nd_is_bit_identical_to_the_per_call_dual(d, window, q, mu, ch
     n = GRID[d]
     spec = make_nd_frame_spec(WINDOWS[window](), mu, q, d, n)
     fhat = random_field(rng, d, n)
-    rec_want, rel_want = per_call_reconstruct_nd(spec, fhat, spec.h0)
+    chunks = spec.chunks if held else spec._fold_chunks()
+    rec_want, rel_want = per_call_reconstruct_nd(spec, fhat, spec.h0, chunks)
     for _ in range(2):
         rec, rel = reconstruct_nd(spec, fhat)
         assert same_bits(rec, rec_want)
         assert rel == rel_want
+    assert ("chunks" in vars(spec)) == held
     assert conjugate_filter_nd(spec).partition_residual() == per_call_residual_nd(spec, spec.h0)
-    if held:
-        # the split built once per spec; the residual's dual on the full
-        # box records is the other call
-        assert len(calls) == 2
-        split = spec.split
-    else:
-        # past RECORD_CAP every call forms the dual and splits it
-        assert spec.split is None
-        assert len(calls) == 3
-        split = conjugate_filter_nd(spec).split()
+    # the split built once per spec; the residual's dual on the full box
+    # records is the other call
+    assert len(calls) == 2
+    assert conjugate_filter_nd(spec).split() is spec.split
     # read-only, each core (box, bin) in D or the alias part
-    check_split(split, spec.chunks, spec.q ** spec.d)
+    check_split(spec.split, spec.chunks, spec.q ** spec.d)
     # the fold of every bin, the order before the split, to round-off
     old = fold_order_reconstruct(fhat.ravel(), spec.h0.ravel(), spec.chunks, spec.nu ** spec.d,
                                  spec.q ** spec.d).reshape(rec.shape)
@@ -823,7 +809,7 @@ def test_core_boxes_drop_only_terms_below_tau(d, n, q, monkeypatch):
     rng = np.random.default_rng(37)
     fhat = np.where(tail, rng.standard_normal(n ** d) + 1j * rng.standard_normal(n ** d), 0.0)
     grid = fhat.reshape((n,) * d)
-    root = np.array([spec.box_norm(box) for box in boxes])
+    root = np.array([box_norm(spec, box) for box in boxes])
 
     got, coeffs = analyze_nd(spec, grid), analyze_nd(full, grid)
     bound = analysis_bound(stacks, kept, root, fhat, top)
@@ -835,7 +821,7 @@ def test_core_boxes_drop_only_terms_below_tau(d, n, q, monkeypatch):
     assert np.all(np.abs(got - want) <= synthesis_bound(stacks, kept, root, list(coeffs.values()), top))
 
     period = [spec.box_period(box) for box in boxes]
-    slot = np.array([np.ravel_multi_index(np.meshgrid(*[spec.axis_frequencies() % m] * d, indexing="ij"),
+    slot = np.array([np.ravel_multi_index(np.meshgrid(*[axis_frequencies(spec) % m] * d, indexing="ij"),
                                           (m,) * d).ravel() for m in period])
     (got, _), (want, _) = reconstruct_nd(spec, grid), reconstruct_nd(full, grid)
     assert not np.array_equal(got, want)
@@ -844,9 +830,9 @@ def test_core_boxes_drop_only_terms_below_tau(d, n, q, monkeypatch):
 
 
 def test_held_dual_nd_is_built_once_per_spec(monkeypatch):
-    # the split is formed on the first reconstruction from the held core
-    # chunks, not with the spec; the residual forms its own dual on the
-    # full box records
+    # the split is formed on the first reconstruction, not with the spec,
+    # from core chunks it does not keep; the residual forms its own dual
+    # on the full box records
     original, calls = frame1d._split, []
 
     def counting(*args):
@@ -860,8 +846,48 @@ def test_held_dual_nd_is_built_once_per_spec(monkeypatch):
     first, again = reconstruct_nd(spec, fhat), reconstruct_nd(spec, fhat)
     conjugate_filter_nd(spec).partition_residual()
     assert len(calls) == 1
+    assert "chunks" not in vars(spec)
     assert spec.split is conjugate_filter_nd(spec).split()
     assert same_bits(first[0], again[0]) and first[1] == again[1]
+
+
+@pytest.mark.parametrize("d", [None, 1, 2, 3])
+def test_chunks_are_held_only_for_analysis_and_synthesis(d, monkeypatch):
+    # reconstruction builds the split once, from core chunks it does not
+    # keep (d = None: the 1D frame); the first analysis then builds the
+    # held chunks, once
+    builds, splits = [], []
+    for name, calls in (("_box_chunks", builds), ("_split", splits)):
+        original = getattr(frame1d, name)
+        monkeypatch.setattr(frame1d, name, lambda *args, f=original, c=calls: c.append(args) or f(*args))
+    if d is None:
+        spec = make_frame_spec(gaussian_window(), 0.5, 2, 0.5, 64)
+    else:
+        spec = make_nd_frame_spec(gaussian_window(), 0.5, 2, d, GRID[d])
+    fhat = random_field(np.random.default_rng(40), spec.d, spec.n).ravel()
+    for _ in range(2):
+        frame1d._round_trip(spec, fhat, None)
+    assert "chunks" not in vars(spec)
+    assert len(builds) == len(splits) == 1
+    for _ in range(2):
+        frame1d._synthesize(spec, frame1d._analyze(spec, fhat))
+    assert isinstance(vars(spec)["chunks"], tuple)
+    assert len(builds) == 2 and len(splits) == 1
+
+
+def test_wide_table_window_family_reconstructs_bit_equal_to_the_per_call_fold():
+    # a compact window that stays above TAU over its support keeps whole
+    # extents: 1.46M core box bins at d = 3, n = 32, whose split the spec
+    # holds like any other
+    spec = make_nd_frame_spec(table_window([-8, 0, 8], [0, 1, 0]), 0.5, 8, 3, 32)
+    length = spec.core.hi - spec.core.lo
+    assert sum(int(np.prod(length[spec.factor_rows(box)])) for box in spec.tiling.boxes) == 1460438
+    fhat = random_field(np.random.default_rng(41), 3, 32)
+    want, rel_want = per_call_reconstruct_nd(spec, fhat, spec.h0, spec._fold_chunks())
+    for _ in range(2):
+        rec, rel = reconstruct_nd(spec, fhat)
+        assert same_bits(rec, want) and rel == rel_want
+    assert "chunks" not in vars(spec)
 
 
 @pytest.mark.parametrize("d, window, q", [(None, "tgauss", 4), (None, "tgauss", 1 << 62),
@@ -885,15 +911,6 @@ def test_painless_split_has_no_alias_part(d, window, q):
     assert rel < 1e-13
 
 
-def test_gaussian_core_boxes_fit_the_record_cap_at_every_axis_cap():
-    # so a Gaussian family's box records are held, not rebuilt per call
-    for (d, n), mu, q in product(AXIS_CAP.items(), (0.1, 0.25, 0.5, 1.0, 2.0, 3.0), (1, 8)):
-        spec = make_nd_frame_spec(gaussian_window(), mu, q, d, n)
-        length = spec.core.hi - spec.core.lo
-        bins = sum(int(np.prod(length[spec.factor_rows(box)])) for box in spec.tiling.boxes)
-        assert bins <= tiling.RECORD_CAP, (d, n, mu, q, bins)
-
-
 def chunk_specs():
     """(d, alpha, window, q) of 1D specs (d = None) and n-D specs, some at
     q = 2^40, whose coefficient blocks pass COEFF_CAP."""
@@ -911,8 +928,7 @@ def test_held_chunks_fold_no_more_slots_than_bins(d, alpha, window, q):
         spec = make_frame_spec(WINDOWS[window](), 0.5, q, alpha, 256)
     else:
         spec = make_nd_frame_spec(WINDOWS[window](), 0.5, q, d, GRID[d])
-    assert spec._held_chunks is not None
-    for c in spec._held_chunks:
+    for c in spec.chunks:
         assert c.size <= c.bins.size
         assert np.all((0 <= c.fold) & (c.fold < c.size))
         blocks = sum((b - a) * period ** spec.d for a, b, _, period in c.runs)

@@ -244,6 +244,28 @@ def test_stack_evaluates_only_the_samples_that_can_be_nonzero(win, monkeypatch):
     assert sum(size for size, _ in calls) == within
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_trim_cuts_each_record_to_its_kept_span(seed):
+    # records of length 0 to 7, kept entries scattered (so spans keep
+    # inner entries that are not kept) and often on both sides of a record
+    # edge, against a record-by-record loop
+    rng = np.random.default_rng(seed)
+    length = rng.integers(0, 8, 60)
+    lo = rng.integers(-50, 50, 60)
+    values = rng.standard_normal(int(length.sum()))
+    keep = rng.random(values.size) < (0.2, 0.5, 0.9)[seed % 3]
+    want_lo, want_hi, want = [], [], []
+    for b, start in enumerate(np.cumsum(length) - length):
+        kept = np.flatnonzero(keep[start:start + length[b]])
+        first, stop = (kept[0], kept[-1] + 1) if kept.size else (0, 0)
+        want_lo.append(lo[b] + first if kept.size else 0)
+        want_hi.append(want_lo[-1] + stop - first)
+        want.extend(values[start + first:start + stop])
+    got_lo, got_hi, got = window._trim(values, keep, lo, length)
+    assert got_lo.tolist() == want_lo and got_hi.tolist() == want_hi
+    assert np.array_equal(got, want)
+
+
 def test_stack_extents_bound_the_nonzero_bins():
     for win in (gaussian_window(), truncated_gaussian(0.1)):
         stack = stack_case(window=win, alpha=0.5, n=128)
