@@ -295,9 +295,8 @@ def cmd_stack(args) -> int:
 def cmd_frame_bounds(args) -> int:
     from . import frame1d
     win = _build_window(args.window)
-    spec = frame1d.make_frame_spec(win, args.mu, args.q, args.alpha, args.n,
-                                   walnut_k_max=args.kmax)
-    rep = frame1d.walnut_bounds(spec)
+    spec = frame1d.make_frame_spec(win, args.mu, args.q, args.alpha, args.n)
+    rep = frame1d.walnut_bounds(spec, args.kmax)
     payload = {
         "alpha": str(args.alpha),
         "mu": float(args.mu),

@@ -54,15 +54,14 @@ its period m = q*w.  The 1D frame runs on the n-D frame's engine
 `_box_chunks`, cuts a family of boxes, each given as its d rows of factor
 records in the order wanted, into chunks of whole boxes of a few
 thousand bins (FoldChunk): the flat grid bins of their supports, the
-values there and, formed in one loop over the axes, two slots per bin:
-
-- the compact fold, read by reconstruction: the C-order ravel of
-  (j_s - lo_s) mod m over radices min(extent_s, m), never more slots
-  than bins, whatever q;
-- the placement, read by analysis and synthesis: the C-order ravel of
-  (j_s - half) mod P, P = q*w, in the box's block of P^d coefficients;
-  formed only where the chunk's blocks fit COEFF_CAP, else analysis and
-  synthesis refuse ("reduce q").
+values there and, formed in one loop over the axes, the compact fold
+slot of each bin, read by reconstruction: the C-order ravel of
+(j_s - lo_s) mod m over radices min(extent_s, m), never more slots than
+bins, whatever q.  The chunks that analysis and synthesis read also get
+a placement slot per bin (_place, from its flat bin): the C-order ravel
+of (j_s - half) mod P, P = q*w, in the box's block of P^d coefficients.
+Both refuse a family whose blocks pass COEFF_CAP in all ("reduce q")
+before any bin is placed (_placed_chunks), so every chunk they read fits.
 
 Analysis folds f^ Phi at the placement with one add.at and runs one
 inverse FFT per group of bands of equal period (in p order the runs are
@@ -73,10 +72,11 @@ Both specs (FrameSpec, tiling.NdFrameSpec: _BoxFrame) hold, each built
 on first use, their records, the core records (below), the round trip's
 split with their own H0 (`split`: D, 8 B per grid point, and 32 B per
 alias bin), built on the first reconstruction from core chunks that are
-not kept, and the core chunks in band order, built on the first analysis
-or synthesis.  A caller's own H0 or a coefficient dict in another order
-gets its split or chunks per call.  The lattice, axis, tiling and corona
-caps bound what a spec holds.  One ConjugateFilter serves both frames.
+not kept and never placed, and the placed core chunks in band order,
+built on the first analysis or synthesis.  A caller's own H0 or a
+coefficient dict in another order gets its split or placed chunks per
+call.  The lattice, axis, tiling and corona caps bound what a spec
+holds.  One ConjugateFilter serves both frames.
 
 A Gaussian never vanishes, so its records run out to the window's zero
 radius, 15.5 bins from each lattice point, though past about 4.2 bins a
@@ -186,10 +186,11 @@ def _fold(x: np.ndarray, fold: np.ndarray, size: int) -> np.ndarray:
 class FoldChunk:
     """Consecutive bands (boxes) of a family, bands, whose supports hold
     about _TERM_CHUNK bins, lengths[i] of them in the i-th band: their
-    flat grid bins, band after band, the values there, each bin's slot in
-    the compact fold of size slots (fold) and in the blocks of P^d
-    coefficient slots a band (place, None past COEFF_CAP); runs are the
-    maximal runs (a, b, w, P) of bands of equal width w, P = q*w.
+    flat grid bins, band after band, the values there and each bin's slot
+    in the compact fold of size slots (fold); runs are the maximal runs
+    (a, b, w, P) of bands of equal width w, P = q*w.  A chunk that
+    analysis or synthesis reads also holds each bin's slot in the blocks
+    of P^d coefficient slots a band (place, _placed_chunks).
     """
 
     bands: slice
@@ -199,7 +200,7 @@ class FoldChunk:
     values: np.ndarray = field(repr=False)
     fold: np.ndarray = field(repr=False)
     size: int
-    place: np.ndarray | None = field(repr=False)
+    place: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -231,24 +232,21 @@ def _core(g: BandRecords) -> BandRecords:
 
 def _box_chunks(g: BandRecords, rows: np.ndarray, n: int, q: int) -> Iterator[FoldChunk]:
     """The fold chunks of a family of boxes on the grid of n^d bins, in
-    order: box i is the product of the factor records rows[i] of g, one per
-    axis (d = rows.shape[1]; a 1D band is one row).  A box has the width w
-    of its first factor, period P = q*w, and compact radix min(extent, m)
-    along an axis of factor period m."""
-    d, half = rows.shape[1], n // 2
+    order, unplaced: box i is the product of the factor records rows[i] of
+    g, one per axis (d = rows.shape[1]; a 1D band is one row).  A box has
+    the width w of its first factor, period P = q*w, and compact radix
+    min(extent, m) along an axis of factor period m."""
+    d = rows.shape[1]
     first = rows[:, 0]
     w, m = g.w[first], g.m[first]
     lo = g.lo[rows]
     length, offset = g.hi[rows] - lo, g.offset[rows].T
     radix = np.minimum(length, m[:, None])
     size, slots = length.prod(axis=1), radix.prod(axis=1)
-    # P^d per box, as floats: exact up to 2^53, so wherever COEFF_CAP is met
-    blocks = (float(q) * w) ** d
     lo, length, radix = lo.T, length.T, radix.T  # one row per axis
 
     def cut():
         for a, b in _chunks(size):
-            period = q * w[a:b] if blocks[a:b].sum() <= COEFF_CAP else None
             owner = np.arange(a, b)
             for s in range(d):  # C order: the last axis varies fastest
                 count = length[s][owner]
@@ -258,27 +256,32 @@ def _box_chunks(g: BandRecords, rows: np.ndarray, n: int, q: int) -> Iterator[Fo
                 u = lo[s][owner] + r
                 if s == 0:
                     bins, fold = u, r % m[owner]
-                    place = None if period is None else (u - half) % period[owner - a]
                 else:
                     bins = np.repeat(bins, count) * n + u
                     fold = np.repeat(fold, count) * radix[s][owner] + r % m[owner]
-                    if period is not None:
-                        p = period[owner - a]
-                        place = np.repeat(place, count) * p + (u - half) % p
                 # (v0 v1) v2, as reduce(np.multiply.outer) associates
                 v = g.values[u + offset[s][owner]]
                 values = v if s == 0 else np.repeat(values, count) * v
             lengths = size[a:b]
             fold += np.repeat(np.cumsum(slots[a:b]) - slots[a:b], lengths)
-            if period is not None:
-                block = period ** d
-                place += np.repeat(np.cumsum(block) - block, lengths)
             cuts = (a + np.flatnonzero(np.diff(w[a:b])) + 1).tolist()
             runs = tuple((s, e, int(w[s]), q * int(w[s])) for s, e in zip([a, *cuts], [*cuts, b]))
-            yield FoldChunk(slice(a, b), runs, lengths, bins, values, fold,
-                            int(slots[a:b].sum()), place)
+            yield FoldChunk(slice(a, b), runs, lengths, bins, values, fold, int(slots[a:b].sum()))
 
     return cut()
+
+
+def _place(c: FoldChunk, n: int, d: int) -> np.ndarray:
+    """Each bin's slot in the blocks of P^d coefficient slots a band of the
+    chunk, in band order: its band's block base plus the C-order ravel of
+    (u_s - half) mod P over the axes of its flat bin u."""
+    period = np.repeat([m for _, _, _, m in c.runs], [b - a for a, b, _, _ in c.runs])
+    block = period ** d
+    base, period = np.repeat(np.cumsum(block) - block, c.lengths), np.repeat(period, c.lengths)
+    ravel = 0
+    for u in np.unravel_index(c.bins, (n,) * d):  # C order: the last axis varies fastest
+        ravel = ravel * period + (u - n // 2) % period
+    return base + ravel
 
 
 def _groups(c: FoldChunk, d: int):
@@ -295,15 +298,6 @@ def _groups(c: FoldChunk, d: int):
             base += (e - s) * m ** d
 
 
-def _placed(c: FoldChunk, d: int) -> np.ndarray:
-    """The chunk's placement, or the refusal of a chunk whose coefficient
-    blocks pass COEFF_CAP."""
-    if c.place is None:
-        size = sum((b - a) * m ** d for a, b, _, m in c.runs)
-        raise ValueError(f"a fold of {size} slots exceeds the cap {COEFF_CAP}; reduce q")
-    return c.place
-
-
 def _dft(x: np.ndarray, d: int, transform) -> np.ndarray:
     """transform (np.fft.fft or ifft) over axes d .. 1 of x, the last one
     first, as numpy's n-D transforms apply it (bit for bit)."""
@@ -316,9 +310,8 @@ def _fold_runs(x: np.ndarray, c: FoldChunk, d: int, root) -> list[np.ndarray]:
     """The coefficient blocks of a chunk's bands, in band order: x folded
     at the placement into P^d slots per band, then P^d ifftn(block) /
     root(w), one inverse DFT per group of bands of equal period."""
-    place = _placed(c, d)
     groups = list(_groups(c, d))
-    folded = _fold(x, place, sum((b - a) * m ** d for a, b, _, m, _ in groups))
+    folded = _fold(x, c.place, sum((b - a) * m ** d for a, b, _, m, _ in groups))
     blocks: list[np.ndarray] = []
     for a, b, w, m, base in groups:
         run = folded[base:base + (b - a) * m ** d].reshape((b - a,) + (m,) * d)
@@ -333,7 +326,6 @@ def _spread_runs(acc: np.ndarray, coeffs: list[np.ndarray], c: FoldChunk, d: int
     """Add a chunk's bands, weighted by coeffs (one block per band), into
     acc: one DFT per group of bands of equal period, read at each bin's
     placement, times values / root(w)."""
-    place = _placed(c, d)
     groups, first = list(_groups(c, d)), c.bands.start
     spread = np.empty(sum((b - a) * m ** d for a, b, _, m, _ in groups), dtype=np.complex128)
     for a, b, _, m, base in groups:
@@ -341,7 +333,7 @@ def _spread_runs(acc: np.ndarray, coeffs: list[np.ndarray], c: FoldChunk, d: int
         spread[base:base + run.size] = run.ravel()
     roots = [root(w) for _, _, w, _ in c.runs]
     roots = np.repeat(np.repeat(roots, [b - a for a, b, _, _ in c.runs]), c.lengths)
-    np.add.at(acc, c.bins, c.values * spread[place] / roots)
+    np.add.at(acc, c.bins, c.values * spread[c.place] / roots)
 
 
 def _on_grid(n: int, sup, values: np.ndarray) -> np.ndarray:
@@ -355,13 +347,21 @@ class _BoxFrame:
     """What FrameSpec and tiling.NdFrameSpec share: a band (box) is the
     product of d factor records on a grid of n bins per axis.  A spec
     gives records, q, d, n, factor_rows(key), its bands in fold order
-    (_fold_keys) and in H0 order (_sum_keys), sum_of_squares() and its
-    coefficient root _root(w).
+    (_fold_keys) and in H0 order (_sum_keys) and sum_of_squares().
     """
 
     @property
     def nu(self) -> float:
         return 1.0 / self.q
+
+    @property
+    def walnut_k_max(self) -> int:
+        """The tail bound's default shift count, ceil(n / 2q)."""
+        return math.ceil(self.n / (2 * self.q))
+
+    def _root(self, w: int) -> float:
+        """The coefficient root sqrt(w^d) of a band of width w."""
+        return np.sqrt(float(w) ** self.d)
 
     @cached_property
     def h0(self) -> np.ndarray:
@@ -412,11 +412,25 @@ class _BoxFrame:
         rows = self._fold_rows if rows is None else rows
         return _box_chunks(self.core if g is None else g, rows, self.n, self.q)
 
+    def _placed_chunks(self, rows: np.ndarray | None = None) -> tuple[FoldChunk, ...]:
+        """The _fold_chunks of the bands of factor rows rows, each with its
+        placement (_place), as analysis and synthesis read them; refused,
+        before any bin is placed, where their blocks of P^d coefficient
+        slots a band pass COEFF_CAP in all."""
+        chunks = tuple(self._fold_chunks(rows))
+        total = sum((b - a) * m ** self.d for c in chunks for a, b, _, m in c.runs)
+        if total > COEFF_CAP:
+            raise ValueError(f"coefficient count {total} exceeds the cap {COEFF_CAP}; reduce q")
+        for c in chunks:
+            c.place = _place(c, self.n, self.d)
+        return chunks
+
     @cached_property
     def chunks(self) -> tuple[FoldChunk, ...]:
-        """The core records of the bands in fold order as fold chunks,
-        held; built on the first analysis or synthesis."""
-        return tuple(self._fold_chunks())
+        """The core records of the bands in fold order as placed fold
+        chunks (_placed_chunks), held; built on the first analysis or
+        synthesis."""
+        return self._placed_chunks()
 
     @cached_property
     def split(self) -> RoundTripSplit:
@@ -438,7 +452,7 @@ def _synthesize(spec: _BoxFrame, coeffs: dict) -> np.ndarray:
     """sum of coefficient-weighted elements on the flat grid, over the
     spec's bands; bands add in the order of coeffs (module docstring)."""
     keys = tuple(coeffs)
-    chunks = spec.chunks if keys == spec._fold_keys else spec._fold_chunks(spec._box_rows(keys))
+    chunks = spec.chunks if keys == spec._fold_keys else spec._placed_chunks(spec._box_rows(keys))
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
     for c in chunks:
         _spread_runs(acc, [coeffs[key] for key in keys[c.bands]], c, spec.d, spec._root)
@@ -457,7 +471,6 @@ class FrameSpec(_BoxFrame):
     grid: FrequencyGrid
     partition: AlphaPartition
     stack: WindowStack
-    walnut_k_max: int
 
     d = 1
     _kvec_rows = None  # the records are the bands in p order
@@ -514,12 +527,8 @@ class FrameSpec(_BoxFrame):
     def _sum_keys(self) -> tuple[int, ...]:
         return self.stack.ps
 
-    def _root(self, w: int) -> float:
-        return np.sqrt(w)
 
-
-def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int,
-                    walnut_k_max: int | None = None) -> FrameSpec:
+def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int) -> FrameSpec:
     """Build the stack and bookkeeping for a frame on a grid of size n."""
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ValueError(f"q must be a positive integer, got {q!r}")
@@ -527,10 +536,7 @@ def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int,
     m_max = int(q) * stack.partition.width(stack.ps[-1])  # the band farthest out is widest
     if m_max >= 1 << 63:
         raise ValueError(f"q = {q} makes the period q*w = {m_max} overflow int64")
-    if walnut_k_max is None:
-        walnut_k_max = math.ceil(n / (2 * q))
-    return FrameSpec(stack.partition.alpha, window, mu, int(q), stack.grid,
-                     stack.partition, stack, int(walnut_k_max))
+    return FrameSpec(stack.partition.alpha, window, mu, int(q), stack.grid, stack.partition, stack)
 
 
 @dataclass

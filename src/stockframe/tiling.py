@@ -41,8 +41,9 @@ with the 1D frame (a 1D band is the d = 1 case); each reads only the
 spec's own box records.
 Its chunks hold the C-order bins of each box's core support (the product
 of its core factors' extents: a box sample off it has a dropped factor,
-so is below TAU peak^d), the outer product of the factor values there, a
-compact fold slot and, up to COEFF_CAP, a placement slot per bin.  A
+so is below TAU peak^d), the outer product of the factor values there
+and a compact fold slot per bin; those analysis and synthesis read also
+a placement slot per bin, where the blocks of all boxes fit COEFF_CAP.  A
 Gaussian family at d = 3, n = 32 has 0.22M to 0.55M core box bins for
 mu from 3 down to 0.1, against 3.0M to 11.7M on the full factors; a
 compact window keeps whole extents, 1.46M core bins for
@@ -70,7 +71,7 @@ import numpy as np
 
 from .frame1d import (BandRecords, ConjugateFilter, WalnutBoundReport, _analyze, _BoxFrame, _element,
                       _on_grid, _round_trip, _synthesize, _walnut_sum, conjugate_filter, walnut_bounds)
-from .window import COEFF_CAP, Window, _check_reach, _lattice_budget, _lattice_reach, _runs, lattice_records
+from .window import Window, _check_reach, _lattice_budget, _lattice_reach, _runs, lattice_records
 
 __all__ = [
     "BoxIndex",
@@ -221,11 +222,6 @@ class NdFrameSpec(_BoxFrame):
         """Per-axis modulation period m = q w: q per lattice node along the axis."""
         return self.q * int(self.records.w[self.factor_rows(box)[0]])
 
-    @property
-    def walnut_k_max(self) -> int:
-        """The tail bound's default shift count, ceil(n / 2q)."""
-        return math.ceil(self.n / (2 * self.q))
-
     def sum_of_squares(self) -> np.ndarray:
         h0 = np.zeros((self.n,) * self.d)
         for box in self.tiling.boxes:
@@ -238,9 +234,6 @@ class NdFrameSpec(_BoxFrame):
         return self.tiling.boxes
 
     _sum_keys = _fold_keys
-
-    def _root(self, w: int) -> float:
-        return float(w) ** (self.d / 2.0)
 
 
 def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
@@ -297,11 +290,7 @@ def element_nd(spec: NdFrameSpec, box: BoxIndex, kvec: tuple[int, ...]) -> np.nd
 
 def analyze_nd(spec: NdFrameSpec, fhat: np.ndarray) -> dict[BoxIndex, np.ndarray]:
     """<f, element> over all boxes, f^ the spectral field on the grid (frame1d._analyze)."""
-    fhat = _check_field(spec, fhat)
-    total = sum(spec.box_period(box) ** spec.d for box in spec.tiling.boxes)
-    if total > COEFF_CAP:
-        raise ValueError(f"coefficient count {total} exceeds the cap {COEFF_CAP}; reduce q or p_max")
-    return _analyze(spec, fhat.ravel())
+    return _analyze(spec, _check_field(spec, fhat).ravel())
 
 
 def synthesize_nd(spec: NdFrameSpec, coeffs: dict[BoxIndex, np.ndarray]) -> np.ndarray:

@@ -653,3 +653,24 @@ def test_huge_q_analysis_refuses_where_reconstruction_is_exact():
     rec, rel = reconstruct(spec, fs)
     assert rel < 1e-13
     assert np.max(np.abs(rec.coeffs - fs.coeffs)) < 1e-13 * np.max(np.abs(fs.coeffs))
+
+
+def test_analysis_caps_the_coefficients_of_all_bands_not_of_a_chunk(monkeypatch):
+    # at alpha = 0, q = 8, n = 256 the 513 bands of 8 slots fill two chunks
+    # of 3,864 and 240 slots: under a cap of 4,000 each chunk fits, the
+    # family does not, and reconstruction, which forms no coefficients, runs
+    rng = np.random.default_rng(21)
+    fs = random_spectrum(rng, 256)
+    want, rel_want = reconstruct(gauss_spec(q=8, alpha=0, n=256), fs)
+    monkeypatch.setattr(frame1d, "COEFF_CAP", 4000)
+    spec = gauss_spec(q=8, alpha=0, n=256)
+    assert [sum((b - a) * m for a, b, _, m in c.runs) for c in spec._fold_chunks()] == [3864, 240]
+    refused = "coefficient count 4104 exceeds the cap 4000; reduce q"
+    with pytest.raises(ValueError, match=refused):
+        analyze(spec, fs)
+    for order in (spec.p_range, spec.p_range[::-1]):
+        with pytest.raises(ValueError, match=refused):
+            synthesize(spec, FrameCoefficients(spec, {p: np.zeros(8) for p in order}))
+    assert "chunks" not in vars(spec)
+    rec, rel = reconstruct(spec, fs)
+    assert same_bits(rec.coeffs, want.coeffs) and rel == rel_want

@@ -902,11 +902,11 @@ def test_painless_split_has_no_alias_part(d, window, q):
         spec = make_frame_spec(WINDOWS[window](), 0.5, q, 1 if q == 4 else 0, 256)
     else:
         spec = make_nd_frame_spec(WINDOWS[window](), 0.5, q, d, GRID[d])
-    assert all(c.size == c.bins.size for c in spec.chunks)
+    assert all(c.size == c.bins.size for c in spec._fold_chunks())
     fhat = random_field(np.random.default_rng(39), spec.d, spec.n).ravel()
     rec, rel = frame1d._round_trip(spec, fhat, None)
     assert spec.split.alias == ()
-    check_split(spec.split, spec.chunks, spec.q ** spec.d)
+    check_split(spec.split, spec._fold_chunks(), spec.q ** spec.d)
     assert same_bits(rec, spec.split.diagonal * fhat)
     assert rel < 1e-13
 
@@ -922,17 +922,22 @@ def chunk_specs():
 
 @pytest.mark.parametrize("d, alpha, window, q", chunk_specs())
 def test_held_chunks_fold_no_more_slots_than_bins(d, alpha, window, q):
-    # the compact fold never has more slots than bins; the placement, where
-    # the blocks of P^d slots fit COEFF_CAP, stays inside them
+    # the compact fold never has more slots than bins; the placement stays
+    # inside the blocks of P^d slots, which the held chunks hold only where
+    # all of them fit COEFF_CAP
     if d is None:
         spec = make_frame_spec(WINDOWS[window](), 0.5, q, alpha, 256)
     else:
         spec = make_nd_frame_spec(WINDOWS[window](), 0.5, q, d, GRID[d])
-    for c in spec.chunks:
+    if q > COEFF_CAP:
+        with pytest.raises(ValueError, match=f"exceeds the cap {COEFF_CAP}; reduce q"):
+            spec.chunks
+        chunks = spec._fold_chunks()
+    else:
+        chunks = spec.chunks
+    for c in chunks:
         assert c.size <= c.bins.size
         assert np.all((0 <= c.fold) & (c.fold < c.size))
-        blocks = sum((b - a) * period ** spec.d for a, b, _, period in c.runs)
-        if blocks > COEFF_CAP:
-            assert c.place is None
-        else:
+        if q <= COEFF_CAP:
+            blocks = sum((b - a) * period ** spec.d for a, b, _, period in c.runs)
             assert np.all((0 <= c.place) & (c.place < blocks))
