@@ -47,19 +47,20 @@ add.at per alias chunk of q Phi fold(f^ Omega)[fold], in band order.  A
 painless spec has no alias part; where every slot aliases, D = 0 and the
 folds are the whole round trip.
 
-Each band is held as a record, in p order (`FrameSpec.records`): its
-nonzero extent [lo, hi) in grid bins, its values there, its width w and
-its period m = q*w.  The 1D frame runs on the n-D frame's engine
-(tiling.py), a band being a box of d = 1 axis factor.  One builder,
-`_box_chunks`, cuts a family of boxes, each given as its d rows of factor
-records in the order wanted, into chunks of whole boxes of a few
-thousand bins (FoldChunk): the flat grid bins of their supports, the
-values there and, formed in one loop over the axes, the compact fold
-slot of each bin, read by reconstruction: the C-order ravel of
-(j_s - lo_s) mod m over radices min(extent_s, m), never more slots than
-bins, whatever q.  The chunks that analysis and synthesis read also get
-a placement slot per bin (_place, from its flat bin): the C-order ravel
-of (j_s - half) mod P, P = q*w, in the box's block of P^d coefficients.
+Each band is held as a record, in p order (`FrameSpec.records`, the
+stack's own arrays): its nonzero extent [lo, hi) in grid bins, its
+values there, its width w and its period m = q*w.  The 1D frame runs on
+the n-D frame's engine (tiling.py), a band being a box of d = 1 axis
+factor.  One builder, `_box_chunks`, cuts a family of boxes, each given
+as its d rows of factor records in the order wanted, into chunks of
+whole boxes of a few thousand bins (FoldChunk): the flat grid bins of
+their supports, the values there and, formed in one loop over the axes,
+the compact fold slot of each bin, read by reconstruction: the C-order
+ravel of (j_s - lo_s) mod m over radices min(extent_s, m), never more
+slots than bins, whatever q.  The chunks that analysis and synthesis
+read also get a placement slot per bin (_place, from its flat bin): the
+C-order ravel of (j_s - half) mod P, P = q*w, in the box's block of P^d
+coefficients.
 Both refuse a family whose blocks pass COEFF_CAP in all ("reduce q")
 before any bin is placed (_placed_chunks), so every chunk they read fits.
 
@@ -109,8 +110,8 @@ other outputs equal the dense per-band (or per-shift) evaluation bit for
 bit, because every bin receives the same additions in the same order:
 folds in ascending frequency, synthesis in coefficient order,
 reconstruction D f^ first and then the alias folds in band order, Walnut
-terms in (box, kvec) order, h_tail band by band and H0 in the stack's
-band order; each shift's maximum comes from one reduceat.
+terms in (box, kvec) order, h_tail band by band and H0 in fold order (p
+order in 1D); each shift's maximum comes from one reduceat.
 Bins outside an extent would only receive +0.0, which changes no sum.
 """
 
@@ -347,7 +348,7 @@ class _BoxFrame:
     """What FrameSpec and tiling.NdFrameSpec share: a band (box) is the
     product of d factor records on a grid of n bins per axis.  A spec
     gives records, q, d, n, factor_rows(key), its bands in fold order
-    (_fold_keys) and in H0 order (_sum_keys) and sum_of_squares().
+    (_fold_keys) and sum_of_squares(), which adds the bands in that order.
     """
 
     @property
@@ -494,26 +495,18 @@ class FrameSpec(_BoxFrame):
 
     @cached_property
     def records(self) -> BandRecords:
-        """The stack records in p order (one gather), read by the Walnut
-        sum and the bounds; built on first use."""
+        """The stack's own records, in p order, with each band's width and
+        period, read by the Walnut sum and the bounds; built on first use."""
         st = self.stack
-        ps = np.array(st.ps)
-        index = np.argsort(ps)
-        lo, hi, w = st.lo[index], st.hi[index], self.partition.widths[np.abs(ps[index])]
-        return BandRecords(tuple(ps[index].tolist()), lo, hi, np.cumsum(hi - lo) - hi,
-                           st.values[_runs(lo + st.offset[index], hi - lo)], w, self.q * w,
-                           self.grid.half)
-
-    @cached_property
-    def _rows(self) -> dict[int, int]:
-        return {p: b for b, p in enumerate(self.records.ps)}
+        w = self.partition.widths[np.abs(st.ps)]
+        return BandRecords(st.ps, st.lo, st.hi, st.offset, st.values, w, self.q * w, self.grid.half)
 
     def factor_rows(self, p: int) -> list[int]:
-        return [self._rows[p]]
+        return [self.stack._where[p]]
 
     def _box_rows(self, ps) -> np.ndarray:
         # one pass, no list per band: a spec built per request pays this
-        return np.fromiter(map(self._rows.__getitem__, ps), np.int64, len(ps))[:, None]
+        return np.fromiter(map(self.stack._where.__getitem__, ps), np.int64, len(ps))[:, None]
 
     @cached_property
     def _fold_rows(self) -> np.ndarray:
@@ -522,10 +515,6 @@ class FrameSpec(_BoxFrame):
     @property
     def _fold_keys(self) -> tuple[int, ...]:
         return self.records.ps
-
-    @property
-    def _sum_keys(self) -> tuple[int, ...]:
-        return self.stack.ps
 
 
 def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int) -> FrameSpec:
@@ -876,9 +865,9 @@ class ConjugateFilter:
         """max |sum Omega Phi - nu^d| over the grid, zero to round-off by
         construction, on the full records (the tails the folds leave out
         included): the dual formed a chunk at a time, each bin adding its
-        products in the order H0 adds the bands."""
+        products in fold order, as H0 adds the bands."""
         spec, nu_d = self.spec, self.spec.nu ** self.spec.d
-        chunks = spec._fold_chunks(spec._box_rows(spec._sum_keys), spec.records)
+        chunks = spec._fold_chunks(g=spec.records)
         acc = np.zeros(self.h0.size)
         for c, dual in _duals(chunks, self.h0.ravel(), nu_d):
             np.add.at(acc, c.bins, dual * c.values)

@@ -233,8 +233,6 @@ class NdFrameSpec(_BoxFrame):
     def _fold_keys(self) -> tuple[BoxIndex, ...]:
         return self.tiling.boxes
 
-    _sum_keys = _fold_keys
-
 
 def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
                        p_max: int | None = None) -> NdFrameSpec:

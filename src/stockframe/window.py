@@ -10,9 +10,8 @@ sum
 evaluated on the grid frequencies; mu scales the integer band lattice.
 
 The stack holds each band as a record, its nonzero extent [lo, hi) in
-grid bins and its values there, all values concatenated, in the order
-the stack has always visited the bands, which is not p order (see
-build_stack); sums over bands, H0 among them, add in that order.
+grid bins and its values there, all values concatenated, in p order,
+-p_max .. p_max; sums over bands, H0 among them, add in that order.
 `lattice_records` builds the records of a batch of lattices (the n-D
 axis factors too); it equals a point-by-point sum over the whole grid
 bit for bit while evaluating only the samples that can be nonzero:
@@ -168,7 +167,7 @@ class WindowStack:
 
     @property
     def p_list(self) -> list[int]:
-        return sorted(self.ps)
+        return list(self.ps)
 
     @cached_property
     def _where(self) -> dict[int, int]:
@@ -186,14 +185,9 @@ class WindowStack:
         """Dense copies of all bands, built on every access."""
         return {p: self.band(p) for p in self.ps}
 
-    @property
-    def extents(self) -> dict[int, tuple[int, int]]:
-        """Nonzero extent [lo, hi) of every band in grid bins."""
-        return dict(zip(self.ps, zip(self.lo.tolist(), self.hi.tolist())))
-
     def sum_of_squares(self) -> np.ndarray:
         """H0 = sum_p Phi_p^2: one bincount over the records, which adds
-        each bin's squares in band order, as a dense band-by-band sum would."""
+        each bin's squares in p order, as a dense band-by-band sum would."""
         return np.bincount(_runs(self.lo, self.hi - self.lo), self.values * self.values, self.grid.size)
 
 
@@ -312,10 +306,7 @@ def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
     The partition is extended until its scaled lattice passes the grid
     edge, and every signed p with mu * start(|p|) <= n/2 gets a band, so
     each grid row (Nyquist included) has a lattice point within mu.
-
-    The bands keep the order the stack has always visited them in, per
-    interval the set {p, -p} in iteration order (0, 1, -1, ..., 4, -4,
-    -5, 5, ...): H0 adds in it, and p order would move some bins an ulp.
+    The bands are in p order, -p_max .. p_max; H0 adds in it.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -326,7 +317,7 @@ def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
     partition = partition_covering(alpha, limit + 1)
     start = np.concatenate([r.lo + r.width * np.arange(r.count) for r in partition.runs])
     p_max = int(np.count_nonzero(mu * start <= grid.half)) - 1
-    ps = np.array([s for p in range(p_max + 1) for s in ({0} if p == 0 else {p, -p})])
+    ps = np.arange(-p_max, p_max + 1)
     first, counts = start[np.abs(ps)], partition.widths[np.abs(ps)]
     _lattice_budget(window, int(counts.sum()), n)  # the whole lattice: refusals do not hang on the reach
     # a band's points past the reach add only +0.0; its first is within it

@@ -626,6 +626,19 @@ def test_core_records_drop_only_terms_below_tau(alpha, q, monkeypatch):
     assert np.all(np.abs(got.coeffs - want.coeffs) <= bound)
 
 
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+def test_frame_records_are_the_stack_records(window):
+    # the stack is built in p order, so the spec's records wrap its arrays
+    # with no second copy of the values
+    spec = make_frame_spec(WINDOWS[window](), 0.5, 4, 0.5, 256)
+    g, st = spec.records, spec.stack
+    assert g.ps == st.ps == tuple(range(-st.ps[-1], st.ps[-1] + 1))
+    assert np.shares_memory(g.values, st.values)
+    for a, b in ((g.lo, st.lo), (g.hi, st.hi), (g.offset, st.offset)):
+        assert a is b
+    assert np.array_equal(g.w, [spec.width(p) for p in g.ps]) and np.array_equal(g.m, 4 * g.w)
+
+
 def test_compact_windows_keep_their_extents():
     spec = make_frame_spec(truncated_gaussian(0.1), 0.5, 8, 0, 2048)
     assert spec.records.values.size == spec.core.values.size == 10238

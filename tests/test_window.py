@@ -1,5 +1,6 @@
 """Window profiles and band stacks: sums, symmetry, bounds, decay."""
 
+import itertools
 import math
 import re
 import subprocess
@@ -152,15 +153,14 @@ def test_compact_band_sum_equals_full_evaluation(win):
 
 
 def stack_lattices(mu, alpha, n):
-    """Every band's whole lattice, in build_stack's band order."""
+    """Every band's whole lattice, in build_stack's band order, p order:
+    the mirror bands -p_max .. -1 (the intervals reversed, points negated),
+    then the bands 0 .. p_max."""
     half = n // 2
-    lattices = {}
-    for iv in partition_covering(alpha, int(math.floor(half / mu)) + 2).intervals:
-        if mu * iv.start > half:
-            break
-        points = mu * iv.frequencies()
-        for p in ({0} if iv.p == 0 else {iv.p, -iv.p}):
-            lattices[p] = points if p >= 0 else -points
+    covering = partition_covering(alpha, int(math.floor(half / mu)) + 2).intervals
+    intervals = list(itertools.takewhile(lambda iv: mu * iv.start <= half, covering))
+    lattices = {-iv.p: -(mu * iv.frequencies()) for iv in reversed(intervals) if iv.p > 0}
+    lattices.update((iv.p, mu * iv.frequencies()) for iv in intervals)
     return lattices
 
 
@@ -269,13 +269,13 @@ def test_trim_cuts_each_record_to_its_kept_span(seed):
 def test_stack_extents_bound_the_nonzero_bins():
     for win in (gaussian_window(), truncated_gaussian(0.1)):
         stack = stack_case(window=win, alpha=0.5, n=128)
-        assert list(stack.extents) == list(stack.bands)
-        for p, (lo, hi) in stack.extents.items():
+        for p, lo, hi in zip(stack.ps, stack.lo.tolist(), stack.hi.tolist()):
             nz = np.flatnonzero(stack.band(p))
             assert (lo, hi) == (nz[0], nz[-1] + 1)
     # a band that never reaches the grid has the empty extent
     stack = build_stack(table_window([-0.2, 0.2], [1.0, 1.0]), 8.0, 1, 64)
-    assert stack.extents[3] == (0, 0) and not stack.band(3).any()
+    b = stack.ps.index(3)
+    assert (stack.lo[b], stack.hi[b]) == (0, 0) and not stack.band(3).any()
 
 
 def test_stack_band_mirror_symmetry():
@@ -298,8 +298,8 @@ def test_stack_p_range_tracks_grid():
 
 
 def test_sum_of_squares_matches_bands():
-    # H0 adds the bands in the stack's order; at mu = 0.25 p order would
-    # move some bins by an ulp
+    # H0 adds the bands in the stack's order, p order; at mu = 0.25 the
+    # order (|p|, p) would move some bins by an ulp
     for mu in (0.25, 0.5):
         stack = stack_case(mu=mu, n=64)
         direct = np.zeros(64)
@@ -307,8 +307,12 @@ def test_sum_of_squares_matches_bands():
             direct += band ** 2
         assert np.array_equal(stack.sum_of_squares(), direct)
     stack = stack_case(mu=0.25, n=64)
-    in_p_order = sum(stack.band(p) ** 2 for p in stack.p_list)
-    assert not np.array_equal(stack.sum_of_squares(), in_p_order)
+    top = max(stack.ps)
+    assert stack.ps == tuple(range(-top, top + 1))
+    by_magnitude = np.zeros(64)
+    for p in sorted(stack.ps, key=lambda p: (abs(p), p)):
+        by_magnitude += stack.band(p) ** 2
+    assert not np.array_equal(stack.sum_of_squares(), by_magnitude)
 
 
 # ---------------------------------------------------------------- bounds
