@@ -4,15 +4,17 @@ SFR1 (one-dimensional record):
     bytes 0..3   magic "SFR1"
     bytes 4..7   u32 little-endian grid size n
     byte  8      domain flag: 0 = time samples, 1 = spectral coefficients
-    then         2*n float64 little-endian, interleaved (re, im)
+    then         n complex128 little-endian (float64 re, then float64 im)
 
 SFR2 (d-dimensional record):
     bytes 0..3   magic "SFR2"
     bytes 4..7   u32 little-endian dimension d
     then         d u32 little-endian per-axis sizes
     then         u8 domain flag as above
-    then         2*prod(sizes) float64 little-endian interleaved (re, im),
-                 C order over the axes
+    then         prod(sizes) complex128 little-endian, C order over the axes
+
+The payload is read and written as it is, with no arithmetic, so every
+value keeps its bits: -0.0 parts, infinities and NaNs included.
 
 A file may hold several records back to back; ``read_sfr1_all`` consumes
 them in order.  CSV exports are plain ``index,re,im`` tables.
@@ -43,18 +45,6 @@ class ContainerError(ValueError):
     """Malformed or truncated container data."""
 
 
-def _interleave(values: np.ndarray) -> bytes:
-    flat = np.empty(2 * values.size, dtype="<f8")
-    flat[0::2] = values.real.ravel()
-    flat[1::2] = values.imag.ravel()
-    return flat.tobytes()
-
-
-def _deinterleave(raw: bytes, count: int) -> np.ndarray:
-    flat = np.frombuffer(raw, dtype="<f8", count=2 * count)
-    return flat[0::2] + 1j * flat[1::2]
-
-
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
     raw = fh.read(count)
     if len(raw) != count:
@@ -63,13 +53,13 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
 
 
 def _read_payload(fh: BinaryIO, count: int) -> np.ndarray:
-    """count complex values, refused before any read or allocation when the
-    header declares more bytes than the file has left."""
+    """count complex values, writable, refused before any read or allocation
+    when the header declares more bytes than the file has left."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if 16 * count > left:
         raise ContainerError(f"truncated container: header declares {count} values "
                              f"({16 * count} bytes), file has {left} bytes left")
-    return _deinterleave(_read_exact(fh, 16 * count, "payload"), count)
+    return np.frombuffer(bytearray(_read_exact(fh, 16 * count, "payload")), dtype="<c16")
 
 
 def write_sfr1(path, signal: Signal, append: bool = False) -> None:
@@ -84,7 +74,7 @@ def write_sfr1(path, signal: Signal, append: bool = False) -> None:
         fh.write(MAGIC1)
         fh.write(struct.pack("<I", signal.grid.size))
         fh.write(struct.pack("B", domain))
-        fh.write(_interleave(values))
+        fh.write(np.ascontiguousarray(values, "<c16").tobytes())
 
 
 def _read_sfr1_record(fh: BinaryIO) -> Signal | None:
@@ -135,7 +125,7 @@ def write_sfr2(path, values: np.ndarray, domain: int, append: bool = False) -> N
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         fh.write(struct.pack("B", domain))
-        fh.write(_interleave(arr))
+        fh.write(np.ascontiguousarray(arr, "<c16").tobytes())
 
 
 def read_sfr2(path) -> tuple[np.ndarray, int]:

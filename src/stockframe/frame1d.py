@@ -52,7 +52,7 @@ stack's own arrays): its nonzero extent [lo, hi) in grid bins, its
 values there, its width w and its period m = q*w.  The 1D frame runs on
 the n-D frame's engine (tiling.py), a band being a box of d = 1 axis
 factor.  One builder, `_box_chunks`, cuts a family of boxes, each given
-as its d rows of factor records in the order wanted, into chunks of
+as its d rows of factor records (the bands in fold order), into chunks of
 whole boxes of a few thousand bins (FoldChunk): the flat grid bins of
 their supports, the values there and, formed in one loop over the axes,
 the compact fold slot of each bin, read by reconstruction: the C-order
@@ -62,22 +62,22 @@ read also get a placement slot per bin (_place, from its flat bin): the
 C-order ravel of (j_s - half) mod P, P = q*w, in the box's block of P^d
 coefficients.
 Both refuse a family whose blocks pass COEFF_CAP in all ("reduce q")
-before any bin is placed (_placed_chunks), so every chunk they read fits.
+before any bin is placed (`chunks`), so every chunk they read fits.
 
 Analysis folds f^ Phi at the placement with one add.at and runs one
 inverse FFT per group of bands of equal period (in p order the runs are
 long, as width(|p|) is monotone); synthesis runs the forward FFT and
 adds it, read at the placement, into the grid; reconstruction takes
 D f^ and folds the alias part at the compact fold, with no FFT.
+Synthesis adds the bands in fold order whatever the order of its dict.
 Both specs (FrameSpec, tiling.NdFrameSpec: _BoxFrame) hold, each built
 on first use, their records, the core records (below), the round trip's
 split with their own H0 (`split`: D, 8 B per grid point, and 32 B per
 alias bin), built on the first reconstruction from core chunks that are
 not kept and never placed, and the placed core chunks in band order,
-built on the first analysis or synthesis.  A caller's own H0 or a
-coefficient dict in another order gets its split or placed chunks per
-call.  The lattice, axis, tiling and corona caps bound what a spec
-holds.  One ConjugateFilter serves both frames.
+built on the first analysis or synthesis.  A caller's own H0 gets its
+split per call.  The lattice, axis, tiling and corona caps bound what a
+spec holds.  One ConjugateFilter serves both frames.
 
 A Gaussian never vanishes, so its records run out to the window's zero
 radius, 15.5 bins from each lattice point, though past about 4.2 bins a
@@ -108,7 +108,7 @@ which agrees with the analysis + synthesis operator to round-off.  One
 body (_element) forms the elements of both frames.  All
 other outputs equal the dense per-band (or per-shift) evaluation bit for
 bit, because every bin receives the same additions in the same order:
-folds in ascending frequency, synthesis in coefficient order,
+folds in ascending frequency, synthesis in fold order,
 reconstruction D f^ first and then the alias folds in band order, Walnut
 terms in (box, kvec) order, h_tail band by band and H0 in fold order (p
 order in 1D); each shift's maximum comes from one reduceat.
@@ -191,7 +191,7 @@ class FoldChunk:
     in the compact fold of size slots (fold); runs are the maximal runs
     (a, b, w, P) of bands of equal width w, P = q*w.  A chunk that
     analysis or synthesis reads also holds each bin's slot in the blocks
-    of P^d coefficient slots a band (place, _placed_chunks).
+    of P^d coefficient slots a band (place, _BoxFrame.chunks).
     """
 
     bands: slice
@@ -393,45 +393,33 @@ class _BoxFrame:
         """The band's stack on the whole grid, built on demand."""
         return _on_grid(self.n, *self.box_support(key))
 
-    def _box_rows(self, keys) -> np.ndarray:
-        """The factor rows of the bands keys, one row of d per band."""
-        return np.array([self.factor_rows(key) for key in keys], dtype=np.int64).reshape(-1, self.d)
-
     @cached_property
     def _fold_rows(self) -> np.ndarray:
-        """The factor rows of the bands in fold order (_box_rows)."""
-        return self._box_rows(self._fold_keys)
+        """The factor rows of the bands in fold order, one row of d per band."""
+        return np.array([self.factor_rows(key) for key in self._fold_keys], np.int64).reshape(-1, self.d)
 
     @property
     def _kvec_rows(self) -> np.ndarray | None:  # as _walnut_stream reads them
         return self._fold_rows
 
-    def _fold_chunks(self, rows: np.ndarray | None = None, g: BandRecords | None = None):
-        """_box_chunks of the bands of factor rows rows (the bands in fold
-        order by default), on the core records by default, built as they
-        are read."""
-        rows = self._fold_rows if rows is None else rows
-        return _box_chunks(self.core if g is None else g, rows, self.n, self.q)
+    def _fold_chunks(self, g: BandRecords | None = None):
+        """_box_chunks of the bands in fold order, on the core records by
+        default, built as they are read."""
+        return _box_chunks(self.core if g is None else g, self._fold_rows, self.n, self.q)
 
-    def _placed_chunks(self, rows: np.ndarray | None = None) -> tuple[FoldChunk, ...]:
-        """The _fold_chunks of the bands of factor rows rows, each with its
-        placement (_place), as analysis and synthesis read them; refused,
-        before any bin is placed, where their blocks of P^d coefficient
-        slots a band pass COEFF_CAP in all."""
-        chunks = tuple(self._fold_chunks(rows))
+    @cached_property
+    def chunks(self) -> tuple[FoldChunk, ...]:
+        """The _fold_chunks, each with its placement (_place), as analysis
+        and synthesis read them, held; built on the first analysis or
+        synthesis, and refused, before any bin is placed, where their
+        blocks of P^d coefficient slots a band pass COEFF_CAP in all."""
+        chunks = tuple(self._fold_chunks())
         total = sum((b - a) * m ** self.d for c in chunks for a, b, _, m in c.runs)
         if total > COEFF_CAP:
             raise ValueError(f"coefficient count {total} exceeds the cap {COEFF_CAP}; reduce q")
         for c in chunks:
             c.place = _place(c, self.n, self.d)
         return chunks
-
-    @cached_property
-    def chunks(self) -> tuple[FoldChunk, ...]:
-        """The core records of the bands in fold order as placed fold
-        chunks (_placed_chunks), held; built on the first analysis or
-        synthesis."""
-        return self._placed_chunks()
 
     @cached_property
     def split(self) -> RoundTripSplit:
@@ -450,13 +438,22 @@ def _analyze(spec: _BoxFrame, fhat: np.ndarray) -> dict:
 
 
 def _synthesize(spec: _BoxFrame, coeffs: dict) -> np.ndarray:
-    """sum of coefficient-weighted elements on the flat grid, over the
-    spec's bands; bands add in the order of coeffs (module docstring)."""
-    keys = tuple(coeffs)
-    chunks = spec.chunks if keys == spec._fold_keys else spec._placed_chunks(spec._box_rows(keys))
+    """sum of coefficient-weighted elements on the flat grid, read on the
+    spec's held chunks: bands add in fold order whatever the order of
+    coeffs, and a band coeffs lacks spreads zeros, whose +0.0 moves no bit
+    (module docstring).  A key that is no band of the spec is refused."""
+    keys, found = spec._fold_keys, 0
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
-    for c in chunks:
-        _spread_runs(acc, [coeffs[key] for key in keys[c.bands]], c, spec.d, spec._root)
+    for c in spec.chunks:
+        blocks = list(map(coeffs.get, keys[c.bands]))
+        here = len([x for x in blocks if x is not None])
+        if here < len(blocks):
+            periods = [P for a, b, _, P in c.runs for _ in range(a, b)]
+            blocks = [np.zeros((P,) * spec.d) if x is None else x for x, P in zip(blocks, periods)]
+        found += here
+        _spread_runs(acc, blocks, c, spec.d, spec._root)
+    if found < len(coeffs):
+        raise ValueError(f"coefficients for {next(iter(coeffs.keys() - set(keys)))}, no band of the spec")
     return acc
 
 
@@ -503,10 +500,6 @@ class FrameSpec(_BoxFrame):
 
     def factor_rows(self, p: int) -> list[int]:
         return [self.stack._where[p]]
-
-    def _box_rows(self, ps) -> np.ndarray:
-        # one pass, no list per band: a spec built per request pays this
-        return np.fromiter(map(self.stack._where.__getitem__, ps), np.int64, len(ps))[:, None]
 
     @cached_property
     def _fold_rows(self) -> np.ndarray:
@@ -586,8 +579,8 @@ def analyze(spec: FrameSpec, f) -> FrameCoefficients:
 
 
 def synthesize(spec: FrameSpec, coeffs: FrameCoefficients) -> SpectralSignal:
-    """sum_k c_k element_k, bands added in the order of coeffs.data
-    (_synthesize)."""
+    """sum_k c_k element_k, bands added in p order whatever the order of
+    coeffs.data (_synthesize)."""
     return SpectralSignal(spec.grid, _synthesize(spec, coeffs.data))
 
 
@@ -867,7 +860,7 @@ class ConjugateFilter:
         included): the dual formed a chunk at a time, each bin adding its
         products in fold order, as H0 adds the bands."""
         spec, nu_d = self.spec, self.spec.nu ** self.spec.d
-        chunks = spec._fold_chunks(g=spec.records)
+        chunks = spec._fold_chunks(spec.records)
         acc = np.zeros(self.h0.size)
         for c, dual in _duals(chunks, self.h0.ravel(), nu_d):
             np.add.at(acc, c.bins, dual * c.values)

@@ -279,7 +279,11 @@ def _check_field(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:
 
 
 def element_nd(spec: NdFrameSpec, box: BoxIndex, kvec: tuple[int, ...]) -> np.ndarray:
-    """Spectral array of one frame element, axes in ascending frequency."""
+    """Spectral array of one frame element, axes in ascending frequency;
+    a box that is no tile of the spec is refused."""
+    if box != BoxIndex(0, None) and not (1 <= box.p <= spec.tiling.p_max
+                                         and box.ell in admissible_ells(spec.d)):
+        raise ValueError(f"box {box} is not a tile of the spec")
     m = spec.box_period(box)
     if len(kvec) != spec.d or not all(0 <= k < m for k in kvec):
         raise ValueError(f"kvec {kvec} outside (0..{m - 1})^{spec.d}")
@@ -292,8 +296,8 @@ def analyze_nd(spec: NdFrameSpec, fhat: np.ndarray) -> dict[BoxIndex, np.ndarray
 
 
 def synthesize_nd(spec: NdFrameSpec, coeffs: dict[BoxIndex, np.ndarray]) -> np.ndarray:
-    """sum of coefficient-weighted elements, boxes added in coeffs order
-    (frame1d._synthesize)."""
+    """sum of coefficient-weighted elements, boxes added in tiling order
+    whatever the order of coeffs (frame1d._synthesize)."""
     return _synthesize(spec, coeffs).reshape((spec.n,) * spec.d)
 
 

@@ -1,6 +1,7 @@
 """Container formats: byte layout, round trips, malformed input."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,25 @@ def test_sfr2_malformed_inputs(tmp_path):
         read_sfr2(path)
     with pytest.raises(ValueError):
         write_sfr2(tmp_path / "y.sfr2", np.zeros((2, 2), complex), domain=7)
+
+
+def test_sfr_payload_keeps_every_bit(tmp_path):
+    # every pair of -0.0, +-inf, nan and plain real and imaginary parts,
+    # set part by part: no arithmetic forms them, and none may move one
+    parts = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -2.5])
+    vals = np.empty(parts.size ** 2, dtype=complex)
+    vals.real, vals.imag = np.repeat(parts, parts.size), np.tile(parts, parts.size)
+    payload = vals.astype("<c16").tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_sfr1(tmp_path / "x.sfr1", SpectralSignal(FrequencyGrid(vals.size), vals))
+        one = read_sfr1(tmp_path / "x.sfr1").coeffs
+        write_sfr2(tmp_path / "x.sfr2", vals.reshape(parts.size, parts.size), DOMAIN_TIME)
+        two, _ = read_sfr2(tmp_path / "x.sfr2")
+    assert (tmp_path / "x.sfr1").read_bytes()[9:] == payload
+    assert (tmp_path / "x.sfr2").read_bytes()[17:] == payload
+    assert one.tobytes() == payload and two.tobytes() == payload
+    two[0, 0] = 1.0  # the caller owns the array read_sfr2 returns
 
 
 # ---------------------------------------------------------------- csv

@@ -302,10 +302,10 @@ def test_batched_engine_is_bit_identical_to_dense_reference(alpha, window, chunk
     assert np.array_equal(synthesize(spec, coeffs).coeffs, dense_synthesize(spec, want, stack))
     assert np.array_equal(frame_operator_apply(spec, fs).coeffs,
                           dense_synthesize(spec, want, stack))
-    # bins add their bands in coefficient order, whatever that order is
+    # bins add their bands in p order, whatever the order of the dict
     backwards = dict(reversed(list(want.items())))
-    assert np.array_equal(synthesize(spec, FrameCoefficients(spec, backwards)).coeffs,
-                          dense_synthesize(spec, backwards, stack))
+    assert same_bits(synthesize(spec, FrameCoefficients(spec, backwards)).coeffs,
+                     synthesize(spec, coeffs).coeffs)
 
     h0 = np.zeros(48)
     for arr in stack.values():

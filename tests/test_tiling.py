@@ -564,9 +564,9 @@ def test_box_engine_is_bit_identical_to_dense_reference(d, window, q, mu, chunk,
         assert np.array_equal(cbox, dense_analyze_box(spec, fhat, box, spec.box_stack(box)))
 
     assert np.array_equal(synthesize_nd(spec, coeffs), dense_synthesize(spec, coeffs))
-    # boxes add in coefficient order, whatever that order is
+    # boxes add in tiling order, whatever the order of the dict
     backwards = dict(reversed(list(coeffs.items())))
-    assert np.array_equal(synthesize_nd(spec, backwards), dense_synthesize(spec, backwards))
+    assert same_bits(synthesize_nd(spec, backwards), synthesize_nd(spec, coeffs))
 
     # reconstruction folds in C order on the supports: round-off equal to
     # the coefficient round trip, scaled by the output; at d = 3, mu = 3
@@ -873,6 +873,59 @@ def test_chunks_are_held_only_for_analysis_and_synthesis(d, monkeypatch):
         frame1d._synthesize(spec, frame1d._analyze(spec, fhat))
     assert isinstance(vars(spec)["chunks"], tuple)
     assert len(builds) == 2 and len(splits) == 1
+
+
+def dense_fold_order_synthesize(spec, coeffs):
+    # the bands of coeffs, in fold order, each spread over the whole grid
+    # on its core records, as the engine reads them
+    factors = dense_records(spec.core, spec.n)
+    acc = np.zeros((spec.n,) * spec.d, dtype=np.complex128)
+    for key in spec._fold_keys:
+        if key in coeffs:
+            rows = spec.factor_rows(key)
+            spread = np.fft.fftn(coeffs[key])[jmod_index(spec, spec.q * int(spec.records.w[rows[0]]))]
+            acc += reduce(np.multiply.outer, factors[rows]) * spread / box_norm(spec, key)
+    return acc.ravel()
+
+
+@pytest.mark.parametrize("d", [None, 1, 2, 3])
+def test_synthesis_reads_the_held_chunks_in_any_order(d, monkeypatch):
+    # fold order, a reversed dict and a dict lacking bands all read the
+    # chunks one analysis built (d = None: the 1D frame): the bands add in
+    # fold order, and a band the dict lacks adds nothing
+    builds = []
+    monkeypatch.setattr(frame1d, "_box_chunks",
+                        lambda *args, f=frame1d._box_chunks: builds.append(args) or f(*args))
+    if d is None:
+        spec = make_frame_spec(gaussian_window(), 0.5, 2, 0.5, 64)
+        unknown = spec.stack.ps[-1] + 1
+    else:
+        spec = make_nd_frame_spec(gaussian_window(), 0.5, 2, d, GRID[d])
+        unknown = BoxIndex(1, (3,) + (0,) * (d - 1))  # a corner index no level has
+    fhat = random_field(np.random.default_rng(41), spec.d, spec.n).ravel()
+    coeffs = frame1d._analyze(spec, fhat)
+    held = spec.chunks
+    want = frame1d._synthesize(spec, coeffs)
+    backwards = dict(reversed(list(coeffs.items())))
+    assert same_bits(frame1d._synthesize(spec, backwards), want)
+    some = {key: block for i, (key, block) in enumerate(backwards.items()) if i % 3}
+    assert same_bits(frame1d._synthesize(spec, some), dense_fold_order_synthesize(spec, some))
+    with pytest.raises(ValueError) as err:
+        frame1d._synthesize(spec, {**coeffs, unknown: coeffs[spec._fold_keys[-1]]})
+    assert str(unknown) in str(err.value)
+    assert len(builds) == 1 and spec.chunks is held
+
+
+def test_element_nd_refuses_a_box_the_tiling_lacks():
+    # (3, 0) is no corner index, and the inner boxes of a level belong to
+    # finer levels: neither is a tile, though each has factor records
+    spec = small_spec()
+    for box in (BoxIndex(1, (3, 0)), BoxIndex(2, (0, 0)), BoxIndex(1, None),
+                BoxIndex(spec.tiling.p_max + 1, (1, 0)), BoxIndex(1, (1,))):
+        with pytest.raises(ValueError, match="not a tile"):
+            element_nd(spec, box, (0, 0))
+    for box in spec.tiling.boxes:
+        assert element_nd(spec, box, (0, 0)).shape == (16, 16)
 
 
 def test_wide_table_window_family_reconstructs_bit_equal_to_the_per_call_fold():
