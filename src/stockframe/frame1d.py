@@ -70,6 +70,12 @@ long, as width(|p|) is monotone); synthesis runs the forward FFT and
 adds it, read at the placement, into the grid; reconstruction takes
 D f^ and folds the alias part at the compact fold, with no FFT.
 Synthesis adds the bands in fold order whatever the order of its dict.
+H0 has one body for both frames (`_BoxFrame.sum_of_squares`), as the
+bands are separable (Ron & Shen, Duke Math. J. 89, 1997): one bincount
+adds each band's last-factor squares into the slot of its other factors,
+in fold order, then each other axis, last first, is contracted in record
+order, sum_a F_a^2 (x) acc[a] over the extent of a.  In 1D there is one
+slot, so the bands' squares add in p order, as the stack's own sum does.
 Both specs (FrameSpec, tiling.NdFrameSpec: _BoxFrame) hold, each built
 on first use, their records, the core records (below), the round trip's
 split with their own H0 (`split`: D, 8 B per grid point, and 32 B per
@@ -110,8 +116,9 @@ other outputs equal the dense per-band (or per-shift) evaluation bit for
 bit, because every bin receives the same additions in the same order:
 folds in ascending frequency, synthesis in fold order,
 reconstruction D f^ first and then the alias folds in band order, Walnut
-terms in (box, kvec) order, h_tail band by band and H0 in fold order (p
-order in 1D); each shift's maximum comes from one reduceat.
+terms in (box, kvec) order, h_tail band by band and H0 axis by axis (p
+order in 1D; in n-D a dense sum in that order, round-off equal to a sum
+box by box); each shift's maximum comes from one reduceat.
 Bins outside an extent would only receive +0.0, which changes no sum.
 """
 
@@ -323,14 +330,26 @@ def _fold_runs(x: np.ndarray, c: FoldChunk, d: int, root) -> list[np.ndarray]:
     return blocks
 
 
-def _spread_runs(acc: np.ndarray, coeffs: list[np.ndarray], c: FoldChunk, d: int, root) -> None:
-    """Add a chunk's bands, weighted by coeffs (one block per band), into
-    acc: one DFT per group of bands of equal period, read at each bin's
-    placement, times values / root(w)."""
+def _spread_runs(acc: np.ndarray, coeffs: list[np.ndarray], keys: tuple, c: FoldChunk, d: int,
+                 root) -> None:
+    """Add a chunk's bands, keys, weighted by coeffs (one block per band),
+    into acc: one DFT per group of bands of equal period, read at each
+    bin's placement, times values / root(w).  A group holding a block
+    that is not the P^d coefficients of its band is refused, naming the
+    first such band, before it is spread."""
     groups, first = list(_groups(c, d)), c.bands.start
     spread = np.empty(sum((b - a) * m ** d for a, b, _, m, _ in groups), dtype=np.complex128)
     for a, b, _, m, base in groups:
-        run = _dft(np.array(coeffs[a - first:b - first]), d, np.fft.fft)
+        blocks = coeffs[a - first:b - first]
+        try:
+            run = np.array(blocks)
+        except ValueError:  # blocks of different shapes
+            run = None
+        if run is None or run.shape != (b - a,) + (m,) * d:
+            i = next(i for i, x in enumerate(blocks) if np.shape(x) != (m,) * d)
+            raise ValueError(f"coefficients for band {keys[a - first + i]} have shape {np.shape(blocks[i])}, "
+                             f"the band takes {(m,) * d}")
+        run = _dft(run, d, np.fft.fft)
         spread[base:base + run.size] = run.ravel()
     roots = [root(w) for _, _, w, _ in c.runs]
     roots = np.repeat(np.repeat(roots, [b - a for a, b, _, _ in c.runs]), c.lengths)
@@ -347,8 +366,8 @@ def _on_grid(n: int, sup, values: np.ndarray) -> np.ndarray:
 class _BoxFrame:
     """What FrameSpec and tiling.NdFrameSpec share: a band (box) is the
     product of d factor records on a grid of n bins per axis.  A spec
-    gives records, q, d, n, factor_rows(key), its bands in fold order
-    (_fold_keys) and sum_of_squares(), which adds the bands in that order.
+    gives records, q, d, n, factor_rows(key) and its bands in fold order
+    (_fold_keys); everything else, H0 included, is shared.
     """
 
     @property
@@ -384,14 +403,42 @@ class _BoxFrame:
         return [(slice(lo, hi), g.values[lo + off:hi + off])
                 for lo, hi, off in zip(g.lo.tolist(), g.hi.tolist(), g.offset.tolist())]
 
-    def box_support(self, key) -> tuple[tuple[slice, ...], np.ndarray]:
-        """(grid slices of the band's support, its stack on them)."""
-        sup, values = zip(*(self._factors[r] for r in self.factor_rows(key)))
-        return sup, reduce(np.multiply.outer, values)
-
     def box_stack(self, key) -> np.ndarray:
-        """The band's stack on the whole grid, built on demand."""
-        return _on_grid(self.n, *self.box_support(key))
+        """The band's stack on the whole grid, built on demand: the outer
+        product of its factors on their extents."""
+        sup, values = zip(*(self._factors[r] for r in self.factor_rows(key)))
+        return _on_grid(self.n, sup, reduce(np.multiply.outer, values))
+
+    def sum_of_squares(self) -> np.ndarray:
+        """H0 = sum over the bands of Phi^2 on the grid, axis by axis
+        (module docstring).  A band with an empty factor adds only +0.0 and
+        is left out; the slots are sorted, so each contraction adds its
+        factors in record order."""
+        g, n, d, radix = self.records, self.n, self.d, len(self.records.ps)
+        length = g.hi - g.lo
+        rows = self._fold_rows[(length[self._fold_rows] > 0).all(axis=1)]
+        if not len(rows):
+            return np.zeros((n,) * d)
+        # a band's slot: its other factors' records as the digits of a key
+        # (radix^(d - 1) stays far inside int64: d <= 3, and n-D has at most
+        # 249 records)
+        keys, slot = np.unique((rows[:, :-1] * radix ** np.arange(d - 2, -1, -1)).sum(axis=1),
+                               return_inverse=True)
+        last = rows[:, -1]
+        size = length[last]
+        square = g.values[_runs(g.lo[last] + g.offset[last], size)]
+        square *= square
+        acc = np.bincount(_runs(slot * n + g.lo[last], size), square, len(keys) * n)
+        for _ in range(d - 1):  # the next axis, last first: sum_a F_a^2 (x) acc[a]
+            acc = acc.reshape(len(keys), -1)
+            keys, factor = np.divmod(keys, radix)
+            keys, slot = np.unique(keys, return_inverse=True)
+            out = np.zeros((len(keys), n, acc.shape[1]))
+            for a, k, row in zip(factor.tolist(), slot.tolist(), acc):
+                sup, f = self._factors[a]
+                out[k, sup] += np.multiply.outer(f * f, row)
+            acc = out
+        return acc.reshape((n,) * d)
 
     @cached_property
     def _fold_rows(self) -> np.ndarray:
@@ -441,7 +488,8 @@ def _synthesize(spec: _BoxFrame, coeffs: dict) -> np.ndarray:
     """sum of coefficient-weighted elements on the flat grid, read on the
     spec's held chunks: bands add in fold order whatever the order of
     coeffs, and a band coeffs lacks spreads zeros, whose +0.0 moves no bit
-    (module docstring).  A key that is no band of the spec is refused."""
+    (module docstring).  A key that is no band of the spec, and a block
+    that is not the band's P^d coefficients, are refused by name."""
     keys, found = spec._fold_keys, 0
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
     for c in spec.chunks:
@@ -451,7 +499,7 @@ def _synthesize(spec: _BoxFrame, coeffs: dict) -> np.ndarray:
             periods = [P for a, b, _, P in c.runs for _ in range(a, b)]
             blocks = [np.zeros((P,) * spec.d) if x is None else x for x, P in zip(blocks, periods)]
         found += here
-        _spread_runs(acc, blocks, c, spec.d, spec._root)
+        _spread_runs(acc, blocks, keys[c.bands], c, spec.d, spec._root)
     if found < len(coeffs):
         raise ValueError(f"coefficients for {next(iter(coeffs.keys() - set(keys)))}, no band of the spec")
     return acc
@@ -486,9 +534,6 @@ class FrameSpec(_BoxFrame):
 
     def k_count(self, p: int) -> int:
         return self.q * self.width(p)
-
-    def sum_of_squares(self) -> np.ndarray:
-        return self.stack.sum_of_squares()
 
     @cached_property
     def records(self) -> BandRecords:

@@ -30,15 +30,17 @@ Each axis factor F_{p,e} is a frame1d band record (extent and values) of
 width w = b and period m = q b, capped at n as a longer period admits no
 shift on the grid (box_period keeps q b; DC: w = 1, m = q).  H0, the
 Walnut sum, the tail bound, the eigenbounds and the dual residual read
-the full factors; H0 adds per box on grid slices.  A tiling lists
-1 + p_max (4^d - 2^d) boxes, refused past TILE_CAP before any is listed.
+the full factors; H0 adds axis by axis (frame1d module docstring),
+round-off equal to a sum box by box.  A tiling lists 1 + p_max (4^d -
+2^d) boxes, refused past TILE_CAP before any is listed.
 
 A box is a band of frame1d's engine at dimension d (frame1d module
 docstring), a box shift the product of factor shifts: NdFrameSpec shares
-its records, core, chunks, held split, elements, analysis, synthesis,
-Walnut sum, tail bound, eigenbounds, conjugate filter and round trip
-with the 1D frame (a 1D band is the d = 1 case); each reads only the
-spec's own box records.
+its H0, records, core, chunks, held split, elements, analysis,
+synthesis, Walnut sum, tail bound, eigenbounds, conjugate filter and
+round trip with the 1D frame (a 1D band is the d = 1 case); each reads
+only the spec's own box records, and the spec keeps only its
+construction.
 Its chunks hold the C-order bins of each box's core support (the product
 of its core factors' extents: a box sample off it has a dropped factor,
 so is below TAU peak^d), the outer product of the factor values there
@@ -58,7 +60,7 @@ taken as frame1d's multiplier plus aliasing fold: D f^, D = q^d sum
 Phi Omega over every (box, bin) alone in its compact-fold slot in box
 order, then box by box the slots of two or more bins, each summing in C
 order over the support: round-off equal, not bit-equal, to a fold axis
-by axis.  All else adds as a dense per-box loop would.
+by axis.  All else but H0 adds as a dense per-box loop would.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ class NdFrameSpec(_BoxFrame):
     records holds the factors (p, e), p = 1 .. p_max, e = -2 .. 1, then
     DC (key None).  A box's stack is the outer product of its factors,
     formed as chunks of its core (frame1d._BoxFrame) or whole for one box
-    (box_support).
+    (box_stack).
     """
 
     window: Window
@@ -221,13 +223,6 @@ class NdFrameSpec(_BoxFrame):
     def box_period(self, box: BoxIndex) -> int:
         """Per-axis modulation period m = q w: q per lattice node along the axis."""
         return self.q * int(self.records.w[self.factor_rows(box)[0]])
-
-    def sum_of_squares(self) -> np.ndarray:
-        h0 = np.zeros((self.n,) * self.d)
-        for box in self.tiling.boxes:
-            sup, stack = self.box_support(box)
-            h0[sup] += stack * stack
-        return h0
 
     @property
     def _fold_keys(self) -> tuple[BoxIndex, ...]:

@@ -460,7 +460,7 @@ def test_roundtrip2d_huge_q_still_reconstructs(tmp_path, capsys):
                         "--window", "gaussian", "--n", "16", "--in", str(path), "--json")
     assert code == 0
     assert text == ('{"mu": 0.5, "n": 16, "p_max": 4, "q": 4611686018427387904, '
-                    '"rel_err": 1.136799391670416e-16, "tol": 1e-06, "window": "gaussian"}\n')
+                    '"rel_err": 1.1835855322611772e-16, "tol": 1e-06, "window": "gaussian"}\n')
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

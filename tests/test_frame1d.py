@@ -25,7 +25,7 @@ from stockframe.frame1d import (
     walnut_bounds,
 )
 from stockframe.spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
-from stockframe.window import COEFF_CAP, Window, WindowStack, gaussian_window, truncated_gaussian
+from stockframe.window import COEFF_CAP, Window, gaussian_window, truncated_gaussian
 from roundtrip import check_split, fold_order_reconstruct, per_call_reconstruct
 from tailbound import analysis_bound, check_trim, dense_records, reconstruct_bound, synthesis_bound
 
@@ -482,22 +482,35 @@ def test_conjugate_detects_spectral_gap():
     assert "frequency" in str(err.value)
 
 
+@pytest.mark.parametrize("n", [48, 64])
+@pytest.mark.parametrize("mu", [0.5, 3.0])
+@pytest.mark.parametrize("alpha", [0, 0.3, 0.5, 1])
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+def test_h0_is_the_stack_sum_of_squares(window, alpha, mu, n):
+    # the H0 both frames share has one slot in 1D: one bincount of the
+    # bands' squares in p order, as the stack's own sum adds them
+    spec = make_frame_spec(WINDOWS[window](), mu, 2, alpha, n)
+    assert same_bits(spec.h0, spec.stack.sum_of_squares())
+
+
 def test_reconstruct_builds_h0_once_per_spec(monkeypatch):
-    original = WindowStack.sum_of_squares
+    # both frames build H0 in one body, which neither spec overrides
+    assert "sum_of_squares" not in vars(frame1d.FrameSpec)
+    original = frame1d._BoxFrame.sum_of_squares
     calls = []
 
     def counting(self):
         calls.append(self)
         return original(self)
 
-    monkeypatch.setattr(WindowStack, "sum_of_squares", counting)
+    monkeypatch.setattr(frame1d._BoxFrame, "sum_of_squares", counting)
     rng = np.random.default_rng(14)
     spec = gauss_spec(n=128, q=8)
     fs = random_spectrum(rng, 128)
     runs = [reconstruct(spec, fs), reconstruct(spec, fs)]
     assert len(calls) == 1
     assert not spec.h0.flags.writeable
-    rec_want, rel_want = reconstruct(spec, fs, ConjugateFilter(spec, original(spec.stack)))
+    rec_want, rel_want = reconstruct(spec, fs, ConjugateFilter(spec, original(spec)))
     for rec, rel in runs:
         assert np.array_equal(rec.coeffs, rec_want.coeffs)
         assert rel == rel_want
@@ -651,6 +664,23 @@ def test_fold_counts_one_slot_per_residue_on_the_support():
     spec = gauss_spec(q=8, alpha=1, n=2048)
     assert sum(c.size for c in spec.chunks) == 2232
     assert sum(sum((b - a) * m for a, b, _, m in c.runs) for c in spec.chunks) == 65528
+
+
+@pytest.mark.parametrize("length", [1, 5])
+def test_synthesis_refuses_blocks_of_another_shape(length):
+    # every band at alpha 0, q 2 takes P = 2 coefficients: a block of any
+    # other length is refused by band, with both shapes, whether every
+    # block or one among good ones has it, before any is spread
+    spec = gauss_spec(q=2, alpha=0, n=64)
+    good = {b: np.ones(2) for b in spec.p_range}
+    for p, coeffs in ((spec.p_range[0], {b: np.ones(length) for b in spec.p_range}),
+                      (3, {**good, 3: np.ones(length)})):
+        with pytest.raises(ValueError) as err:
+            synthesize(spec, FrameCoefficients(spec, coeffs))
+        assert str(err.value) == f"coefficients for band {p} have shape ({length},), the band takes (2,)"
+    # a well-shaped dict gives the same bits on every call
+    once = synthesize(spec, FrameCoefficients(spec, good)).coeffs
+    assert same_bits(synthesize(spec, FrameCoefficients(spec, good)).coeffs, once)
 
 
 def test_huge_q_analysis_refuses_where_reconstruction_is_exact():

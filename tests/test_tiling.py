@@ -67,11 +67,41 @@ def jmod_index(spec, m):
 
 
 def dense_sum_of_squares(spec):
+    """H0 on dense grid arrays, in the engine's order: per tuple of the
+    other factors, the boxes' last factors squared, in tiling order; then
+    axis by axis, last first, each tuple's factor squared times its sum,
+    over the tuples in record order."""
+    squares = [f * f for f in dense_factors(spec).values()]  # in record order
+    acc = {}
+    for box in spec.tiling.boxes:
+        *head, last = spec.factor_rows(box)
+        acc[tuple(head)] = acc.get(tuple(head), 0.0) + squares[last]
+    for _ in range(spec.d - 1):
+        out = {}
+        for key in sorted(acc):
+            *head, a = key
+            out[tuple(head)] = out.get(tuple(head), 0.0) + np.multiply.outer(squares[a], acc[key])
+        acc = out
+    return acc[()]
+
+
+def per_box_sum_of_squares(spec):
+    # the sum box by box over the whole grid, each stack squared
     h0 = np.zeros((spec.n,) * spec.d)
     for box in spec.tiling.boxes:
         stack = spec.box_stack(box)
         h0 += stack * stack
     return h0
+
+
+def reorder_bound(spec):
+    """How far, relative to either, two sums of the same positive H0 terms
+    in different orders can differ: a term takes at most K = d (boxes + 2)
+    roundings on either path (per axis a square, a product and an add per
+    box), so each sum is within gamma_K of the exact one."""
+    ku = spec.d * (len(spec.tiling.boxes) + 2) * 2.0 ** -53  # K times the unit round-off
+    gamma = ku / (1 - ku)
+    return 2 * gamma / (1 - gamma)
 
 
 def dense_analyze_box(spec, fhat, box, stack):
@@ -455,11 +485,16 @@ def test_eigenbounds_nd_match_column_applied_operator(n, q):
 
 
 def test_eigenbounds_nd_painless_equal_walnut_bounds():
-    # every shifted product vanishes: S is q^d H0, and the bounds are attained
+    # every shifted product vanishes: S is q^d H0, and the bounds are
+    # attained.  The kernel adds its diagonal box by box, H0 axis by axis:
+    # the same positive terms in another order
     spec = small_spec(d=2, n=16, q=4, window=truncated_gaussian(0.1))
     rep, eig = walnut_bounds_nd(spec), frame_bounds_eigen(spec)
     assert rep.h_tail == 0.0
-    assert (eig.lower, eig.upper) == (rep.lower, rep.upper)
+    diagonal = spec.q ** spec.d * per_box_sum_of_squares(spec)
+    assert (eig.lower, eig.upper) == (float(diagonal.min()), float(diagonal.max()))
+    for got, want in ((rep.lower, eig.lower), (rep.upper, eig.upper)):
+        assert abs(got - want) <= reorder_bound(spec) * want
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -548,6 +583,9 @@ def test_box_engine_is_bit_identical_to_dense_reference(d, window, q, mu, chunk,
 
     h0 = dense_sum_of_squares(spec)
     assert np.array_equal(spec.sum_of_squares(), h0)
+    # the box-by-box sum adds the same positive terms in another order
+    per_box = per_box_sum_of_squares(spec)
+    assert np.all(np.abs(h0 - per_box) <= reorder_bound(spec) * per_box)
     conj = conjugate_filter_nd(spec)
     assert np.array_equal(conj.h0, h0)
     # the residual adds each bin's products in box order
@@ -748,14 +786,16 @@ def test_conjugate_nd_partition_residual():
 
 
 def test_reconstruct_nd_builds_h0_once_per_spec(monkeypatch):
-    original = NdFrameSpec.sum_of_squares
+    # both frames build H0 in one body, which neither spec overrides
+    assert "sum_of_squares" not in vars(NdFrameSpec)
+    original = frame1d._BoxFrame.sum_of_squares
     calls = []
 
     def counting(self):
         calls.append(self)
         return original(self)
 
-    monkeypatch.setattr(NdFrameSpec, "sum_of_squares", counting)
+    monkeypatch.setattr(frame1d._BoxFrame, "sum_of_squares", counting)
     rng = np.random.default_rng(33)
     spec = small_spec(d=2, n=16, q=4)
     fhat = random_field(rng, 2, 16)
@@ -778,6 +818,18 @@ def test_conjugate_nd_gap_detection():
     h0 = spec.sum_of_squares()
     worst = tuple(int(u) - spec.half for u in np.unravel_index(int(np.argmin(h0)), h0.shape))
     assert f"(worst at frequency {worst})" in str(err.value)
+
+
+@pytest.mark.parametrize("d", [None, 1, 2, 3])
+def test_a_window_that_vanishes_everywhere_leaves_h0_zero(d):
+    # every factor record is empty (d = None: the 1D frame), so no band
+    # adds to H0, and the conjugate filter is refused
+    zero = table_window([-1.0, 1.0], [0.0, 0.0])
+    spec = make_frame_spec(zero, 0.5, 2, 1, 32) if d is None else make_nd_frame_spec(zero, 0.5, 2, d, GRID[d])
+    assert np.all(spec.records.hi == spec.records.lo)
+    assert same_bits(spec.h0, np.zeros((spec.n,) * spec.d))
+    with pytest.raises(FrameGapError):
+        conjugate_filter_nd(spec)
 
 
 def test_field_shape_check():
@@ -914,6 +966,22 @@ def test_synthesis_reads_the_held_chunks_in_any_order(d, monkeypatch):
         frame1d._synthesize(spec, {**coeffs, unknown: coeffs[spec._fold_keys[-1]]})
     assert str(unknown) in str(err.value)
     assert len(builds) == 1 and spec.chunks is held
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_synthesis_nd_refuses_blocks_of_another_shape(d):
+    # a box of period P takes P^d coefficients: (1,)^d blocks, and one
+    # block of another shape among good ones, are refused by box, with
+    # both shapes, before any is spread
+    spec = small_spec(d=d, n=GRID[d])
+    good = {box: np.ones((spec.box_period(box),) * d) for box in spec.tiling.boxes}
+    box = spec.tiling.boxes[-1]
+    for name, coeffs, shape in ((spec.tiling.boxes[0], {b: np.ones((1,) * d) for b in good}, (1,) * d),
+                                (box, {**good, box: np.ones(3)}, (3,))):
+        with pytest.raises(ValueError) as err:
+            synthesize_nd(spec, coeffs)
+        want = (spec.box_period(name),) * d
+        assert str(err.value) == f"coefficients for band {name} have shape {shape}, the band takes {want}"
 
 
 def test_element_nd_refuses_a_box_the_tiling_lacks():
