@@ -81,9 +81,9 @@ on first use, their records, the core records (below), the round trip's
 split with their own H0 (`split`: D, 8 B per grid point, and 32 B per
 alias bin), built on the first reconstruction from core chunks that are
 not kept and never placed, and the placed core chunks in band order,
-built on the first analysis or synthesis.  A caller's own H0 gets its
-split per call.  The lattice, axis, tiling and corona caps bound what a
-spec holds.  One ConjugateFilter serves both frames.
+built on the first analysis or synthesis.  The lattice, axis, tiling and
+corona caps bound what a spec holds.  One ConjugateFilter serves both
+frames: a spec's dual is its own, refused where H0 has a gap.
 
 A Gaussian never vanishes, so its records run out to the window's zero
 radius, 15.5 bins from each lattice point, though past about 4.2 bins a
@@ -884,20 +884,17 @@ def _split(spec: _BoxFrame, chunks, h0: np.ndarray) -> RoundTripSplit:
     return RoundTripSplit(diagonal, tuple(alias))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConjugateFilter:
     """The conjugate filter Omega = nu^d Phi / H0 of a 1D or n-D frame
-    (FrameSpec or tiling.NdFrameSpec) and the H0 it came from, read on the
-    spec's core chunks through the round trip's split (split)."""
+    (FrameSpec or tiling.NdFrameSpec), the spec's own: none exists for a
+    spec whose H0 reaches H0_FLOOR (_check_gap).  The round trip reads it
+    through the spec's held split (_round_trip)."""
 
     spec: _BoxFrame = field(repr=False)
-    h0: np.ndarray = field(repr=False)
 
-    def split(self) -> RoundTripSplit:
-        """The round trip's split (_split) of the core chunks: the spec's
-        held one for its own H0, else that of this h0, built on each call."""
-        spec = self.spec
-        return spec.split if self.h0 is spec.h0 else _split(spec, spec._fold_chunks(), self.h0)
+    def __post_init__(self) -> None:
+        _check_gap(self.spec.h0, self.spec.n // 2)
 
     def partition_residual(self) -> float:
         """max |sum Omega Phi - nu^d| over the grid, zero to round-off by
@@ -906,54 +903,49 @@ class ConjugateFilter:
         products in fold order, as H0 adds the bands."""
         spec, nu_d = self.spec, self.spec.nu ** self.spec.d
         chunks = spec._fold_chunks(spec.records)
-        acc = np.zeros(self.h0.size)
-        for c, dual in _duals(chunks, self.h0.ravel(), nu_d):
+        acc = np.zeros(spec.h0.size)
+        for c, dual in _duals(chunks, spec.h0.ravel(), nu_d):
             np.add.at(acc, c.bins, dual * c.values)
         return float(np.max(np.abs(acc - nu_d)))
 
 
-def _check_gap(h0: np.ndarray, half: int, floor: float) -> None:
+def _check_gap(h0: np.ndarray, half: int) -> None:
     """Raise FrameGapError if H0 (on a grid of any dimension, bin u at
-    frequency u - half per axis) reaches floor; the message names the
+    frequency u - half per axis) reaches H0_FLOOR; the message names the
     worst frequency, an integer in 1D and a tuple in n-D."""
     low = float(h0.min())
-    if low <= floor:
+    if low <= H0_FLOOR:
         worst = tuple(int(u) - half for u in np.unravel_index(int(np.argmin(h0)), h0.shape))
         raise FrameGapError(
-            f"stack sum of squares reaches {low:.3e} <= {floor:g} "
+            f"stack sum of squares reaches {low:.3e} <= {H0_FLOOR:g} "
             f"(worst at frequency {worst[0] if h0.ndim == 1 else worst}); "
             "the system is not a frame on this grid"
         )
 
 
-def conjugate_filter(spec: _BoxFrame, floor: float = H0_FLOOR) -> ConjugateFilter:
-    """The conjugate filter of a 1D or n-D frame, refused if H0 reaches floor."""
-    _check_gap(spec.h0, spec.n // 2, floor)
-    return ConjugateFilter(spec, spec.h0)
+# the conjugate filter of a 1D or n-D frame, refused if H0 reaches H0_FLOOR
+conjugate_filter = ConjugateFilter
 
 
-def _round_trip(spec: _BoxFrame, fhat: np.ndarray,
-                conj: ConjugateFilter | None) -> tuple[np.ndarray, float]:
-    """Analyze f^ (flat on the grid) against the conjugate family and
-    synthesize with the primal one: sum q^d Phi fold(f^ Omega)[fold] over
-    the core chunks, no coefficients formed, as the FFT pair cancels
+def _round_trip(spec: _BoxFrame, fhat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Analyze f^ (flat on the grid) against the spec's conjugate family
+    and synthesize with the primal one: sum q^d Phi fold(f^ Omega)[fold]
+    over the core chunks, no coefficients formed, as the FFT pair cancels
     (module docstring), taken as D f^ plus one add.at per alias chunk, in
-    band order (conj.split()).  Returns (reconstruction, relative l2
-    error)."""
-    if conj is None:
-        conj = conjugate_filter(spec)
-    split = conj.split()
+    band order (spec.split), after the gap check (_check_gap) on every
+    call.  Returns (reconstruction, relative l2 error)."""
+    _check_gap(spec.h0, spec.n // 2)
+    split = spec.split
     rec = split.diagonal * fhat
     for a in split.alias:
         np.add.at(rec, a.bins, a.qphi * _fold(fhat[a.bins] * a.dual, a.fold, a.size)[a.fold])
     return rec, _norm(rec - fhat) / (_norm(fhat) or 1.0)
 
 
-def reconstruct(spec: FrameSpec, f,
-                conj: ConjugateFilter | None = None) -> tuple[SpectralSignal, float]:
-    """Analyze against the conjugate family, synthesize with the analysis
-    one (_round_trip).  Returns (reconstruction, relative l2 error against
-    the input)."""
+def reconstruct(spec: FrameSpec, f) -> tuple[SpectralSignal, float]:
+    """Analyze against the spec's conjugate family, synthesize with the
+    analysis one (_round_trip).  Returns (reconstruction, relative l2
+    error against the input)."""
     fhat = _as_spectrum(spec, f)
-    rec, rel_err = _round_trip(spec, fhat, conj)
+    rec, rel_err = _round_trip(spec, fhat)
     return SpectralSignal(spec.grid, rec), rel_err

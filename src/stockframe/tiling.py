@@ -315,10 +315,10 @@ NdConjugate = ConjugateFilter
 conjugate_filter_nd = conjugate_filter
 
 
-def reconstruct_nd(spec: NdFrameSpec, fhat: np.ndarray,
-                   conj: ConjugateFilter | None = None) -> tuple[np.ndarray, float]:
-    """Analyze against the conjugate family, synthesize with the primal
-    one: the frame1d round trip (_round_trip) on the core box records."""
+def reconstruct_nd(spec: NdFrameSpec, fhat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Analyze against the spec's conjugate family, synthesize with the
+    primal one: the frame1d round trip (_round_trip) on the core box
+    records."""
     fhat = _check_field(spec, fhat)
-    rec, rel_err = _round_trip(spec, fhat.ravel(), conj)
+    rec, rel_err = _round_trip(spec, fhat.ravel())
     return rec.reshape(fhat.shape), rel_err

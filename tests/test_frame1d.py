@@ -312,7 +312,7 @@ def test_batched_engine_is_bit_identical_to_dense_reference(alpha, window, chunk
         h0 += arr * arr
     dual = {p: spec.nu * arr / h0 for p, arr in stack.items()}
     conj = conjugate_filter(spec)
-    assert np.array_equal(conj.h0, h0)
+    assert np.array_equal(spec.h0, h0)
     residual = np.zeros(48)
     for p, om in dual.items():
         residual += om * stack[p]
@@ -475,11 +475,17 @@ def test_conjugate_partition_of_unity():
 
 
 def test_conjugate_detects_spectral_gap():
-    # support 1.01 with lattice spacing 8 leaves H0 = 0 between bands
+    # support 1.01 with lattice spacing 8 leaves H0 = 0 between bands; the
+    # filter is the spec's own, so building one runs the gap check: no
+    # filter, and no round trip, for a spec whose H0 reaches the floor
     spec = make_frame_spec(truncated_gaussian(0.01), 8.0, 4, 1, 64)
-    with pytest.raises(FrameGapError) as err:
-        conjugate_filter(spec)
-    assert "frequency" in str(err.value)
+    worst = int(np.argmin(spec.h0)) - spec.grid.half
+    fs = random_spectrum(np.random.default_rng(19), 64)
+    for attempt in (lambda: conjugate_filter(spec), lambda: ConjugateFilter(spec),
+                    lambda: reconstruct(spec, fs)):
+        with pytest.raises(FrameGapError) as err:
+            attempt()
+        assert f"(worst at frequency {worst})" in str(err.value)
 
 
 @pytest.mark.parametrize("n", [48, 64])
@@ -496,27 +502,30 @@ def test_h0_is_the_stack_sum_of_squares(window, alpha, mu, n):
 def test_reconstruct_builds_h0_once_per_spec(monkeypatch):
     # both frames build H0 in one body, which neither spec overrides
     assert "sum_of_squares" not in vars(frame1d.FrameSpec)
-    original = frame1d._BoxFrame.sum_of_squares
-    calls = []
+    original, check = frame1d._BoxFrame.sum_of_squares, frame1d._check_gap
+    calls, checks = [], []
 
     def counting(self):
         calls.append(self)
         return original(self)
 
     monkeypatch.setattr(frame1d._BoxFrame, "sum_of_squares", counting)
+    monkeypatch.setattr(frame1d, "_check_gap", lambda *args: checks.append(args) or check(*args))
     rng = np.random.default_rng(14)
     spec = gauss_spec(n=128, q=8)
     fs = random_spectrum(rng, 128)
     runs = [reconstruct(spec, fs), reconstruct(spec, fs)]
     assert len(calls) == 1
     assert not spec.h0.flags.writeable
-    rec_want, rel_want = reconstruct(spec, fs, ConjugateFilter(spec, original(spec)))
+    # the gap check still runs on every call
+    assert len(checks) == 2
+    # the round trip in its documented order on a freshly summed H0
+    fhat = fs.coeffs
+    rec_want = per_call_reconstruct(fhat, original(spec), spec._fold_chunks(), spec.nu, spec.q)
+    rel_want = norm(rec_want - fhat) / norm(fhat)
     for rec, rel in runs:
-        assert np.array_equal(rec.coeffs, rec_want.coeffs)
+        assert np.array_equal(rec.coeffs, rec_want)
         assert rel == rel_want
-    # the gap check still runs on every call, with the caller's floor
-    with pytest.raises(FrameGapError):
-        conjugate_filter(spec, floor=float(spec.h0.min()))
 
 
 def norm(x):
@@ -559,13 +568,6 @@ def test_held_dual_is_bit_identical_to_the_per_call_dual(alpha, window, q, chunk
     # the fold of every bin, the order before the split, to round-off
     old = fold_order_reconstruct(fhat, spec.h0, spec.chunks, spec.nu, spec.q)
     assert np.max(np.abs(rec.coeffs - old)) <= 1e-14 * np.max(np.abs(rec.coeffs))
-    # a caller's H0 is the one its dual divides by, split on each call
-    h0 = 2 * spec.h0
-    want = per_call_reconstruct(fhat, h0, spec.chunks, spec.nu, spec.q)
-    rec, rel = reconstruct(spec, fs, ConjugateFilter(spec, h0))
-    assert same_bits(rec.coeffs, want)
-    assert rel == norm(want - fhat) / norm(fhat)
-    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("size, count", [(1, 0), (7, 0), (1, 5), (7, 40), (300, 4096)])

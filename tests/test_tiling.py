@@ -587,7 +587,7 @@ def test_box_engine_is_bit_identical_to_dense_reference(d, window, q, mu, chunk,
     per_box = per_box_sum_of_squares(spec)
     assert np.all(np.abs(h0 - per_box) <= reorder_bound(spec) * per_box)
     conj = conjugate_filter_nd(spec)
-    assert np.array_equal(conj.h0, h0)
+    assert np.array_equal(spec.h0, h0)
     # the residual adds each bin's products in box order
     nu_d = spec.nu ** d
     acc = np.zeros((n,) * d)
@@ -609,7 +609,7 @@ def test_box_engine_is_bit_identical_to_dense_reference(d, window, q, mu, chunk,
     # reconstruction folds in C order on the supports: round-off equal to
     # the coefficient round trip, scaled by the output; at d = 3, mu = 3
     # the two differ by up to 3.1e-13 of it, as the axis-by-axis fold did
-    rec, _ = reconstruct_nd(spec, fhat, conj)
+    rec, _ = reconstruct_nd(spec, fhat)
     assert np.max(np.abs(rec - coefficient_round_trip(spec, fhat))) <= 1e-12 * np.max(np.abs(rec))
 
 
@@ -673,20 +673,12 @@ def test_held_dual_nd_is_bit_identical_to_the_per_call_dual(d, window, q, mu, ch
     # the split built once per spec; the residual's dual on the full box
     # records is the other call
     assert len(calls) == 2
-    assert conjugate_filter_nd(spec).split() is spec.split
     # read-only, each core (box, bin) in D or the alias part
     check_split(spec.split, spec.chunks, spec.q ** spec.d)
     # the fold of every bin, the order before the split, to round-off
     old = fold_order_reconstruct(fhat.ravel(), spec.h0.ravel(), spec.chunks, spec.nu ** spec.d,
                                  spec.q ** spec.d).reshape(rec.shape)
     assert np.max(np.abs(rec - old)) <= 1e-14 * np.max(np.abs(rec))
-    # a caller's H0 is the one its dual divides by
-    h0 = 2 * spec.h0
-    rec_want, rel_want = per_call_reconstruct_nd(spec, fhat, h0)
-    rec, rel = reconstruct_nd(spec, fhat, NdConjugate(spec, h0))
-    assert same_bits(rec, rec_want)
-    assert rel == rel_want
-    assert NdConjugate(spec, h0).partition_residual() == per_call_residual_nd(spec, h0)
 
 
 def test_records_bound_the_nonzero_bins():
@@ -788,36 +780,43 @@ def test_conjugate_nd_partition_residual():
 def test_reconstruct_nd_builds_h0_once_per_spec(monkeypatch):
     # both frames build H0 in one body, which neither spec overrides
     assert "sum_of_squares" not in vars(NdFrameSpec)
-    original = frame1d._BoxFrame.sum_of_squares
-    calls = []
+    original, check = frame1d._BoxFrame.sum_of_squares, frame1d._check_gap
+    calls, checks = [], []
 
     def counting(self):
         calls.append(self)
         return original(self)
 
     monkeypatch.setattr(frame1d._BoxFrame, "sum_of_squares", counting)
+    monkeypatch.setattr(frame1d, "_check_gap", lambda *args: checks.append(args) or check(*args))
     rng = np.random.default_rng(33)
     spec = small_spec(d=2, n=16, q=4)
     fhat = random_field(rng, 2, 16)
     runs = [reconstruct_nd(spec, fhat), reconstruct_nd(spec, fhat)]
     assert len(calls) == 1
     assert not spec.h0.flags.writeable
-    rec_want, rel_want = reconstruct_nd(spec, fhat, NdConjugate(spec, original(spec)))
+    # the gap check still runs on every call
+    assert len(checks) == 2
+    # the round trip in its documented order on a freshly summed H0
+    rec_want, rel_want = per_call_reconstruct_nd(spec, fhat, original(spec), spec._fold_chunks())
     for rec, rel in runs:
         assert np.array_equal(rec, rec_want)
         assert rel == rel_want
-    # the gap check still runs on every call, with the caller's floor
-    with pytest.raises(FrameGapError):
-        conjugate_filter_nd(spec, floor=float(spec.h0.min()))
 
 
 def test_conjugate_nd_gap_detection():
+    # the filter is the spec's own, so building one runs the gap check:
+    # no filter, no residual and no round trip, never a NaN, for a spec
+    # whose H0 reaches the floor
     spec = make_nd_frame_spec(truncated_gaussian(0.01), 8.0, 2, 2, 32)
-    with pytest.raises(FrameGapError) as err:
-        conjugate_filter_nd(spec)
     h0 = spec.sum_of_squares()
     worst = tuple(int(u) - spec.half for u in np.unravel_index(int(np.argmin(h0)), h0.shape))
-    assert f"(worst at frequency {worst})" in str(err.value)
+    fhat = random_field(np.random.default_rng(34), 2, 32)
+    for attempt in (lambda: conjugate_filter_nd(spec), lambda: NdConjugate(spec),
+                    lambda: reconstruct_nd(spec, fhat)):
+        with pytest.raises(FrameGapError) as err:
+            attempt()
+        assert f"(worst at frequency {worst})" in str(err.value)
 
 
 @pytest.mark.parametrize("d", [None, 1, 2, 3])
@@ -899,7 +898,6 @@ def test_held_dual_nd_is_built_once_per_spec(monkeypatch):
     conjugate_filter_nd(spec).partition_residual()
     assert len(calls) == 1
     assert "chunks" not in vars(spec)
-    assert spec.split is conjugate_filter_nd(spec).split()
     assert same_bits(first[0], again[0]) and first[1] == again[1]
 
 
@@ -918,7 +916,7 @@ def test_chunks_are_held_only_for_analysis_and_synthesis(d, monkeypatch):
         spec = make_nd_frame_spec(gaussian_window(), 0.5, 2, d, GRID[d])
     fhat = random_field(np.random.default_rng(40), spec.d, spec.n).ravel()
     for _ in range(2):
-        frame1d._round_trip(spec, fhat, None)
+        frame1d._round_trip(spec, fhat)
     assert "chunks" not in vars(spec)
     assert len(builds) == len(splits) == 1
     for _ in range(2):
@@ -1025,7 +1023,7 @@ def test_painless_split_has_no_alias_part(d, window, q):
         spec = make_nd_frame_spec(WINDOWS[window](), 0.5, q, d, GRID[d])
     assert all(c.size == c.bins.size for c in spec._fold_chunks())
     fhat = random_field(np.random.default_rng(39), spec.d, spec.n).ravel()
-    rec, rel = frame1d._round_trip(spec, fhat, None)
+    rec, rel = frame1d._round_trip(spec, fhat)
     assert spec.split.alias == ()
     check_split(spec.split, spec._fold_chunks(), spec.q ** spec.d)
     assert same_bits(rec, spec.split.diagonal * fhat)
