@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -73,8 +74,8 @@ def _window_arg(text: str) -> str:
             eps = float(text.split(":", 1)[1])
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad taper width in {text!r}") from exc
-        if not eps > 0:
-            raise argparse.ArgumentTypeError("taper width must be positive")
+        if not (math.isfinite(eps) and eps > 0):
+            raise argparse.ArgumentTypeError(f"taper width must be positive and finite, got {eps:g}")
         return text
     raise argparse.ArgumentTypeError("window must be 'gaussian' or 'tgauss:EPS'")
 

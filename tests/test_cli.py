@@ -170,6 +170,32 @@ def test_stack_exit_three_on_gapped_system(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("width", ["inf", "1e999", "-inf", "nan"])
+def test_non_finite_taper_width_is_refused(capsys, width):
+    # an infinite taper has an infinite zero radius: at n = 64 the stack
+    # printed a Gaussian's numbers under a tgauss label, at n = 4096 the
+    # lattice cap's advice to raise mu
+    for n in ("64", "4096"):
+        with pytest.raises(SystemExit) as exc:
+            main(["stack", "--alpha", "0.5", "--mu", "0.5", "--window", f"tgauss:{width}",
+                  "--n", n, "--json"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert [line for line in out.err.splitlines() if "error" in line] == [
+            "stockframe stack: error: argument --window: taper width must be positive and finite, "
+            f"got {float(width):g}"]
+
+
+def test_tiny_taper_width_runs_without_a_warning():
+    # (|x| - 1) / eps overflows at eps = 1e-320; under -W error numpy's
+    # warning would end the run in a traceback
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "stockframe.cli", "stack",
+                           "--alpha", "0.5", "--mu", "0.5", "--window", "tgauss:1e-320",
+                           "--n", "64", "--json"], capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["window"] == "tgauss:1e-320"
+
+
 def test_frame_bounds_sandwich_in_json(capsys):
     code, out, _ = run(capsys, "frame-bounds", "--alpha", "1", "--mu", "0.5", "--q", "8",
                        "--window", "gaussian", "--n", "256", "--json")

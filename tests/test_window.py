@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,25 @@ def test_truncated_gaussian_rejects_bad_eps():
         truncated_gaussian(0.0)
 
 
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, -0.5])
+def test_truncated_gaussian_rejects_a_non_finite_or_negative_eps(eps):
+    # an infinite taper has an infinite zero radius: every lattice point
+    # would be laid on every grid bin
+    with pytest.raises(ValueError, match="positive and finite"):
+        truncated_gaussian(eps)
+
+
+def test_tiny_taper_width_warns_of_no_overflow():
+    # (|x| - 1) / eps overflows to inf, which clips to the end of the
+    # blend; 1 + eps rounds to 1, so the support is the open interval
+    win = truncated_gaussian(1e-320)
+    xs = np.linspace(-2.0, 2.0, 81)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = win.freq_profile(xs)
+    assert np.array_equal(got, np.where(np.abs(xs) < 1.0, _gauss(xs), 0.0))
+
+
 def test_table_window_interpolates_nodes():
     xs = np.linspace(-2, 2, 9)
     vals = np.exp(-xs**2)
@@ -131,15 +151,54 @@ def assert_records_equal_dense(lo, hi, values, dense):
     assert values.size == (ends[-1] if ends.size else 0)
 
 
-def test_band_sum_matches_direct_loop():
-    # the Gaussian's records, cut at its zero radius, equal the sum over
-    # every grid bin bit for bit
-    win = gaussian_window()
-    lattices = [0.5 * np.arange(4, 8), -0.5 * np.arange(4, 8), 0.3 * np.arange(-9, -3), np.array([40.0])]
+def signed_window():
+    # negative lobes, so bands hold values below the 0.0 off their extents
+    def profile(x):
+        mag = np.abs(x)
+        return np.where(mag <= 1.5, 1.0, np.where(mag <= 4.5, -1.0, 0.0))
+    return Window("step", profile, None, 4.5)
+
+
+def counting_window(win):
+    """win's profile behind a Window of the same zero radius that records
+    the size and the largest |x| of every call."""
+    calls = []
+
+    def profile(x):
+        calls.append((x.size, float(np.max(np.abs(x), initial=0.0))))
+        return win.freq_profile(x)
+    return Window(win.kind, profile, None, win.zero_radius), calls
+
+
+def test_band_sum_matches_direct_loop(monkeypatch):
+    # the records, cut at the zero radius, equal the sum over every grid
+    # bin bit for bit, point by point and through the profile table; near
+    # 0 the difference offset - point needs more bits than a float holds,
+    # so such points keep table rows of their own, and a point repeated in
+    # another band shares its row
+    near = np.array([1e-17, -2.0**-40, 0.1, 1.0 / 3.0, -0.3, 0.7 + 2.0**-30, 1.1, -1.1, 4.5 - 1e-15])
+    lattices = [0.5 * np.arange(-30, 28)] * 3 + [
+        0.5 * np.arange(4, 8), -0.5 * np.arange(4, 8), 0.3 * np.arange(-9, -3), np.array([40.0]),
+        near, near[::-1], -near, np.array([0.0, 1e-17, 2e-17])]
     points, counts = np.concatenate(lattices), np.array([lat.size for lat in lattices])
-    for n in (8, 64):
+    # some differences round: the grid's frequencies minus 1e-17 do
+    assert Fraction(float(-4 - 1e-17)) != -4 - Fraction(1e-17)
+    wins = (gaussian_window(), truncated_gaussian(0.1), signed_window(),
+            table_window([-1.0, 1.0], [0.5, 0.5]))  # nonzero at its radius
+    for win, n, table in itertools.product(wins, (8, 64), (False, True)):
+        # blocks of 120 points: the first block's share rows two to one, and
+        # the 219 points have at most 90 rows, so they get the table
+        monkeypatch.setattr(window, "LATTICE_BLOCK", (120 if table else 1 << 16) * window._point_bins(win, n))
+        counting, calls = counting_window(win)
+        lo, hi, values = lattice_records(counting, points, counts, n)
         dense = [dense_band_sum(win, lat, n) for lat in lattices]
-        assert_records_equal_dense(*lattice_records(win, points, counts, n), dense)
+        assert_records_equal_dense(lo, hi, values, dense)
+        want = np.concatenate([band[a:b] for a, b, band in zip(lo, hi, dense)])
+        assert values.tobytes() == want.tobytes()
+        omegas = FrequencyGrid(n).frequencies().astype(float)
+        within = np.count_nonzero(np.abs(np.subtract.outer(omegas, points)) <= win.zero_radius)
+        samples = sum(size for size, _ in calls)
+        assert samples < within if table else samples == within, (win.kind, n)
 
 
 @pytest.mark.parametrize("win", [truncated_gaussian(0.1),
@@ -170,33 +229,28 @@ def dense_stack(win, mu, alpha, n):
     return {p: dense_band_sum(win, points, n) for p, points in stack_lattices(mu, alpha, n).items()}
 
 
-@pytest.mark.parametrize("block", [1, 35, 36 * 7 + 5, 1 << 16])
+@pytest.mark.parametrize("block", [1, 35, 36 * 7 + 5, 3000, 1 << 16])
 @pytest.mark.parametrize("win", [gaussian_window(), truncated_gaussian(0.1),
                                  table_window([-1.0, 1.0], [0.5, 0.5])])
 def test_lattice_blocks_are_bit_identical(win, block, monkeypatch):
     # blocks of whole points, one point to a few or the default's, add
     # into the one accumulator in point order: the records equal those of
-    # one block of every point
-    points, counts = 0.1 * np.arange(-2000, 2001), np.array([700, 1, 2000, 1100, 200])
-    monkeypatch.setattr(window, "LATTICE_BLOCK", 1 << 30)
-    want = lattice_records(win, points, counts, 256)
-    monkeypatch.setattr(window, "LATTICE_BLOCK", block)
-    got = lattice_records(win, points, counts, 256)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-def signed_window():
-    # negative lobes, so bands hold values below the 0.0 off their extents
-    def profile(x):
-        mag = np.abs(x)
-        return np.where(mag <= 1.5, 1.0, np.where(mag <= 4.5, -1.0, 0.0))
-    return Window("step", profile, None, 4.5)
+    # one block of every point, which has no table (a lattice of less than
+    # a block); blocks of 3000 samples give the second lattice, whose
+    # differences repeat, the profile table
+    for points, counts in ((0.1 * np.arange(-2000, 2001), np.array([700, 1, 2000, 1100, 200])),
+                           (0.5 * np.arange(-250, 251), np.array([100, 1, 250, 150]))):
+        monkeypatch.setattr(window, "LATTICE_BLOCK", 1 << 30)
+        want = lattice_records(win, points, counts, 256)
+        monkeypatch.setattr(window, "LATTICE_BLOCK", block)
+        got = lattice_records(win, points, counts, 256)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("n", [48, 256])
 @pytest.mark.parametrize("alpha", [0, Fraction(3, 10), Fraction(1, 2), 1])
-@pytest.mark.parametrize("mu", [0.25, 0.5, 3.0])
+@pytest.mark.parametrize("mu", [0.25, 0.3, 0.5, 3.0])
 @pytest.mark.parametrize("window", [
     gaussian_window,
     lambda: truncated_gaussian(0.1),
@@ -219,29 +273,73 @@ def test_stack_evaluates_only_the_samples_that_can_be_nonzero(win, monkeypatch):
     # neither is evaluated, and the records stay those of the dense sums
     mu, alpha, n = 0.5, 1, 256
     radius, half = win.zero_radius, n // 2
-    calls, lattices = [], []
-
-    def profile(x):
-        calls.append((x.size, float(np.max(np.abs(x), initial=0.0))))
-        return win.freq_profile(x)
-
-    def records(window_, points, counts, n_):
-        lattices.append(points)
-        return lattice_records(window_, points, counts, n_)
-
-    monkeypatch.setattr(window, "lattice_records", records)
-    # the counting window vanishes past win's zero radius, as win does
-    stack = build_stack(Window(win.kind, profile, None, radius), mu, alpha, n)
-    want = dense_stack(win, mu, alpha, n)
-    assert stack.ps == tuple(want)
-    assert_records_equal_dense(stack.lo, stack.hi, stack.values, want.values())
-    assert max(far for _, far in calls) <= radius
-    assert np.abs(np.concatenate(lattices)).max() <= half + radius + 1.0
-    # exactly the (point, bin) pairs within the zero radius are evaluated
+    k = window._point_bins(win, n)
     omegas = FrequencyGrid(n).frequencies().astype(float)
     points = np.concatenate(list(stack_lattices(mu, alpha, n).values()))
     within = np.count_nonzero(np.abs(np.subtract.outer(omegas, points)) <= radius)
-    assert sum(size for size, _ in calls) == within
+    want = dense_stack(win, mu, alpha, n)
+    # blocks of 256 points give the lattice of 521 to 579 points the profile
+    # table
+    for block in (window.LATTICE_BLOCK, 256 * k):
+        lattices = []
+
+        def records(window_, points, counts, n_):
+            lattices.append(points)
+            return lattice_records(window_, points, counts, n_)
+
+        monkeypatch.setattr(window, "lattice_records", records)
+        monkeypatch.setattr(window, "LATTICE_BLOCK", block)
+        # the counting window vanishes past win's zero radius, as win does
+        counting, calls = counting_window(win)
+        stack = build_stack(counting, mu, alpha, n)
+        assert stack.ps == tuple(want)
+        assert_records_equal_dense(stack.lo, stack.hi, stack.values, want.values())
+        assert max(far for _, far in calls) <= radius
+        assert np.abs(np.concatenate(lattices)).max() <= half + radius + 1.0
+        if block == 256 * k:
+            # the lanes within the zero radius of each table row: a row per
+            # distinct exact difference between a point and the first of
+            # the k bins it is laid on, a row per point whose difference
+            # rounds
+            rows = {}
+            for i, point in enumerate(np.concatenate(lattices)):
+                first = min(max(math.floor(point - radius) - 1, -half), half - k)
+                exact = first - Fraction(point)
+                key = float(exact) if Fraction(float(exact)) == exact else ("own", i)
+                rows[key] = np.count_nonzero(np.abs(first + np.arange(k) - point) <= radius)
+            assert sum(size for size, _ in calls) == sum(rows.values()) < within
+        else:
+            # exactly the (point, bin) pairs within the zero radius
+            assert sum(size for size, _ in calls) == within
+
+
+@pytest.mark.parametrize("alpha", [0, Fraction(1, 2), 1])
+# at mu = 0.3 the differences offset - point of the points near 0 round,
+# so those points keep table rows of their own
+@pytest.mark.parametrize("mu", [0.25, 0.3, 0.5])
+@pytest.mark.parametrize("make", [
+    gaussian_window,
+    lambda: truncated_gaussian(0.1),
+    lambda: table_window([-1.0, 1.0], [0.5, 0.5]),  # nonzero at its radius
+    signed_window,
+])
+def test_table_stack_records_equal_dense_construction(make, mu, alpha, monkeypatch):
+    # blocks of 384 points give these n = 256 lattices the profile table,
+    # which evaluates fewer samples than the (point, bin) pairs within the
+    # zero radius; the records are the dense sums', bit for bit
+    win, n = make(), 256
+    monkeypatch.setattr(window, "LATTICE_BLOCK", 384 * window._point_bins(win, n))
+    counting, calls = counting_window(win)
+    stack = build_stack(counting, mu, alpha, n)
+    want = dense_stack(win, mu, alpha, n)
+    assert stack.ps == tuple(want)
+    assert_records_equal_dense(stack.lo, stack.hi, stack.values, want.values())
+    assert stack.values.tobytes() == np.concatenate([band[a:b] for a, b, band in
+                                                      zip(stack.lo, stack.hi, want.values())]).tobytes()
+    omegas = FrequencyGrid(n).frequencies().astype(float)
+    points = np.concatenate(list(stack_lattices(mu, alpha, n).values()))
+    within = np.count_nonzero(np.abs(np.subtract.outer(omegas, points)) <= win.zero_radius)
+    assert sum(size for size, _ in calls) < within
 
 
 @pytest.mark.parametrize("seed", range(6))
