@@ -107,8 +107,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_positive_float(text: str) -> float:
+    value = _positive_float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _emit_json(payload) -> int:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    # NaN and Infinity are not JSON (RFC 8259): json.dumps refuses them with
+    # a ValueError (exit 2) before anything reaches stdout
+    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -380,6 +389,7 @@ def cmd_roundtrip(args) -> int:
     signal = read_sfr1(args.infile)
     if signal.grid.size != args.n:
         raise ValueError(f"--n {args.n} does not match input grid size {signal.grid.size}")
+    _check_finite(signal.coeffs if isinstance(signal, SpectralSignal) else signal.values)
     win = _build_window(args.window)
     spec = frame1d.make_frame_spec(win, args.mu, args.q, args.alpha, args.n)
     rec, rel = frame1d.reconstruct(spec, signal)
@@ -392,6 +402,17 @@ def cmd_roundtrip(args) -> int:
     }
     return _round_trip_report(args, payload, rel, lambda path: write_sfr1(
         path, rec if isinstance(signal, SpectralSignal) else from_spectrum(rec)))
+
+
+def _check_finite(values) -> None:
+    """Refuse input holding a non-finite sample, naming the first (an index
+    in 1D, a tuple in 2D), which the frame check would blame on the frame."""
+    import numpy as np
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        where = tuple(int(i) for i in np.unravel_index(bad[0], values.shape))
+        raise ValueError(f"input sample {where[0] if values.ndim == 1 else where} is not finite: "
+                         f"{complex(values.flat[bad[0]])}")
 
 
 def _round_trip_report(args, payload: dict, rel: float, write) -> int:
@@ -458,6 +479,7 @@ def cmd_roundtrip2d(args) -> int:
         raise ValueError(f"expected a square 2D field, got shape {values.shape}")
     if values.shape[0] != args.n:
         raise ValueError(f"--n {args.n} does not match input size {values.shape[0]}")
+    _check_finite(values)
     fhat = tiling.to_spectrum_nd(values) if domain == DOMAIN_TIME else values
     win = _build_window(args.window)
     spec = tiling.make_nd_frame_spec(win, args.mu, args.q, 2, args.n, p_max=args.pmax)
@@ -574,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--in", dest="infile", required=True, help="input SFR1 container")
     p.add_argument("--out", help="write the reconstruction as SFR1")
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=_finite_positive_float, default=1e-6)
 
     p = add("tile", cmd_tile, "print the d-dimensional box table")
     p.add_argument("--d", type=_positive_int, required=True)
@@ -589,7 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="corona depth (default: cover the grid)")
     p.add_argument("--in", dest="infile", required=True, help="input SFR2 container")
     p.add_argument("--out", help="write the reconstruction as SFR2")
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=_finite_positive_float, default=1e-6)
 
     p = add("selftest", cmd_selftest, "run the acceptance criteria")
     p.add_argument("--criteria", type=_criteria_arg, default=None,

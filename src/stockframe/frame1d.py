@@ -98,15 +98,17 @@ construction: an input living only on dropped bins differs by dropped
 terms, each at most TAU * peak * |f(u)| times its other factors.
 
 A band's shifted product Phi_p(u - s) Phi_p(u) is nonzero only where
-the extent meets its shift, so the Walnut paths enumerate every (factor,
-shift) pair and its overlap once, in (p, m) order (_walnut_pairs).  A
-box's shifts are its kvecs, one pair per axis, and one stream serves
-both frames (_walnut_stream): the terms Phi(v) Phi(u), u - v the kvec's
-shift, of every (box, kvec) in fold order, a chunk of whole kvecs at a
-time.  `_walnut_sum` adds f^(v) times them; `walnut_bounds` takes each
-factor's shift maxima from the stream of its own pairs, then adds the
-tail terms box by box; `frame_bounds_eigen` assembles the 1D or n-D
-operator from its Walnut kernel
+the extent meets its shift, and a box's shift is the product of its axis
+shifts (Walnut, JMAA 165, 1992).  One builder (_walnut_kvecs) lists the
+kvecs of any family of boxes given as factor rows, a shift and overlap
+per axis from each factor's shift count, in row order, C order over the
+axes and m ascending (a 1D band is a box of one axis); one stream
+(_walnut_stream) yields their terms Phi(v) Phi(u), u - v the kvec's
+shift, a chunk of whole kvecs at a time.  `_walnut_sum` adds f^(v) times
+them over the fold rows; `walnut_bounds` takes each factor's shift
+maxima from the stream of the factors alone, then adds the tail terms
+box by box; `frame_bounds_eigen` assembles the 1D or n-D operator from
+its Walnut kernel
 
     S[u, v] = q^d * sum over (box, kvec) of shift u - v of Phi(u) Phi(v),
 
@@ -128,7 +130,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from fractions import Fraction
 
 import numpy as np
 
@@ -445,10 +446,6 @@ class _BoxFrame:
         """The factor rows of the bands in fold order, one row of d per band."""
         return np.array([self.factor_rows(key) for key in self._fold_keys], np.int64).reshape(-1, self.d)
 
-    @property
-    def _kvec_rows(self) -> np.ndarray | None:  # as _walnut_stream reads them
-        return self._fold_rows
-
     def _fold_chunks(self, g: BandRecords | None = None):
         """_box_chunks of the bands in fold order, on the core records by
         default, built as they are read."""
@@ -507,19 +504,21 @@ def _synthesize(spec: _BoxFrame, coeffs: dict) -> np.ndarray:
 
 @dataclass
 class FrameSpec(_BoxFrame):
-    """Frozen description of one frame instance on a grid; its bands are
-    the boxes of the shared engine at d = 1 (_BoxFrame)."""
+    """Frozen description of one frame instance: q and its window stack;
+    its bands are the boxes of the shared engine at d = 1 (_BoxFrame)."""
 
-    alpha: Fraction
-    window: Window
-    mu: float
     q: int
-    grid: FrequencyGrid
-    partition: AlphaPartition
     stack: WindowStack
 
     d = 1
-    _kvec_rows = None  # the records are the bands in p order
+
+    @property
+    def grid(self) -> FrequencyGrid:
+        return self.stack.grid
+
+    @property
+    def partition(self) -> AlphaPartition:
+        return self.stack.partition
 
     @property
     def n(self) -> int:
@@ -563,7 +562,7 @@ def make_frame_spec(window: Window, mu: float, q: int, alpha, n: int) -> FrameSp
     m_max = int(q) * stack.partition.width(stack.ps[-1])  # the band farthest out is widest
     if m_max >= 1 << 63:
         raise ValueError(f"q = {q} makes the period q*w = {m_max} overflow int64")
-    return FrameSpec(stack.partition.alpha, window, mu, int(q), stack.grid, stack.partition, stack)
+    return FrameSpec(int(q), stack)
 
 
 @dataclass
@@ -634,51 +633,47 @@ def frame_operator_apply(spec: FrameSpec, f) -> SpectralSignal:
     return synthesize(spec, analyze(spec, f))
 
 
-def _walnut_pairs(g: BandRecords, k_max=None, first=None):
-    """The shifts s = m q w_p that can make Phi_p(u - s) Phi_p(u) nonzero,
-    first <= m <= last (first = -last by default): last is the largest
-    |m| that reaches across the extent (-1 for a band with an empty one),
-    at most k_max, so |s| < n.  k_max is clamped at n, as no shift past
-    the grid is kept either way: a k_max past int64 is taken too.
+def _walnut_kvecs(g: BandRecords, rows: np.ndarray, k_max=None, first=None) -> list[np.ndarray]:
+    """The kvecs of a family of boxes that can make Phi(u - s) Phi(u)
+    nonzero, box i the product of the factor records rows[i] of g: one
+    shift s = m q w of its factor per axis, first <= m <= last (first =
+    -last by default), last the largest |m| that reaches across the
+    extent (-1 for an empty one), at most k_max, so |s| < n.  k_max is
+    clamped at n, as no shift past the grid is kept either way: a k_max
+    past int64 is taken too.
 
-    Returns (band, shift, lo, length) per pair, band-major in p order and
-    m ascending within a band: Phi_p(u - s) Phi_p(u) can be nonzero only
-    for lo <= u < lo + length.
+    Returns (record, shift, lo, length) per axis, box-major, C order over
+    the axes and m ascending within a factor: on each axis the product can
+    be nonzero only for lo <= u < lo + length.
     """
     step = g.m
-    last = np.where(g.lo == g.hi, -1, (g.hi - 1 - g.lo) // step)
+    extent = g.hi - g.lo
+    last = np.where(extent == 0, -1, (extent - 1) // step)
     if k_max is not None:
         last = np.minimum(last, min(k_max, 2 * g.half))  # n = 2 half
-    first = np.broadcast_to(-last if first is None else first, step.shape)
+    first = -last if first is None else np.full_like(last, first)
     count = np.maximum(last - first + 1, 0)
-    band = np.repeat(np.arange(step.size), count)
-    shift = step[band] * _runs(first, count)
-    lo = g.lo[band] + np.maximum(shift, 0)
-    length = np.maximum(g.hi[band] - g.lo[band] - np.abs(shift), 0)
-    return band, shift, lo, length
+    kvecs = []
+    for s in range(rows.shape[1]):  # C order: the last axis varies fastest
+        if s:
+            rows = np.repeat(rows, c, axis=0)  # one row per kvec so far
+        r = rows[:, s]
+        c = count[r]
+        rec = np.repeat(r, c)
+        shift = step[rec] * _runs(first[r], c)
+        kvecs = [np.repeat(x, c) for x in kvecs] + [
+            rec, shift, g.lo[rec] + np.maximum(shift, 0), np.maximum(extent[rec] - np.abs(shift), 0)]
+    return kvecs
 
 
-def _walnut_stream(g: BandRecords, pairs, rows: np.ndarray | None, n: int):
+def _walnut_stream(g: BandRecords, kvecs: list[np.ndarray], n: int):
     """Yield every Walnut term Phi(v) Phi(u), u - v = s, of a family of
     boxes on the flat grid of n^d bins, a chunk of whole (box, kvec)s of
     about _TERM_CHUNK terms at a time: (u, v, Phi(v), Phi(u), terms per
-    kvec).  Box i is the product of the factor records rows[i] (None: the
-    records in order, whose kvecs are the pairs), a kvec one factor pair
-    (_walnut_pairs) per axis; each chunk is expanded axis by axis, as
-    _box_chunks expands bins, Phi(v) and Phi(u) as C-order products."""
-    if rows is None:
-        d, kvecs = 1, list(pairs)
-    else:
-        d, count = rows.shape[1], np.bincount(pairs[0], minlength=len(g.ps))  # pairs per record
-        first = np.cumsum(count) - count
-        # per axis, the band, shift, lo and length of each kvec's pair there
-        owner, kvecs = np.arange(len(rows)), []
-        for s in range(d):
-            r = rows[owner, s]
-            c = count[r]
-            pair = _runs(first[r], c)
-            kvecs = [np.repeat(x, c) for x in kvecs] + [x[pair] for x in pairs]
-            owner = np.repeat(owner, c)
+    kvec).  kvecs are the family's (_walnut_kvecs), d = len(kvecs) // 4;
+    each chunk is expanded axis by axis, as _box_chunks expands bins,
+    Phi(v) and Phi(u) as C-order products."""
+    d = len(kvecs) // 4
     sizes = reduce(np.multiply, kvecs[3::4])
     for a, b in _chunks(sizes):
         later = [x[a:b] for x in kvecs]
@@ -704,7 +699,7 @@ def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None) -> np.ndarray:
     (box, kvec) order, as a dense loop would."""
     g = spec.records
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
-    for u, v, phi, out, _ in _walnut_stream(g, _walnut_pairs(g, k_max), spec._kvec_rows, spec.n):
+    for u, v, phi, out, _ in _walnut_stream(g, _walnut_kvecs(g, spec._fold_rows, k_max), spec.n):
         np.add.at(acc, u, fhat[v] * phi * out)
     return spec.q ** spec.d * acc
 
@@ -751,7 +746,7 @@ def walnut_bounds(spec: _BoxFrame, k_max: int | None = None) -> WalnutBoundRepor
     F_s(x - k m) F_s(x), separability makes a box's tail
     sum_{k != 0} prod_s a_s(|k_s|) equal prod_s (a_s(0) + t_s) -
     prod_s a_s(0), t_s = 2 sum_{k >= 1} a_s(k) (a band's is its t).  Each
-    factor's sups, each from one reduceat over the products of a pair
+    factor's sups, each from one reduceat over the products of a shift
     (1 <= k <= k_max) on its overlap (_walnut_stream), add in k order; the
     product is expanded mask by mask, as the tails can sit far below one
     ulp of the diagonal, where the factored form cancels; the box terms
@@ -760,13 +755,13 @@ def walnut_bounds(spec: _BoxFrame, k_max: int | None = None) -> WalnutBoundRepor
     if k_max is None:
         k_max = spec.walnut_k_max
     g, n = spec.records, spec.n
-    pairs = _walnut_pairs(g, k_max, first=1)  # each of length >= 1: s <= hi - 1 - lo
+    kvecs = _walnut_kvecs(g, np.arange(len(g.ps))[:, None], k_max, first=1)  # lengths >= 1: s <= hi - 1 - lo
     maxima = np.concatenate([np.zeros(0)] + [np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
-                                            for _, _, gv, pv, sizes in _walnut_stream(g, pairs, None, n)])
+                                            for _, _, gv, pv, sizes in _walnut_stream(g, kvecs, n)])
     # the sup over the grid also sees the zeros off a partial extent
-    maxima = np.where((g.hi - g.lo)[pairs[0]] < n, np.maximum(maxima, 0.0), maxima)
+    maxima = np.where((g.hi - g.lo)[kvecs[0]] < n, np.maximum(maxima, 0.0), maxima)
     tail = np.zeros(len(g.ps))
-    np.add.at(tail, pairs[0], maxima)  # each factor's in k order, from +0.0
+    np.add.at(tail, kvecs[0], maxima)  # each factor's in k order, from +0.0
     tail *= 2.0  # the sup is shift-sign symmetric; count both signs
     if spec.d > 1:  # a band (d = 1) has no diagonal term
         # max F^2 on the extent: F^2 = +0.0 off it, and an empty factor's
@@ -807,7 +802,7 @@ def frame_bounds_eigen(spec: _BoxFrame) -> FrameBounds:
                          f"got n^d = {spec.n}^{spec.d} = {size}")
     g = spec.records
     mat = np.zeros(size * size)
-    for u, v, gv, pv, _ in _walnut_stream(g, _walnut_pairs(g), spec._kvec_rows, spec.n):
+    for u, v, gv, pv, _ in _walnut_stream(g, _walnut_kvecs(g, spec._fold_rows), spec.n):
         np.add.at(mat, u * size + v, pv * gv)
     mat = spec.q ** spec.d * mat.reshape(size, size)
     asym = float(np.max(np.abs(mat - mat.T)))

@@ -73,9 +73,22 @@ class FrequencyGrid:
 def _norm(x: np.ndarray) -> float:
     """The l2 norm of a contiguous complex array by numpy's own pairwise
     sum of its squared parts, not BLAS: the same bits under any thread
-    count."""
+    count.  Where that sum overflows, falls below 2^-1000 or vanishes
+    though a part does not, the parts are first scaled by the power of two
+    that brings the largest into [0.5, 1), exactly: the norm of an O(1)
+    array scaled by 2^k is 2^k times its own, bit for bit, for |k| <= 600."""
     parts = x.view(np.float64)
-    return math.sqrt(float(np.sum(parts * parts)))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(parts * parts))
+        if 2.0 ** -1000 <= total < math.inf:
+            return math.sqrt(total)
+        big = float(np.max(np.abs(parts), initial=0.0))
+        if not 0.0 < big < math.inf:  # all zero, or a part is inf or NaN
+            return math.sqrt(total)
+        _, e = math.frexp(big)
+        scaled = np.ldexp(parts, -e)
+        # inf where the norm itself is past the float range
+        return float(np.ldexp(math.sqrt(float(np.sum(scaled * scaled))), e))
 
 
 def _as_complex(values, n: int) -> np.ndarray:

@@ -411,6 +411,77 @@ def test_basis_and_element_json_are_the_same_under_any_thread_count(tmp_path):
         assert outs[0] == outs[1], argv[0]
 
 
+def test_roundtrip_rel_err_keeps_its_bits_on_a_scaled_input(tmp_path):
+    # the aliasing config misses its tolerance at unit scale; scaled by
+    # 2^-565 its squared parts underflowed to a rel_err of 0.0 and a pass,
+    # scaled by 2^565 they overflowed to NaN and a numpy warning
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+    runs = []
+    for k in (0, -565, 565):
+        path = tmp_path / f"scaled{k}.sfr1"
+        write_sfr1(path, TimeSamples(FrequencyGrid(2048), x * 2.0 ** k))
+        runs.append(run_cli_quickly("roundtrip", "--alpha", "0.5", "--mu", "0.5", "--q", "2",
+                                    "--window", "gaussian", "--n", "2048", "--in", str(path), "--json"))
+    unit = runs[0]
+    assert unit.returncode == 3 and unit.stderr == ""
+    assert 1e-5 < json.loads(unit.stdout)["rel_err"] < 1e-3
+    for proc in runs[1:]:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, unit.stdout, "")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_roundtrip_non_finite_sample_is_refused(tmp_path, capsys, value):
+    # one NaN sample made the frame check fail with a NaN rel_err, which
+    # blamed the frame for its input; the containers keep every bit
+    x = np.random.default_rng(1).standard_normal(64).astype(complex)
+    x[37] = value
+    path = tmp_path / "in.sfr1"
+    write_sfr1(path, TimeSamples(FrequencyGrid(64), x))
+    assert np.array_equal(read_sfr1(path).values, x, equal_nan=True)
+    code, out, err = run(capsys, "roundtrip", "--alpha", "0.5", "--mu", "0.5", "--q", "2",
+                         "--window", "gaussian", "--n", "64", "--in", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: input sample 37 is not finite: {complex(value)}\n"
+
+
+def test_roundtrip2d_non_finite_sample_is_refused(tmp_path, capsys):
+    field = np.zeros((16, 16), dtype=complex)
+    field[3, 9], field[5, 2] = np.nan, np.inf
+    path = tmp_path / "in.sfr2"
+    write_sfr2(path, field, DOMAIN_FREQUENCY)
+    code, out, err = run(capsys, "roundtrip2d", "--mu", "0.5", "--q", "4", "--window", "gaussian",
+                         "--n", "16", "--in", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: input sample (3, 9) is not finite: (nan+0j)\n"
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e999"])
+def test_non_finite_tolerance_is_refused(tmp_path, capsys, tol):
+    # --tol inf passed every round trip and printed "tol": Infinity, which
+    # is not JSON
+    path, _ = make_input(tmp_path, n=64)
+    for argv in (("roundtrip", "--alpha", "1", "--n", "64", "--q", "8", "--in", str(path)),
+                 ("roundtrip2d", "--n", "16", "--q", "4", "--in", str(path))):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mu", "0.5", "--window", "gaussian", "--tol", tol, "--json"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert [line for line in out.err.splitlines() if "error" in line] == [
+            f"stockframe {argv[0]}: error: argument --tol: must be finite, got inf"]
+
+
+def test_non_finite_json_value_is_refused(monkeypatch, capsys):
+    # a non-finite number never reaches stdout: NaN is not JSON
+    from stockframe import frame1d
+    monkeypatch.setattr(frame1d, "frame_bounds_eigen",
+                        lambda spec: frame1d.FrameBounds(float("nan"), 1.0, "eigen"))
+    code, out, err = run(capsys, "frame-bounds", "--alpha", "1", "--mu", "0.5", "--q", "8",
+                         "--window", "gaussian", "--n", "64", "--json")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: Out of range float values")
+
+
 def test_roundtrip_oversized_sfr1_header_is_usage_error(tmp_path):
     # n = 4e9 declares a 64 GB payload; it must be refused, not allocated
     path = tmp_path / "huge.sfr1"

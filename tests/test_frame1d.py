@@ -1,5 +1,6 @@
 """Frame analysis/synthesis, shift-sum operator, bounds, conjugate dual."""
 
+import dataclasses
 import math
 from itertools import product
 
@@ -463,6 +464,15 @@ def test_make_frame_spec_validates_q():
         make_frame_spec(gaussian_window(), 0.5, 2.5, 1, 64)
     with pytest.raises(ValueError, match="overflow int64"):
         make_frame_spec(gaussian_window(), 0.5, 1 << 62, 1, 64)
+
+
+def test_frame_spec_holds_only_q_and_its_stack():
+    # the grid and the partition are the stack's own, so a spec cannot
+    # disagree with its stack; the window, mu and alpha are read there too
+    spec = gauss_spec(mu=0.5, q=3, alpha=0.5, n=64)
+    assert [f.name for f in dataclasses.fields(spec)] == ["q", "stack"]
+    assert spec.grid is spec.stack.grid and spec.partition is spec.stack.partition
+    assert (spec.stack.mu, spec.stack.partition.alpha, spec.stack.window.kind) == (0.5, 0.5, "gaussian")
 
 
 # ---------------------------------------------------------------- conjugate dual

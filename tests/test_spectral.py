@@ -1,5 +1,7 @@
 """Grid model: transform normalization, inner products, periodization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from stockframe.spectral import (
     FrequencyGrid,
     SpectralSignal,
     TimeSamples,
+    _norm,
     from_spectrum,
     poisson_residual,
     to_spectrum,
@@ -118,6 +121,19 @@ def test_parseval_and_dot_normalization():
     # both norms read L2([0,1)): time side divides by sqrt(n)
     assert abs(x.norm() - xs.norm()) < 1e-12
     assert abs(x.norm() - np.linalg.norm(x.values) / 8.0) < 1e-14
+
+
+def test_norm_scales_by_powers_of_two_bit_for_bit():
+    # the squares of parts scaled by 2^-600 underflow and by 2^600 overflow;
+    # the norm rescales there, exactly, with no warning
+    x = random_time(np.random.default_rng(11), 2048).values
+    base = _norm(x)
+    for k in range(-600, 601, 50):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _norm(x * 2.0 ** k) == base * 2.0 ** k, k
+    assert _norm(np.zeros(4, dtype=complex)) == 0.0
+    assert _norm(np.array([5e-324j])) == 5e-324
 
 
 def test_spectral_getitem_by_signed_frequency():
