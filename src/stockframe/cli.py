@@ -531,8 +531,17 @@ def cmd_selftest(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, its subcommands' included, whose flag errors
+    print one line, "stockframe <cmd>: error: ...", without the usage
+    block, and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stockframe",
         description="Adaptive frequency partitions, orthonormal bases and "
                     "non-stationary frames on periodized grids.",

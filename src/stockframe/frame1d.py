@@ -88,14 +88,16 @@ frames: a spec's dual is its own, refused where H0 has a gap.
 A Gaussian never vanishes, so its records run out to the window's zero
 radius, 15.5 bins from each lattice point, though past about 4.2 bins a
 sample is below TAU = 2^-80 of the peak and moves no O(1) sum by a
-rounding.  So analysis, synthesis, reconstruction and the held split read
-the core records (`core`): each extent cut to the span of its samples of
-magnitude >= TAU times the family's largest.  Compact windows keep their
-extents.  H0, the Walnut sum, the bounds, the eigenbounds, admissibility
-and the dual residual read the full records.  On dense input the folds
-give the same bits on either (measured over the test matrices), not by
-construction: an input living only on dropped bins differs by dropped
-terms, each at most TAU * peak * |f(u)| times its other factors.
+rounding.  So analysis, synthesis, reconstruction, the held split, the
+Walnut sum and the eigen kernel read the core records (`core`): each
+extent cut to the span of its samples of magnitude >= TAU times the
+family's largest.  Compact windows keep their extents.  H0, the certified
+bounds, admissibility and the dual residual read the full records, as a
+certificate must see the tails.  On dense input the folds and the Walnut
+sum give the same bits on either (measured over the test matrices), not
+by construction: an input living only on dropped bins differs by dropped
+terms, each at most TAU * peak * |f(u)| times its other factors, and the
+eigenbounds move by at most ||K_full - K_core||_2 (Weyl) plus round-off.
 
 A band's shifted product Phi_p(u - s) Phi_p(u) is nonzero only where
 the extent meets its shift, and a box's shift is the product of its axis
@@ -105,10 +107,10 @@ per axis from each factor's shift count, in row order, C order over the
 axes and m ascending (a 1D band is a box of one axis); one stream
 (_walnut_stream) yields their terms Phi(v) Phi(u), u - v the kvec's
 shift, a chunk of whole kvecs at a time.  `_walnut_sum` adds f^(v) times
-them over the fold rows; `walnut_bounds` takes each factor's shift
-maxima from the stream of the factors alone, then adds the tail terms
-box by box; `frame_bounds_eigen` assembles the 1D or n-D operator from
-its Walnut kernel
+them over the fold rows of the core records; `walnut_bounds` takes each
+factor's shift maxima from the stream of the full factors alone, then
+adds the tail terms box by box; `frame_bounds_eigen` assembles the 1D or
+n-D operator from its Walnut kernel on the core records
 
     S[u, v] = q^d * sum over (box, kvec) of shift u - v of Phi(u) Phi(v),
 
@@ -134,7 +136,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .partition import AlphaPartition
-from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _norm, to_spectrum
+from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _rel_norm, to_spectrum
 from .window import COEFF_CAP, Window, WindowStack, _runs, _trim, build_stack
 
 __all__ = [
@@ -394,7 +396,8 @@ class _BoxFrame:
     @cached_property
     def core(self) -> BandRecords:
         """The records cut to their numerical core (_core), read by
-        analysis, synthesis and reconstruction; built on first use."""
+        analysis, synthesis, reconstruction, the Walnut sum and the eigen
+        kernel; built on first use."""
         return _core(self.records)
 
     @cached_property
@@ -537,7 +540,7 @@ class FrameSpec(_BoxFrame):
     @cached_property
     def records(self) -> BandRecords:
         """The stack's own records, in p order, with each band's width and
-        period, read by the Walnut sum and the bounds; built on first use."""
+        period, read by H0 and the bounds; built on first use."""
         st = self.stack
         w = self.partition.widths[np.abs(st.ps)]
         return BandRecords(st.ps, st.lo, st.hi, st.offset, st.values, w, self.q * w, self.grid.half)
@@ -695,9 +698,10 @@ def _walnut_stream(g: BandRecords, kvecs: list[np.ndarray], n: int):
 def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None) -> np.ndarray:
     """q^d times the sum of every term (f^ Phi)(u - s) Phi(u), f^ flat on
     the grid, over the spec's bands (boxes) and their kvecs
-    (_walnut_stream).  One add.at per chunk adds each bin's terms in
-    (box, kvec) order, as a dense loop would."""
-    g = spec.records
+    (_walnut_stream), on the core records, as the folds read them.  One
+    add.at per chunk adds each bin's terms in (box, kvec) order, as a
+    dense loop would."""
+    g = spec.core
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
     for u, v, phi, out, _ in _walnut_stream(g, _walnut_kvecs(g, spec._fold_rows, k_max), spec.n):
         np.add.at(acc, u, fhat[v] * phi * out)
@@ -793,14 +797,15 @@ def frame_bounds_eigen(spec: _BoxFrame) -> FrameBounds:
 
     The operator is assembled from its Walnut kernel, S[u, v] = q^d times
     the sum of Phi(u) Phi(v) over every (box, kvec) of shift u - v
-    (_walnut_stream), which agrees with the analysis + synthesis operator
-    to round-off.  Grids of more than EIGEN_SIZE_CAP points are refused.
+    (_walnut_stream) of the core records, which agrees with the analysis +
+    synthesis operator, on the same records, to round-off.  Grids of more
+    than EIGEN_SIZE_CAP points are refused.
     """
     size = spec.n ** spec.d
     if size > EIGEN_SIZE_CAP:
         raise ValueError(f"dense eigenbounds capped at {EIGEN_SIZE_CAP} grid points, "
                          f"got n^d = {spec.n}^{spec.d} = {size}")
-    g = spec.records
+    g = spec.core
     mat = np.zeros(size * size)
     for u, v, gv, pv, _ in _walnut_stream(g, _walnut_kvecs(g, spec._fold_rows), spec.n):
         np.add.at(mat, u * size + v, pv * gv)
@@ -928,13 +933,15 @@ def _round_trip(spec: _BoxFrame, fhat: np.ndarray) -> tuple[np.ndarray, float]:
     over the core chunks, no coefficients formed, as the FFT pair cancels
     (module docstring), taken as D f^ plus one add.at per alias chunk, in
     band order (spec.split), after the gap check (_check_gap) on every
-    call.  Returns (reconstruction, relative l2 error)."""
+    call.  Returns (reconstruction, relative l2 error), the two norms
+    taken against one shared power of two where either passes the float
+    range (_rel_norm)."""
     _check_gap(spec.h0, spec.n // 2)
     split = spec.split
     rec = split.diagonal * fhat
     for a in split.alias:
         np.add.at(rec, a.bins, a.qphi * _fold(fhat[a.bins] * a.dual, a.fold, a.size)[a.fold])
-    return rec, _norm(rec - fhat) / (_norm(fhat) or 1.0)
+    return rec, _rel_norm(rec - fhat, fhat)
 
 
 def reconstruct(spec: FrameSpec, f) -> tuple[SpectralSignal, float]:

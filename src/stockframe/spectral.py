@@ -91,6 +91,23 @@ def _norm(x: np.ndarray) -> float:
         return float(np.ldexp(math.sqrt(float(np.sum(scaled * scaled))), e))
 
 
+def _rel_norm(x: np.ndarray, ref: np.ndarray) -> float:
+    """||x|| / ||ref|| by _norm (||x|| where ref is zero).  Where a norm
+    passes the float range, as an input's does near it, both are taken
+    on x and ref scaled by the one power of two that brings the largest
+    part of either into [0.5, 1), exactly, so the ratio stays finite.  A
+    power-of-two scaling leaves an in-range ratio's bits as they are: an
+    input scaled by 2^k gives the same ratio while its parts stay normal."""
+    num, den = _norm(x), _norm(ref)
+    if max(num, den) < math.inf or not den:
+        return num / (den or 1.0)
+    parts = [a.view(np.float64) for a in (x, ref)]
+    # e = 0, no scaling, where a part is inf or NaN
+    _, e = math.frexp(max(float(np.max(np.abs(p), initial=0.0)) for p in parts))
+    num, den = (_norm(np.ldexp(p, -e)) for p in parts)
+    return num / (den or 1.0)
+
+
 def _as_complex(values, n: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.shape != (n,):

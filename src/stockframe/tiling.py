@@ -29,10 +29,11 @@ a self-similar corona.
 Each axis factor F_{p,e} is a frame1d band record (extent and values) of
 width w = b and period m = q b, capped at n as a longer period admits no
 shift on the grid (box_period keeps q b; DC: w = 1, m = q).  H0, the
-Walnut sum, the tail bound, the eigenbounds and the dual residual read
-the full factors; H0 adds axis by axis (frame1d module docstring),
-round-off equal to a sum box by box.  A tiling lists 1 + p_max (4^d -
-2^d) boxes, refused past TILE_CAP before any is listed.
+tail bound and the dual residual read the full factors, the Walnut sum
+and the eigen kernel the core ones, as analysis and synthesis do; H0
+adds axis by axis (frame1d module docstring), round-off equal to a sum
+box by box.  A tiling lists 1 + p_max (4^d - 2^d) boxes, refused past
+TILE_CAP before any is listed.
 
 A box is a band of frame1d's engine at dimension d (frame1d module
 docstring), a box shift the product of factor shifts: NdFrameSpec shares
@@ -302,8 +303,8 @@ def frame_operator_apply_nd(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:
 
 def walnut_apply_nd(spec: NdFrameSpec, fhat: np.ndarray,
                     k_max: int | None = None) -> np.ndarray:
-    """Direct shift-sum evaluation of S f (frame1d._walnut_sum); matches
-    analyze/synthesize."""
+    """Direct shift-sum evaluation of S f on the core box records
+    (frame1d._walnut_sum); matches analyze/synthesize to round-off."""
     fhat = _check_field(spec, fhat)
     return _walnut_sum(spec, fhat.ravel(), k_max).reshape(fhat.shape)
 

@@ -21,7 +21,7 @@ from stockframe.containers import (
     write_sfr1,
     write_sfr2,
 )
-from stockframe.spectral import FrequencyGrid, TimeSamples
+from stockframe.spectral import FrequencyGrid, SpectralSignal, TimeSamples
 from stockframe.tiling import admissible_ells
 
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?!\w)")
@@ -428,6 +428,38 @@ def test_roundtrip_rel_err_keeps_its_bits_on_a_scaled_input(tmp_path):
     assert 1e-5 < json.loads(unit.stdout)["rel_err"] < 1e-3
     for proc in runs[1:]:
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, unit.stdout, "")
+
+
+def test_roundtrip_rel_err_keeps_its_bits_on_a_spectral_input_near_the_float_range(tmp_path):
+    # spectral coefficients of unit scale times 2^1020: the norm of the
+    # input alone overflowed, so rel_err printed 0.0 and the check passed
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+    runs = []
+    for k in (0, 1020):
+        path = tmp_path / f"scaled{k}.sfr1"
+        write_sfr1(path, SpectralSignal(FrequencyGrid(2048), x * 2.0 ** k))
+        runs.append(run_cli_quickly("roundtrip", "--alpha", "0.5", "--mu", "0.5", "--q", "2",
+                                    "--window", "gaussian", "--n", "2048", "--in", str(path), "--json"))
+    unit, huge = runs
+    assert unit.returncode == 3 and unit.stderr == ""
+    assert 1e-5 < json.loads(unit.stdout)["rel_err"] < 1e-3
+    assert (huge.returncode, huge.stdout, huge.stderr) == (3, unit.stdout, "")
+
+
+@pytest.mark.parametrize("flag, message", [
+    (("--tol", "inf"), "argument --tol: must be finite, got inf"),
+    (("--q", "0"), "argument --q: must be >= 1, got 0"),
+    (("--window", "tgauss:inf"), "argument --window: taper width must be positive and finite, got inf"),
+])
+def test_flag_errors_print_one_line(tmp_path, flag, message):
+    # argparse printed its two-line usage block above the error line
+    path, _ = make_input(tmp_path, n=64)
+    argv = {"--alpha": "0.5", "--mu": "0.5", "--q": "2", "--window": "gaussian", "--n": "64",
+            "--in": str(path), flag[0]: flag[1]}
+    proc = run_cli_quickly("roundtrip", *(x for item in argv.items() for x in item))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"stockframe roundtrip: error: {message}\n"
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])

@@ -28,7 +28,8 @@ from stockframe.frame1d import (
 from stockframe.spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
 from stockframe.window import COEFF_CAP, Window, gaussian_window, truncated_gaussian
 from roundtrip import check_split, fold_order_reconstruct, per_call_reconstruct
-from tailbound import analysis_bound, check_trim, dense_records, reconstruct_bound, synthesis_bound
+from tailbound import (analysis_bound, check_trim, dense_records, kernel_roundoff, reconstruct_bound, shift_pairs,
+                       synthesis_bound, walnut_bound, walnut_kernel)
 
 
 def gauss_spec(mu=0.5, q=4, alpha=1, n=128, **kw):
@@ -129,10 +130,16 @@ def dense_operator(spec):
 
 
 # Dense per-shift Walnut references: every (band, shift) pair shifts the
-# whole grid, one pair at a time.
+# whole grid, one pair at a time.  The Walnut sum and the eigen kernel read
+# each band from its core records; h_tail reads the full ones.
 
-def _reach(spec, p, k_max):
-    nz = np.flatnonzero(spec.stack.band(p))
+def core_bands(spec):
+    """Each band on the grid from its core records, by p."""
+    return dict(zip(spec.core.ps, dense_records(spec.core, spec.grid.size)))
+
+
+def _reach(spec, p, band, k_max):
+    nz = np.flatnonzero(band)
     if nz.size == 0:
         return -1
     limit = int(nz[-1] - nz[0]) // spec.k_count(p)
@@ -142,10 +149,9 @@ def _reach(spec, p, k_max):
 def dense_walnut_apply(spec, fhat, k_max=None):
     n = spec.grid.size
     acc = np.zeros(n, dtype=np.complex128)
-    for p in spec.p_range:
-        band = spec.stack.band(p)
+    for p, band in core_bands(spec).items():
         base = fhat * np.conj(band)
-        limit = _reach(spec, p, k_max)
+        limit = _reach(spec, p, band, k_max)
         for m in range(-limit, limit + 1):
             s = m * spec.k_count(p)
             if abs(s) >= n:
@@ -164,9 +170,8 @@ def dense_kernel(spec):
     # shift) pair at a time over the whole grid
     n = spec.grid.size
     mat = np.zeros((n, n))
-    for p in spec.p_range:
-        band = spec.stack.band(p)
-        limit = _reach(spec, p, None)
+    for p, band in core_bands(spec).items():
+        limit = _reach(spec, p, band, None)
         for m in range(-limit, limit + 1):
             s = m * spec.k_count(p)
             u = np.arange(max(s, 0), min(n, n + s))
@@ -180,7 +185,7 @@ def dense_h_tail(spec, k_max):
     for p in spec.p_range:
         band = spec.stack.band(p)
         tail = 0.0
-        for m in range(1, _reach(spec, p, k_max) + 1):
+        for m in range(1, _reach(spec, p, band, k_max) + 1):
             s = m * spec.k_count(p)
             tail += float(np.max(band[s:] * band[:-s]))
         h_tail += 2.0 * tail
@@ -379,6 +384,7 @@ def test_eigen_kernel_is_bit_identical_to_per_shift_loops(alpha, window, chunk, 
 
 @pytest.mark.parametrize("alpha", [0, 0.5, 1])
 def test_walnut_equals_frame_operator(alpha):
+    # both read the core records: they differ by round-off alone
     rng = np.random.default_rng(6)
     spec = make_frame_spec(gaussian_window(), 0.5, 4, alpha, 128)
     for _ in range(5):
@@ -386,7 +392,7 @@ def test_walnut_equals_frame_operator(alpha):
         via_frames = frame_operator_apply(spec, fs).coeffs
         via_shifts = walnut_apply(spec, fs).coeffs
         scale = float(np.max(np.abs(via_frames)))
-        assert np.max(np.abs(via_frames - via_shifts)) < 1e-11 * scale
+        assert np.max(np.abs(via_frames - via_shifts)) < 1e-14 * scale
 
 
 def test_walnut_truncation_and_dropped_mass():
@@ -609,6 +615,20 @@ def test_reconstruct_gaussian_within_aliasing_level():
     assert rel < 1e-6
 
 
+def test_rel_err_keeps_its_bits_at_any_scale():
+    # the two norms share one power of two: at 2^1020 the input's norm
+    # alone overflowed, and rel_err read 0.0
+    rng = np.random.default_rng(23)
+    spec = gauss_spec(q=2, alpha=0.5, n=256)
+    fhat = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    runs = [reconstruct(spec, SpectralSignal(spec.grid, fhat * 2.0 ** k)) for k in (0, -565, 565, 1020)]
+    rel = runs[0][1]
+    assert 1e-6 < rel < 1e-2
+    for k, (rec, rel_k) in zip((-565, 565, 1020), runs[1:]):
+        assert same_bits(np.array(rel_k), np.array(rel)), k
+        assert same_bits(rec.coeffs, runs[0][0].coeffs * 2.0 ** k), k
+
+
 @pytest.mark.parametrize("alpha, q", product([0, 0.5, 1], [1, 8]))
 def test_core_records_drop_only_terms_below_tau(alpha, q, monkeypatch):
     """f lives on the trimmed tails of one band and is zero elsewhere, its
@@ -649,6 +669,41 @@ def test_core_records_drop_only_terms_below_tau(alpha, q, monkeypatch):
     assert not np.array_equal(got.coeffs, want.coeffs)
     bound = reconstruct_bound(bands, kept, slot, g.m, fhat, spec.h0, top)
     assert np.all(np.abs(got.coeffs - want.coeffs) <= bound)
+
+
+@pytest.mark.parametrize("alpha, q", product([0, 0.5, 1], [2, 4]))
+def test_walnut_core_moves_by_no_more_than_its_dropped_terms(alpha, q, monkeypatch):
+    """The Walnut sum and the eigen kernel read the core records.  Against
+    the full records the sum moves by at most the terms the core drops,
+    each below TAU * peak^2 * |f(v)|, plus either path's rounding
+    (tailbound.py); the eigenbounds by at most Weyl's ||K_full - K_core||_2
+    plus the round-off of either eigensolve."""
+    with monkeypatch.context() as patch:
+        patch.setattr(frame1d, "_core", lambda g: g)  # the engine on the full records
+        full = gauss_spec(q=q, alpha=alpha, n=48)
+        assert full.core is full.records
+    spec, n = gauss_spec(q=q, alpha=alpha, n=48), 48
+    g = spec.records
+    bands, kept = dense_records(g, n), dense_records(spec.core, n)
+    top = frame1d.TAU * np.max(np.abs(g.values))
+    check_trim(bands, kept, top)
+    pairs = shift_pairs(g.m, n, 1)
+
+    rng = np.random.default_rng(22)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b0 = g.ps.index(0)
+    tail = (bands[b0] != 0) & (kept[b0] == 0)
+    for fhat in (f, np.where(tail, f, 0.0)):
+        fs = SpectralSignal(spec.grid, fhat)
+        got, want = walnut_apply(spec, fs).coeffs, walnut_apply(full, fs).coeffs
+        assert np.all(np.abs(got - want) <= q * walnut_bound(bands, kept, pairs, fhat, top, 1))
+    # on the tails alone the dropped terms move some bins
+    assert not np.array_equal(got, want)
+
+    gap = np.linalg.norm(walnut_kernel(bands, pairs, q) - walnut_kernel(kept, pairs, q), 2)
+    slack = gap + 2 * kernel_roundoff(bands, pairs, q, 1)
+    got, want = frame_bounds_eigen(spec), frame_bounds_eigen(full)
+    assert abs(got.lower - want.lower) <= slack and abs(got.upper - want.upper) <= slack
 
 
 @pytest.mark.parametrize("window", sorted(WINDOWS))

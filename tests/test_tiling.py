@@ -32,7 +32,8 @@ from stockframe.tiling import (
 )
 from stockframe.window import COEFF_CAP, gaussian_window, table_window, truncated_gaussian
 from roundtrip import check_split, fold_order_reconstruct, per_call_reconstruct
-from tailbound import analysis_bound, check_trim, dense_records, reconstruct_bound, synthesis_bound
+from tailbound import (analysis_bound, check_trim, dense_records, kernel_roundoff, reconstruct_bound, shift_pairs,
+                       synthesis_bound, walnut_bound, walnut_kernel)
 
 
 def small_spec(d=2, n=16, q=2, mu=0.5, window=None):
@@ -168,9 +169,24 @@ def axis_limits(facs, step, k_max):
     return limits
 
 
-def dense_walnut_apply_nd(spec, fhat, k_max=None):
-    # every shift of every box over the whole grid, kvec after kvec
+def dense_core_factors(spec):
+    """dense_factors cut, as the core records are, each to the span of its
+    samples of magnitude >= TAU times the largest of any factor."""
     factors = dense_factors(spec)
+    top = frame1d.TAU * max(float(np.max(np.abs(fac))) for fac in factors.values())
+    cores = {}
+    for key, fac in factors.items():
+        keep = np.flatnonzero(np.abs(fac) >= top)
+        cores[key] = np.zeros_like(fac)
+        if keep.size:
+            cores[key][keep[0]:keep[-1] + 1] = fac[keep[0]:keep[-1] + 1]
+    return cores
+
+
+def dense_walnut_apply_nd(spec, fhat, k_max=None):
+    # every shift of every box over the whole grid, kvec after kvec, on
+    # the factors' cores, as the Walnut sum reads them
+    factors = dense_core_factors(spec)
     acc = np.zeros((spec.n,) * spec.d, dtype=np.complex128)
     for box in spec.tiling.boxes:
         facs = [factors[key] for key in box_keys(spec, box)]
@@ -410,12 +426,13 @@ def test_element_nd_refuses_non_integer_slots():
 
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
 def test_walnut_equals_frame_operator_nd(d, n):
+    # both read the core box records: they differ by round-off alone
     rng = np.random.default_rng(24)
     spec = small_spec(d=d, n=n, q=2)
     fhat = random_field(rng, d, n)
     a = frame_operator_apply_nd(spec, fhat)
     b = walnut_apply_nd(spec, fhat)
-    assert np.max(np.abs(a - b)) < 1e-11 * float(np.max(np.abs(a)))
+    assert np.max(np.abs(a - b)) < 1e-14 * float(np.max(np.abs(a)))
 
 
 def test_frame_operator_nd_is_self_adjoint_and_positive():
@@ -740,7 +757,7 @@ def test_walnut_nd_chunks_of_whole_kvecs_are_bit_identical(d, chunk, monkeypatch
     monkeypatch.setattr(frame1d, "_chunks", lambda lengths: items.append(lengths.size) or chunks(lengths))
     n = GRID[d]
     spec = make_nd_frame_spec(truncated_gaussian(1.0), 0.5, 2, d, n)
-    factors = dense_factors(spec)
+    factors = dense_core_factors(spec)
     fhat = random_field(np.random.default_rng(35), d, n)
     for k_max in (None, 0, 1):
         items.clear()
@@ -878,6 +895,57 @@ def test_core_boxes_drop_only_terms_below_tau(d, n, q, monkeypatch):
     assert not np.array_equal(got, want)
     bound = reconstruct_bound(stacks, kept, slot, np.power(period, d), fhat, spec.h0.ravel(), top)
     assert np.all(np.abs(got - want).ravel() <= bound)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_walnut_nd_core_moves_by_no_more_than_its_dropped_terms(q, monkeypatch):
+    """The n-D Walnut sum and eigen kernel read the core box records.
+    Against the full ones the sum moves by at most the terms the core
+    drops, each below TAU * peak^d times the largest box value times
+    |f(v)|, plus either path's rounding (tailbound.py); the eigenbounds by
+    at most Weyl's ||K_full - K_core||_2 plus either eigensolve's
+    round-off."""
+    d, n = 2, 16
+    with monkeypatch.context() as patch:
+        patch.setattr(frame1d, "_core", lambda g: g)  # the engine on the full records
+        full = make_nd_frame_spec(gaussian_window(), 0.5, q, d, n)
+        assert full.core is full.records
+    spec = make_nd_frame_spec(gaussian_window(), 0.5, q, d, n)
+    factors = dense_records(spec.core, n)
+    boxes = spec.tiling.boxes
+    stacks = np.array([spec.box_stack(box).ravel() for box in boxes])
+    kept = np.array([reduce(np.multiply.outer, factors[spec.factor_rows(box)]).ravel() for box in boxes])
+    top = frame1d.TAU * np.max(np.abs(spec.records.values)) ** d
+    check_trim(stacks, kept, top)
+    pairs = shift_pairs([spec.box_period(box) for box in boxes], n, d)
+
+    f = random_field(np.random.default_rng(42), d, n).ravel()
+    tail = (stacks[0] != 0) & (kept[0] == 0)
+    for fhat in (f, np.where(tail, f, 0.0)):
+        got = walnut_apply_nd(spec, fhat.reshape((n,) * d)).ravel()
+        want = walnut_apply_nd(full, fhat.reshape((n,) * d)).ravel()
+        assert np.all(np.abs(got - want) <= q ** d * walnut_bound(stacks, kept, pairs, fhat, top, d))
+    # on the tails alone the dropped terms move some bins
+    assert not np.array_equal(got, want)
+
+    scale = q ** d
+    gap = np.linalg.norm(walnut_kernel(stacks, pairs, scale) - walnut_kernel(kept, pairs, scale), 2)
+    slack = gap + 2 * kernel_roundoff(stacks, pairs, scale, d)
+    got, want = frame_bounds_eigen(spec), frame_bounds_eigen(full)
+    assert abs(got.lower - want.lower) <= slack and abs(got.upper - want.upper) <= slack
+
+
+def test_rel_err_nd_keeps_its_bits_at_any_scale():
+    # the two norms share one power of two: at 2^1020 the input's norm
+    # alone overflowed, and rel_err read 0.0
+    spec = small_spec(d=2, n=16, q=2)
+    fhat = random_field(np.random.default_rng(43), 2, 16)
+    runs = [reconstruct_nd(spec, fhat * 2.0 ** k) for k in (0, -565, 565, 1020)]
+    rel = runs[0][1]
+    assert 1e-6 < rel < 1e-2
+    for k, (rec, rel_k) in zip((-565, 565, 1020), runs[1:]):
+        assert same_bits(np.array(rel_k), np.array(rel)), k
+        assert same_bits(rec, runs[0][0] * 2.0 ** k), k
 
 
 def test_held_dual_nd_is_built_once_per_spec(monkeypatch):
