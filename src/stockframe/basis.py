@@ -42,7 +42,13 @@ rotated by lo % w, and ``dst`` to its coefficient in the flat p-ordered
 array.  Analysis is one FFT of the signal, one gather through ``src``,
 the 1/n factor, one inverse DFT and one sqrt(w) scale per width and one
 scatter through ``dst``; synthesis runs the same steps mirrored and ends
-in one inverse FFT of the signal.  Every value sees the arithmetic of a
+in one inverse FFT of the signal.  Every DFT and scale runs in place on
+the gathered rows; analysis scatters the coefficients into the buffer of
+the signal's FFT, read by then, and synthesis runs its last inverse FFT
+in place and hands that buffer over read-only, uncopied.  So a call
+holds at most 2.5 grids of 16 B a point at once (analysis: the spectrum,
+its gather and np.take's intp copy of the int32 ``src``; synthesis about
+2).  Every value sees the arithmetic of a
 band-by-band loop, so the results equal it bit for bit.  Plans are kept
 in a module cache of PLAN_CACHE_SIZE entries, least recently used first
 out; an entry holds about 8 bytes per grid point (int32 indices).
@@ -60,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .partition import AlphaPartition, Run, build_partition, coerce_alpha, partition_covering
-from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, from_spectrum
+from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _adopt, from_spectrum
 
 __all__ = [
     "BasisIndex",
@@ -327,12 +333,14 @@ def analyze_fast(alpha, x: TimeSamples) -> DostCoefficients:
     """
     n = x.grid.size
     plan = _plan(coerce_alpha(alpha), n)
-    grouped = np.take(np.fft.fft(x.values), plan.src)
+    spectrum = np.fft.fft(x.values)
+    grouped = np.take(spectrum, plan.src)
     grouped /= n
     for w, stretch in plan.blocks:
         rows = grouped[stretch].reshape(-1, w)
-        np.multiply(np.fft.ifft(rows, axis=1), np.sqrt(w), out=rows)
-    values = np.empty(n - 1, dtype=np.complex128)
+        np.fft.ifft(rows, axis=1, out=rows)
+        rows *= np.sqrt(w)
+    values = spectrum[: n - 1]  # the spectrum is read; its buffer takes the coefficients
     values[plan.dst] = grouped
     return DostCoefficients(plan.layout, values)
 
@@ -348,10 +356,13 @@ def synthesize(coeffs: DostCoefficients) -> TimeSamples:
     grouped = np.take(values, plan.dst)
     for w, stretch in plan.blocks:
         rows = grouped[stretch].reshape(-1, w)
-        np.divide(np.fft.fft(rows, axis=1), np.sqrt(w), out=rows)
+        np.fft.fft(rows, axis=1, out=rows)
+        rows /= np.sqrt(w)
     spectrum = np.zeros(n, dtype=np.complex128)  # the Nyquist bin n/2 stays 0
     spectrum[plan.src] = grouped
-    return TimeSamples(layout.grid, np.fft.ifft(spectrum) * n)
+    np.fft.ifft(spectrum, out=spectrum)
+    spectrum *= n
+    return _adopt(TimeSamples, layout.grid, spectrum)
 
 
 def gram_matrix(alpha, n: int) -> tuple[list[BasisIndex], np.ndarray]:

@@ -14,7 +14,11 @@ SFR2 (d-dimensional record):
     then         prod(sizes) complex128 little-endian, C order over the axes
 
 The payload is read and written as it is, with no arithmetic, so every
-value keeps its bits: -0.0 parts, infinities and NaNs included.
+value keeps its bits: -0.0 parts, infinities and NaNs included.  It is
+read straight into the array returned (read-only inside an SFR1 signal,
+writable from read_sfr2) and written from the caller's array, with no
+copy in bytes on either side; a reader takes only regular files, whose
+size it checks against the header's before reading.
 
 A file may hold several records back to back; ``read_sfr1_all`` consumes
 them in order.  CSV exports are plain ``index,re,im`` tables.
@@ -25,12 +29,14 @@ from __future__ import annotations
 import csv
 import math
 import os
+import stat
 import struct
+import sys
 from typing import BinaryIO, Union
 
 import numpy as np
 
-from .spectral import FrequencyGrid, SpectralSignal, TimeSamples
+from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _adopt
 
 MAGIC1 = b"SFR1"
 MAGIC2 = b"SFR2"
@@ -53,13 +59,25 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
 
 
 def _read_payload(fh: BinaryIO, count: int) -> np.ndarray:
-    """count complex values, writable, refused before any read or allocation
-    when the header declares more bytes than the file has left."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    """count complex values as a writable native complex128 array, read
+    straight into it (readinto), with no intermediate bytes.  The declared
+    size is checked against what the file has left before any read or
+    allocation, so the input must be a regular file: a pipe or terminal,
+    whose size cannot be known, is refused by name."""
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise ContainerError(f"{fh.name}: not a regular file; the reader checks a record's "
+                             f"declared size against the file's before reading it")
+    left = st.st_size - fh.tell()
     if 16 * count > left:
         raise ContainerError(f"truncated container: header declares {count} values "
                              f"({16 * count} bytes), file has {left} bytes left")
-    return np.frombuffer(bytearray(_read_exact(fh, 16 * count, "payload")), dtype="<c16")
+    data = np.empty(count, dtype=np.complex128)
+    if fh.readinto(data) != 16 * count:
+        raise ContainerError(f"truncated container: expected {16 * count} bytes of payload")
+    if sys.byteorder == "big":
+        data.byteswap(inplace=True)  # the payload is little-endian
+    return data
 
 
 def write_sfr1(path, signal: Signal, append: bool = False) -> None:
@@ -74,7 +92,7 @@ def write_sfr1(path, signal: Signal, append: bool = False) -> None:
         fh.write(MAGIC1)
         fh.write(struct.pack("<I", signal.grid.size))
         fh.write(struct.pack("B", domain))
-        fh.write(np.ascontiguousarray(values, "<c16").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(values, "<c16")))
 
 
 def _read_sfr1_record(fh: BinaryIO) -> Signal | None:
@@ -88,10 +106,7 @@ def _read_sfr1_record(fh: BinaryIO) -> Signal | None:
     if domain not in (DOMAIN_TIME, DOMAIN_FREQUENCY):
         raise ContainerError(f"unknown domain flag {domain}")
     data = _read_payload(fh, n)
-    grid = FrequencyGrid(int(n))
-    if domain == DOMAIN_TIME:
-        return TimeSamples(grid, data)
-    return SpectralSignal(grid, data)
+    return _adopt(TimeSamples if domain == DOMAIN_TIME else SpectralSignal, FrequencyGrid(int(n)), data)
 
 
 def read_sfr1(path) -> Signal:
@@ -125,7 +140,7 @@ def write_sfr2(path, values: np.ndarray, domain: int, append: bool = False) -> N
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         fh.write(struct.pack("B", domain))
-        fh.write(np.ascontiguousarray(arr, "<c16").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(arr, "<c16")))
 
 
 def read_sfr2(path) -> tuple[np.ndarray, int]:

@@ -136,7 +136,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .partition import AlphaPartition
-from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _rel_norm, to_spectrum
+from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _adopt, _rel_norm, to_spectrum
 from .window import COEFF_CAP, Window, WindowStack, _runs, _trim, build_stack
 
 __all__ = [
@@ -430,8 +430,12 @@ class _BoxFrame:
                                return_inverse=True)
         last = rows[:, -1]
         size = length[last]
-        square = g.values[_runs(g.lo[last] + g.offset[last], size)]
-        square *= square
+        start = g.lo[last] + g.offset[last]
+        if size.sum() == g.values.size and (start == np.cumsum(size) - size).all():
+            square = g.values * g.values  # the gather would read every value in order (1D)
+        else:
+            square = g.values[_runs(start, size)]
+            square *= square
         acc = np.bincount(_runs(slot * n + g.lo[last], size), square, len(keys) * n)
         for _ in range(d - 1):  # the next axis, last first: sum_a F_a^2 (x) acc[a]
             acc = acc.reshape(len(keys), -1)
@@ -628,7 +632,7 @@ def analyze(spec: FrameSpec, f) -> FrameCoefficients:
 def synthesize(spec: FrameSpec, coeffs: FrameCoefficients) -> SpectralSignal:
     """sum_k c_k element_k, bands added in p order whatever the order of
     coeffs.data (_synthesize)."""
-    return SpectralSignal(spec.grid, _synthesize(spec, coeffs.data))
+    return _adopt(SpectralSignal, spec.grid, _synthesize(spec, coeffs.data))
 
 
 def frame_operator_apply(spec: FrameSpec, f) -> SpectralSignal:
@@ -705,7 +709,8 @@ def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None) -> np.ndarray:
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
     for u, v, phi, out, _ in _walnut_stream(g, _walnut_kvecs(g, spec._fold_rows, k_max), spec.n):
         np.add.at(acc, u, fhat[v] * phi * out)
-    return spec.q ** spec.d * acc
+    acc *= spec.q ** spec.d
+    return acc
 
 
 def walnut_apply(spec: FrameSpec, f, k_max: int | None = None) -> SpectralSignal:
@@ -716,7 +721,7 @@ def walnut_apply(spec: FrameSpec, f, k_max: int | None = None) -> SpectralSignal
     the aliasing sum for decay studies.  Shifted content leaving the grid
     is dropped.  The terms add in (p, m) order (_walnut_sum).
     """
-    return SpectralSignal(spec.grid, _walnut_sum(spec, _as_spectrum(spec, f), k_max))
+    return _adopt(SpectralSignal, spec.grid, _walnut_sum(spec, _as_spectrum(spec, f), k_max))
 
 
 @dataclass(frozen=True)
@@ -941,7 +946,7 @@ def _round_trip(spec: _BoxFrame, fhat: np.ndarray) -> tuple[np.ndarray, float]:
     rec = split.diagonal * fhat
     for a in split.alias:
         np.add.at(rec, a.bins, a.qphi * _fold(fhat[a.bins] * a.dual, a.fold, a.size)[a.fold])
-    return rec, _rel_norm(rec - fhat, fhat)
+    return rec, _rel_norm(rec, fhat)
 
 
 def reconstruct(spec: FrameSpec, f) -> tuple[SpectralSignal, float]:
@@ -950,4 +955,4 @@ def reconstruct(spec: FrameSpec, f) -> tuple[SpectralSignal, float]:
     error against the input)."""
     fhat = _as_spectrum(spec, f)
     rec, rel_err = _round_trip(spec, fhat)
-    return SpectralSignal(spec.grid, rec), rel_err
+    return _adopt(SpectralSignal, spec.grid, rec), rel_err

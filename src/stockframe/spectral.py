@@ -18,13 +18,16 @@ and the L2 norm of a signal is sqrt((1/n) sum |values|^2) in time,
 sqrt(sum |coeff|^2) in frequency.
 
 Frequency content that an operation would move outside the grid is
-dropped.  Norms have the same bits under any thread count (_norm).
+dropped.  The public constructors copy their input; the transforms run
+in place on the one array each makes and hand it over read-only, with
+no second copy (_adopt), so a result shares no memory with its input.
+Norms have the same bits under any thread count (_norm).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -92,12 +95,22 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _rel_norm(x: np.ndarray, ref: np.ndarray) -> float:
-    """||x|| / ||ref|| by _norm (||x|| where ref is zero).  Where a norm
-    passes the float range, as an input's does near it, both are taken
-    on x and ref scaled by the one power of two that brings the largest
-    part of either into [0.5, 1), exactly, so the ratio stays finite.  A
-    power-of-two scaling leaves an in-range ratio's bits as they are: an
-    input scaled by 2^k gives the same ratio while its parts stay normal."""
+    """||x - ref|| / ||ref|| by _norm (||x - ref|| where ref is zero).  The
+    difference is the one temporary: where both sums of squares lie in
+    _norm's range, its buffer takes the squares of each in turn.  Else the
+    difference is formed again, and where a norm passes the float range,
+    as an input's does near it, both are taken on it and ref scaled by the
+    one power of two that brings the largest part of either into [0.5, 1),
+    exactly, so the ratio stays finite.  A power-of-two scaling leaves an
+    in-range ratio's bits as they are: an input scaled by 2^k gives the
+    same ratio while its parts stay normal."""
+    diff, parts = (x - ref).view(np.float64), ref.view(np.float64)
+    with np.errstate(over="ignore"):
+        sums = [float(np.sum(np.multiply(p, p, out=diff))) for p in (diff, parts)]
+    if all(2.0 ** -1000 <= total < math.inf for total in sums):
+        return math.sqrt(sums[0]) / math.sqrt(sums[1])  # _norm's bits, without its temporaries
+    with np.errstate(all="ignore"):  # warned of once, above
+        x = x - ref
     num, den = _norm(x), _norm(ref)
     if max(num, den) < math.inf or not den:
         return num / (den or 1.0)
@@ -115,6 +128,18 @@ def _as_complex(values, n: int) -> np.ndarray:
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _adopt(cls, grid: FrequencyGrid, arr: np.ndarray):
+    """cls(grid, arr), a TimeSamples or SpectralSignal, without the copy
+    the public constructor makes: arr, a complex128 array of shape
+    (grid.size,) that the library has just made and no one else holds, is
+    frozen and kept as it is."""
+    arr.flags.writeable = False
+    signal = object.__new__(cls)
+    object.__setattr__(signal, "grid", grid)
+    object.__setattr__(signal, fields(cls)[1].name, arr)
+    return signal
 
 
 @dataclass(frozen=True)
@@ -159,16 +184,17 @@ class SpectralSignal:
 
 def to_spectrum(x: TimeSamples) -> SpectralSignal:
     """Forward transform; carries the 1/n factor."""
-    n = x.grid.size
-    coeffs = np.fft.fftshift(np.fft.fft(x.values)) / n
-    return SpectralSignal(x.grid, coeffs)
+    coeffs = np.fft.fftshift(np.fft.fft(x.values))
+    coeffs /= x.grid.size  # in place on the shift's own copy
+    return _adopt(SpectralSignal, x.grid, coeffs)
 
 
 def from_spectrum(s: SpectralSignal) -> TimeSamples:
     """Inverse transform; carries no factor."""
-    n = s.grid.size
-    values = np.fft.ifft(np.fft.ifftshift(s.coeffs)) * n
-    return TimeSamples(s.grid, values)
+    values = np.fft.ifftshift(s.coeffs)  # a copy, transformed in place
+    np.fft.ifft(values, out=values)
+    values *= s.grid.size
+    return _adopt(TimeSamples, s.grid, values)
 
 
 def poisson_residual(time_profile, freq_profile, gamma: float, x, n_terms: int = 12):

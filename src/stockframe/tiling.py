@@ -99,13 +99,23 @@ __all__ = [
 
 
 def to_spectrum_nd(values: np.ndarray) -> np.ndarray:
-    """Forward transform per the 1D convention on every axis (1/n^d factor)."""
-    return np.fft.fftshift(np.fft.fftn(values)) / values.size
+    """Forward transform per the 1D convention on every axis (1/n^d factor),
+    of the dtype np.fft.fftn returns: every axis transformed into one
+    buffer, the factor applied in place on the shift's copy."""
+    spectrum = np.fft.fftn(values, out=np.empty(values.shape, np.result_type(values.dtype, 1j)))
+    spectrum = np.fft.fftshift(spectrum)
+    spectrum /= values.size
+    return spectrum
 
 
 def from_spectrum_nd(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of to_spectrum_nd; carries no factor."""
-    return np.fft.ifftn(np.fft.ifftshift(coeffs)) * coeffs.size
+    """Inverse of to_spectrum_nd; carries no factor.  The inverse FFT and
+    the factor run in place on the shift's copy (of the dtype np.fft.ifftn
+    returns)."""
+    values = np.fft.ifftshift(coeffs).astype(np.result_type(coeffs.dtype, 1j), copy=False)
+    np.fft.ifftn(values, out=values)
+    values *= coeffs.size
+    return values
 
 AXIS_CAP = {1: 4096, 2: 256, 3: 32}
 # deepest corona: the lattice starts +-2^p of every factor stay in int64

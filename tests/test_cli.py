@@ -286,6 +286,25 @@ def test_roundtrip_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_roundtrip_refuses_a_piped_input_by_name(tmp_path):
+    # a pipe has no size to check the header's against: refused in one
+    # line naming it, where it printed "[Errno 29] Illegal seek"; the same
+    # bytes redirected from a regular file are read
+    path, _ = make_input(tmp_path, n=64)
+    argv = [sys.executable, "-m", "stockframe.cli", "roundtrip", "--alpha", "1", "--mu", "0.5",
+            "--q", "8", "--window", "gaussian", "--n", "64", "--in", "/dev/stdin", "--json"]
+    piped = subprocess.run(argv, input=path.read_bytes(), capture_output=True, timeout=5)
+    assert piped.returncode == 2
+    assert piped.stderr.decode().splitlines() == [
+        "error: /dev/stdin: not a regular file; the reader checks a record's declared size "
+        "against the file's before reading it"]
+    with open(path, "rb") as fh:
+        redirected = subprocess.run(argv, stdin=fh, capture_output=True, timeout=5)
+    assert redirected.returncode == 0, redirected.stderr
+    assert json.loads(redirected.stdout)["rel_err"] < 1e-13
+
+
 def run_cli_quickly(*argv):
     """Run the CLI in a child process that must finish within 5 s."""
     return subprocess.run([sys.executable, "-m", "stockframe.cli", *argv],
