@@ -27,7 +27,7 @@ Norms have the same bits under any thread count (_norm).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,22 +95,12 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _rel_norm(x: np.ndarray, ref: np.ndarray) -> float:
-    """||x - ref|| / ||ref|| by _norm (||x - ref|| where ref is zero).  The
-    difference is the one temporary: where both sums of squares lie in
-    _norm's range, its buffer takes the squares of each in turn.  Else the
-    difference is formed again, and where a norm passes the float range,
-    as an input's does near it, both are taken on it and ref scaled by the
-    one power of two that brings the largest part of either into [0.5, 1),
-    exactly, so the ratio stays finite.  A power-of-two scaling leaves an
-    in-range ratio's bits as they are: an input scaled by 2^k gives the
-    same ratio while its parts stay normal."""
-    diff, parts = (x - ref).view(np.float64), ref.view(np.float64)
-    with np.errstate(over="ignore"):
-        sums = [float(np.sum(np.multiply(p, p, out=diff))) for p in (diff, parts)]
-    if all(2.0 ** -1000 <= total < math.inf for total in sums):
-        return math.sqrt(sums[0]) / math.sqrt(sums[1])  # _norm's bits, without its temporaries
-    with np.errstate(all="ignore"):  # warned of once, above
-        x = x - ref
+    """||x|| / ||ref|| by _norm (||x|| where ref is zero).  Where a norm
+    passes the float range, as an input's does near it, both are taken
+    on x and ref scaled by the one power of two that brings the largest
+    part of either into [0.5, 1), exactly, so the ratio stays finite.  A
+    power-of-two scaling leaves an in-range ratio's bits as they are: an
+    input scaled by 2^k gives the same ratio while its parts stay normal."""
     num, den = _norm(x), _norm(ref)
     if max(num, den) < math.inf or not den:
         return num / (den or 1.0)
@@ -128,18 +118,6 @@ def _as_complex(values, n: int) -> np.ndarray:
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
-
-
-def _adopt(cls, grid: FrequencyGrid, arr: np.ndarray):
-    """cls(grid, arr), a TimeSamples or SpectralSignal, without the copy
-    the public constructor makes: arr, a complex128 array of shape
-    (grid.size,) that the library has just made and no one else holds, is
-    frozen and kept as it is."""
-    arr.flags.writeable = False
-    signal = object.__new__(cls)
-    object.__setattr__(signal, "grid", grid)
-    object.__setattr__(signal, fields(cls)[1].name, arr)
-    return signal
 
 
 @dataclass(frozen=True)
@@ -180,6 +158,23 @@ class SpectralSignal:
 
     def norm(self) -> float:
         return _norm(self.coeffs)
+
+
+_PAYLOAD = {TimeSamples: "values", SpectralSignal: "coeffs"}
+
+
+def _adopt(cls, grid: FrequencyGrid, arr: np.ndarray):
+    """cls(grid, arr), a TimeSamples or SpectralSignal, without the copy
+    the public constructor makes: arr, a complex128 array of shape
+    (grid.size,) that the library has just made and no one else holds, is
+    frozen and kept as it is."""
+    if arr.dtype != np.complex128 or arr.shape != (grid.size,):
+        raise ValueError(f"expected complex128 of shape ({grid.size},), got {arr.dtype} {arr.shape}")
+    arr.flags.writeable = False
+    signal = object.__new__(cls)
+    object.__setattr__(signal, "grid", grid)
+    object.__setattr__(signal, _PAYLOAD[cls], arr)
+    return signal
 
 
 def to_spectrum(x: TimeSamples) -> SpectralSignal:

@@ -99,13 +99,8 @@ __all__ = [
 
 
 def to_spectrum_nd(values: np.ndarray) -> np.ndarray:
-    """Forward transform per the 1D convention on every axis (1/n^d factor),
-    of the dtype np.fft.fftn returns: every axis transformed into one
-    buffer, the factor applied in place on the shift's copy."""
-    spectrum = np.fft.fftn(values, out=np.empty(values.shape, np.result_type(values.dtype, 1j)))
-    spectrum = np.fft.fftshift(spectrum)
-    spectrum /= values.size
-    return spectrum
+    """Forward transform per the 1D convention on every axis (1/n^d factor)."""
+    return np.fft.fftshift(np.fft.fftn(values)) / values.size
 
 
 def from_spectrum_nd(coeffs: np.ndarray) -> np.ndarray:
