@@ -157,7 +157,7 @@ def criterion_walnut() -> tuple[bool, str]:
             f = _random_spectrum(rng, grid)
             direct = frame1d.frame_operator_apply(spec, f)
             shifted = frame1d.walnut_apply(spec, f)
-            worst = max(worst, _norm(shifted.coeffs - direct.coeffs) / f.norm())
+            worst = max(worst, _norm(shifted.coeffs, direct.coeffs) / f.norm())
     return worst < 1e-8, f"max rel defect walnut vs analyze+synthesize {worst:.2e} (< 1e-8), alphas 0 and 1"
 
 

@@ -121,6 +121,21 @@ def _emit_json(payload) -> int:
     return EXIT_OK
 
 
+def _refuse_stdout(flag: str, path) -> None:
+    """Refuse an output path that names the file stdout is open on (the
+    same device and inode as fd 1), before anything is written: the file
+    would be opened a second time, at offset 0, and the report printed
+    after it would overwrite it or run into it."""
+    if not path:
+        return
+    try:
+        out, target = os.fstat(1), os.stat(path)
+    except OSError:  # stdout closed, or the path names no file yet
+        return
+    if (out.st_dev, out.st_ino) == (target.st_dev, target.st_ino):
+        raise ValueError(f"{flag} {path} is the file stdout is open on; the report would overwrite it")
+
+
 def _print(lines) -> None:
     for line in lines:
         sys.stdout.write(line + "\n")
@@ -250,6 +265,7 @@ def cmd_stack(args) -> int:
     from .containers import write_sfr1
     from .spectral import SpectralSignal
     from .window import admissibility, build_stack, stack_sum_bounds
+    _refuse_stdout("--dump", args.dump)
     win = _build_window(args.window)
     stack = build_stack(win, args.mu, args.alpha, args.n)
     rep = admissibility(stack)
@@ -386,6 +402,7 @@ def cmd_roundtrip(args) -> int:
     from . import frame1d
     from .containers import read_sfr1, write_sfr1
     from .spectral import SpectralSignal, from_spectrum
+    _refuse_stdout("--out", args.out)
     signal = read_sfr1(args.infile)
     if signal.grid.size != args.n:
         raise ValueError(f"--n {args.n} does not match input grid size {signal.grid.size}")
@@ -474,6 +491,7 @@ def cmd_tile(args) -> int:
 def cmd_roundtrip2d(args) -> int:
     from . import tiling
     from .containers import DOMAIN_TIME, read_sfr2, write_sfr2
+    _refuse_stdout("--out", args.out)
     values, domain = read_sfr2(args.infile)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"expected a square 2D field, got shape {values.shape}")

@@ -946,7 +946,7 @@ def _round_trip(spec: _BoxFrame, fhat: np.ndarray) -> tuple[np.ndarray, float]:
     rec = split.diagonal * fhat
     for a in split.alias:
         np.add.at(rec, a.bins, a.qphi * _fold(fhat[a.bins] * a.dual, a.fold, a.size)[a.fold])
-    return rec, _rel_norm(rec - fhat, fhat)
+    return rec, _rel_norm(rec, fhat)
 
 
 def reconstruct(spec: FrameSpec, f) -> tuple[SpectralSignal, float]:

@@ -21,7 +21,12 @@ Frequency content that an operation would move outside the grid is
 dropped.  The public constructors copy their input; the transforms run
 in place on the one array each makes and hand it over read-only, with
 no second copy (_adopt), so a result shares no memory with its input.
-Norms have the same bits under any thread count (_norm).
+Norms have the same bits under any thread count (_norm): numpy's own
+pairwise sum of the squared parts, walked leaf by leaf on numpy's tree
+(_sum_squares), so a norm of x - ref (_rel_norm, a round trip's relative
+error) forms neither the difference nor the squares on the whole grid.
+That walk relies on numpy's split of a contiguous float64 sum, which
+tests/test_norm_walk.py pins.
 """
 
 from __future__ import annotations
@@ -73,38 +78,69 @@ class FrequencyGrid:
         return int(j) + self.half
 
 
-def _norm(x: np.ndarray) -> float:
-    """The l2 norm of a contiguous complex array by numpy's own pairwise
-    sum of its squared parts, not BLAS: the same bits under any thread
-    count.  Where that sum overflows, falls below 2^-1000 or vanishes
-    though a part does not, the parts are first scaled by the power of two
+# parts a leaf of _norm's walk sums with one np.sum (a multiple of 8)
+_LEAF = 4096
+
+
+def _sum_squares(parts: np.ndarray, ref: np.ndarray | None) -> float:
+    """np.sum of the squared parts (of parts - ref where ref is given),
+    bit for bit, with no full-length temporary: numpy sums a contiguous
+    float64 array pairwise, splitting n parts at n // 2 rounded down to a
+    multiple of 8 down to blocks of 128 or fewer (Higham, SIAM J. Sci.
+    Comput. 14, 1993), so the same tree is walked here down to leaves of
+    at most _LEAF parts, and each leaf's squares are summed on the leaf's
+    own subtree by np.add.reduce, the reduction np.sum runs, without
+    np.sum's dispatch.  tests/test_norm_walk.py pins that split."""
+    n = parts.size
+    if n > _LEAF:
+        h = n // 2 - n // 2 % 8
+        head, tail = (None, None) if ref is None else (ref[:h], ref[h:])
+        return _sum_squares(parts[:h], head) + _sum_squares(parts[h:], tail)
+    if ref is None:
+        return float(np.add.reduce(parts * parts))
+    sq = parts - ref
+    sq *= sq
+    return float(np.add.reduce(sq))
+
+
+def _norm(x: np.ndarray, ref: np.ndarray | None = None) -> float:
+    """The l2 norm of a contiguous complex array, of x - ref where ref (of
+    x's shape) is given, by numpy's own pairwise sum of its squared parts,
+    not BLAS: the same bits under any thread count.  The sum is walked
+    leaf by leaf on numpy's tree (_sum_squares), so neither the
+    difference nor the squares are formed on the whole grid.  Where that
+    sum overflows, falls below 2^-1000 or vanishes though a part does not,
+    the parts of x - ref are formed and first scaled by the power of two
     that brings the largest into [0.5, 1), exactly: the norm of an O(1)
     array scaled by 2^k is 2^k times its own, bit for bit, for |k| <= 600."""
-    parts = x.view(np.float64)
+    parts = x.reshape(-1).view(np.float64)
+    refs = None if ref is None else ref.reshape(-1).view(np.float64)
     with np.errstate(over="ignore"):
-        total = float(np.sum(parts * parts))
+        total = _sum_squares(parts, refs)
         if 2.0 ** -1000 <= total < math.inf:
             return math.sqrt(total)
+        if refs is not None:
+            parts = parts - refs
         big = float(np.max(np.abs(parts), initial=0.0))
         if not 0.0 < big < math.inf:  # all zero, or a part is inf or NaN
             return math.sqrt(total)
         _, e = math.frexp(big)
-        scaled = np.ldexp(parts, -e)
         # inf where the norm itself is past the float range
-        return float(np.ldexp(math.sqrt(float(np.sum(scaled * scaled))), e))
+        return float(np.ldexp(math.sqrt(_sum_squares(np.ldexp(parts, -e), None)), e))
 
 
 def _rel_norm(x: np.ndarray, ref: np.ndarray) -> float:
-    """||x|| / ||ref|| by _norm (||x|| where ref is zero).  Where a norm
-    passes the float range, as an input's does near it, both are taken
-    on x and ref scaled by the one power of two that brings the largest
-    part of either into [0.5, 1), exactly, so the ratio stays finite.  A
+    """||x - ref|| / ||ref|| by _norm (||x - ref|| where ref is zero), with
+    no residual grid.  Where a norm passes the float range, as an input's
+    does near it, x - ref is formed and both norms are taken on it and
+    ref scaled by the one power of two that brings the largest part of
+    either into [0.5, 1), exactly, so the ratio stays finite.  A
     power-of-two scaling leaves an in-range ratio's bits as they are: an
     input scaled by 2^k gives the same ratio while its parts stay normal."""
-    num, den = _norm(x), _norm(ref)
+    num, den = _norm(x, ref), _norm(ref)
     if max(num, den) < math.inf or not den:
         return num / (den or 1.0)
-    parts = [a.view(np.float64) for a in (x, ref)]
+    parts = [a.view(np.float64) for a in (x - ref, ref)]
     # e = 0, no scaling, where a part is inf or NaN
     _, e = math.frexp(max(float(np.max(np.abs(p), initial=0.0)) for p in parts))
     num, den = (_norm(np.ldexp(p, -e)) for p in parts)

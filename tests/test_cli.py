@@ -305,6 +305,54 @@ def test_roundtrip_refuses_a_piped_input_by_name(tmp_path):
     assert json.loads(redirected.stdout)["rel_err"] < 1e-13
 
 
+def stdout_sink_argv(tmp_path, command):
+    """argv that writes command's output file to /dev/stdout, and its flag."""
+    if command == "stack":
+        return ["stack", "--alpha", "1", "--mu", "0.5", "--window", "gaussian", "--n", "64",
+                "--dump", "/dev/stdout"], "--dump"
+    if command == "roundtrip":
+        path, _ = make_input(tmp_path, n=64)
+        argv = ["roundtrip", "--alpha", "1", "--n", "64"]
+    else:
+        path = tmp_path / "in.sfr2"
+        write_sfr2(path, np.random.default_rng(4).standard_normal((16, 16)), DOMAIN_TIME)
+        argv = ["roundtrip2d", "--n", "16", "--json"]
+    return argv + ["--mu", "0.5", "--q", "8", "--window", "gaussian", "--in", str(path),
+                   "--out", "/dev/stdout"], "--out"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+@pytest.mark.parametrize("command", ["roundtrip", "roundtrip2d", "stack"])
+def test_an_output_path_that_is_stdout_is_refused(tmp_path, command, sink):
+    # the container was written through a second file description on
+    # stdout's file, and the report then overwrote it from offset 0
+    # (read_sfr1: "bad magic b'rel_'"): refused before anything is written
+    argv, flag = stdout_sink_argv(tmp_path, command)
+    argv = [sys.executable, "-m", "stockframe.cli", *argv]
+    if sink == "file":
+        sunk = tmp_path / "out.bin"
+        with open(sunk, "wb") as fh:
+            proc = subprocess.run(argv, stdout=fh, stderr=subprocess.PIPE, timeout=5)
+        written = sunk.read_bytes()
+    else:
+        proc = subprocess.run(argv, capture_output=True, timeout=5)
+        written = proc.stdout
+    assert (proc.returncode, written) == (2, b"")
+    assert proc.stderr.decode().splitlines() == [
+        f"error: {flag} /dev/stdout is the file stdout is open on; the report would overwrite it"]
+
+
+def test_roundtrip_may_write_over_its_input(tmp_path):
+    # the input is read whole before the output is opened
+    path, x = make_input(tmp_path, n=64)
+    proc = run_cli_quickly("roundtrip", "--alpha", "1", "--mu", "0.5", "--q", "8", "--window", "gaussian",
+                           "--n", "64", "--in", str(path), "--out", str(path), "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["out"] == str(path)
+    assert np.max(np.abs(read_sfr1(path).values - x.values)) < 1e-12
+
+
 def run_cli_quickly(*argv):
     """Run the CLI in a child process that must finish within 5 s."""
     return subprocess.run([sys.executable, "-m", "stockframe.cli", *argv],
