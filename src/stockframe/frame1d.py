@@ -91,13 +91,14 @@ sample is below TAU = 2^-80 of the peak and moves no O(1) sum by a
 rounding.  So analysis, synthesis, reconstruction, the held split, the
 Walnut sum and the eigen kernel read the core records (`core`): each
 extent cut to the span of its samples of magnitude >= TAU times the
-family's largest.  Compact windows keep their extents.  H0, the certified
-bounds, admissibility and the dual residual read the full records, as a
-certificate must see the tails.  On dense input the folds and the Walnut
-sum give the same bits on either (measured over the test matrices), not
-by construction: an input living only on dropped bins differs by dropped
-terms, each at most TAU * peak * |f(u)| times its other factors, and the
-eigenbounds move by at most ||K_full - K_core||_2 (Weyl) plus round-off.
+family's largest, over the records' own values (compact windows keep
+their extents).  H0, the certified bounds, admissibility and the dual
+residual read the full records, as a certificate must see the tails.
+On dense input the folds and the Walnut sum give the same bits on
+either (measured over the test matrices), not by construction: an input
+living only on dropped bins differs by dropped terms, each at most TAU *
+peak * |f(u)| times its other factors, and the eigenbounds move by at
+most ||K_full - K_core||_2 (Weyl) plus round-off.
 
 A band's shifted product Phi_p(u - s) Phi_p(u) is nonzero only where
 the extent meets its shift, and a box's shift is the product of its axis
@@ -130,14 +131,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .partition import AlphaPartition
 from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _adopt, _rel_norm, to_spectrum
-from .window import COEFF_CAP, Window, WindowStack, _runs, _trim, build_stack
+from .window import COEFF_CAP, Window, WindowStack, _runs, _spans, build_stack
 
 __all__ = [
     "FrameSpec",
@@ -217,9 +218,11 @@ class FoldChunk:
 @dataclass
 class BandRecords:
     """One record per band of a family, in the order ps: its nonzero
-    extent [lo, hi) in grid bins, its width w and period m = q*w, and its
-    values, concatenated: band b holds values[u + offset[b]] at bin u of
-    its extent.  half is the grid's half size (bin u is frequency u - half).
+    extent [lo, hi) in grid bins, width w, period m = q*w and values, band
+    b holding values[u + offset[b]] at bin u of its extent (half: bin u is
+    frequency u - half).  Full records lie end to end; a core (_core) views
+    their values and offsets, values off its extents too: walnut_bounds'
+    diagonal reduceat and sum_of_squares' contiguous path read full ones.
     """
 
     ps: tuple
@@ -233,12 +236,11 @@ class BandRecords:
 
 
 def _core(g: BandRecords) -> BandRecords:
-    """The records with each extent cut to the span of its samples of
-    magnitude >= TAU times the family's largest (empty if it has none):
-    one scan of the values, whatever the number of bands (_trim)."""
+    """The records, each extent cut to the span of its samples of magnitude
+    >= TAU times the family's largest (_spans), over g's values and offsets."""
     mag = np.abs(g.values)
-    lo, hi, values = _trim(g.values, mag >= TAU * np.max(mag, initial=0.0), g.lo, g.hi - g.lo)
-    return BandRecords(g.ps, lo, hi, np.cumsum(hi - lo) - hi, values, g.w, g.m, g.half)
+    lo, hi = _spans(mag >= TAU * np.max(mag, initial=0.0), g.lo, g.hi - g.lo)
+    return replace(g, lo=lo, hi=hi)
 
 
 def _box_chunks(g: BandRecords, rows: np.ndarray, n: int, q: int) -> Iterator[FoldChunk]:
@@ -395,9 +397,8 @@ class _BoxFrame:
 
     @cached_property
     def core(self) -> BandRecords:
-        """The records cut to their numerical core (_core), read by
-        analysis, synthesis, reconstruction, the Walnut sum and the eigen
-        kernel; built on first use."""
+        """The core records (_core), read by analysis, synthesis,
+        reconstruction, the Walnut sum and the eigen kernel; built on first use."""
         return _core(self.records)
 
     @cached_property
@@ -647,12 +648,14 @@ def _walnut_kvecs(g: BandRecords, rows: np.ndarray, k_max=None, first=None) -> l
     -last by default), last the largest |m| that reaches across the
     extent (-1 for an empty one), at most k_max, so |s| < n.  k_max is
     clamped at n, as no shift past the grid is kept either way: a k_max
-    past int64 is taken too.
+    past int64 is taken too.  A k_max that is no integer >= 0 is refused.
 
     Returns (record, shift, lo, length) per axis, box-major, C order over
     the axes and m ascending within a factor: on each axis the product can
     be nonzero only for lo <= u < lo + length.
     """
+    if k_max is not None and not (isinstance(k_max, (int, np.integer)) and k_max >= 0):
+        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
     step = g.m
     extent = g.hi - g.lo
     last = np.where(extent == 0, -1, (extent - 1) // step)

@@ -30,10 +30,10 @@ Each axis factor F_{p,e} is a frame1d band record (extent and values) of
 width w = b and period m = q b, capped at n as a longer period admits no
 shift on the grid (box_period keeps q b; DC: w = 1, m = q).  H0, the
 tail bound and the dual residual read the full factors, the Walnut sum
-and the eigen kernel the core ones, as analysis and synthesis do; H0
-adds axis by axis (frame1d module docstring), round-off equal to a sum
-box by box.  A tiling lists 1 + p_max (4^d - 2^d) boxes, refused past
-TILE_CAP before any is listed.
+and the eigen kernel the core ones (narrower extents over the same
+values), as analysis and synthesis do; H0 adds axis by axis (frame1d
+module docstring), round-off equal to a sum box by box.  A tiling lists
+1 + p_max (4^d - 2^d) boxes, refused past TILE_CAP before any is listed.
 
 A box is a band of frame1d's engine at dimension d (frame1d module
 docstring), a box shift the product of factor shifts: NdFrameSpec shares
@@ -41,19 +41,18 @@ its H0, records, core, chunks, held split, elements, analysis,
 synthesis, Walnut sum, tail bound, eigenbounds, conjugate filter and
 round trip with the 1D frame (a 1D band is the d = 1 case); each reads
 only the spec's own box records, and the spec keeps only its
-construction.
-Its chunks hold the C-order bins of each box's core support (the product
-of its core factors' extents: a box sample off it has a dropped factor,
-so is below TAU peak^d), the outer product of the factor values there
-and a compact fold slot per bin; those analysis and synthesis read also
-a placement slot per bin, where the blocks of all boxes fit COEFF_CAP.  A
-Gaussian family at d = 3, n = 32 has 0.22M to 0.55M core box bins for
-mu from 3 down to 0.1, against 3.0M to 11.7M on the full factors; a
-compact window keeps whole extents, 1.46M core bins for
-table_window([-8, 0, 8], [0, 1, 0]) at mu = 0.5; the spec holds them
-by frame1d's one hold rule, at any size.  With the dual Omega = nu^d Phi
-/ H0 and normalization b^d (m^d / b^d = q^d, DC too), analysis then
-synthesis is fftn(ifftn(x)) = x, so reconstruction is
+construction.  Its chunks hold the C-order bins of each box's core
+support (the product of its core factors' extents: a box sample off it
+has a dropped factor, so is below TAU peak^d), the outer product of the
+factor values there and a compact fold slot per bin; those analysis and
+synthesis read also a placement slot per bin, where the blocks of all
+boxes fit COEFF_CAP.  A Gaussian family at d = 3, n = 32 has 0.22M to
+0.55M core box bins for mu from 3 down to 0.1, against 3.0M to 11.7M on
+the full factors; a compact window keeps whole extents, 1.46M core bins
+for table_window([-8, 0, 8], [0, 1, 0]) at mu = 0.5; the spec holds
+them by frame1d's one hold rule, at any size.  With the dual Omega =
+nu^d Phi / H0 and normalization b^d (m^d / b^d = q^d, DC too), analysis
+then synthesis is fftn(ifftn(x)) = x, so reconstruction is
 
     rec_box(j) = q^d Phi_box(j) fold_m(f^ Omega_box)[j mod m],
 
@@ -266,9 +265,8 @@ def make_nd_frame_spec(window: Window, mu: float, q: int, d: int, n: int,
     starts = np.maximum(starts, -reach).astype(np.int64)
     counts = np.maximum(np.minimum(stops, reach + 1).astype(np.int64) - starts, 0)
     _lattice_budget(window, int(counts.sum()), n)
-    lo, hi, values = lattice_records(window, mu * _runs(starts, counts), counts, n)
     m = np.array([min(int(q) * int(b), n) for b in w], dtype=np.int64)
-    records = BandRecords(keys, lo, hi, np.cumsum(hi - lo) - hi, values, w, m, half)
+    records = BandRecords(keys, *lattice_records(window, mu * _runs(starts, counts), counts, n), w, m, half)
     return NdFrameSpec(window, mu, int(q), d, n, tiling, records)
 
 

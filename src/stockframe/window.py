@@ -157,6 +157,8 @@ def table_window(omegas, values, kind: str = "table") -> Window:
     values = np.asarray(values, dtype=float)
     if omegas.ndim != 1 or omegas.shape != values.shape or omegas.size < 2:
         raise ValueError("need matching 1-d tables with at least two points")
+    if not (np.isfinite(omegas).all() and np.isfinite(values).all()):
+        raise ValueError("table abscissae and values must be finite")
     if np.any(np.diff(omegas) <= 0):
         raise ValueError("table abscissae must be strictly increasing")
     if np.any(values < 0):
@@ -216,29 +218,31 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
 
 
+def _spans(keep: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Records laid end to end in keep, record b at bins lo[b] .. lo[b] +
+    length[b] - 1, each cut to the span from its first kept entry to its
+    last: rows (lo, hi), (0, 0) where none is kept, from one searchsorted
+    of the record edges in the kept entries that start or end a run."""
+    ends, joined = np.cumsum(length), np.zeros(keep.size + 1, dtype=bool)
+    joined[1:-1] = keep[1:] & keep[:-1]  # entries e - 1 and e kept, in one record
+    joined[ends - length] = False
+    kept = np.flatnonzero(keep & ~(joined[:-1] & joined[1:]))  # less those inside a run: no span ends
+    edge = np.searchsorted(kept, np.append(0, ends))  # record b keeps kept[edge[b]] .. kept[edge[b + 1] - 1]
+    if not kept.size:
+        return np.zeros((2, lo.size), dtype=np.int64)
+    span = lo - ends + length + kept.take((edge[:-1], edge[1:] - 1), mode="clip") + [[0], [1]]
+    return np.where(edge[1:] > edge[:-1], span, 0)
+
+
 def _trim(values: np.ndarray, keep: np.ndarray, lo: np.ndarray,
           length: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Records laid end to end in values, record b at bins lo[b] ..
-    lo[b] + length[b] - 1, each cut to the span from its first entry kept
-    (keep) to its last: (lo, hi, values), (0, 0) where none is kept.  The
-    spans come from the flips of keep, cut at the record edges, and their
-    values from one mask gather."""
-    start = np.cumsum(length) - length
-    joined = np.zeros(keep.size + 1, dtype=bool)  # entries i - 1 and i kept, in one record
-    joined[1:-1] = keep[1:] & keep[:-1]
-    joined[start] = False
-    # each with a sentinel, read by records that keep nothing
-    rise = np.append(np.flatnonzero(keep & ~joined[:-1]), 0)
-    fall = np.append(np.flatnonzero(keep & ~joined[1:]) + 1, 0)
-    i = np.searchsorted(rise[:-1], start)
-    j = np.append(i[1:], rise.size - 1)  # the records lie end to end
-    full = j > i  # record b keeps rise[i[b]] .. fall[j[b] - 1] - 1
-    first, stop = np.where(full, rise[i], 0), np.where(full, fall[j - 1], 0)
-    lo = np.where(full, lo + first - start, 0)
+    """(lo, hi, values): the spans (_spans) and their values, one mask gather."""
+    cut, hi = _spans(keep, lo, length)
+    some = hi > cut
+    first = (cut - lo + np.cumsum(length) - length)[some]  # each span's first entry
     # the mask: runs out of and in the spans by turns, from entry 0
-    edges = np.concatenate(([0], np.stack((first[full], stop[full]), axis=1).ravel(), [keep.size]))
-    inside = np.arange(edges.size - 1) % 2 == 1
-    return lo, lo + stop - first, values[np.repeat(inside, np.diff(edges))]
+    edges = np.concatenate(([0], np.stack((first, first + (hi - cut)[some]), axis=1).ravel(), [keep.size]))
+    return cut, hi, values[np.repeat((np.arange(edges.size - 1) & 1).astype(bool), np.diff(edges))]
 
 
 def _point_bins(window: Window, n: int) -> int:
@@ -292,21 +296,17 @@ def _row_keys(offset: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def lattice_records(window: Window, points: np.ndarray, counts: np.ndarray,
-                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, hi, values): band b sums phihat(omega - point) over the next
-    counts[b] points on the grid of size n, held on its nonzero extent;
-    a band of no points, or all zero, gets the record (0, 0).
+                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, offset, values): band b sums phihat(omega - point) over the
+    next counts[b] points on the grid of size n, values[u + offset[b]] at
+    bin u of its nonzero extent, end to end; (0, 0) if it is all zero.
 
-    Points past `_lattice_reach` add only +0.0, so callers leave them
-    out; they check the size first (`_lattice_budget`).  Each point is
-    laid on the k bins that can lie within the zero radius, and only the
-    lanes with |omega - point| <= zero_radius are evaluated: the rest are
-    exactly 0.0, and adding +0.0 changes no bits.  They are evaluated once
-    per row of a profile table when the lattice's exact differences
-    repeat, else point by point (module docstring).  A block of whole
-    points of at most LATTICE_BLOCK samples at a time keeps the
-    temporaries in cache, and one add.at per block adds each bin's terms
-    in point order."""
+    Points past `_lattice_reach` add only +0.0, so callers leave them out,
+    after checking the size (`_lattice_budget`).  Each point's lanes within
+    the zero radius are evaluated (the rest add +0.0), once per profile-table
+    row where the lattice's exact differences repeat, else point by point,
+    in blocks of at most LATTICE_BLOCK samples, each added in point order
+    with one add.at (module docstring)."""
     half = n // 2
     radius = window.zero_radius
     k = _point_bins(window, n)
@@ -346,7 +346,7 @@ def lattice_records(window: Window, points: np.ndarray, counts: np.ndarray,
             np.add.at(acc, np.add.outer(slot[a:a + step], lanes)[keep], window.freq_profile(x[keep]))
     lo, hi = np.zeros((2, live.size), dtype=np.int64)
     lo[live], hi[live], values = _trim(acc, acc != 0, base, length)
-    return lo, hi, values
+    return lo, hi, np.cumsum(hi - lo) - hi, values
 
 
 def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
@@ -374,9 +374,8 @@ def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
     points = mu * _runs(first, counts)
     # rounding is sign-symmetric: -(mu * eta) == mu * (-eta)
     points = np.where(np.repeat(ps < 0, counts), -points, points)
-    lo, hi, values = lattice_records(window, points, counts, n)
-    return WindowStack(window, mu, grid, partition, tuple(ps.tolist()), lo, hi,
-                       np.cumsum(hi - lo) - hi, values)
+    return WindowStack(window, mu, grid, partition, tuple(ps.tolist()),
+                       *lattice_records(window, points, counts, n))
 
 
 @dataclass(frozen=True)

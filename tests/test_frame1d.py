@@ -438,6 +438,21 @@ def test_walnut_bounds_painless_are_tight():
     assert rep.upper == pytest.approx(4 * float(h0.max()), rel=1e-12)
 
 
+@pytest.mark.parametrize("k_max", [-1, -3, 2.5, 2.0, np.float64(3.0), "2", np.int64(-1)])
+def test_walnut_refuses_a_k_max_that_is_no_integer_from_zero(k_max):
+    # a negative k_max kept no shift, not even the diagonal, and a float
+    # one failed inside numpy: both are refused by name
+    spec = make_frame_spec(gaussian_window(), 0.5, 2, 1, 64)
+    fs = random_spectrum(np.random.default_rng(31), 64)
+    for call in (lambda: walnut_apply(spec, fs, k_max=k_max), lambda: walnut_bounds(spec, k_max)):
+        with pytest.raises(ValueError, match="k_max must be an integer >= 0") as err:
+            call()
+        assert repr(k_max) in str(err.value)
+    for k_max in (0, np.int64(0), np.uint8(1), 1 << 70):
+        assert walnut_bounds(spec, k_max).k_max == k_max
+        walnut_apply(spec, fs, k_max=k_max)
+
+
 def test_h_tail_grows_with_k_max():
     spec = gauss_spec(n=128, q=4)
     tails = [walnut_bounds(spec, k_max=k).h_tail for k in (1, 2, 4)]
@@ -645,7 +660,7 @@ def test_core_records_drop_only_terms_below_tau(alpha, q, monkeypatch):
     bands, kept = dense_records(g, n), dense_records(c, n)
     top = frame1d.TAU * np.max(np.abs(g.values))
     check_trim(bands, kept, top)
-    assert c.values.size < g.values.size
+    assert (c.hi - c.lo).sum() < (g.hi - g.lo).sum()
 
     b0 = g.ps.index(0)
     tail = (bands[b0] != 0) & (kept[b0] == 0)
@@ -717,6 +732,17 @@ def test_frame_records_are_the_stack_records(window):
     for a, b in ((g.lo, st.lo), (g.hi, st.hi), (g.offset, st.offset)):
         assert a is b
     assert np.array_equal(g.w, [spec.width(p) for p in g.ps]) and np.array_equal(g.m, 4 * g.w)
+
+
+def test_core_records_view_the_full_records_values():
+    # the core narrows only the extents: it reads the full records' own
+    # values at their own offsets, and holds no second array; at alpha = 0
+    # a Gaussian core holds 28% of the 124,478 record bins
+    spec = make_frame_spec(gaussian_window(), 0.5, 8, 0, 2048)
+    g, c = spec.records, spec.core
+    assert c.values is g.values and c.offset is g.offset
+    assert int((c.hi - c.lo).sum()) == 34784 and int((g.hi - g.lo).sum()) == g.values.size == 124478
+    assert np.all((g.lo <= c.lo) & (c.hi <= g.hi) | (c.hi == c.lo))
 
 
 def test_compact_windows_keep_their_extents():

@@ -768,6 +768,17 @@ def test_walnut_nd_chunks_of_whole_kvecs_are_bit_identical(d, chunk, monkeypatch
         assert walnut_bounds_nd(spec, k_max) == dense_walnut_bounds_nd(spec, k_max)
 
 
+@pytest.mark.parametrize("k_max", [-1, 2.5, np.float64(1.0)])
+def test_walnut_nd_refuses_a_k_max_that_is_no_integer_from_zero(k_max):
+    spec = small_spec(d=2, n=16, q=2)
+    fhat = random_field(np.random.default_rng(31), 2, 16)
+    for call in (lambda: walnut_apply_nd(spec, fhat, k_max=k_max), lambda: walnut_bounds_nd(spec, k_max)):
+        with pytest.raises(ValueError, match="k_max must be an integer >= 0") as err:
+            call()
+        assert repr(k_max) in str(err.value)
+    assert walnut_bounds_nd(spec, 0) == dense_walnut_bounds_nd(spec, 0)
+
+
 def test_walnut_nd_report_carries_its_k_max():
     spec = small_spec(d=2, n=16, q=2)
     assert (walnut_bounds_nd(spec).k_max, walnut_bounds_nd(spec).d) == (4, 2)  # ceil(n / 2q)
@@ -895,6 +906,15 @@ def test_core_boxes_drop_only_terms_below_tau(d, n, q, monkeypatch):
     assert not np.array_equal(got, want)
     bound = reconstruct_bound(stacks, kept, slot, np.power(period, d), fhat, spec.h0.ravel(), top)
     assert np.all(np.abs(got - want).ravel() <= bound)
+
+
+def test_core_factors_view_the_full_factors_values():
+    # the core narrows only the factor extents, on the full factors' own
+    # values and offsets: 319 core factor bins of 847 at d = 2, n = 64
+    spec = make_nd_frame_spec(gaussian_window(), 0.5, 8, 2, 64)
+    g, c = spec.records, spec.core
+    assert c.values is g.values and c.offset is g.offset
+    assert int((c.hi - c.lo).sum()) == 319 and int((g.hi - g.lo).sum()) == g.values.size == 847
 
 
 @pytest.mark.parametrize("q", [2, 4])

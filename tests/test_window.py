@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from stockframe import window
 from stockframe.partition import partition_covering
@@ -128,6 +130,16 @@ def test_table_window_validation():
         table_window([0], [1])
 
 
+@pytest.mark.parametrize("omegas, values", [([0, 1], [0, np.nan]), ([-1, 0, 1], [0, np.inf, 0]),
+                                            ([-np.inf, 0], [0, 1]), ([0, np.nan], [1, 1]),
+                                            ([-1, np.inf], [1, 0])])
+def test_table_window_refuses_non_finite_entries(omegas, values):
+    # NaN passed the sign check, an inf value built records of inf, and an
+    # abscissa of -inf gave an infinite support radius
+    with pytest.raises(ValueError, match="must be finite"):
+        table_window(omegas, values)
+
+
 # ---------------------------------------------------------------- stacks
 
 
@@ -190,9 +202,10 @@ def test_band_sum_matches_direct_loop(monkeypatch):
         # the 219 points have at most 90 rows, so they get the table
         monkeypatch.setattr(window, "LATTICE_BLOCK", (120 if table else 1 << 16) * window._point_bins(win, n))
         counting, calls = counting_window(win)
-        lo, hi, values = lattice_records(counting, points, counts, n)
+        lo, hi, offset, values = lattice_records(counting, points, counts, n)
         dense = [dense_band_sum(win, lat, n) for lat in lattices]
         assert_records_equal_dense(lo, hi, values, dense)
+        assert np.array_equal(offset, np.cumsum(hi - lo) - hi)  # the records lie end to end
         want = np.concatenate([band[a:b] for a, b, band in zip(lo, hi, dense)])
         assert values.tobytes() == want.tobytes()
         omegas = FrequencyGrid(n).frequencies().astype(float)
@@ -208,7 +221,9 @@ def test_compact_band_sum_equals_full_evaluation(win):
     for lattice in (0.5 * np.arange(4, 8), -0.5 * np.arange(4, 8), np.array([2.0]),
                     0.5 * np.arange(-70, -62)):
         want = dense_band_sum(win, lattice, 64)
-        assert_records_equal_dense(*lattice_records(win, lattice, np.array([lattice.size]), 64), [want])
+        lo, hi, offset, values = lattice_records(win, lattice, np.array([lattice.size]), 64)
+        assert_records_equal_dense(lo, hi, values, [want])
+        assert offset.tolist() == [-lo[0]]
 
 
 def stack_lattices(mu, alpha, n):
@@ -362,6 +377,39 @@ def test_trim_cuts_each_record_to_its_kept_span(seed):
     got_lo, got_hi, got = window._trim(values, keep, lo, length)
     assert got_lo.tolist() == want_lo and got_hi.tolist() == want_hi
     assert np.array_equal(got, want)
+
+
+# a record: its first bin and its keep flags, mixed, all kept or none kept
+_RECORDS = st.lists(st.tuples(st.integers(-50, 50),
+                              st.one_of(st.lists(st.booleans(), max_size=8),
+                                        st.integers(0, 8).map(lambda k: [True] * k),
+                                        st.integers(0, 8).map(lambda k: [False] * k))), max_size=12)
+
+
+@seed(31)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_RECORDS)
+@example([])  # no records
+@example([(3, []), (-2, []), (0, [])])  # records of zero length only
+@example([(5, [True]), (0, [False]), (7, [True])])  # one entry each
+@example([(0, [False] * 4), (9, []), (-3, [False] * 3)])  # nothing kept
+@example([(0, [True] * 4), (9, []), (-3, [True] * 3)])  # everything kept
+def test_spans_and_trim_match_a_record_loop(records):
+    lo = np.array([a for a, _ in records], dtype=np.int64)
+    length = np.array([len(k) for _, k in records], dtype=np.int64)
+    keep = np.array([x for _, k in records for x in k], dtype=bool)
+    values = np.arange(keep.size) + 0.5
+    want_lo, want_hi, want = [], [], []
+    for (start, flags), entry in zip(records, np.cumsum(length) - length):
+        kept = np.flatnonzero(flags)
+        first, stop = (kept[0], kept[-1] + 1) if kept.size else (0, 0)
+        want_lo.append(start + first if kept.size else 0)
+        want_hi.append(want_lo[-1] + stop - first)
+        want.extend(values[entry + first:entry + stop])
+    got_lo, got_hi = window._spans(keep, lo, length)
+    assert got_lo.tolist() == want_lo and got_hi.tolist() == want_hi
+    got_lo, got_hi, got = window._trim(values, keep, lo, length)
+    assert got_lo.tolist() == want_lo and got_hi.tolist() == want_hi and got.tolist() == want
 
 
 def test_stack_extents_bound_the_nonzero_bins():
