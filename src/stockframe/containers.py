@@ -6,7 +6,7 @@ SFR1 (one-dimensional record):
     byte  8      domain flag: 0 = time samples, 1 = spectral coefficients
     then         n complex128 little-endian (float64 re, then float64 im)
 
-SFR2 (d-dimensional record):
+SFR2 (d-dimensional record, 1 <= d <= MAX_DIM):
     bytes 0..3   magic "SFR2"
     bytes 4..7   u32 little-endian dimension d
     then         d u32 little-endian per-axis sizes
@@ -18,7 +18,9 @@ value keeps its bits: -0.0 parts, infinities and NaNs included.  It is
 read straight into the array returned (read-only inside an SFR1 signal,
 writable from read_sfr2) and written from the caller's array, with no
 copy in bytes on either side; a reader takes only regular files, whose
-size it checks against the header's before reading.
+size it checks against the header's before reading.  A writer refuses
+what the reader would (a rank past MAX_DIM, an axis no u32 holds, an
+unknown domain flag) before it opens the file.
 
 A file may hold several records back to back; ``read_sfr1_all`` consumes
 them in order.  CSV exports are plain ``index,re,im`` tables.
@@ -44,6 +46,8 @@ MAGIC2 = b"SFR2"
 DOMAIN_TIME = 0
 DOMAIN_FREQUENCY = 1
 
+MAX_DIM = 8  # the largest SFR2 rank written or read
+
 Signal = Union[TimeSamples, SpectralSignal]
 
 
@@ -56,6 +60,13 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
     if len(raw) != count:
         raise ContainerError(f"truncated container: expected {count} bytes of {what}")
     return raw
+
+
+def _read_domain(fh: BinaryIO) -> int:
+    (domain,) = struct.unpack("B", _read_exact(fh, 1, "domain flag"))
+    if domain not in (DOMAIN_TIME, DOMAIN_FREQUENCY):
+        raise ContainerError(f"unknown domain flag {domain}")
+    return domain
 
 
 def _read_payload(fh: BinaryIO, count: int) -> np.ndarray:
@@ -102,9 +113,7 @@ def _read_sfr1_record(fh: BinaryIO) -> Signal | None:
     if magic != MAGIC1:
         raise ContainerError(f"bad magic {magic!r}, expected {MAGIC1!r}")
     (n,) = struct.unpack("<I", _read_exact(fh, 4, "size"))
-    (domain,) = struct.unpack("B", _read_exact(fh, 1, "domain flag"))
-    if domain not in (DOMAIN_TIME, DOMAIN_FREQUENCY):
-        raise ContainerError(f"unknown domain flag {domain}")
+    domain = _read_domain(fh)
     data = _read_payload(fh, n)
     return _adopt(TimeSamples if domain == DOMAIN_TIME else SpectralSignal, FrequencyGrid(int(n)), data)
 
@@ -130,16 +139,16 @@ def read_sfr1_all(path) -> list[Signal]:
 
 def write_sfr2(path, values: np.ndarray, domain: int, append: bool = False) -> None:
     arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim < 1:
-        raise ValueError("expected an array of dimension >= 1")
+    if not 1 <= arr.ndim <= MAX_DIM:
+        raise ValueError(f"expected an array of dimension 1..{MAX_DIM}, got {arr.ndim}")
+    if max(arr.shape) >= 1 << 32:
+        raise ValueError(f"axis sizes {arr.shape} do not fit the u32 header")
     if domain not in (DOMAIN_TIME, DOMAIN_FREQUENCY):
         raise ValueError(f"unknown domain flag {domain}")
+    header = MAGIC2 + struct.pack(f"<{arr.ndim + 1}IB", arr.ndim, *arr.shape, domain)
     mode = "ab" if append else "wb"
     with open(path, mode) as fh:
-        fh.write(MAGIC2)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(struct.pack("B", domain))
+        fh.write(header)
         fh.write(memoryview(np.ascontiguousarray(arr, "<c16")))
 
 
@@ -150,12 +159,10 @@ def read_sfr2(path) -> tuple[np.ndarray, int]:
         if magic != MAGIC2:
             raise ContainerError(f"bad magic {magic!r}, expected {MAGIC2!r}")
         (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "dimension"))
-        if not 1 <= ndim <= 8:
+        if not 1 <= ndim <= MAX_DIM:
             raise ContainerError(f"implausible dimension {ndim}")
         shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
-        (domain,) = struct.unpack("B", _read_exact(fh, 1, "domain flag"))
-        if domain not in (DOMAIN_TIME, DOMAIN_FREQUENCY):
-            raise ContainerError(f"unknown domain flag {domain}")
+        domain = _read_domain(fh)
         count = math.prod(shape)
         data = _read_payload(fh, count)
     return data.reshape(shape), domain

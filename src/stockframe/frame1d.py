@@ -49,12 +49,13 @@ folds are the whole round trip.
 
 Each band is held as a record, in p order (`FrameSpec.records`, the
 stack's own arrays): its nonzero extent [lo, hi) in grid bins, its
-values there, its width w and its period m = q*w.  The 1D frame runs on
-the n-D frame's engine (tiling.py), a band being a box of d = 1 axis
-factor.  One builder, `_box_chunks`, cuts a family of boxes, each given
-as its d rows of factor records (the bands in fold order), into chunks of
-whole boxes of a few thousand bins (FoldChunk): the flat grid bins of
-their supports, the values there and, formed in one loop over the axes,
+values there, its width w and its period m = q*w.  The engine below is
+this module's, and the n-D frame (tiling.NdFrameSpec) runs on it; a 1D
+band is a box of d = 1 axis factor.  One builder, `_box_chunks`, cuts
+a family of boxes, each given as its d rows of factor records (the
+bands in fold order), into chunks of whole boxes of a few thousand bins
+(FoldChunk): the flat grid bins of their supports, the values there
+and, formed in one loop over the axes,
 the compact fold slot of each bin, read by reconstruction: the C-order
 ravel of (j_s - lo_s) mod m over radices min(extent_s, m), never more
 slots than bins, whatever q.  The chunks that analysis and synthesis

@@ -835,3 +835,47 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     rows = proc.stdout.strip().splitlines()
     assert rows[1:] == ["0,0,1,1", "1,1,2,1", "2,2,4,2", "3,4,8,4", "4,8,16,8"]
+
+
+# ------------------------------------------------------------ output contract
+
+
+SPEC = ["--mu", "1", "--q", "4", "--window", "tgauss:0.10"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["partition", "--alpha", "0.5", "--pmax", "9"], 0),
+    (["partition", "--alpha", "0.5", "--pmax", "9", "--csv"], 0),
+    (["basis", "--alpha", "0.5", "--p", "4", "--tau", "1", "--n", "64", "--out", "{tmp}/b"], 0),
+    (["basis-check", "--alpha", "0.5", "--n", "64"], 0),
+    (["stack", "--alpha", "0.5", "--mu", "1", "--window", "tgauss:0.10", "--n", "64", "--report"], 0),
+    (["stack", "--alpha", "1", "--mu", "100", "--window", "tgauss:0.1", "--n", "48"], 3),
+    (["frame-bounds", "--alpha", "0.5", *SPEC, "--n", "64"], 0),
+    (["frame-bounds", "--alpha", "0", "--mu", "0.5", "--q", "1", "--window", "gaussian", "--n", "64"], 3),
+    (["element", "--alpha", "0.5", *SPEC, "--n", "64", "--p", "1", "--k", "0", "--out", "{tmp}/e"], 0),
+    (["roundtrip", "--alpha", "0.5", *SPEC, "--n", "64", "--in", "{tmp}/in.sfr1", "--out", "{tmp}/r"], 0),
+    (["roundtrip", "--alpha", "0.5", "--mu", "0.5", "--q", "2", "--window", "gaussian", "--n", "64",
+      "--in", "{tmp}/in.sfr1", "--tol", "1e-20"], 3),
+    (["tile", "--d", "2", "--pmax", "2"], 0),
+    (["roundtrip2d", *SPEC, "--n", "16", "--in", "{tmp}/in.sfr2"], 0),
+    (["selftest", "--criteria", "1,11"], 0),
+], ids=lambda v: " ".join(v[:4]).replace("{tmp}/", "") if isinstance(v, list) else None)
+def test_text_and_json_runs_share_the_exit_code_and_echo_the_spec(tmp_path, capsys, argv, code):
+    # one output path: the text run and the --json run of a subcommand end
+    # alike, and --json prints one line of sorted keys, each spec flag in
+    # its JSON form
+    make_input(tmp_path, n=64)
+    write_sfr2(tmp_path / "in.sfr2", np.random.default_rng(0).standard_normal((16, 16)) + 0j, DOMAIN_TIME)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    text_code, text, err = run(capsys, *argv)
+    assert (text_code, err) == (code, "") and text.endswith("\n")
+    json_code, out, err = run(capsys, *argv, "--json")
+    assert (json_code, err) == (code, "")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True) + "\n" and out.count("\n") == 1
+    forms = {"--alpha": {"0.5": "1/2", "1": "1", "0": "0"}.get, "--mu": float, "--q": int,
+             "--n": int, "--window": str}
+    for flag, value in zip(argv, argv[1:]):
+        if flag in forms:
+            echo = payload[flag[2:]]
+            assert echo == forms[flag](value) and type(echo) is type(forms[flag](value)), flag

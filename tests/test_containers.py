@@ -145,6 +145,38 @@ def test_sfr2_malformed_inputs(tmp_path):
         write_sfr2(tmp_path / "y.sfr2", np.zeros((2, 2), complex), domain=7)
 
 
+def test_sfr2_writer_refuses_a_rank_the_reader_refuses(tmp_path):
+    # a 9-D record was written, and read_sfr2 refused it as implausible
+    path = tmp_path / "x.sfr2"
+    with pytest.raises(ValueError, match="dimension 1..8, got 9"):
+        write_sfr2(path, np.zeros((1,) * 9, complex), DOMAIN_TIME)
+    assert not path.exists()
+
+
+def test_sfr2_writer_refuses_an_unpackable_shape_before_opening(tmp_path):
+    # an axis of 2^32 raised struct.error after "wb" had cut the file to
+    # its magic and rank
+    path = tmp_path / "x.sfr2"
+    write_sfr2(path, np.ones((2, 2), complex), DOMAIN_TIME)
+    before = path.read_bytes()
+    assert len(before) == 81
+    with pytest.raises(ValueError, match="u32"):
+        write_sfr2(path, np.zeros((0, 2 ** 32), complex), DOMAIN_TIME)
+    with pytest.raises(ValueError, match="domain flag"):
+        write_sfr2(path, np.zeros((2, 2), complex), domain=2)
+    assert path.read_bytes() == before
+
+
+def test_sfr2_eight_dimensional_round_trip(tmp_path):
+    shape = (2, 1, 3, 1, 2, 1, 1, 2)
+    vals = np.arange(24, dtype=float).reshape(shape) * (1 - 2j)
+    path = tmp_path / "x.sfr2"
+    write_sfr2(path, vals, DOMAIN_FREQUENCY)
+    back, domain = read_sfr2(path)
+    assert domain == DOMAIN_FREQUENCY and back.shape == shape
+    assert np.array_equal(back, vals)
+
+
 def test_sfr_payload_keeps_every_bit(tmp_path):
     # every pair of -0.0, +-inf, nan and plain real and imaginary parts,
     # set part by part: no arithmetic forms them, and none may move one
