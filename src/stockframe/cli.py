@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import types
 from fractions import Fraction
 
 EXIT_OK = 0
@@ -167,8 +168,8 @@ def cmd_partition(args):
     part = build_partition(args.alpha, args.pmax)
     if limit and part.stop >= 10 ** limit:
         raise ValueError(f"the last stop has more than {limit} digits; lower --pmax")
-    rows = [{"p": iv.p, "start": iv.start, "stop": iv.stop, "width": iv.width}
-            for iv in part.intervals]
+    rows = ({"p": r.p + k, "start": r.lo + k * r.width, "stop": r.lo + (k + 1) * r.width, "width": r.width}
+            for r in part.runs for k in range(r.count))
     payload = {**_echo(args, "alpha"), "p_max": args.pmax, "intervals": rows}
     # one row format for the header and the rows, CSV or an aligned table
     row = "{p},{start},{stop},{width}" if args.csv else "{p:>4} {start:>12} {stop:>12} {width:>10}"
@@ -194,7 +195,7 @@ def cmd_basis(args):
     elem = basis.basis_element(args.alpha, index, args.n)
     spectrum = to_spectrum(elem)
     conc = basis.concentration(args.alpha, index, args.n)
-    lo, hi = basis.band_layout(args.alpha, args.n).bands[args.p]
+    lo, hi = basis.band_layout(args.alpha, args.n).band(args.p)
     payload = {
         **_echo(args, "alpha", "n"),
         "p": args.p,
@@ -572,6 +573,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _listed(value):
+    """json.dumps' default: a generator (partition's rows) as a list, anything else json's own TypeError."""
+    return list(value) if isinstance(value, types.GeneratorType) else json.JSONEncoder().default(value)
+
+
 def main(argv=None) -> int:
     try:
         _apply_thread_cap()
@@ -584,7 +590,7 @@ def main(argv=None) -> int:
         if args.json:
             # NaN and Infinity are not JSON (RFC 8259): json.dumps refuses them
             # with a ValueError (exit 2) before anything reaches stdout
-            sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+            print(json.dumps(payload, sort_keys=True, allow_nan=False, default=_listed))
         else:
             for line in lines:
                 sys.stdout.write(line + "\n")

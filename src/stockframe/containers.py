@@ -22,8 +22,9 @@ size it checks against the header's before reading.  A writer refuses
 what the reader would (a rank past MAX_DIM, an axis no u32 holds, an
 unknown domain flag) before it opens the file.
 
-A file may hold several records back to back; ``read_sfr1_all`` consumes
-them in order.  CSV exports are plain ``index,re,im`` tables.
+An SFR1 file may hold records back to back (``read_sfr1_all`` reads
+them); an SFR2 file holds one, each ``write_sfr2`` call a whole file.
+CSV exports are plain ``index,re,im`` tables.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def read_sfr1_all(path) -> list[Signal]:
             records.append(record)
 
 
-def write_sfr2(path, values: np.ndarray, domain: int, append: bool = False) -> None:
+def write_sfr2(path, values: np.ndarray, domain: int) -> None:
     arr = np.asarray(values, dtype=np.complex128)
     if not 1 <= arr.ndim <= MAX_DIM:
         raise ValueError(f"expected an array of dimension 1..{MAX_DIM}, got {arr.ndim}")
@@ -146,8 +147,7 @@ def write_sfr2(path, values: np.ndarray, domain: int, append: bool = False) -> N
     if domain not in (DOMAIN_TIME, DOMAIN_FREQUENCY):
         raise ValueError(f"unknown domain flag {domain}")
     header = MAGIC2 + struct.pack(f"<{arr.ndim + 1}IB", arr.ndim, *arr.shape, domain)
-    mode = "ab" if append else "wb"
-    with open(path, mode) as fh:
+    with open(path, "wb") as fh:
         fh.write(header)
         fh.write(memoryview(np.ascontiguousarray(arr, "<c16")))
 

@@ -195,7 +195,7 @@ def _fold(x: np.ndarray, fold: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class FoldChunk:
     """Consecutive bands (boxes) of a family, bands, whose supports hold
     about _TERM_CHUNK bins, lengths[i] of them in the i-th band: their
@@ -216,7 +216,7 @@ class FoldChunk:
     place: np.ndarray | None = field(default=None, repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BandRecords:
     """One record per band of a family, in the order ps: its nonzero
     extent [lo, hi) in grid bins, width w, period m = q*w and values, band
@@ -470,14 +470,13 @@ class _BoxFrame:
         total = sum((b - a) * m ** self.d for c in chunks for a, b, _, m in c.runs)
         if total > COEFF_CAP:
             raise ValueError(f"coefficient count {total} exceeds the cap {COEFF_CAP}; reduce q")
-        for c in chunks:
-            c.place = _place(c, self.n, self.d)
-        return chunks
+        return tuple(replace(c, place=_place(c, self.n, self.d)) for c in chunks)
 
     @cached_property
     def split(self) -> RoundTripSplit:
-        """The round trip's split (_split) with the spec's own H0,
-        read-only; built on the first reconstruction, of chunks not kept."""
+        """The round trip's split (_split) with the spec's own H0, read-only; built on the first
+        reconstruction, of chunks not kept, after the gap check (_check_gap): a gapped spec holds none."""
+        _check_gap(self.h0, self.n // 2)
         return _split(self, self._fold_chunks(), self.h0)
 
 
@@ -511,7 +510,7 @@ def _synthesize(spec: _BoxFrame, coeffs: dict) -> np.ndarray:
     return acc
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameSpec(_BoxFrame):
     """Frozen description of one frame instance: q and its window stack;
     its bands are the boxes of the shared engine at d = 1 (_BoxFrame)."""
@@ -703,7 +702,7 @@ def _walnut_stream(g: BandRecords, kvecs: list[np.ndarray], n: int):
         yield dst, src, phi, out, sizes[a:b]
 
 
-def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None) -> np.ndarray:
+def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray) -> np.ndarray:
     """q^d times the sum of every term (f^ Phi)(u - s) Phi(u), f^ flat on
     the grid, over the spec's bands (boxes) and their kvecs
     (_walnut_stream), on the core records, as the folds read them.  One
@@ -711,21 +710,18 @@ def _walnut_sum(spec: _BoxFrame, fhat: np.ndarray, k_max=None) -> np.ndarray:
     dense loop would."""
     g = spec.core
     acc = np.zeros(spec.n ** spec.d, dtype=np.complex128)
-    for u, v, phi, out, _ in _walnut_stream(g, _walnut_kvecs(g, spec._fold_rows, k_max), spec.n):
+    for u, v, phi, out, _ in _walnut_stream(g, _walnut_kvecs(g, spec._fold_rows), spec.n):
         np.add.at(acc, u, fhat[v] * phi * out)
     acc *= spec.q ** spec.d
     return acc
 
 
-def walnut_apply(spec: FrameSpec, f, k_max: int | None = None) -> SpectralSignal:
-    """Direct evaluation of the shift-sum representation of S f.
-
-    k_max = None keeps every shift that can touch the grid (exact equality
-    with frame_operator_apply up to round-off); an explicit k_max truncates
-    the aliasing sum for decay studies.  Shifted content leaving the grid
-    is dropped.  The terms add in (p, m) order (_walnut_sum).
-    """
-    return _adopt(SpectralSignal, spec.grid, _walnut_sum(spec, _as_spectrum(spec, f), k_max))
+def walnut_apply(spec: FrameSpec, f) -> SpectralSignal:
+    """Direct evaluation of the shift-sum representation of S f: every
+    shift that can touch the grid, so it equals frame_operator_apply up to
+    round-off; shifted content leaving the grid is dropped.  The terms add
+    in (p, m) order (_walnut_sum)."""
+    return _adopt(SpectralSignal, spec.grid, _walnut_sum(spec, _as_spectrum(spec, f)))
 
 
 @dataclass(frozen=True)
@@ -765,8 +761,7 @@ def walnut_bounds(spec: _BoxFrame, k_max: int | None = None) -> WalnutBoundRepor
     ulp of the diagonal, where the factored form cancels; the box terms
     add in (box, mask) order.
     """
-    if k_max is None:
-        k_max = spec.walnut_k_max
+    k_max = spec.walnut_k_max if k_max is None else k_max
     g, n = spec.records, spec.n
     kvecs = _walnut_kvecs(g, np.arange(len(g.ps))[:, None], k_max, first=1)  # lengths >= 1: s <= hi - 1 - lo
     maxima = np.concatenate([np.zeros(0)] + [np.maximum.reduceat(pv * gv, np.cumsum(sizes) - sizes)
@@ -941,11 +936,9 @@ def _round_trip(spec: _BoxFrame, fhat: np.ndarray) -> tuple[np.ndarray, float]:
     and synthesize with the primal one: sum q^d Phi fold(f^ Omega)[fold]
     over the core chunks, no coefficients formed, as the FFT pair cancels
     (module docstring), taken as D f^ plus one add.at per alias chunk, in
-    band order (spec.split), after the gap check (_check_gap) on every
-    call.  Returns (reconstruction, relative l2 error), the two norms
-    taken against one shared power of two where either passes the float
-    range (_rel_norm)."""
-    _check_gap(spec.h0, spec.n // 2)
+    band order (spec.split, built after the gap check).  Returns
+    (reconstruction, relative l2 error), the two norms taken against one
+    shared power of two where either passes the float range (_rel_norm)."""
     split = spec.split
     rec = split.diagonal * fhat
     for a in split.alias:

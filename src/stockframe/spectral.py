@@ -228,12 +228,12 @@ def from_spectrum(s: SpectralSignal) -> TimeSamples:
     return _adopt(TimeSamples, s.grid, values)
 
 
-def poisson_residual(time_profile, freq_profile, gamma: float, x, n_terms: int = 12):
+def poisson_residual(time_profile, freq_profile, gamma: float, x):
     """Absolute defect of the periodization identity
 
         gamma * sum_m phi(x + gamma*m)  =  sum_m phihat(m/gamma) e^{2 pi i m x / gamma}
 
-    with both sides truncated to |m| <= n_terms.  ``x`` may be a scalar or an
+    with both sides truncated to |m| <= 12.  ``x`` may be a scalar or an
     array; the residual has the same shape.  Meaningful only for profiles
     decaying fast enough that the truncation is below the target tolerance.
     """
@@ -242,7 +242,7 @@ def poisson_residual(time_profile, freq_profile, gamma: float, x, n_terms: int =
     if time_profile is None:
         raise ValueError("window has no closed-form time evaluator")
     xs = np.asarray(x, dtype=float)
-    ms = np.arange(-n_terms, n_terms + 1)
+    ms = np.arange(-12, 13)
     lhs = gamma * np.sum(time_profile(xs[..., None] + gamma * ms), axis=-1)
     rhs = np.sum(
         freq_profile(ms / gamma) * np.exp(2j * np.pi * ms * xs[..., None] / gamma),

@@ -192,7 +192,7 @@ def build_tiling(d: int, p_max: int) -> NdTiling:
     return NdTiling(d, p_max, boxes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NdFrameSpec(_BoxFrame):
     """Separable frame on an n^d grid; axis window factors stored once.
 
@@ -304,12 +304,11 @@ def frame_operator_apply_nd(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:
     return synthesize_nd(spec, analyze_nd(spec, fhat))
 
 
-def walnut_apply_nd(spec: NdFrameSpec, fhat: np.ndarray,
-                    k_max: int | None = None) -> np.ndarray:
+def walnut_apply_nd(spec: NdFrameSpec, fhat: np.ndarray) -> np.ndarray:
     """Direct shift-sum evaluation of S f on the core box records
     (frame1d._walnut_sum); matches analyze/synthesize to round-off."""
     fhat = _check_field(spec, fhat)
-    return _walnut_sum(spec, fhat.ravel(), k_max).reshape(fhat.shape)
+    return _walnut_sum(spec, fhat.ravel()).reshape(fhat.shape)
 
 
 # one conjugate filter and one tail bound serve both frames

@@ -151,7 +151,7 @@ def truncated_gaussian(eps: float) -> Window:
     return Window(f"truncated_gaussian({eps:g})", profile, None, 1.0 + eps)
 
 
-def table_window(omegas, values, kind: str = "table") -> Window:
+def table_window(omegas, values) -> Window:
     """Window interpolated linearly from a sample table, zero outside it."""
     omegas = np.asarray(omegas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -168,14 +168,14 @@ def table_window(omegas, values, kind: str = "table") -> Window:
         return np.interp(np.asarray(x, dtype=float), omegas, values, left=0.0, right=0.0)
 
     radius = float(max(abs(omegas[0]), abs(omegas[-1])))
-    return Window(kind, profile, None, radius)
+    return Window("table", profile, None, radius)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowStack:
     """Band sums of a window over a partition, as records: band ps[b] is
     nonzero only on its extent [lo[b], hi[b]) of grid bins, (0, 0) when
-    all zero, and holds values[u + offset[b]] at bin u."""
+    all zero, and holds values[u + offset[b]] at bin u; arrays read-only."""
 
     window: Window
     mu: float
@@ -306,7 +306,7 @@ def lattice_records(window: Window, points: np.ndarray, counts: np.ndarray,
     the zero radius are evaluated (the rest add +0.0), once per profile-table
     row where the lattice's exact differences repeat, else point by point,
     in blocks of at most LATTICE_BLOCK samples, each added in point order
-    with one add.at (module docstring)."""
+    with one add.at (module docstring).  The four arrays are read-only."""
     half = n // 2
     radius = window.zero_radius
     k = _point_bins(window, n)
@@ -346,7 +346,10 @@ def lattice_records(window: Window, points: np.ndarray, counts: np.ndarray,
             np.add.at(acc, np.add.outer(slot[a:a + step], lanes)[keep], window.freq_profile(x[keep]))
     lo, hi = np.zeros((2, live.size), dtype=np.int64)
     lo[live], hi[live], values = _trim(acc, acc != 0, base, length)
-    return lo, hi, np.cumsum(hi - lo) - hi, values
+    records = lo, hi, np.cumsum(hi - lo) - hi, values
+    for x in records:
+        x.flags.writeable = False
+    return records
 
 
 def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:
@@ -398,14 +401,13 @@ class AdmissibilityReport:
     painless: bool
 
 
-def admissibility(stack: WindowStack, threshold: float = OVERLAP_THRESHOLD) -> AdmissibilityReport:
+def admissibility(stack: WindowStack) -> AdmissibilityReport:
     """Read the records, a bin off a band's extent counting as 0.0 there;
     maxima, minima and counts are exact, so this equals a dense scan."""
     bins, values, n = _runs(stack.lo, stack.hi - stack.lo), stack.values, stack.grid.size
-    zeros = len(stack.ps) - np.bincount(bins, minlength=n)  # bands off their extent
-    best = np.where(zeros > 0, 0.0, -np.inf)  # max_p Phi_p at each bin
+    best = np.where(np.bincount(bins, minlength=n) < len(stack.ps), 0.0, -np.inf)  # max_p Phi_p at each bin
     np.maximum.at(best, bins, values)
-    above = np.bincount(bins[values > threshold], minlength=n) + (zeros if threshold < 0.0 else 0)
+    above = np.bincount(bins[values > OVERLAP_THRESHOLD], minlength=n)
     c3 = float(best.min())
     return AdmissibilityReport(float(best.max()), int(above.max()), c3, c3 > 0.0, stack.window.compact)
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from stockframe.cli import main
+from stockframe.cli import _listed, main
 from stockframe.containers import (
     DOMAIN_FREQUENCY,
     DOMAIN_TIME,
@@ -386,6 +386,49 @@ def test_partition_past_the_float_range():
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout)["intervals"][-1]
     assert last == {"p": 1100, "start": 2**1099, "stop": 2**1100, "width": 2**1099}
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/3", "1/2", "1"])
+def test_partition_json_lists_the_intervals(capsys, alpha):
+    # the rows are made from the runs as the JSON is written: the bytes of
+    # a list built from the intervals
+    from fractions import Fraction
+
+    from stockframe.partition import build_partition
+    rows = [{"p": iv.p, "start": iv.start, "stop": iv.stop, "width": iv.width}
+            for iv in build_partition(Fraction(alpha), 300).intervals]
+    want = json.dumps({"alpha": alpha, "p_max": 300, "intervals": rows}, sort_keys=True) + "\n"
+    assert run(capsys, "partition", "--alpha", alpha, "--pmax", "300", "--json") == (0, want, "")
+
+
+def test_json_lists_a_generator_and_refuses_anything_else():
+    assert _listed(x * x for x in range(3)) == [0, 1, 4]
+    for value in (iter([1]), np.arange(2), {1}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _listed(value)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_partition_streams_its_rows(fmt):
+    # 200,001 rows made from the ladder's one run as they are printed: the
+    # intervals and a list of row dicts held 108 MB
+    proc, peak_kib = run_cli_measured("partition", "--alpha", "0", "--pmax", "200000", *fmt)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == (200002 if fmt else 200003) + 1  # and the VmHWM line
+    assert lines[-2] == ("200000,200000,200001,1" if fmt else "200000       200000       200001          1")
+    assert peak_kib < 60 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_basis_reads_its_one_band_of_the_layout():
+    # a dict of every band of the layout (2^20 - 1 at alpha = 0) held 295 MB
+    proc, peak_kib = run_cli_measured("basis", "--alpha", "0", "--p", "3", "--n", "1048576", "--json")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout.splitlines()[0])
+    assert (payload["band_lo"], payload["band_hi"]) == (3, 4)
+    assert peak_kib < 200 * 1024
 
 
 def refused_on_one_line(proc):

@@ -1,5 +1,6 @@
 """Separable tilings and frames in dimension d: combinatorics, oracles."""
 
+import dataclasses
 import math
 from functools import reduce
 from itertools import product
@@ -183,7 +184,7 @@ def dense_core_factors(spec):
     return cores
 
 
-def dense_walnut_apply_nd(spec, fhat, k_max=None):
+def dense_walnut_apply_nd(spec, fhat):
     # every shift of every box over the whole grid, kvec after kvec, on
     # the factors' cores, as the Walnut sum reads them
     factors = dense_core_factors(spec)
@@ -193,7 +194,7 @@ def dense_walnut_apply_nd(spec, fhat, k_max=None):
         stack = reduce(np.multiply.outer, facs)
         base = fhat * stack
         step = spec.box_period(box)
-        limits = axis_limits(facs, step, k_max)
+        limits = axis_limits(facs, step, None)
         if limits is None:
             continue
         for kvec in product(*(range(-lim, lim + 1) for lim in limits)):
@@ -739,9 +740,8 @@ def test_walnut_nd_is_bit_identical_to_dense_shift_loops(window, d, q, deep, mu)
     if deep:
         spec = make_nd_frame_spec(FACTOR_WINDOWS[window](), mu, q, d, n, p_max=spec.tiling.p_max + 2)
     fhat = random_field(np.random.default_rng(34), d, n)
+    assert np.array_equal(walnut_apply_nd(spec, fhat), dense_walnut_apply_nd(spec, fhat))
     for k_max in (None, 1):
-        assert np.array_equal(walnut_apply_nd(spec, fhat, k_max=k_max),
-                              dense_walnut_apply_nd(spec, fhat, k_max))
         assert walnut_bounds_nd(spec, k_max) == dense_walnut_bounds_nd(spec, k_max)
 
 
@@ -759,23 +759,21 @@ def test_walnut_nd_chunks_of_whole_kvecs_are_bit_identical(d, chunk, monkeypatch
     spec = make_nd_frame_spec(truncated_gaussian(1.0), 0.5, 2, d, n)
     factors = dense_core_factors(spec)
     fhat = random_field(np.random.default_rng(35), d, n)
+    items.clear()
+    assert same_bits(walnut_apply_nd(spec, fhat), dense_walnut_apply_nd(spec, fhat))
+    limits = [axis_limits([factors[key] for key in box_keys(spec, box)], spec.box_period(box), None)
+              for box in spec.tiling.boxes]
+    assert items == [sum(math.prod(2 * lim + 1 for lim in lims) for lims in limits if lims is not None)]
     for k_max in (None, 0, 1):
-        items.clear()
-        assert same_bits(walnut_apply_nd(spec, fhat, k_max=k_max), dense_walnut_apply_nd(spec, fhat, k_max))
-        limits = [axis_limits([factors[key] for key in box_keys(spec, box)], spec.box_period(box), k_max)
-                  for box in spec.tiling.boxes]
-        assert items == [sum(math.prod(2 * lim + 1 for lim in lims) for lims in limits if lims is not None)]
         assert walnut_bounds_nd(spec, k_max) == dense_walnut_bounds_nd(spec, k_max)
 
 
 @pytest.mark.parametrize("k_max", [-1, 2.5, np.float64(1.0)])
 def test_walnut_nd_refuses_a_k_max_that_is_no_integer_from_zero(k_max):
     spec = small_spec(d=2, n=16, q=2)
-    fhat = random_field(np.random.default_rng(31), 2, 16)
-    for call in (lambda: walnut_apply_nd(spec, fhat, k_max=k_max), lambda: walnut_bounds_nd(spec, k_max)):
-        with pytest.raises(ValueError, match="k_max must be an integer >= 0") as err:
-            call()
-        assert repr(k_max) in str(err.value)
+    with pytest.raises(ValueError, match="k_max must be an integer >= 0") as err:
+        walnut_bounds_nd(spec, k_max)
+    assert repr(k_max) in str(err.value)
     assert walnut_bounds_nd(spec, 0) == dense_walnut_bounds_nd(spec, 0)
 
 
@@ -791,9 +789,6 @@ def test_nd_k_max_past_the_grid_edge_changes_nothing(d):
     # no shift of n or more bins reaches the grid, and every step is >= 1
     n = GRID[d]
     spec = make_nd_frame_spec(gaussian_window(), 0.5, 2, d, n)
-    fhat = random_field(np.random.default_rng(36), d, n)
-    assert same_bits(walnut_apply_nd(spec, fhat, k_max=10 ** 6), walnut_apply_nd(spec, fhat))
-    assert same_bits(walnut_apply_nd(spec, fhat, k_max=n), walnut_apply_nd(spec, fhat))
     far, edge = walnut_bounds_nd(spec, 10 ** 6), walnut_bounds_nd(spec, n)
     assert (far.h_tail, far.lower, far.upper) == (edge.h_tail, edge.lower, edge.upper)
     assert (far.k_max, edge.k_max) == (10 ** 6, n)
@@ -823,13 +818,27 @@ def test_reconstruct_nd_builds_h0_once_per_spec(monkeypatch):
     runs = [reconstruct_nd(spec, fhat), reconstruct_nd(spec, fhat)]
     assert len(calls) == 1
     assert not spec.h0.flags.writeable
-    # the gap check still runs on every call
-    assert len(checks) == 2
+    # H0 cannot change, so the gap check runs once per spec, as the split is built
+    assert len(checks) == 1
     # the round trip in its documented order on a freshly summed H0
     rec_want, rel_want = per_call_reconstruct_nd(spec, fhat, original(spec), spec._fold_chunks())
     for rec, rel in runs:
         assert np.array_equal(rec, rec_want)
         assert rel == rel_want
+
+
+def test_nd_spec_and_records_are_frozen():
+    # the n-D spec builds its core, H0, chunks and split once from these:
+    # no field can be set after, and no record array written into
+    spec = small_spec(d=2, n=16, q=2)
+    for obj in (spec, spec.records, spec.core, spec.chunks[0]):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+    g = spec.records
+    for x in (g.lo, g.hi, g.offset, g.values):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = x[0]
 
 
 def test_conjugate_nd_gap_detection():
