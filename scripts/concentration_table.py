@@ -26,10 +26,8 @@ def main():
     for tok in args.alphas.split(","):
         layout = band_layout(Fraction(tok), args.n)
         for p in layout.p_list:
-            if abs(p) > args.pmax:
-                continue
-            if layout.width(p) < layout.partition.interval(p).width:
-                continue  # clipped band, not a ladder element
+            if abs(p) > args.pmax or p in layout.clipped:
+                continue  # a clipped band is no ladder element
             worst, arg = 1.0, 0
             for tau in range(layout.width(p)):
                 val = concentration(layout.alpha, BasisIndex(p, tau), args.n, args.cells)

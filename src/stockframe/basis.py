@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .partition import AlphaPartition, Run, build_partition, coerce_alpha, partition_covering
+from .partition import AlphaPartition, Run, coerce_alpha, partition_covering
 from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _adopt, from_spectrum
 
 __all__ = [
@@ -108,13 +108,15 @@ class BandLayout:
     p + k of run (p, lo, width, count) is [lo + k*width, lo + (k+1)*width).
     In p order the bands tile -(n/2-1) .. n/2-1 with no gap, so band p's
     coefficients sit at offset lo(p) + n/2 - 1 of a flat length-(n-1) array.
+    ``clipped`` holds the signed bands cut to end at n/2, narrower than
+    their ladder intervals: () or (-P, P), P the last band.
     """
 
     alpha: object  # Fraction
     grid: FrequencyGrid
     partition: AlphaPartition
     runs: tuple[Run, ...]
-    clipped: bool
+    clipped: tuple[int, ...]
 
     @cached_property
     def bands(self) -> dict[int, tuple[int, int]]:
@@ -164,7 +166,7 @@ def band_layout(alpha, n: int) -> BandLayout:
     partition = partition_covering(alpha, half)
     pos = list(partition.runs)
     last = pos[-1]
-    clipped = last.stop > half
+    clipped = (-partition.p_max, partition.p_max) if last.stop > half else ()
     if clipped:
         # the ladder overshoots n/2: its last band ends there instead
         top = last.stop - last.width
@@ -239,24 +241,20 @@ def _element_spectrum(grid: FrequencyGrid, lo: int, hi: int, tau: int) -> np.nda
 
 
 def basis_element(alpha, index: BasisIndex, n: int) -> TimeSamples:
-    """Time samples of one element; the band must fit the grid.  Grids
-    above ELEMENT_SIZE_CAP are refused before anything is built."""
+    """Time samples of one element, its band read from the grid's layout;
+    a clipped band is refused.  Grids above ELEMENT_SIZE_CAP are refused
+    before anything is built."""
     grid = FrequencyGrid(n)
     if n > ELEMENT_SIZE_CAP:
         raise ValueError(f"basis element grid capped at n = {ELEMENT_SIZE_CAP}, got {n}")
-    # the bands of the ladder that covers the grid, before any far band is built
-    part = partition_covering(alpha, grid.half)
+    layout = band_layout(alpha, n)
+    part = layout.partition
     if abs(index.p) > part.p_max:
         raise ValueError(f"band {index.p} outside the grid: |p| <= {part.p_max} at n = {n}")
-    iv = part.interval(index.p)
-    if iv.stop > grid.half:
-        raise ValueError(
-            f"band {index.p} spans [{iv.start}, {iv.stop}), beyond grid half {grid.half}"
-        )
-    if index.p >= 0:
-        lo, hi = iv.start, iv.stop
-    else:
-        lo, hi = -iv.stop + 1, -iv.start + 1
+    if index.p in layout.clipped:
+        iv = part.interval(index.p)
+        raise ValueError(f"band {index.p} spans [{iv.start}, {iv.stop}), beyond grid half {grid.half}")
+    lo, hi = layout.band(index.p)
     return from_spectrum(SpectralSignal(grid, _element_spectrum(grid, lo, hi, index.tau)))
 
 
@@ -405,12 +403,17 @@ def concentration(alpha, index: BasisIndex, n: int, cells: float = 1.0) -> float
     if cells <= 0:
         raise ValueError(f"cells must be positive, got {cells}")
     elem = basis_element(alpha, index, n)
+    return _concentration(elem, band_layout(alpha, n).width(index.p), index.tau, cells)
+
+
+def _concentration(elem: TimeSamples, w: int, tau: int, cells: float = 1.0) -> float:
+    """concentration() of the element elem, of band width w, at slot tau."""
+    n = elem.grid.size
     density = np.abs(elem.values) ** 2 / n  # sums to ~1 over the period
-    w = build_partition(alpha, max(abs(index.p), 1)).interval(index.p).width
     half_width = cells / w
     if 2 * half_width >= 1.0:
         return 1.0
-    center = index.tau / w
+    center = tau / w
     a = round((center - half_width) * n)
     b = round((center + half_width) * n)
     idx = np.arange(a, b + 1) % n

@@ -7,7 +7,8 @@ thread-count environment variables, so BLAS and FFT pools obey it.
 Each subcommand's handler returns (exit code, JSON payload, text lines)
 and writes nothing to stdout: `main` alone prints, the payload as one
 line of JSON with --json and the lines otherwise (partition and tile,
-whose text grows with their output, yield theirs lazily).
+whose text grows with their output, yield theirs lazily, and partition
+its JSON rows, which _print_json writes in batches).
 
 Numbers print as exact shortest round-trip decimals in text and JSON
 alike; identical flags and inputs give byte-identical output.  Exit
@@ -26,6 +27,7 @@ import os
 import sys
 import types
 from fractions import Fraction
+from functools import partial
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -141,6 +143,12 @@ def _echo(args, *names) -> dict:
     return {name: _SPEC_FLAGS[name][1](getattr(args, name)) for name in names}
 
 
+def _frame_spec(args):
+    """The 1D frame spec of the flags --alpha/--mu/--q/--window/--n."""
+    from .frame1d import make_frame_spec
+    return make_frame_spec(_build_window(args.window), args.mu, args.q, args.alpha, args.n)
+
+
 def _refuse_stdout(flag: str, path) -> None:
     """Refuse an output path that names the file stdout is open on (the
     same device and inode as fd 1), before anything is written: the file
@@ -183,6 +191,8 @@ def cmd_partition(args):
 def _write_profiles(base: str, times, time_values, freqs, freq_values) -> list[str]:
     from .containers import write_csv_signal
     tpath, fpath = base + ".time.csv", base + ".freq.csv"
+    for path in (tpath, fpath):
+        _refuse_stdout("--out", path)
     write_csv_signal(tpath, times, time_values, index_name="t")
     write_csv_signal(fpath, freqs, freq_values, index_name="omega")
     return [tpath, fpath]
@@ -191,11 +201,9 @@ def _write_profiles(base: str, times, time_values, freqs, freq_values) -> list[s
 def cmd_basis(args):
     from . import basis
     from .spectral import to_spectrum
-    index = basis.BasisIndex(args.p, args.tau)
-    elem = basis.basis_element(args.alpha, index, args.n)
-    spectrum = to_spectrum(elem)
-    conc = basis.concentration(args.alpha, index, args.n)
+    elem = basis.basis_element(args.alpha, basis.BasisIndex(args.p, args.tau), args.n)
     lo, hi = basis.band_layout(args.alpha, args.n).band(args.p)
+    conc = basis._concentration(elem, hi - lo, args.tau)
     payload = {
         **_echo(args, "alpha", "n"),
         "p": args.p,
@@ -214,7 +222,7 @@ def cmd_basis(args):
     ]
     if args.out:
         payload["files"] = _write_profiles(args.out, elem.grid.times(), elem.values,
-                                           elem.grid.frequencies(), spectrum.coeffs)
+                                           elem.grid.frequencies(), to_spectrum(elem).coeffs)
         lines.append("wrote " + ", ".join(payload["files"]))
     return EXIT_OK, payload, lines
 
@@ -223,11 +231,9 @@ def cmd_basis_check(args):
     from . import basis
     dev = basis.gram_deviation(args.alpha, args.n)  # refuses grids past its cap first
     layout = basis.band_layout(args.alpha, args.n)
-    clipped = [p for p in layout.p_list
-               if p and layout.width(p) < layout.partition.interval(p).width]
     best, where = None, None
     for idx in layout.indices():
-        if idx.p in clipped:
+        if idx.p in layout.clipped:
             continue
         c = basis.concentration(args.alpha, idx, args.n)
         if best is None or c < best:
@@ -239,15 +245,15 @@ def cmd_basis_check(args):
         "min_concentration": float(best),
         "argmin_p": where.p,
         "argmin_tau": where.tau,
-        "clipped_bands": clipped,
+        "clipped_bands": list(layout.clipped),
     }
     lines = [
         f"alpha = {payload['alpha']}, n = {args.n}, elements = {payload['elements']}",
         f"gram_deviation = {_r(dev)}",
         f"min_concentration = {_r(best)} at (p, tau) = ({where.p}, {where.tau})",
     ]
-    if clipped:
-        lines.append(f"clipped bands skipped in concentration scan: {clipped}")
+    if layout.clipped:
+        lines.append(f"clipped bands skipped in concentration scan: {payload['clipped_bands']}")
     return EXIT_OK, payload, lines
 
 
@@ -306,8 +312,7 @@ def cmd_stack(args):
 
 def cmd_frame_bounds(args):
     from . import frame1d
-    win = _build_window(args.window)
-    spec = frame1d.make_frame_spec(win, args.mu, args.q, args.alpha, args.n)
+    spec = _frame_spec(args)
     rep = frame1d.walnut_bounds(spec, args.kmax)
     payload = {
         **_echo(args, "alpha", "mu", "q", "n", "window"),
@@ -347,8 +352,7 @@ def cmd_frame_bounds(args):
 def cmd_element(args):
     from . import frame1d
     from .spectral import from_spectrum
-    win = _build_window(args.window)
-    spec = frame1d.make_frame_spec(win, args.mu, args.q, args.alpha, args.n)
+    spec = _frame_spec(args)
     elem = frame1d.frame_element(spec, args.p, args.k)
     times = from_spectrum(elem)
     payload = {
@@ -378,9 +382,7 @@ def cmd_roundtrip(args):
     if signal.grid.size != args.n:
         raise ValueError(f"--n {args.n} does not match input grid size {signal.grid.size}")
     _check_finite(signal.coeffs if isinstance(signal, SpectralSignal) else signal.values)
-    win = _build_window(args.window)
-    spec = frame1d.make_frame_spec(win, args.mu, args.q, args.alpha, args.n)
-    rec, rel = frame1d.reconstruct(spec, signal)
+    rec, rel = frame1d.reconstruct(_frame_spec(args), signal)
     payload = _echo(args, "alpha", "mu", "q", "n", "window")
     return _round_trip_report(args, payload, rel, lambda path: write_sfr1(
         path, rec if isinstance(signal, SpectralSignal) else from_spectrum(rec)))
@@ -573,9 +575,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _listed(value):
-    """json.dumps' default: a generator (partition's rows) as a list, anything else json's own TypeError."""
-    return list(value) if isinstance(value, types.GeneratorType) else json.JSONEncoder().default(value)
+def _print_json(payload: dict) -> None:
+    """Print payload as one line, the bytes of print(json.dumps(payload,
+    sort_keys=True, allow_nan=False)) with a generator value (partition's
+    rows) as its list, written 4096 items at a time.  Every other value is
+    encoded first: NaN and Infinity are not JSON (RFC 8259), so json.dumps
+    refuses them with a ValueError (exit 2) before anything reaches stdout."""
+    dumps = partial(json.dumps, sort_keys=True, allow_nan=False)
+    items = [(dumps(key), value if isinstance(value, types.GeneratorType) else dumps(value))
+             for key, value in sorted(payload.items())]
+    write = sys.stdout.write
+    write("{")
+    for i, (key, value) in enumerate(items):
+        write((", " if i else "") + key + ": ")
+        if isinstance(value, str):
+            write(value)
+            continue
+        write("[")
+        sep = ""
+        while batch := list(itertools.islice(value, 4096)):
+            write(sep + dumps(batch)[1:-1])
+            sep = ", "
+        write("]")
+    write("}\n")
 
 
 def main(argv=None) -> int:
@@ -588,9 +610,7 @@ def main(argv=None) -> int:
     try:
         code, payload, lines = args.handler(args)
         if args.json:
-            # NaN and Infinity are not JSON (RFC 8259): json.dumps refuses them
-            # with a ValueError (exit 2) before anything reaches stdout
-            print(json.dumps(payload, sort_keys=True, allow_nan=False, default=_listed))
+            _print_json(payload)
         else:
             for line in lines:
                 sys.stdout.write(line + "\n")

@@ -41,6 +41,19 @@ import numpy as np
 
 from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _adopt
 
+__all__ = [
+    "DOMAIN_TIME",
+    "DOMAIN_FREQUENCY",
+    "ContainerError",
+    "write_sfr1",
+    "read_sfr1",
+    "read_sfr1_all",
+    "write_sfr2",
+    "read_sfr2",
+    "write_csv_signal",
+    "read_csv_signal",
+]
+
 MAGIC1 = b"SFR1"
 MAGIC2 = b"SFR2"
 

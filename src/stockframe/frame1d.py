@@ -83,8 +83,10 @@ split with their own H0 (`split`: D, 8 B per grid point, and 32 B per
 alias bin), built on the first reconstruction from core chunks that are
 not kept and never placed, and the placed core chunks in band order,
 built on the first analysis or synthesis.  The lattice, axis, tiling and
-corona caps bound what a spec holds.  One ConjugateFilter serves both
-frames: a spec's dual is its own, refused where H0 has a gap.
+corona caps bound what a spec holds, and each holder of arrays (records,
+chunk, split) makes them read-only as it is built (window._ReadOnly).
+One ConjugateFilter serves both frames: a spec's dual is its own,
+refused where H0 has a gap.
 
 A Gaussian never vanishes, so its records run out to the window's zero
 radius, 15.5 bins from each lattice point, though past about 4.2 bins a
@@ -139,7 +141,7 @@ import numpy as np
 
 from .partition import AlphaPartition
 from .spectral import FrequencyGrid, SpectralSignal, TimeSamples, _adopt, _rel_norm, to_spectrum
-from .window import COEFF_CAP, Window, WindowStack, _runs, _spans, build_stack
+from .window import COEFF_CAP, Window, WindowStack, _ReadOnly, _runs, _spans, build_stack
 
 __all__ = [
     "FrameSpec",
@@ -196,7 +198,7 @@ def _fold(x: np.ndarray, fold: np.ndarray, size: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FoldChunk:
+class FoldChunk(_ReadOnly):
     """Consecutive bands (boxes) of a family, bands, whose supports hold
     about _TERM_CHUNK bins, lengths[i] of them in the i-th band: their
     flat grid bins, band after band, the values there and each bin's slot
@@ -217,7 +219,7 @@ class FoldChunk:
 
 
 @dataclass(frozen=True)
-class BandRecords:
+class BandRecords(_ReadOnly):
     """One record per band of a family, in the order ps: its nonzero
     extent [lo, hi) in grid bins, width w, period m = q*w and values, band
     b holding values[u + offset[b]] at bin u of its extent (half: bin u is
@@ -823,16 +825,14 @@ def frame_bounds_eigen(spec: _BoxFrame) -> FrameBounds:
 
 
 def _duals(chunks, h0: np.ndarray, nu: float):
-    """Yield (chunk, Omega = nu Phi / H0 at its bins, read-only) per chunk
-    of a family, on the flat grid of h0."""
+    """Yield (chunk, Omega = nu Phi / H0 at its bins) per chunk of a
+    family, on the flat grid of h0."""
     for c in chunks:
-        dual = nu * c.values / h0[c.bins]
-        dual.flags.writeable = False
-        yield c, dual
+        yield c, nu * c.values / h0[c.bins]
 
 
 @dataclass(frozen=True)
-class AliasChunk:
+class AliasChunk(_ReadOnly):
     """Whole compact-fold slots of two or more bins, of consecutive bands:
     their bins, band after band, each bin's slot among the size slots
     (fold, numbered from 0), q^d Phi (qphi) and Omega (dual) there."""
@@ -845,7 +845,7 @@ class AliasChunk:
 
 
 @dataclass(frozen=True)
-class RoundTripSplit:
+class RoundTripSplit(_ReadOnly):
     """The round trip as a multiplier plus an aliasing fold: diagonal is
     D = q^d sum Phi Omega over every (band, bin) alone in its compact-fold
     slot, on the flat grid; alias holds the bins of every other slot."""
@@ -859,7 +859,7 @@ def _split(spec: _BoxFrame, chunks, h0: np.ndarray) -> RoundTripSplit:
     the dual of h0 (_duals): a bin alone in its slot folds only into
     itself, so it adds q^d Phi Omega to D, in band order; the bins of the
     other slots are regrouped, whole chunks at a time, into alias chunks
-    of about _TERM_CHUNK bins.  Every array is read-only."""
+    of about _TERM_CHUNK bins."""
     q = spec.q ** spec.d
     diagonal = np.zeros(spec.n ** spec.d)
     alias, group, base = [], [], 0
@@ -867,8 +867,6 @@ def _split(spec: _BoxFrame, chunks, h0: np.ndarray) -> RoundTripSplit:
     def flush():
         slot, bins, qphi, dual = (np.concatenate(x) for x in zip(*group))
         slots, fold = np.unique(slot, return_inverse=True)
-        for x in (bins, fold, qphi, dual):
-            x.flags.writeable = False
         alias.append(AliasChunk(bins, fold, slots.size, qphi, dual))
         group.clear()
 
@@ -884,7 +882,6 @@ def _split(spec: _BoxFrame, chunks, h0: np.ndarray) -> RoundTripSplit:
             flush()
     if group:
         flush()
-    diagonal.flags.writeable = False
     return RoundTripSplit(diagonal, tuple(alias))
 
 

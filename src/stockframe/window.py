@@ -171,8 +171,20 @@ def table_window(omegas, values) -> Window:
     return Window("table", profile, None, radius)
 
 
+class _ReadOnly:
+    """Base of the frozen dataclasses that hold arrays (WindowStack, and
+    frame1d's records, chunks and split): each array field is made
+    read-only as the holder is built; one that replace() passes on is
+    read-only already and left as it is."""
+
+    def __post_init__(self) -> None:
+        for x in vars(self).values():
+            if isinstance(x, np.ndarray) and x.flags.writeable:
+                x.setflags(write=False)
+
+
 @dataclass(frozen=True)
-class WindowStack:
+class WindowStack(_ReadOnly):
     """Band sums of a window over a partition, as records: band ps[b] is
     nonzero only on its extent [lo[b], hi[b]) of grid bins, (0, 0) when
     all zero, and holds values[u + offset[b]] at bin u; arrays read-only."""
@@ -306,7 +318,8 @@ def lattice_records(window: Window, points: np.ndarray, counts: np.ndarray,
     the zero radius are evaluated (the rest add +0.0), once per profile-table
     row where the lattice's exact differences repeat, else point by point,
     in blocks of at most LATTICE_BLOCK samples, each added in point order
-    with one add.at (module docstring).  The four arrays are read-only."""
+    with one add.at (module docstring).  The arrays are fresh and writable;
+    their holder (WindowStack, frame1d.BandRecords) makes them read-only."""
     half = n // 2
     radius = window.zero_radius
     k = _point_bins(window, n)
@@ -346,10 +359,7 @@ def lattice_records(window: Window, points: np.ndarray, counts: np.ndarray,
             np.add.at(acc, np.add.outer(slot[a:a + step], lanes)[keep], window.freq_profile(x[keep]))
     lo, hi = np.zeros((2, live.size), dtype=np.int64)
     lo[live], hi[live], values = _trim(acc, acc != 0, base, length)
-    records = lo, hi, np.cumsum(hi - lo) - hi, values
-    for x in records:
-        x.flags.writeable = False
-    return records
+    return lo, hi, np.cumsum(hi - lo) - hi, values
 
 
 def build_stack(window: Window, mu: float, alpha, n: int) -> WindowStack:

@@ -6,6 +6,8 @@ and q = q^d.  The dual Omega = nu Phi / H0 is formed on every call and
 each fold taken by one bincount per part.
 """
 
+import dataclasses
+
 import numpy as np
 
 
@@ -77,3 +79,13 @@ def check_split(split, chunks, q):
         start, last = stop, ours.max()
     arrays = [split.diagonal] + [x for a in alias for x in (a.bins, a.fold, a.qphi, a.dual)]
     assert not any(x.flags.writeable for x in arrays)
+
+
+def held_arrays(spec, *more):
+    """(holder.field, array) for every ndarray field of the spec's records,
+    core, placed chunks and split (its alias chunks included), and of the
+    holders more."""
+    split = spec.split
+    holders = (*more, spec.records, spec.core, *spec.chunks, split, *split.alias)
+    return [(f"{type(h).__name__}.{f.name}", getattr(h, f.name)) for h in holders
+            for f in dataclasses.fields(h) if isinstance(getattr(h, f.name), np.ndarray)]

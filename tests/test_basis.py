@@ -75,6 +75,19 @@ def test_layout_clip_flag():
     assert not band_layout(0, 64).clipped
 
 
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 7), Fraction(3, 10), Fraction(1, 2),
+                                   Fraction(7, 10), Fraction(1)])
+def test_layout_clipped_lists_the_bands_narrower_than_their_ladder_intervals(alpha):
+    # the rule basis-check and the concentration table applied band by
+    # band, width(p) < partition.interval(p).width, with the widths read
+    # from the runs (alpha = 0 has n - 1 bands at every n)
+    for n in range(4, 4097, 2):
+        layout = band_layout(alpha, n)
+        ps = np.array(layout.p_list)
+        width = np.repeat([r.width for r in layout.runs], [r.count for r in layout.runs])
+        assert layout.clipped == tuple(ps[width < layout.partition.widths[np.abs(ps)]].tolist()), n
+
+
 def test_element_rejects_band_outside_grid():
     with pytest.raises(ValueError):
         basis_element(1, BasisIndex(6, 0), 64)  # [32, 64) beyond half = 32
@@ -178,7 +191,7 @@ def test_run_batched_basis_is_bit_identical_to_per_band_reference(alpha, n):
     assert layout.bands == bands
     assert layout.p_list == list(bands)
     assert all(layout.width(p) == hi - lo for p, (lo, hi) in bands.items())
-    assert layout.clipped == (partition_covering(alpha, n // 2).stop > n // 2)
+    assert bool(layout.clipped) == (partition_covering(alpha, n // 2).stop > n // 2)
 
     coeffs = analyze_fast(alpha, x)
     want = reference_analyze(bands, x)

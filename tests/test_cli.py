@@ -1,6 +1,7 @@
 """Command surface: exit codes, output determinism, file flows."""
 
 import json
+import math
 import os
 import re
 import struct
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from stockframe.cli import _listed, main
+from stockframe.cli import _print_json, main
 from stockframe.containers import (
     DOMAIN_FREQUENCY,
     DOMAIN_TIME,
@@ -343,6 +344,26 @@ def test_an_output_path_that_is_stdout_is_refused(tmp_path, command, sink):
         f"error: {flag} /dev/stdout is the file stdout is open on; the report would overwrite it"]
 
 
+@pytest.mark.parametrize("suffix", [".time.csv", ".freq.csv"])
+@pytest.mark.parametrize("argv", [
+    ["basis", "--alpha", "0.5", "--p", "3", "--n", "64"],
+    ["element", "--alpha", "0.5", "--mu", "0.5", "--q", "4", "--window", "gaussian", "--n", "64",
+     "--p", "1", "--k", "0"],
+], ids=["basis", "element"])
+def test_a_profile_path_that_is_stdout_is_refused(tmp_path, argv, suffix):
+    # --out el > el.time.csv wrote the CSV through a second file description
+    # on stdout's file, and the report then overwrote its header: both
+    # paths are refused before either file is opened
+    sunk = tmp_path / ("el" + suffix)
+    with open(sunk, "wb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "stockframe.cli", *argv, "--out", str(tmp_path / "el")],
+                              stdout=fh, stderr=subprocess.PIPE, timeout=5)
+    assert (proc.returncode, sunk.read_bytes()) == (2, b"")
+    assert proc.stderr.decode().splitlines() == [
+        f"error: --out {sunk} is the file stdout is open on; the report would overwrite it"]
+    assert [p.name for p in tmp_path.iterdir()] == [sunk.name]
+
+
 def test_roundtrip_may_write_over_its_input(tmp_path):
     # the input is read whole before the output is opened
     path, x = make_input(tmp_path, n=64)
@@ -401,23 +422,40 @@ def test_partition_json_lists_the_intervals(capsys, alpha):
     assert run(capsys, "partition", "--alpha", alpha, "--pmax", "300", "--json") == (0, want, "")
 
 
-def test_json_lists_a_generator_and_refuses_anything_else():
-    assert _listed(x * x for x in range(3)) == [0, 1, 4]
-    for value in (iter([1]), np.arange(2), {1}):
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            _listed(value)
+def test_json_writer_streams_a_generator_and_refuses_anything_else(capsys):
+    # a generator's rows in batches of 4096 joined inside one list: the
+    # bytes of json.dumps with the rows listed
+    for count in (0, 1, 4096, 4097, 10000):
+        payload = {"z": {"b": 0.1, "a": [1, "x"]}, "rows": ({"p": k} for k in range(count)), "a": "1/2"}
+        want = json.dumps({**payload, "rows": [{"p": k} for k in range(count)]}, sort_keys=True)
+        _print_json(payload)
+        assert capsys.readouterr().out == want + "\n", count
+    # NaN, here after the rows in key order, and what json cannot encode
+    # are refused before anything is written
+    for bad, error, match in ((math.nan, ValueError, "Out of range float values"),
+                              (iter([1]), TypeError, "is not JSON serializable"),
+                              (np.arange(2), TypeError, "is not JSON serializable")):
+        with pytest.raises(error, match=match):
+            _print_json({"a": (k for k in range(10)), "b": [bad]})
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+@pytest.mark.parametrize("fmt", [[], ["--csv"], ["--json"]])
 def test_partition_streams_its_rows(fmt):
     # 200,001 rows made from the ladder's one run as they are printed: the
-    # intervals and a list of row dicts held 108 MB
+    # intervals and a list of row dicts held 108 MB, and the JSON's list of
+    # every row 99.5 MB
     proc, peak_kib = run_cli_measured("partition", "--alpha", "0", "--pmax", "200000", *fmt)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == (200002 if fmt else 200003) + 1  # and the VmHWM line
-    assert lines[-2] == ("200000,200000,200001,1" if fmt else "200000       200000       200001          1")
+    *lines, _ = proc.stdout.splitlines()  # less the VmHWM line
+    if fmt == ["--json"]:
+        rows = json.loads(lines[0])["intervals"]
+        assert (len(lines), len(rows)) == (1, 200001)
+        assert rows[-1] == {"p": 200000, "start": 200000, "stop": 200001, "width": 1}
+    else:
+        assert len(lines) == (200002 if fmt else 200003)
+        assert lines[-1] == ("200000,200000,200001,1" if fmt else "200000       200000       200001          1")
     assert peak_kib < 60 * 1024
 
 

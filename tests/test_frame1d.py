@@ -27,7 +27,7 @@ from stockframe.frame1d import (
 )
 from stockframe.spectral import FrequencyGrid, SpectralSignal, TimeSamples, to_spectrum
 from stockframe.window import COEFF_CAP, Window, gaussian_window, truncated_gaussian
-from roundtrip import check_split, fold_order_reconstruct, per_call_reconstruct
+from roundtrip import check_split, fold_order_reconstruct, held_arrays, per_call_reconstruct
 from tailbound import (analysis_bound, check_trim, dense_records, kernel_roundoff, reconstruct_bound, shift_pairs,
                        synthesis_bound, walnut_bound, walnut_kernel)
 
@@ -487,14 +487,21 @@ def assert_frozen(obj):
 
 def test_spec_stack_records_and_chunks_are_frozen():
     # a spec builds its records, core, H0, chunks and split once from
-    # these: no field can be set after, and no stack array written into
+    # these: no field can be set after, and no array they hold written into
+    # (records.w and m, the core's lo and hi and every chunk array were)
     spec = gauss_spec(mu=0.5, q=4, alpha=0.5, n=64)
-    for obj in (spec, spec.stack, spec.records, spec.core, spec.chunks[0]):
+    for obj in (spec, spec.stack, spec.records, spec.core, *spec.chunks, spec.split, *spec.split.alias):
         assert_frozen(obj)
-    st = spec.stack
-    for x in (st.lo, st.hi, st.offset, st.values):
+    arrays = held_arrays(spec, spec.stack)
+    assert {name for name, _ in arrays} == {
+        *(f"WindowStack.{f}" for f in ("lo", "hi", "offset", "values")),
+        *(f"BandRecords.{f}" for f in ("lo", "hi", "offset", "values", "w", "m")),
+        *(f"FoldChunk.{f}" for f in ("lengths", "bins", "values", "fold", "place")),
+        "RoundTripSplit.diagonal", *(f"AliasChunk.{f}" for f in ("bins", "fold", "qphi", "dual"))}
+    assert [name for name, x in arrays if x.flags.writeable] == []
+    for _, x in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            x[0] = x[0]
+            x[:1] = x[:1]
 
 
 def test_a_spec_cannot_change_q_under_its_held_bounds():

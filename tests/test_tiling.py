@@ -32,7 +32,7 @@ from stockframe.tiling import (
     walnut_bounds_nd,
 )
 from stockframe.window import COEFF_CAP, gaussian_window, table_window, truncated_gaussian
-from roundtrip import check_split, fold_order_reconstruct, per_call_reconstruct
+from roundtrip import check_split, fold_order_reconstruct, held_arrays, per_call_reconstruct
 from tailbound import (analysis_bound, check_trim, dense_records, kernel_roundoff, reconstruct_bound, shift_pairs,
                        synthesis_bound, walnut_bound, walnut_kernel)
 
@@ -829,16 +829,22 @@ def test_reconstruct_nd_builds_h0_once_per_spec(monkeypatch):
 
 def test_nd_spec_and_records_are_frozen():
     # the n-D spec builds its core, H0, chunks and split once from these:
-    # no field can be set after, and no record array written into
+    # no field can be set after, and no array they hold written into
+    # (records.w and m, the core's lo and hi and every chunk array were)
     spec = small_spec(d=2, n=16, q=2)
-    for obj in (spec, spec.records, spec.core, spec.chunks[0]):
+    for obj in (spec, spec.records, spec.core, *spec.chunks, spec.split, *spec.split.alias):
         for f in dataclasses.fields(obj):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, f.name, getattr(obj, f.name))
-    g = spec.records
-    for x in (g.lo, g.hi, g.offset, g.values):
+    arrays = held_arrays(spec)
+    assert {name for name, _ in arrays} == {
+        *(f"BandRecords.{f}" for f in ("lo", "hi", "offset", "values", "w", "m")),
+        *(f"FoldChunk.{f}" for f in ("lengths", "bins", "values", "fold", "place")),
+        "RoundTripSplit.diagonal", *(f"AliasChunk.{f}" for f in ("bins", "fold", "qphi", "dual"))}
+    assert [name for name, x in arrays if x.flags.writeable] == []
+    for _, x in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            x[0] = x[0]
+            x[:1] = x[:1]
 
 
 def test_conjugate_nd_gap_detection():
